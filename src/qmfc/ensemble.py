@@ -1,11 +1,35 @@
 """Monte Carlo orchestration of closed-loop trajectory ensembles.
 
-Trajectories are advanced in lockstep as stacked (R, N, N) arrays, split into
-fixed-size chunks; chunks may be farmed out to worker threads.  Each
-trajectory owns a counter-based random stream derived from (master seed,
-sweep index, trajectory index), and aggregation is a deterministic reduction
-over a preallocated per-trajectory array, so results are bit-identical for a
-given master seed regardless of the degree of parallelism.
+Trajectories are advanced in lockstep, split into fixed-size chunks; chunks
+may be farmed out to worker threads.  Each trajectory owns a counter-based
+random stream derived from (master seed, sweep index, trajectory index), and
+aggregation is a deterministic reduction over a preallocated per-trajectory
+array, so results are bit-identical for a given master seed regardless of the
+degree of parallelism.
+
+Two kernels run the same step as sde._kraus_step, with the same noise, the
+same feedback branches and the same StepRejected rule:
+
+* N = 2 (Bloch form; Jacobs and Steck, Contemp. Phys. 47, 279 (2006)): each
+  state is a real Bloch vector r, rho = (I + r.sigma) / 2, stored as a (3, m)
+  array with one column per trajectory.  With Q = q0 I + q.sigma and
+  H = h0 I + h.sigma the Kraus operator is M = alpha I + v.sigma, with alpha
+  complex and v = a + ib a complex 3-vector, and
+
+      M M^+         = (|alpha|^2 + |v|^2) I + (2 Re(alpha* v) + 2 a x b).sigma
+      M (r.sigma) M^+ = 2 (Re(alpha* v) - a x b).r I
+                      + ((|alpha|^2 - |v|^2) r + 2a(a.r) + 2b(b.r)
+                         - 2 Im(alpha* v) x r).sigma
+
+  while the dephasing channel adds 2 beta dt sz rho sz
+  = beta dt (I + (-r_x, -r_y, r_z).sigma).  The next r is the sigma part of
+  the sum over its I part.  The step-size diagnostic is (1 - |r_E|) / 2 for
+  the first-order Euler-Maruyama state r_E.  Feedback is the first-order
+  rotation -sqrt(mu/2) (s x r)/|s x r| toward the target's Bloch vector s, or
+  nothing when the state already points at the target; the rare remaining
+  rows (second-order branch) go to feedback.optimal_feedback.
+* N > 2: (m, N, N) complex stacks through sde._kraus_step.  For qubits this
+  matrix kernel is the oracle the Bloch kernel is tested against.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -14,11 +38,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feedback import optimal_feedback
-from .povm import bloch_rotation
-from .sde import MeasurementPolicy, SmeConfig, StepRejected, _default_reject_tol, _kraus_step
-from .states import SIGMA_Z, check_density_matrix
+from .sde import (
+    MeasurementPolicy,
+    SmeConfig,
+    StepRejected,
+    _default_reject_tol,
+    _kraus_step,
+    policy_observable,
+)
+from .states import check_density_matrix
 
-CHUNK = 256  # trajectories per lockstep batch; fixed so threading cannot reorder math
+CHUNK = 512  # trajectories per lockstep batch; fixed so threading cannot reorder math
 
 
 @dataclass(frozen=True)
@@ -38,7 +68,19 @@ class EnsembleConfig:
             raise ValueError("need at least one realization")
         if self.stat_stride < 1 or self.sme.n_steps % self.stat_stride != 0:
             raise ValueError("stat_stride must divide the number of steps")
-        object.__setattr__(self, "rho0", check_density_matrix(self.rho0))
+        rho0 = check_density_matrix(self.rho0)
+        object.__setattr__(self, "rho0", rho0)
+        shape = rho0.shape
+        if self.sme.h0.shape != shape:
+            raise ValueError(f"h0 has shape {self.sme.h0.shape}, rho0 {shape}")
+        if self.policy.mode == "fixed_observable" and self.policy.observable.shape != shape:
+            raise ValueError(
+                f"observable has shape {self.policy.observable.shape}, rho0 {shape}"
+            )
+        if self.policy.mode == "relative_angle" and shape != (2, 2):
+            raise ValueError("relative_angle policy is defined for qubits")
+        if self.sme.dephasing_beta > 0 and shape != (2, 2):
+            raise ValueError("dephasing term is defined for qubit configurations")
 
 
 @dataclass
@@ -70,26 +112,6 @@ def precessing_plus_x(omega):
     return target
 
 
-def _qubit_bases(rho, prev):
-    """Eigenbasis stack for qubit states, reusing prev where rho is degenerate."""
-    rx = 2.0 * rho[:, 0, 1].real
-    ry = -2.0 * rho[:, 0, 1].imag
-    rz = rho[:, 0, 0].real - rho[:, 1, 1].real
-    r = np.sqrt(rx * rx + ry * ry + rz * rz)
-    ok = r >= 1e-12
-    r_safe = np.where(ok, r, 1.0)
-    big_theta = np.arccos(np.clip(rz / r_safe, -1.0, 1.0))
-    big_phi = np.arctan2(ry, rx)
-    c, s = np.cos(big_theta / 2), np.sin(big_theta / 2)
-    e = np.exp(1j * big_phi)
-    basis = np.empty_like(prev)
-    basis[:, 0, 0] = c
-    basis[:, 0, 1] = -s / e
-    basis[:, 1, 0] = s * e
-    basis[:, 1, 1] = c
-    return np.where(ok[:, None, None], basis, prev)
-
-
 def _feedback_stack(rho, psi, mu, tau_degen=1e-8):
     """Optimal feedback Hamiltonians for a stack of states toward one target."""
     m = rho.shape[0]
@@ -112,34 +134,188 @@ def _feedback_stack(rho, psi, mu, tau_degen=1e-8):
     return h
 
 
+class _MatrixKernel:
+    """States as an (m, N, N) complex stack, advanced by sde._kraus_step."""
+
+    def __init__(self, cfg, m):
+        n = cfg.rho0.shape[0]
+        self.cfg = cfg
+        self.rho = np.broadcast_to(cfg.rho0, (m, n, n)).astype(complex).copy()
+        self.bases = [None] * m  # per-row eigenbases of the relative_angle policy
+
+    def step(self, psi, dw):
+        cfg, sme = self.cfg, self.cfg.sme
+        if cfg.policy.mode == "relative_angle":
+            picks = [policy_observable(cfg.policy, rho, prev_basis=basis)
+                     for rho, basis in zip(self.rho, self.bases)]
+            q_obs = np.array([q for q, _ in picks])
+            self.bases = [basis for _, basis in picks]
+        else:
+            q_obs = cfg.policy.observable
+        if cfg.mu > 0:
+            h = sme.h0[None, :, :] + _feedback_stack(self.rho, psi, cfg.mu)
+        else:
+            h = np.broadcast_to(sme.h0, self.rho.shape)
+        self.rho, _, euler_min = _kraus_step(
+            self.rho, q_obs, sme.k, h, sme.dt, dw, beta=sme.dephasing_beta
+        )
+        return euler_min
+
+    def purity(self):
+        return np.einsum("mij,mji->m", self.rho, self.rho).real
+
+    def overlap(self, psi):
+        return np.einsum("i,mij,j->m", psi.conj(), self.rho, psi).real
+
+    def states(self):
+        return self.rho
+
+
+def _pauli(a):
+    """(a0, a_vec) with a = a0 I + a_vec.sigma, for a Hermitian 2x2 matrix."""
+    return (a[0, 0] + a[1, 1]).real / 2, np.array(
+        [a[0, 1].real, -a[0, 1].imag, (a[0, 0] - a[1, 1]).real / 2]
+    )
+
+
+def _density(r):
+    """(I + r.sigma) / 2 for a Bloch vector (3,) or a stack (3, m) -> (m, 2, 2)."""
+    x, y, z = r
+    rho = np.empty(np.shape(x) + (2, 2), dtype=complex)
+    rho[..., 0, 0] = (1.0 + z) / 2
+    rho[..., 1, 1] = (1.0 - z) / 2
+    rho[..., 0, 1] = (x - 1j * y) / 2
+    rho[..., 1, 0] = (x + 1j * y) / 2
+    return rho
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return np.stack([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+class _BlochKernel:
+    """Qubit states as Bloch vectors, shape (3, m); see the module docstring."""
+
+    def __init__(self, cfg, m):
+        self.cfg = cfg
+        self.r = np.repeat(2.0 * _pauli(cfg.rho0)[1][:, None], m, axis=1)
+        self.h0_trace, h0 = _pauli(cfg.sme.h0)
+        self.h0 = h0[:, None]
+        policy = cfg.policy
+        if policy.mode == "relative_angle":
+            st = np.sin(policy.theta)
+            # measured axis in the frame whose z axis is the state's direction
+            self.local = (st * np.cos(policy.phi), st * np.sin(policy.phi), np.cos(policy.theta))
+            self.angles = np.zeros((2, m))  # the state's (Theta, Phi); kept where |r| < 1e-12
+        else:
+            self.q_trace, q = _pauli(policy.observable)
+            self.q = q[:, None]
+
+    def _measured_axis(self):
+        if self.cfg.policy.mode == "fixed_observable":
+            return self.q_trace, self.q
+        x, y, z = self.r
+        norm = np.sqrt(_dot(self.r, self.r))
+        ok = norm >= 1e-12
+        big_theta = np.arccos(np.clip(z / np.where(ok, norm, 1.0), -1.0, 1.0))
+        self.angles = np.where(ok, [big_theta, np.arctan2(y, x)], self.angles)
+        ct, st = np.cos(self.angles[0]), np.sin(self.angles[0])
+        cp, sp = np.cos(self.angles[1]), np.sin(self.angles[1])
+        # rotate by Theta about (-sin Phi, cos Phi, 0), i.e. Rz(Phi) Ry(Theta) Rz(-Phi)
+        lx, ly, lz = self.local
+        u = cp * lx + sp * ly
+        w = cp * ly - sp * lx
+        ux = ct * u + st * lz
+        return 0.0, np.stack([cp * ux - sp * w, sp * ux + cp * w, ct * lz - st * u])
+
+    def _feedback(self, psi):
+        r, mu = self.r, self.cfg.mu
+        s_trace, s = _pauli(np.outer(psi, psi.conj()))
+        sxr = _cross(s[:, None], r)
+        sxr_norm = np.sqrt(_dot(sxr, sxr))
+        r_norm = np.sqrt(_dot(r, r))
+        # the matrix rule ||[sigma, rho]||_F > 1e-8 ||rho||_F in Bloch form
+        tau = 1e-8 * np.sqrt((1.0 + r_norm * r_norm) / 2)
+        active = np.sqrt(2.0) * sxr_norm > tau
+        h = np.where(active, sxr * (-np.sqrt(mu / 2) / np.where(active, sxr_norm, 1.0)), 0.0)
+        # no-op rows: the target already carries the top eigenvalue (1 + |r|) / 2
+        rare = ~active & ((1.0 + r_norm) / 2 - (s_trace + _dot(s, r)) > tau)
+        for j in np.nonzero(rare)[0]:
+            h[:, j] = _pauli(optimal_feedback(_density(r[:, j]), psi, mu).hamiltonian)[1]
+        return h
+
+    def step(self, psi, dw):
+        cfg, r = self.cfg, self.r
+        k, dt, beta = cfg.sme.k, cfg.sme.dt, cfg.sme.dephasing_beta
+        sqrt2k = np.sqrt(2.0 * k)
+        q_trace, q = self._measured_axis()
+        h = self.h0 + self._feedback(psi) if cfg.mu > 0 else self.h0
+
+        qr = _dot(q, r)
+        qq = _dot(q, q)
+        dy_tilde = 2.0 * sqrt2k * dt * (q_trace + qr) + dw
+        c2 = k * (dy_tilde * dy_tilde - 2.0 * dt)
+        alpha_re = (1.0 - beta * dt) + sqrt2k * dy_tilde * q_trace + c2 * (q_trace ** 2 + qq)
+        alpha_im = -dt * self.h0_trace
+        a = (sqrt2k * dy_tilde + 2.0 * c2 * q_trace) * q
+        b = -dt * h
+        re_av = alpha_re * a + alpha_im * b
+        im_av = alpha_re * b - alpha_im * a
+        axb = _cross(a, b)
+        alpha2 = alpha_re * alpha_re + alpha_im * alpha_im
+        v2 = _dot(a, a) + _dot(b, b)
+        identity_part = (alpha2 + v2) / 2 + _dot(re_av - axb, r) + beta * dt
+        sigma_part = (re_av + axb + ((alpha2 - v2) / 2) * r + a * _dot(a, r)
+                      + b * _dot(b, r) - _cross(im_av, r))
+        sigma_part[:2] -= (beta * dt) * r[:2]
+        sigma_part[2] += (beta * dt) * r[2]
+
+        drift = 2.0 * _cross(h, r) + (4.0 * k) * (q * qr - qq * r)
+        drift[:2] -= (4.0 * beta) * r[:2]
+        euler = r + dt * drift + (2.0 * sqrt2k * dw) * (q - qr * r)
+        self.r = sigma_part / identity_part
+        return (1.0 - np.sqrt(_dot(euler, euler))) / 2
+
+    def purity(self):
+        return (1.0 + _dot(self.r, self.r)) / 2
+
+    def overlap(self, psi):
+        s_trace, s = _pauli(np.outer(psi, psi.conj()))
+        return s_trace + _dot(s, self.r)
+
+    def states(self):
+        return _density(self.r)
+
+
 def _advance_chunk(cfg: EnsembleConfig, chunk_start, chunk_size, sweep_index,
-                   checkpoint_steps=None):
+                   checkpoint_steps=None, kernel=None):
     """Run one lockstep batch of trajectories.
 
     Returns (purity, overlap, states) series; states is None unless
     checkpoint_steps (a sequence of step indices) was given, in which case it
     holds the conditioned states at those steps, shape (chunk, n_cp, N, N).
+    kernel defaults to _BlochKernel for qubits and _MatrixKernel otherwise.
     """
     sme = cfg.sme
-    policy = cfg.policy
     n = cfg.rho0.shape[0]
     n_steps = sme.n_steps
     dt = sme.dt
-    beta = sme.dephasing_beta
-    k = sme.k
-    reject_tol = _default_reject_tol(k, beta, dt)
+    reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, dt)
+    if kernel is None:
+        kernel = _BlochKernel if n == 2 else _MatrixKernel
 
-    dw = np.empty((chunk_size, n_steps))
+    dw = np.empty((n_steps, chunk_size))
     for j in range(chunk_size):
         gen = trajectory_rng(cfg.master_seed, sweep_index, chunk_start + j)
-        dw[j] = gen.standard_normal(n_steps) * np.sqrt(dt)
+        dw[:, j] = gen.standard_normal(n_steps) * np.sqrt(dt)
 
-    rho = np.broadcast_to(cfg.rho0, (chunk_size, n, n)).astype(complex).copy()
-    if policy.mode == "relative_angle":
-        rot = bloch_rotation(policy.theta, policy.phi)
-        rotated_z = rot @ SIGMA_Z @ rot.conj().T
-        bases = _qubit_bases(rho, np.broadcast_to(np.eye(2, dtype=complex),
-                                                  (chunk_size, 2, 2)).copy())
+    batch = kernel(cfg, chunk_size)
     n_stat = n_steps // cfg.stat_stride
     pur = np.empty((chunk_size, n_stat + 1))
     ovl = np.empty((chunk_size, n_stat + 1))
@@ -149,52 +325,48 @@ def _advance_chunk(cfg: EnsembleConfig, chunk_start, chunk_size, sweep_index,
         cp_slots = {int(s): i for i, s in enumerate(checkpoint_steps)}
         states = np.empty((chunk_size, len(cp_slots), n, n), dtype=complex)
         if 0 in cp_slots:
-            states[:, cp_slots[0]] = rho
+            states[:, cp_slots[0]] = batch.states()
+
+    def target(t):
+        return cfg.target_fn(t) if cfg.target_fn is not None else None
 
     def record(slot, psi_t):
-        pur[:, slot] = np.einsum("mij,mji->m", rho, rho).real
-        if psi_t is None:
-            ovl[:, slot] = np.nan
-        else:
-            ovl[:, slot] = np.einsum(
-                "i,mij,j->m", psi_t.conj(), rho, psi_t
-            ).real
+        pur[:, slot] = batch.purity()
+        ovl[:, slot] = np.nan if psi_t is None else batch.overlap(psi_t)
 
-    psi0 = cfg.target_fn(0.0) if cfg.target_fn is not None else None
-    record(0, psi0)
+    record(0, target(0.0))
 
     for step in range(n_steps):
-        t = step * dt
-        psi_t = cfg.target_fn(t) if cfg.target_fn is not None else None
-
-        if policy.mode == "relative_angle":
-            bases = _qubit_bases(rho, bases)
-            q_obs = np.einsum("mij,jk,mlk->mil", bases, rotated_z, np.conj(bases))
-        else:
-            q_obs = policy.observable
-
-        if cfg.mu > 0:
-            h = sme.h0[None, :, :] + _feedback_stack(rho, psi_t, cfg.mu)
-        else:
-            h = np.broadcast_to(sme.h0, (chunk_size, n, n))
-
-        rho, _, euler_min = _kraus_step(rho, q_obs, k, h, dt, dw[:, step], beta=beta)
+        euler_min = batch.step(target(step * dt), dw[step])
         worst = euler_min.min()
         if worst < -reject_tol:
             bad = chunk_start + int(np.argmin(euler_min))
             raise StepRejected(
-                f"trajectory {bad} (master_seed {cfg.master_seed}): first-order "
-                f"eigenvalue {worst:.3e} below -{reject_tol:.1e}; reduce dt"
+                f"trajectory {bad} (master_seed {cfg.master_seed}) at step {step}: "
+                f"first-order eigenvalue {worst:.3e} below -{reject_tol:.1e}; reduce dt"
             )
 
         if step + 1 in cp_slots:
-            states[:, cp_slots[step + 1]] = rho
+            states[:, cp_slots[step + 1]] = batch.states()
         if (step + 1) % cfg.stat_stride == 0:
-            slot = (step + 1) // cfg.stat_stride
-            psi_next = cfg.target_fn((step + 1) * dt) if cfg.target_fn is not None else None
-            record(slot, psi_next)
+            record((step + 1) // cfg.stat_stride, target((step + 1) * dt))
 
     return pur, ovl, states
+
+
+def _for_each_chunk(realizations, threads, work):
+    """Call work(start, size) for every chunk, on up to `threads` workers."""
+    starts = list(range(0, realizations, CHUNK))
+
+    def call(start):
+        work(start, min(CHUNK, realizations - start))
+
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(call, starts))
+    else:
+        for start in starts:
+            call(start)
 
 
 def run_ensemble(cfg: EnsembleConfig, threads=1, sweep_index=0) -> EnsembleStats:
@@ -210,20 +382,12 @@ def run_ensemble(cfg: EnsembleConfig, threads=1, sweep_index=0) -> EnsembleStats
     pur = np.empty((r, n_stat + 1))
     ovl = np.empty((r, n_stat + 1))
 
-    starts = list(range(0, r, CHUNK))
-
-    def work(start):
-        size = min(CHUNK, r - start)
+    def work(start, size):
         p, o, _ = _advance_chunk(cfg, start, size, sweep_index)
         pur[start:start + size] = p
         ovl[start:start + size] = o
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
-    else:
-        for start in starts:
-            work(start)
+    _for_each_chunk(r, threads, work)
 
     keep = times >= cfg.transient_cut
     tavg_p = pur[:, keep].mean(axis=1)
@@ -267,19 +431,12 @@ def ensemble_states(cfg: EnsembleConfig, checkpoint_times, threads=1, sweep_inde
     r = cfg.realizations
     n = cfg.rho0.shape[0]
     out = np.empty((r, len(steps), n, n), dtype=complex)
-    starts = list(range(0, r, CHUNK))
 
-    def work(start):
-        size = min(CHUNK, r - start)
+    def work(start, size):
         _, _, states = _advance_chunk(cfg, start, size, sweep_index, checkpoint_steps=steps)
         out[start:start + size] = states
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
-    else:
-        for start in starts:
-            work(start)
+    _for_each_chunk(r, threads, work)
     return out
 
 

@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import qmfc.ensemble
 from qmfc.ensemble import (
     CHUNK,
     EnsembleConfig,
+    _advance_chunk,
+    _BlochKernel,
+    _MatrixKernel,
     ensemble_states,
     precessing_plus_x,
     run_ensemble,
@@ -13,6 +19,7 @@ from qmfc.ensemble import (
 from qmfc.sde import (
     MeasurementPolicy,
     SmeConfig,
+    StepRejected,
     nonselective_solve,
     run_control_trajectory,
 )
@@ -38,6 +45,24 @@ def small_config(**overrides):
     return EnsembleConfig(**defaults)
 
 
+def qutrit_config(**overrides):
+    # N = 3 from I/3 toward the last basis state: the matrix kernel
+    target = np.array([0.0, 0.0, 1.0], dtype=complex)
+    h0 = np.array([[0.2, 0.5, 0.1j], [0.5, -0.4, 0.3], [-0.1j, 0.3, 0.2]])
+    defaults = dict(
+        realizations=8,
+        master_seed=5,
+        sme=SmeConfig(k=1.0, h0=h0, dt=1e-3, t_end=0.05),
+        policy=MeasurementPolicy(mode="fixed_observable", observable=np.diag([1.0, 0.0, -1.0])),
+        mu=5.0,
+        rho0=np.eye(3, dtype=complex) / 3,
+        target_fn=lambda t: target,
+        stat_stride=5,
+    )
+    defaults.update(overrides)
+    return EnsembleConfig(**defaults)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(realizations=0)
@@ -45,6 +70,18 @@ def test_config_validation():
         small_config(stat_stride=7)  # does not divide 200 steps
     with pytest.raises(ValueError):
         small_config(rho0=np.eye(2))  # trace 2
+    # shape mismatches are refused at construction, not mid-run inside a matmul
+    with pytest.raises(ValueError):
+        qutrit_config(policy=MeasurementPolicy(mode="relative_angle", theta=np.pi / 4))
+    with pytest.raises(ValueError):
+        small_config(rho0=np.eye(3) / 3)
+    with pytest.raises(ValueError):
+        qutrit_config(policy=MeasurementPolicy(mode="fixed_observable", observable=SIGMA_Z))
+    with pytest.raises(ValueError):
+        qutrit_config(sme=SmeConfig(k=1.0, h0=SIGMA_Z, dt=1e-3, t_end=0.05))
+    with pytest.raises(ValueError):
+        qutrit_config(sme=SmeConfig(k=1.0, h0=np.eye(3), dephasing_beta=0.4, dt=1e-3,
+                                    t_end=0.05))
 
 
 def test_trajectory_rng_streams_are_independent_and_stable():
@@ -81,16 +118,99 @@ def test_single_realization_matches_scalar_engine():
 
 
 def test_thread_count_does_not_change_results():
-    cfg = small_config(realizations=2 * CHUNK + 10, sme=SmeConfig(
+    # the qubit (Bloch) kernel and the N = 3 matrix kernel, three chunks each
+    qubit = small_config(sme=SmeConfig(
         k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=1e-3, t_end=0.05
     ), stat_stride=5)
-    one = run_ensemble(cfg, threads=1)
-    many = run_ensemble(cfg, threads=8)
-    assert np.array_equal(one.purity_mean, many.purity_mean)
-    assert np.array_equal(one.overlap_mean, many.overlap_mean)
-    assert np.array_equal(one.purity_se, many.purity_se)
-    assert one.time_avg_purity == many.time_avg_purity
-    assert one.time_avg_overlap == many.time_avg_overlap
+    for base in (qubit, qutrit_config()):
+        cfg = dataclasses.replace(base, realizations=2 * CHUNK + 10)
+        one = run_ensemble(cfg, threads=1)
+        many = run_ensemble(cfg, threads=8)
+        assert np.array_equal(one.purity_mean, many.purity_mean)
+        assert np.array_equal(one.overlap_mean, many.overlap_mean)
+        assert np.array_equal(one.purity_se, many.purity_se)
+        assert one.time_avg_purity == many.time_avg_purity
+        assert one.time_avg_overlap == many.time_avg_overlap
+
+
+def test_chunking_does_not_change_rows():
+    cfg = small_config(realizations=40)
+    whole = _advance_chunk(cfg, 0, 40, 0)
+    parts = [_advance_chunk(cfg, 0, 17, 0), _advance_chunk(cfg, 17, 23, 0)]
+    for i in range(2):
+        assert np.array_equal(whole[i], np.concatenate([p[i] for p in parts]))
+
+
+def oracle_config(policy, mu, rho0):
+    # 1000 steps; h0 with a trace; start one radian behind the target
+    return small_config(
+        realizations=16,
+        master_seed=0,
+        sme=SmeConfig(k=2.0, h0=np.pi * SIGMA_Z + 0.5 * SIGMA_X + 0.3 * np.eye(2),
+                      dephasing_beta=0.4, dt=2.5e-5, t_end=0.025),
+        policy=policy,
+        mu=mu,
+        rho0=rho0,
+    )
+
+
+def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
+    """The qubit Bloch kernel against the matrix kernel on shared noise.
+
+    Agreement to 1e-12 can hold only away from the closed loop's
+    discontinuities, where any two roundings part: the relative_angle axis
+    near the south pole of the eigenbasis convention (Theta = pi, where it
+    turns with the azimuth Phi) and the feedback direction (s x r)/|s x r|
+    once the state chatters about the target.  So the runs are short
+    (t = 0.025) and start on the equator, one radian behind the target.
+    """
+    branches = []
+    fallback = qmfc.ensemble.optimal_feedback
+
+    def counted(*args):
+        decision = fallback(*args)
+        branches.append(decision.branch)
+        return decision
+
+    monkeypatch.setattr(qmfc.ensemble, "optimal_feedback", counted)
+    behind = pure_density(np.array([1.0, np.exp(-1j)]) / np.sqrt(2.0))
+    q_fixed = 0.7 * SIGMA_X + 0.3 * SIGMA_Z + 0.2 * np.eye(2)  # Tr Q != 0, Q^2 != I
+    policies = [MeasurementPolicy(mode="relative_angle", theta=theta, phi=0.3)
+                for theta in (0.0, np.pi / 4, np.pi / 2)]
+    policies.append(MeasurementPolicy(mode="fixed_observable", observable=q_fixed))
+    cases = [(oracle_config(policy, mu, behind), set())
+             for policy in policies for mu in (0.0, 10.0)]
+    # antipodal start: the first step takes the second-order feedback branch
+    minus_x = pure_density(np.array([1.0, -1.0]) / np.sqrt(2.0))
+    cases.append((oracle_config(policies[1], 10.0, minus_x), {"second_order"}))
+
+    checkpoints = range(0, 1001, 10)
+    for cfg, fallback_branches in cases:
+        branches.clear()
+        bloch = _advance_chunk(cfg, 0, 16, 0, checkpoint_steps=checkpoints, kernel=_BlochKernel)
+        # the Bloch kernel sends only second-order rows to optimal_feedback
+        assert set(branches) == fallback_branches
+        matrix = _advance_chunk(cfg, 0, 16, 0, checkpoint_steps=checkpoints, kernel=_MatrixKernel)
+        for got, want in zip(bloch, matrix):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.nanmax(np.abs(got - want)) <= 1e-12
+
+
+def test_kernels_reject_the_same_step():
+    for theta in (0.0, np.pi / 4):
+        with pytest.warns(UserWarning):
+            cfg = small_config(
+                sme=SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=0.04, t_end=4.0),
+                policy=MeasurementPolicy(mode="relative_angle", theta=theta),
+                stat_stride=1,
+            )
+        messages = []
+        for kernel in (_BlochKernel, _MatrixKernel):
+            with pytest.raises(StepRejected) as info:
+                _advance_chunk(cfg, 0, 8, 0, kernel=kernel)
+            messages.append(str(info.value))
+        # the message names the trajectory and the step
+        assert messages[0] == messages[1]
 
 
 def test_rerun_is_bit_identical():
