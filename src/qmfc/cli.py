@@ -260,7 +260,11 @@ def build_parser():
     parser.add_argument("--config", help="plain key = value config file; flags win")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="accepted and recorded but ignored: every ensemble runs as one "
+             "lockstep batch on one thread",
+    )
     for options in _OPTIONS.values():
         for dest, (typ, _default) in options.items():
             flag = "--" + dest.replace("_", "-")

@@ -1,11 +1,15 @@
 """Monte Carlo orchestration of closed-loop trajectory ensembles.
 
-Trajectories are advanced in lockstep, split into fixed-size chunks; chunks
-may be farmed out to worker threads.  Each trajectory owns a counter-based
-random stream derived from (master seed, sweep index, trajectory index), and
-aggregation is a deterministic reduction over a preallocated per-trajectory
-array, so results are bit-identical for a given master seed regardless of the
-degree of parallelism.
+Every ensemble is advanced as one lockstep batch of all its trajectories on
+one thread: a step's cost is mostly fixed numpy-call overhead, so one wide
+batch is cheapest, and worker threads would only contend for the GIL.  Each
+trajectory owns a counter-based random stream derived from (master seed,
+sweep index, trajectory index), drawn in blocks of NOISE_BLOCK steps so the
+noise buffer does not grow with the run length.  Results are bit-identical
+for a given master seed and realization count, however many steps of noise
+are drawn at a time.  A Bloch row depends only on its own stream, whatever
+the batch width; a matrix-kernel row can differ in the last bits between
+batches narrower and wider than 32, where sde._matmul changes method.
 
 Two kernels run the same step as sde._kraus_step, with the same noise, the
 same feedback branches and the same StepRejected rule:
@@ -32,7 +36,6 @@ same feedback branches and the same StepRejected rule:
   matrix kernel is the oracle the Bloch kernel is tested against.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +51,7 @@ from .sde import (
 )
 from .states import check_density_matrix
 
-CHUNK = 512  # trajectories per lockstep batch; fixed so threading cannot reorder math
+NOISE_BLOCK = 256  # steps of noise drawn per trajectory at a time
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,9 @@ class _MatrixKernel:
         self.rho = np.broadcast_to(cfg.rho0, (m, n, n)).astype(complex).copy()
         self.bases = [None] * m  # per-row eigenbases of the relative_angle policy
 
+    def target(self, psi):
+        return psi
+
     def step(self, psi, dw):
         cfg, sme = self.cfg, self.cfg.sme
         if cfg.policy.mode == "relative_angle":
@@ -193,10 +199,12 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross(a, b):
-    return np.stack([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+def _cross(a, b, out):
+    """a x b for (3, m) or (3, 1) stacks, written into the (3, m) array out."""
+    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
+    return out
 
 
 class _BlochKernel:
@@ -207,6 +215,8 @@ class _BlochKernel:
         self.r = np.repeat(2.0 * _pauli(cfg.rho0)[1][:, None], m, axis=1)
         self.h0_trace, h0 = _pauli(cfg.sme.h0)
         self.h0 = h0[:, None]
+        # work arrays for the cross products and the measured axis, reused every step
+        self._sxr, self._axb, self._imxr, self._hxr, self._q = np.empty((5, 3, m))
         policy = cfg.policy
         if policy.mode == "relative_angle":
             st = np.sin(policy.theta)
@@ -217,14 +227,18 @@ class _BlochKernel:
             self.q_trace, q = _pauli(policy.observable)
             self.q = q[:, None]
 
-    def _measured_axis(self):
+    def target(self, psi):
+        """(psi, s0, s) with s0 I + s.sigma = |psi><psi|, shared by feedback and overlap."""
+        return (psi,) + _pauli(np.outer(psi, psi.conj()))
+
+    def _measured_axis(self, norm):
         if self.cfg.policy.mode == "fixed_observable":
             return self.q_trace, self.q
         x, y, z = self.r
-        norm = np.sqrt(_dot(self.r, self.r))
         ok = norm >= 1e-12
         big_theta = np.arccos(np.clip(z / np.where(ok, norm, 1.0), -1.0, 1.0))
-        self.angles = np.where(ok, [big_theta, np.arctan2(y, x)], self.angles)
+        np.copyto(self.angles[0], big_theta, where=ok)
+        np.copyto(self.angles[1], np.arctan2(y, x), where=ok)
         ct, st = np.cos(self.angles[0]), np.sin(self.angles[0])
         cp, sp = np.cos(self.angles[1]), np.sin(self.angles[1])
         # rotate by Theta about (-sin Phi, cos Phi, 0), i.e. Rz(Phi) Ry(Theta) Rz(-Phi)
@@ -232,14 +246,17 @@ class _BlochKernel:
         u = cp * lx + sp * ly
         w = cp * ly - sp * lx
         ux = ct * u + st * lz
-        return 0.0, np.stack([cp * ux - sp * w, sp * ux + cp * w, ct * lz - st * u])
+        q = self._q
+        np.subtract(cp * ux, sp * w, out=q[0])
+        np.add(sp * ux, cp * w, out=q[1])
+        np.subtract(ct * lz, st * u, out=q[2])
+        return 0.0, q
 
-    def _feedback(self, psi):
+    def _feedback(self, target, r_norm):
         r, mu = self.r, self.cfg.mu
-        s_trace, s = _pauli(np.outer(psi, psi.conj()))
-        sxr = _cross(s[:, None], r)
+        psi, s_trace, s = target
+        sxr = _cross(s[:, None], r, self._sxr)
         sxr_norm = np.sqrt(_dot(sxr, sxr))
-        r_norm = np.sqrt(_dot(r, r))
         # the matrix rule ||[sigma, rho]||_F > 1e-8 ||rho||_F in Bloch form
         tau = 1e-8 * np.sqrt((1.0 + r_norm * r_norm) / 2)
         active = np.sqrt(2.0) * sxr_norm > tau
@@ -250,12 +267,13 @@ class _BlochKernel:
             h[:, j] = _pauli(optimal_feedback(_density(r[:, j]), psi, mu).hamiltonian)[1]
         return h
 
-    def step(self, psi, dw):
+    def step(self, target, dw):
         cfg, r = self.cfg, self.r
         k, dt, beta = cfg.sme.k, cfg.sme.dt, cfg.sme.dephasing_beta
         sqrt2k = np.sqrt(2.0 * k)
-        q_trace, q = self._measured_axis()
-        h = self.h0 + self._feedback(psi) if cfg.mu > 0 else self.h0
+        r_norm = np.sqrt(_dot(r, r))
+        q_trace, q = self._measured_axis(r_norm)
+        h = self.h0 + self._feedback(target, r_norm) if cfg.mu > 0 else self.h0
 
         qr = _dot(q, r)
         qq = _dot(q, q)
@@ -267,16 +285,16 @@ class _BlochKernel:
         b = -dt * h
         re_av = alpha_re * a + alpha_im * b
         im_av = alpha_re * b - alpha_im * a
-        axb = _cross(a, b)
+        axb = _cross(a, b, self._axb)
         alpha2 = alpha_re * alpha_re + alpha_im * alpha_im
         v2 = _dot(a, a) + _dot(b, b)
         identity_part = (alpha2 + v2) / 2 + _dot(re_av - axb, r) + beta * dt
         sigma_part = (re_av + axb + ((alpha2 - v2) / 2) * r + a * _dot(a, r)
-                      + b * _dot(b, r) - _cross(im_av, r))
+                      + b * _dot(b, r) - _cross(im_av, r, self._imxr))
         sigma_part[:2] -= (beta * dt) * r[:2]
         sigma_part[2] += (beta * dt) * r[2]
 
-        drift = 2.0 * _cross(h, r) + (4.0 * k) * (q * qr - qq * r)
+        drift = 2.0 * _cross(h, r, self._hxr) + (4.0 * k) * (q * qr - qq * r)
         drift[:2] -= (4.0 * beta) * r[:2]
         euler = r + dt * drift + (2.0 * sqrt2k * dw) * (q - qr * r)
         self.r = sigma_part / identity_part
@@ -285,8 +303,8 @@ class _BlochKernel:
     def purity(self):
         return (1.0 + _dot(self.r, self.r)) / 2
 
-    def overlap(self, psi):
-        s_trace, s = _pauli(np.outer(psi, psi.conj()))
+    def overlap(self, target):
+        _, s_trace, s = target
         return s_trace + _dot(s, self.r)
 
     def states(self):
@@ -310,10 +328,12 @@ def _advance_chunk(cfg: EnsembleConfig, chunk_start, chunk_size, sweep_index,
     if kernel is None:
         kernel = _BlochKernel if n == 2 else _MatrixKernel
 
-    dw = np.empty((n_steps, chunk_size))
-    for j in range(chunk_size):
-        gen = trajectory_rng(cfg.master_seed, sweep_index, chunk_start + j)
-        dw[:, j] = gen.standard_normal(n_steps) * np.sqrt(dt)
+    # a stream is opened when its first block is drawn and kept only while
+    # blocks remain; its next block of increments continues it exactly
+    streams = (trajectory_rng(cfg.master_seed, sweep_index, chunk_start + j)
+               for j in range(chunk_size))
+    block = NOISE_BLOCK
+    dw = np.empty((min(block, n_steps), chunk_size))
 
     batch = kernel(cfg, chunk_size)
     n_stat = n_steps // cfg.stat_stride
@@ -328,16 +348,27 @@ def _advance_chunk(cfg: EnsembleConfig, chunk_start, chunk_size, sweep_index,
             states[:, cp_slots[0]] = batch.states()
 
     def target(t):
-        return cfg.target_fn(t) if cfg.target_fn is not None else None
+        return batch.target(cfg.target_fn(t)) if cfg.target_fn is not None else None
 
-    def record(slot, psi_t):
+    def record(slot, target_t):
         pur[:, slot] = batch.purity()
-        ovl[:, slot] = np.nan if psi_t is None else batch.overlap(psi_t)
+        ovl[:, slot] = np.nan if target_t is None else batch.overlap(target_t)
 
-    record(0, target(0.0))
+    target_t = target(0.0)
+    record(0, target_t)
 
     for step in range(n_steps):
-        euler_min = batch.step(target(step * dt), dw[step])
+        row = step % block
+        if row == 0:
+            rows = dw[:min(block, n_steps - step)]
+            more = step + len(rows) < n_steps
+            kept = []
+            for j, gen in enumerate(streams):
+                rows[:, j] = gen.standard_normal(len(rows)) * np.sqrt(dt)
+                if more:
+                    kept.append(gen)
+            streams = kept
+        euler_min = batch.step(target_t, dw[row])
         worst = euler_min.min()
         if worst < -reject_tol:
             bad = chunk_start + int(np.argmin(euler_min))
@@ -346,48 +377,25 @@ def _advance_chunk(cfg: EnsembleConfig, chunk_start, chunk_size, sweep_index,
                 f"first-order eigenvalue {worst:.3e} below -{reject_tol:.1e}; reduce dt"
             )
 
+        target_t = target((step + 1) * dt)
         if step + 1 in cp_slots:
             states[:, cp_slots[step + 1]] = batch.states()
         if (step + 1) % cfg.stat_stride == 0:
-            record((step + 1) // cfg.stat_stride, target((step + 1) * dt))
+            record((step + 1) // cfg.stat_stride, target_t)
 
     return pur, ovl, states
-
-
-def _for_each_chunk(realizations, threads, work):
-    """Call work(start, size) for every chunk, on up to `threads` workers."""
-    starts = list(range(0, realizations, CHUNK))
-
-    def call(start):
-        work(start, min(CHUNK, realizations - start))
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(call, starts))
-    else:
-        for start in starts:
-            call(start)
 
 
 def run_ensemble(cfg: EnsembleConfig, threads=1, sweep_index=0) -> EnsembleStats:
     """Advance all realizations and aggregate purity/overlap statistics.
 
-    Bit-identical output for a fixed master seed at any thread count: chunk
-    boundaries are fixed and each chunk's arithmetic is independent of where
-    it runs.
+    All realizations run as one batch on the calling thread; `threads` is
+    accepted for compatibility and ignored.
     """
     r = cfg.realizations
     n_stat = cfg.sme.n_steps // cfg.stat_stride
     times = np.arange(n_stat + 1) * cfg.stat_stride * cfg.sme.dt
-    pur = np.empty((r, n_stat + 1))
-    ovl = np.empty((r, n_stat + 1))
-
-    def work(start, size):
-        p, o, _ = _advance_chunk(cfg, start, size, sweep_index)
-        pur[start:start + size] = p
-        ovl[start:start + size] = o
-
-    _for_each_chunk(r, threads, work)
+    pur, ovl, _ = _advance_chunk(cfg, 0, r, sweep_index)
 
     keep = times >= cfg.transient_cut
     tavg_p = pur[:, keep].mean(axis=1)
@@ -416,9 +424,9 @@ def ensemble_states(cfg: EnsembleConfig, checkpoint_times, threads=1, sweep_inde
     """Per-trajectory conditioned states at the requested times.
 
     Returns an array of shape (realizations, n_checkpoints, N, N) using the
-    same random streams and chunking as run_ensemble, so the conditional
-    ensemble average can be compared entrywise against the outcome-averaged
-    master equation.
+    same random streams as run_ensemble, so the conditional ensemble average
+    can be compared entrywise against the outcome-averaged master equation.
+    `threads` is ignored, as in run_ensemble.
     """
     dt = cfg.sme.dt
     steps = []
@@ -428,16 +436,7 @@ def ensemble_states(cfg: EnsembleConfig, checkpoint_times, threads=1, sweep_inde
             raise ValueError(f"checkpoint time {t} is not on the step grid")
         steps.append(step)
 
-    r = cfg.realizations
-    n = cfg.rho0.shape[0]
-    out = np.empty((r, len(steps), n, n), dtype=complex)
-
-    def work(start, size):
-        _, _, states = _advance_chunk(cfg, start, size, sweep_index, checkpoint_steps=steps)
-        out[start:start + size] = states
-
-    _for_each_chunk(r, threads, work)
-    return out
+    return _advance_chunk(cfg, 0, cfg.realizations, sweep_index, checkpoint_steps=steps)[2]
 
 
 def theta_experiment(base: EnsembleConfig, theta_grid, threads=1):

@@ -216,24 +216,6 @@ def sme_step(rho, Q, k, H, dt, dW, beta=0.0, reject_tol=None):
     return new, dy
 
 
-def nonselective_step(rho, Q, k, H, beta, dt):
-    """One Euler step of the outcome-averaged (deterministic) evolution."""
-    rho = np.asarray(rho, dtype=complex)
-    H = np.asarray(H, dtype=complex)
-    new = rho - 1j * dt * (H @ rho - rho @ H)
-    if k > 0:
-        Q = np.asarray(Q, dtype=complex)
-        comm = Q @ rho - rho @ Q
-        new -= k * dt * (Q @ comm - comm @ Q)
-    if beta > 0:
-        if rho.shape[0] != 2:
-            raise ValueError("dephasing term is defined for qubit configurations")
-        comm = SIGMA_Z @ rho - rho @ SIGMA_Z
-        new -= beta * dt * (SIGMA_Z @ comm - comm @ SIGMA_Z)
-    new = (new + new.conj().T) / 2
-    return new / np.trace(new).real
-
-
 def nonselective_solve(rho0, Q, k, H, beta, t_eval):
     """Outcome-averaged evolution integrated with an adaptive ODE solver.
 

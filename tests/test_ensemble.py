@@ -5,7 +5,6 @@ import pytest
 
 import qmfc.ensemble
 from qmfc.ensemble import (
-    CHUNK,
     EnsembleConfig,
     _advance_chunk,
     _BlochKernel,
@@ -104,26 +103,39 @@ def test_precessing_target():
 
 
 def test_single_realization_matches_scalar_engine():
-    cfg = small_config(realizations=1)
-    stats = run_ensemble(cfg)
-    rng = trajectory_rng(cfg.master_seed, 0, 0)
-    res = run_control_trajectory(
-        cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, cfg.mu, rng,
-        store_every=cfg.stat_stride,
+    closed_loop = small_config(realizations=1)
+    # 600 steps span three noise blocks; open loop on a fixed observable has no
+    # closed-loop discontinuity to amplify rounding differences
+    open_loop = small_config(
+        realizations=1,
+        sme=SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=1e-3, t_end=0.6),
+        policy=MeasurementPolicy(mode="fixed_observable",
+                                 observable=0.7 * SIGMA_X + 0.3 * SIGMA_Z),
+        mu=0.0,
     )
-    assert np.allclose(stats.purity_mean, res.purities, atol=1e-8)
-    assert np.allclose(stats.overlap_mean, res.overlaps(cfg.target_fn), atol=1e-8)
-    assert np.isnan(stats.purity_se).all()
-    assert np.isnan(stats.time_avg_purity_se)
+    assert open_loop.sme.n_steps > 2 * qmfc.ensemble.NOISE_BLOCK
+    for cfg, atol in ((closed_loop, 1e-8), (open_loop, 1e-12)):
+        stats = run_ensemble(cfg)
+        rng = trajectory_rng(cfg.master_seed, 0, 0)
+        res = run_control_trajectory(
+            cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, cfg.mu, rng,
+            store_every=cfg.stat_stride,
+        )
+        assert np.allclose(stats.purity_mean, res.purities, rtol=0, atol=atol)
+        assert np.allclose(stats.overlap_mean, res.overlaps(cfg.target_fn), rtol=0, atol=atol)
+        assert np.isnan(stats.purity_se).all()
+        assert np.isnan(stats.time_avg_purity_se)
+    states = ensemble_states(open_loop, stats.times)
+    assert np.max(np.abs(states[0] - res.states)) < 1e-12
 
 
 def test_thread_count_does_not_change_results():
-    # the qubit (Bloch) kernel and the N = 3 matrix kernel, three chunks each
+    # the qubit (Bloch) kernel and the N = 3 matrix kernel; `threads` is ignored
     qubit = small_config(sme=SmeConfig(
         k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=1e-3, t_end=0.05
     ), stat_stride=5)
     for base in (qubit, qutrit_config()):
-        cfg = dataclasses.replace(base, realizations=2 * CHUNK + 10)
+        cfg = dataclasses.replace(base, realizations=1034)
         one = run_ensemble(cfg, threads=1)
         many = run_ensemble(cfg, threads=8)
         assert np.array_equal(one.purity_mean, many.purity_mean)
@@ -139,6 +151,18 @@ def test_chunking_does_not_change_rows():
     parts = [_advance_chunk(cfg, 0, 17, 0), _advance_chunk(cfg, 17, 23, 0)]
     for i in range(2):
         assert np.array_equal(whole[i], np.concatenate([p[i] for p in parts]))
+
+
+def test_noise_blocks_do_not_change_rows(monkeypatch):
+    # 200 steps: one block by default, 29 blocks of 7 steps (the last one short)
+    cfg = small_config(realizations=12)
+    checkpoints = range(0, 201, 20)
+    assert cfg.sme.n_steps < qmfc.ensemble.NOISE_BLOCK
+    whole = _advance_chunk(cfg, 0, 12, 0, checkpoint_steps=checkpoints)
+    monkeypatch.setattr(qmfc.ensemble, "NOISE_BLOCK", 7)
+    blocked = _advance_chunk(cfg, 0, 12, 0, checkpoint_steps=checkpoints)
+    for got, want in zip(blocked, whole):
+        assert np.array_equal(got, want)
 
 
 def oracle_config(policy, mu, rho0):

@@ -7,7 +7,6 @@ from qmfc.sde import (
     StepRejected,
     inverse_zeno_run,
     nonselective_solve,
-    nonselective_step,
     policy_observable,
     qubit_eigenbasis,
     relative_observable,
@@ -116,17 +115,6 @@ def test_sme_step_rejects_blowup():
     rho = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
     with pytest.raises(StepRejected):
         sme_step(rho, SIGMA_Z, 1.0, np.zeros((2, 2)), 0.5, 5.0)
-
-
-def test_nonselective_step_dephasing():
-    # off-diagonal decays by the factor (1 - 4 beta dt) per Euler step
-    rho = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    beta, dt = 0.4, 1e-3
-    new = nonselective_step(rho, None, 0.0, np.zeros((2, 2)), beta, dt)
-    assert new[0, 1].real == pytest.approx(0.5 * (1 - 4 * beta * dt))
-    assert new[0, 0].real == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        nonselective_step(np.eye(3, dtype=complex) / 3, None, 0.0, np.zeros((3, 3)), 0.1, dt)
 
 
 def test_nonselective_solve_dephasing_closed_form():
