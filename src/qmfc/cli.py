@@ -111,7 +111,7 @@ def cmd_fig2(args):
         target_fn=precessing_plus_x(args.omega),
     )
     t0 = time.perf_counter()
-    rows = theta_experiment(base, theta_grid, threads=args.threads)
+    rows = theta_experiment(base, theta_grid)
     write_csv(
         args.out,
         ("theta", "purity_mean", "purity_se", "overlap_mean", "overlap_se"),

@@ -1,22 +1,27 @@
-"""Monte Carlo orchestration of closed-loop trajectory ensembles.
+"""Monte Carlo orchestration: the lockstep batch driver behind every trajectory.
 
-Every ensemble is advanced as one lockstep batch of all its trajectories on
-one thread: a step's cost is mostly fixed numpy-call overhead, so one wide
-batch is cheapest, and worker threads would only contend for the GIL.  Each
-trajectory owns a counter-based random stream derived from (master seed,
-sweep index, trajectory index), drawn in blocks of NOISE_BLOCK steps so the
-noise buffer does not grow with the run length.  Results are bit-identical
-for a given master seed and realization count, however many steps of noise
-are drawn at a time.  A Bloch row depends only on its own stream, whatever
-the batch width; a matrix-kernel row can differ in the last bits between
-batches narrower and wider than 32, where sde._matmul changes method.
+_advance_chunk is the package's only closed-loop stepping loop.  Every
+ensemble is one lockstep batch of all its trajectories on one thread: a
+step's cost is mostly fixed numpy-call overhead, so one wide batch is
+cheapest, and threads would only contend for the GIL.  A single trajectory
+(sde.run_control_trajectory) is a batch of one fed by the caller's
+generator; the rates estimator (metrics.strength_rate_numeric) is an
+open-loop ensemble.  Each ensemble trajectory owns a counter-based random
+stream derived from (master seed, sweep index, trajectory index), drawn in
+blocks of NOISE_BLOCK steps so the noise buffer does not grow with the run
+length.  Results are bit-identical for a given master seed and realization
+count, however many steps of noise are drawn at a time.  A row of a qubit
+batch wider than one depends only on its own stream; a matrix-kernel row can
+differ in the last bits between batches narrower and wider than 32, where
+sde._matmul changes method.
 
 Two kernels run the same step as sde._kraus_step, with the same noise, the
 same feedback branches and the same StepRejected rule:
 
-* N = 2 (Bloch form; Jacobs and Steck, Contemp. Phys. 47, 279 (2006)): each
-  state is a real Bloch vector r, rho = (I + r.sigma) / 2, stored as a (3, m)
-  array with one column per trajectory.  With Q = q0 I + q.sigma and
+* qubit batches wider than one (Bloch form; Jacobs and Steck, Contemp.
+  Phys. 47, 279 (2006)): each state is a real Bloch vector r,
+  rho = (I + r.sigma) / 2, stored as a (3, m) array with one column per
+  trajectory.  With Q = q0 I + q.sigma and
   H = h0 I + h.sigma the Kraus operator is M = alpha I + v.sigma, with alpha
   complex and v = a + ib a complex 3-vector, and
 
@@ -32,8 +37,9 @@ same feedback branches and the same StepRejected rule:
   rotation -sqrt(mu/2) (s x r)/|s x r| toward the target's Bloch vector s, or
   nothing when the state already points at the target; the rare remaining
   rows (second-order branch) go to feedback.optimal_feedback.
-* N > 2: (m, N, N) complex stacks through sde._kraus_step.  For qubits this
-  matrix kernel is the oracle the Bloch kernel is tested against.
+* N > 2, and batches of one, where the Bloch kernel's fixed cost per step
+  does not pay: (m, N, N) complex stacks through sde._kraus_step.  For
+  qubits this matrix kernel is the oracle the Bloch kernel is tested against.
 """
 
 from dataclasses import dataclass
@@ -158,14 +164,20 @@ class _MatrixKernel:
             self.bases = [basis for _, basis in picks]
         else:
             q_obs = cfg.policy.observable
-        if cfg.mu > 0:
-            h = sme.h0[None, :, :] + _feedback_stack(self.rho, psi, cfg.mu)
-        else:
-            h = np.broadcast_to(sme.h0, self.rho.shape)
-        self.rho, _, euler_min = _kraus_step(
+        h_fb = _feedback_stack(self.rho, psi, cfg.mu) if cfg.mu > 0 else None
+        h = np.broadcast_to(sme.h0, self.rho.shape) if h_fb is None else sme.h0[None, :, :] + h_fb
+        self.rho, exp_q, euler_min = _kraus_step(
             self.rho, q_obs, sme.k, h, sme.dt, dw, beta=sme.dephasing_beta
         )
+        self._last = exp_q, dw, h_fb
         return euler_min
+
+    def last_step(self):
+        """(dy, H_fb) of the last step: record increments, shape (m,), and
+        feedback Hamiltonians, shape (m, N, N), or None when mu = 0."""
+        exp_q, dw, h_fb = self._last
+        k, dt = self.cfg.sme.k, self.cfg.sme.dt
+        return 4.0 * k * exp_q * dt + np.sqrt(2.0 * k) * dw, h_fb
 
     def purity(self):
         return np.einsum("mij,mji->m", self.rho, self.rho).real
@@ -273,7 +285,8 @@ class _BlochKernel:
         sqrt2k = np.sqrt(2.0 * k)
         r_norm = np.sqrt(_dot(r, r))
         q_trace, q = self._measured_axis(r_norm)
-        h = self.h0 + self._feedback(target, r_norm) if cfg.mu > 0 else self.h0
+        h_fb = self._feedback(target, r_norm) if cfg.mu > 0 else None
+        h = self.h0 if h_fb is None else self.h0 + h_fb
 
         qr = _dot(q, r)
         qq = _dot(q, q)
@@ -298,7 +311,13 @@ class _BlochKernel:
         drift[:2] -= (4.0 * beta) * r[:2]
         euler = r + dt * drift + (2.0 * sqrt2k * dw) * (q - qr * r)
         self.r = sigma_part / identity_part
+        self._last = sqrt2k, dy_tilde, h_fb
         return (1.0 - np.sqrt(_dot(euler, euler))) / 2
+
+    def last_step(self):
+        """As _MatrixKernel.last_step; dy = sqrt(2k) dy~."""
+        sqrt2k, dy_tilde, h_fb = self._last
+        return sqrt2k * dy_tilde, None if h_fb is None else 2.0 * _density(h_fb) - np.eye(2)
 
     def purity(self):
         return (1.0 + _dot(self.r, self.r)) / 2
@@ -311,14 +330,24 @@ class _BlochKernel:
         return _density(self.r)
 
 
-def _advance_chunk(cfg: EnsembleConfig, chunk_start, chunk_size, sweep_index,
-                   checkpoint_steps=None, kernel=None):
-    """Run one lockstep batch of trajectories.
+def _trajectory_streams(cfg, sweep_index):
+    """The ensemble's per-trajectory streams, each opened when first drawn."""
+    return (trajectory_rng(cfg.master_seed, sweep_index, j) for j in range(cfg.realizations))
 
-    Returns (purity, overlap, states) series; states is None unless
-    checkpoint_steps (a sequence of step indices) was given, in which case it
-    holds the conditioned states at those steps, shape (chunk, n_cp, N, N).
-    kernel defaults to _BlochKernel for qubits and _MatrixKernel otherwise.
+
+def _advance_chunk(cfg: EnsembleConfig, width, streams, checkpoint_steps=None, kernel=None):
+    """Run one lockstep batch of `width` trajectories; the j-th draws its noise
+    from the j-th generator of the iterable `streams`.
+
+    Returns (purity, overlap, states, records, feedback).  purity and overlap
+    hold a column every stat_stride steps.  The other three are None unless
+    checkpoint_steps (a sequence of step indices) is given; then they hold,
+    per trajectory and checkpoint, the conditioned state, shape
+    (width, n_cp, N, N), and the record increment dy and feedback Hamiltonian
+    of the step that ended there (zero at step 0; feedback is a read-only
+    zero array when mu = 0).  kernel defaults to _BlochKernel for qubit
+    batches wider than one, whose fixed cost per step pays only on wide
+    batches, and to _MatrixKernel otherwise.
     """
     sme = cfg.sme
     n = cfg.rho0.shape[0]
@@ -326,24 +355,28 @@ def _advance_chunk(cfg: EnsembleConfig, chunk_start, chunk_size, sweep_index,
     dt = sme.dt
     reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, dt)
     if kernel is None:
-        kernel = _BlochKernel if n == 2 else _MatrixKernel
+        kernel = _BlochKernel if n == 2 and width > 1 else _MatrixKernel
 
     # a stream is opened when its first block is drawn and kept only while
     # blocks remain; its next block of increments continues it exactly
-    streams = (trajectory_rng(cfg.master_seed, sweep_index, chunk_start + j)
-               for j in range(chunk_size))
     block = NOISE_BLOCK
-    dw = np.empty((min(block, n_steps), chunk_size))
+    dw = np.empty((min(block, n_steps), width))
 
-    batch = kernel(cfg, chunk_size)
+    batch = kernel(cfg, width)
     n_stat = n_steps // cfg.stat_stride
-    pur = np.empty((chunk_size, n_stat + 1))
-    ovl = np.empty((chunk_size, n_stat + 1))
-    states = None
+    pur = np.empty((width, n_stat + 1))
+    ovl = np.empty((width, n_stat + 1))
+    states = records = feedback = None
     cp_slots = {}
     if checkpoint_steps is not None:
         cp_slots = {int(s): i for i, s in enumerate(checkpoint_steps)}
-        states = np.empty((chunk_size, len(cp_slots), n, n), dtype=complex)
+        shape = (width, len(cp_slots), n, n)
+        states = np.empty(shape, dtype=complex)
+        records = np.zeros(shape[:2])
+        if cfg.mu > 0:
+            feedback = np.zeros(shape, dtype=complex)
+        else:
+            feedback = np.broadcast_to(np.zeros((), dtype=complex), shape)
         if 0 in cp_slots:
             states[:, cp_slots[0]] = batch.states()
 
@@ -371,7 +404,7 @@ def _advance_chunk(cfg: EnsembleConfig, chunk_start, chunk_size, sweep_index,
         euler_min = batch.step(target_t, dw[row])
         worst = euler_min.min()
         if worst < -reject_tol:
-            bad = chunk_start + int(np.argmin(euler_min))
+            bad = int(np.argmin(euler_min))
             raise StepRejected(
                 f"trajectory {bad} (master_seed {cfg.master_seed}) at step {step}: "
                 f"first-order eigenvalue {worst:.3e} below -{reject_tol:.1e}; reduce dt"
@@ -379,23 +412,23 @@ def _advance_chunk(cfg: EnsembleConfig, chunk_start, chunk_size, sweep_index,
 
         target_t = target((step + 1) * dt)
         if step + 1 in cp_slots:
-            states[:, cp_slots[step + 1]] = batch.states()
+            slot = cp_slots[step + 1]
+            states[:, slot] = batch.states()
+            records[:, slot], h_fb = batch.last_step()
+            if h_fb is not None:
+                feedback[:, slot] = h_fb
         if (step + 1) % cfg.stat_stride == 0:
             record((step + 1) // cfg.stat_stride, target_t)
 
-    return pur, ovl, states
+    return pur, ovl, states, records, feedback
 
 
-def run_ensemble(cfg: EnsembleConfig, threads=1, sweep_index=0) -> EnsembleStats:
-    """Advance all realizations and aggregate purity/overlap statistics.
-
-    All realizations run as one batch on the calling thread; `threads` is
-    accepted for compatibility and ignored.
-    """
+def run_ensemble(cfg: EnsembleConfig, sweep_index=0) -> EnsembleStats:
+    """Advance all realizations as one batch and aggregate purity/overlap statistics."""
     r = cfg.realizations
     n_stat = cfg.sme.n_steps // cfg.stat_stride
     times = np.arange(n_stat + 1) * cfg.stat_stride * cfg.sme.dt
-    pur, ovl, _ = _advance_chunk(cfg, 0, r, sweep_index)
+    pur, ovl = _advance_chunk(cfg, r, _trajectory_streams(cfg, sweep_index))[:2]
 
     keep = times >= cfg.transient_cut
     tavg_p = pur[:, keep].mean(axis=1)
@@ -420,13 +453,12 @@ def run_ensemble(cfg: EnsembleConfig, threads=1, sweep_index=0) -> EnsembleStats
     )
 
 
-def ensemble_states(cfg: EnsembleConfig, checkpoint_times, threads=1, sweep_index=0):
+def ensemble_states(cfg: EnsembleConfig, checkpoint_times, sweep_index=0):
     """Per-trajectory conditioned states at the requested times.
 
     Returns an array of shape (realizations, n_checkpoints, N, N) using the
     same random streams as run_ensemble, so the conditional ensemble average
     can be compared entrywise against the outcome-averaged master equation.
-    `threads` is ignored, as in run_ensemble.
     """
     dt = cfg.sme.dt
     steps = []
@@ -436,10 +468,11 @@ def ensemble_states(cfg: EnsembleConfig, checkpoint_times, threads=1, sweep_inde
             raise ValueError(f"checkpoint time {t} is not on the step grid")
         steps.append(step)
 
-    return _advance_chunk(cfg, 0, cfg.realizations, sweep_index, checkpoint_steps=steps)[2]
+    streams = _trajectory_streams(cfg, sweep_index)
+    return _advance_chunk(cfg, cfg.realizations, streams, checkpoint_steps=steps)[2]
 
 
-def theta_experiment(base: EnsembleConfig, theta_grid, threads=1):
+def theta_experiment(base: EnsembleConfig, theta_grid):
     """Closed-loop ensemble per measurement angle; rows of
     (theta, time_avg_purity, se, time_avg_overlap, se)."""
     rows = []
@@ -458,7 +491,7 @@ def theta_experiment(base: EnsembleConfig, theta_grid, threads=1):
             stat_stride=base.stat_stride,
             transient_cut=base.transient_cut,
         )
-        stats = run_ensemble(cfg, threads=threads, sweep_index=i)
+        stats = run_ensemble(cfg, sweep_index=i)
         rows.append(
             (
                 float(theta),

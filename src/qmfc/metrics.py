@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import EnsembleConfig, ensemble_states
+from .sde import MeasurementPolicy, SmeConfig
 from .states import check_density_matrix, overlap, purity, von_neumann_entropy
 from .povm import EPS_PROB, KappaMeasurement, MeasurementOperatorSet, kappa_povm, nonselective_apply
 
@@ -138,12 +140,13 @@ def strength_rate_numeric(
 ) -> RateEstimate:
     """Monte Carlo estimate of d s_v/dt and d s_p/dt at rho = I/N.
 
-    Simulates an ensemble of diffusive measurement trajectories started from
-    the maximally mixed state over a short horizon, evaluates the two
-    uncertainties on the conditional states, and fits the strength-vs-time
-    slope through the origin.  Standard errors come from batching the
-    trajectories.  The horizon defaults to 0.005/k so estimates scale exactly
-    linearly in k.
+    Runs an ensemble of open-loop diffusive measurement trajectories of Q
+    (ensemble.ensemble_states: one lockstep batch, a random stream per
+    trajectory from `seed`) started from the maximally mixed state over a
+    short horizon, evaluates the two uncertainties on the conditional states
+    at n_samples times, and fits the strength-vs-time slope through the
+    origin.  Standard errors come from batching the trajectories.  The
+    horizon defaults to 0.005/k so estimates scale exactly linearly in k.
     """
     Q = np.asarray(Q, dtype=complex)
     n = Q.shape[0]
@@ -155,39 +158,22 @@ def strength_rate_numeric(
         horizon = 0.005 / k
     dt = horizon / n_steps
     sample_every = n_steps // n_samples
-    sqrt2k = np.sqrt(2.0 * k)
-
-    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
-    rho = np.broadcast_to(np.eye(n, dtype=complex) / n, (n_traj, n, n)).copy()
-
-    t_samples = []
-    ent_samples = []   # (n_samples, n_traj)
-    pur_samples = []
-    for step in range(1, n_steps + 1):
-        dw = rng.standard_normal(n_traj) * np.sqrt(dt)
-        q_rho = np.einsum("ij,mjk->mik", Q, rho)
-        rho_q = np.einsum("mij,jk->mik", rho, Q)
-        exp_q = np.einsum("mii->m", q_rho).real
-        comm2 = np.einsum("ij,mjk->mik", Q, q_rho - rho_q) - np.einsum(
-            "mij,jk->mik", q_rho - rho_q, Q
-        )
-        stoch = q_rho + rho_q - 2.0 * exp_q[:, None, None] * rho
-        rho = rho - k * dt * comm2 + sqrt2k * dw[:, None, None] * stoch
-        # project back to the physical manifold
-        rho = (rho + np.conj(np.swapaxes(rho, 1, 2))) / 2
-        vals, vecs = np.linalg.eigh(rho)
-        vals = np.clip(vals, 0.0, None)
-        vals /= vals.sum(axis=1)[:, None]
-        rho = np.einsum("mij,mj,mkj->mik", vecs, vals, np.conj(vecs))
-        if step % sample_every == 0:
-            t_samples.append(step * dt)
-            lam = np.clip(np.linalg.eigvalsh(rho), 1e-18, None)
-            ent_samples.append(-(lam * np.log(lam)).sum(axis=1))
-            pur_samples.append((lam**2).sum(axis=1))
-
-    t = np.array(t_samples)
-    ent = np.array(ent_samples)
-    pur = np.array(pur_samples)
+    cfg = EnsembleConfig(
+        realizations=n_traj,
+        master_seed=seed,
+        sme=SmeConfig(k=k, h0=np.zeros((n, n)), dt=dt, t_end=horizon),
+        policy=MeasurementPolicy(mode="fixed_observable", observable=Q),
+        mu=0.0,
+        rho0=np.eye(n, dtype=complex) / n,
+        target_fn=None,
+        stat_stride=n_steps,
+    )
+    t = np.arange(sample_every, n_steps + 1, sample_every) * dt
+    lam = np.linalg.eigvalsh(ensemble_states(cfg, t)).T  # (N, n_samples, n_traj)
+    pur = (lam**2).sum(axis=0)
+    # 0 ln 0 = 0 below 1e-15, as in states.von_neumann_entropy
+    lam = np.where(lam > 1e-15, lam, 1.0)
+    ent = -(lam * np.log(lam)).sum(axis=0)
 
     batches = np.array_split(np.arange(n_traj), n_batches)
     slopes_v, slopes_p = [], []

@@ -22,7 +22,8 @@ far below zero.
 
 The closed loop measures a spin direction at a fixed Bloch angle from the
 instantaneous eigenbasis of rho and applies the optimal constrained feedback
-Hamiltonian recomputed every step.
+Hamiltonian recomputed every step.  Trajectories are stepped by the batch
+driver in qmfc.ensemble; run_control_trajectory is a batch of one.
 """
 
 import warnings
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import optimal_feedback
 from .povm import bloch_rotation
 from .states import SIGMA_Z, check_density_matrix, check_hermitian, ket, overlap
 
@@ -302,48 +302,27 @@ def run_control_trajectory(
     store_every=1,
     seed_label=None,
 ) -> TrajectoryResult:
-    """One closed-loop realization.
+    """One closed-loop realization: a lockstep batch of one trajectory that
+    draws its noise from rng (see ensemble._advance_chunk).
 
     Per step: pick the measured observable from the policy, compute the
     optimal feedback Hamiltonian toward the current target (skipped when
     mu = 0), then advance the conditioned state one measurement step under
-    H0 + H_fb.
+    H0 + H_fb.  Every store_every steps the state is stored with the record
+    increment dy and the feedback Hamiltonian of the step that ended there.
     """
-    rho = check_density_matrix(rho0)
-    n = rho.shape[0]
+    from .ensemble import EnsembleConfig, _advance_chunk
+
     n_steps = cfg.n_steps
-    n_store = n_steps // store_every
-
-    times = np.empty(n_store + 1)
-    states = np.empty((n_store + 1, n, n), dtype=complex)
-    records = np.empty(n_store)
-    fb_hams = np.empty((n_store, n, n), dtype=complex)
-    times[0] = 0.0
-    states[0] = rho
-
-    basis = None
-    stored = 0
-    for step in range(n_steps):
-        t = step * cfg.dt
-        q_obs, basis = policy_observable(policy, rho, prev_basis=basis)
-        if mu > 0:
-            h_fb = optimal_feedback(rho, psi_target_fn(t), mu).hamiltonian
-        else:
-            h_fb = np.zeros((n, n), dtype=complex)
-        dw = rng.standard_normal() * np.sqrt(cfg.dt)
-        rho, dy = sme_step(
-            rho, q_obs, cfg.k, cfg.h0 + h_fb, cfg.dt, dw, beta=cfg.dephasing_beta
-        )
-        if (step + 1) % store_every == 0:
-            stored += 1
-            times[stored] = (step + 1) * cfg.dt
-            states[stored] = rho
-            records[stored - 1] = dy
-            fb_hams[stored - 1] = h_fb
-
+    batch = EnsembleConfig(
+        realizations=1, master_seed=seed_label, sme=cfg, policy=policy, mu=mu, rho0=rho0,
+        target_fn=psi_target_fn, stat_stride=max(n_steps, 1),
+    )
+    steps = np.arange(0, n_steps + 1, store_every)
+    _, _, states, records, fb_hams = _advance_chunk(batch, 1, [rng], checkpoint_steps=steps)
     return TrajectoryResult(
-        times=times, states=states, records=records, fb_hamiltonians=fb_hams,
-        seed=seed_label,
+        times=steps * cfg.dt, states=states[0], records=records[0, 1:],
+        fb_hamiltonians=np.array(fb_hams[0, 1:]), seed=seed_label,
     )
 
 

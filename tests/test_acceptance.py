@@ -275,7 +275,7 @@ def test_08_trajectory_mean_matches_master_equation():
         stat_stride=10,
     )
     ts = [0.25, 0.5, 1.0]
-    states = ensemble_states(cfg, ts, threads=4)
+    states = ensemble_states(cfg, ts)
     ref = nonselective_solve(cfg.rho0, SIGMA_Z, 1.0, 0.5 * SIGMA_X, 0.0, ts)
     mean = states.mean(axis=0)
     se = states.std(axis=0, ddof=1) / np.sqrt(r)
@@ -329,11 +329,11 @@ THETA_GRID = [0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2]
 
 @pytest.fixture(scope="module")
 def closed_loop_runs():
-    full = np.array(theta_experiment(fig2_config(1000, 1e-4, 10), THETA_GRID, threads=8))
+    full = np.array(theta_experiment(fig2_config(1000, 1e-4, 10), THETA_GRID))
     # Companion run at twice the step, on the same 1e-3 statistics grid and at
     # the same cost in trajectory-steps.  For a first-order scheme the shift
     # from 2 dt to dt bounds the shift from dt to dt / 2.
-    doubled = np.array(theta_experiment(fig2_config(1000, 2e-4, 5), THETA_GRID, threads=8))
+    doubled = np.array(theta_experiment(fig2_config(1000, 2e-4, 5), THETA_GRID))
     return full, doubled
 
 
@@ -409,7 +409,7 @@ def test_strong_feedback_orders_overlap_in_theta():
     # peak at pi/2.  The trade-off of test 10 comes from the limited feedback.
     base = fig2_config(200, 1e-4, 10)
     cfg = dataclasses.replace(base, mu=1e4, sme=dataclasses.replace(base.sme, t_end=1.0))
-    rows = np.array(theta_experiment(cfg, THETA_GRID, threads=8))
+    rows = np.array(theta_experiment(cfg, THETA_GRID))
     ovl, ovl_se = rows[:, 3], rows[:, 4]
     steps_ok = all(ovl[i + 1] > ovl[i] - 2 * np.hypot(ovl_se[i], ovl_se[i + 1])
                    for i in range(len(ovl) - 1))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -60,6 +58,11 @@ def qutrit_config(**overrides):
     )
     defaults.update(overrides)
     return EnsembleConfig(**defaults)
+
+
+def streams(cfg, indices):
+    """The per-trajectory streams of sweep 0 for the given trajectory indices."""
+    return (trajectory_rng(cfg.master_seed, 0, j) for j in indices)
 
 
 def test_config_validation():
@@ -129,26 +132,11 @@ def test_single_realization_matches_scalar_engine():
     assert np.max(np.abs(states[0] - res.states)) < 1e-12
 
 
-def test_thread_count_does_not_change_results():
-    # the qubit (Bloch) kernel and the N = 3 matrix kernel; `threads` is ignored
-    qubit = small_config(sme=SmeConfig(
-        k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=1e-3, t_end=0.05
-    ), stat_stride=5)
-    for base in (qubit, qutrit_config()):
-        cfg = dataclasses.replace(base, realizations=1034)
-        one = run_ensemble(cfg, threads=1)
-        many = run_ensemble(cfg, threads=8)
-        assert np.array_equal(one.purity_mean, many.purity_mean)
-        assert np.array_equal(one.overlap_mean, many.overlap_mean)
-        assert np.array_equal(one.purity_se, many.purity_se)
-        assert one.time_avg_purity == many.time_avg_purity
-        assert one.time_avg_overlap == many.time_avg_overlap
-
-
 def test_chunking_does_not_change_rows():
     cfg = small_config(realizations=40)
-    whole = _advance_chunk(cfg, 0, 40, 0)
-    parts = [_advance_chunk(cfg, 0, 17, 0), _advance_chunk(cfg, 17, 23, 0)]
+    whole = _advance_chunk(cfg, 40, streams(cfg, range(40)))
+    parts = [_advance_chunk(cfg, 17, streams(cfg, range(17))),
+             _advance_chunk(cfg, 23, streams(cfg, range(17, 40)))]
     for i in range(2):
         assert np.array_equal(whole[i], np.concatenate([p[i] for p in parts]))
 
@@ -158,9 +146,9 @@ def test_noise_blocks_do_not_change_rows(monkeypatch):
     cfg = small_config(realizations=12)
     checkpoints = range(0, 201, 20)
     assert cfg.sme.n_steps < qmfc.ensemble.NOISE_BLOCK
-    whole = _advance_chunk(cfg, 0, 12, 0, checkpoint_steps=checkpoints)
+    whole = _advance_chunk(cfg, 12, streams(cfg, range(12)), checkpoint_steps=checkpoints)
     monkeypatch.setattr(qmfc.ensemble, "NOISE_BLOCK", 7)
-    blocked = _advance_chunk(cfg, 0, 12, 0, checkpoint_steps=checkpoints)
+    blocked = _advance_chunk(cfg, 12, streams(cfg, range(12)), checkpoint_steps=checkpoints)
     for got, want in zip(blocked, whole):
         assert np.array_equal(got, want)
 
@@ -211,13 +199,19 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
     checkpoints = range(0, 1001, 10)
     for cfg, fallback_branches in cases:
         branches.clear()
-        bloch = _advance_chunk(cfg, 0, 16, 0, checkpoint_steps=checkpoints, kernel=_BlochKernel)
+        bloch = _advance_chunk(cfg, 16, streams(cfg, range(16)), checkpoint_steps=checkpoints,
+                               kernel=_BlochKernel)
         # the Bloch kernel sends only second-order rows to optimal_feedback
         assert set(branches) == fallback_branches
-        matrix = _advance_chunk(cfg, 0, 16, 0, checkpoint_steps=checkpoints, kernel=_MatrixKernel)
-        for got, want in zip(bloch, matrix):
+        matrix = _advance_chunk(cfg, 16, streams(cfg, range(16)), checkpoint_steps=checkpoints,
+                                kernel=_MatrixKernel)
+        # purity, overlap, states and record increments
+        for got, want in zip(bloch[:4], matrix[:4]):
             assert np.array_equal(np.isnan(got), np.isnan(want))
             assert np.nanmax(np.abs(got - want)) <= 1e-12
+        # the feedback direction (s x r)/|s x r| scales rounding by 1/|s x r|,
+        # about 1e3 in the first steps after the antipodal start (3.5e-12 there)
+        assert np.max(np.abs(bloch[4] - matrix[4])) <= 1e-9
 
 
 def test_kernels_reject_the_same_step():
@@ -231,7 +225,7 @@ def test_kernels_reject_the_same_step():
         messages = []
         for kernel in (_BlochKernel, _MatrixKernel):
             with pytest.raises(StepRejected) as info:
-                _advance_chunk(cfg, 0, 8, 0, kernel=kernel)
+                _advance_chunk(cfg, 8, streams(cfg, range(8)), kernel=kernel)
             messages.append(str(info.value))
         # the message names the trajectory and the step
         assert messages[0] == messages[1]
@@ -271,7 +265,7 @@ def test_ensemble_mean_matches_master_equation():
         stat_stride=10,
     )
     ts = [0.1, 0.25, 0.5]
-    states = ensemble_states(cfg, ts, threads=2)
+    states = ensemble_states(cfg, ts)
     ref = nonselective_solve(cfg.rho0, SIGMA_Z, 1.0, 0.5 * SIGMA_X, 0.0, ts)
     mean = states.mean(axis=0)
     se = states.std(axis=0, ddof=1) / np.sqrt(r)
@@ -300,7 +294,7 @@ def test_standard_error_scales_with_realizations():
         stat_stride=5,
     )
     small = run_ensemble(EnsembleConfig(realizations=250, **base))
-    big = run_ensemble(EnsembleConfig(realizations=1000, **base), threads=4)
+    big = run_ensemble(EnsembleConfig(realizations=1000, **base))
     ratio = small.time_avg_purity_se / big.time_avg_purity_se
     assert ratio == pytest.approx(2.0, rel=0.2)
 

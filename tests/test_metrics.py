@@ -214,6 +214,17 @@ def test_strength_rate_numeric_matches_expansion():
         strength_rate_numeric(SIGMA_Z, -1.0)
 
 
+def test_strength_rate_numeric_invariant_under_identity_shift():
+    # the conditioned evolution sees Q only through Q - Tr[Q rho], so Q + cI
+    # gives the same rates on the same noise; N = 3 and 4 run the matrix kernel
+    for diagonal in ([1.0, -1.0], [1.0, 0.0, -1.0], [1.5, 0.5, -0.5, -1.5]):
+        q = np.diag(diagonal).astype(complex)
+        est = strength_rate_numeric(q, 1.0, seed=3)
+        shifted = strength_rate_numeric(q + 0.7 * np.eye(len(q)), 1.0, seed=3)
+        assert abs(shifted.rate_p - est.rate_p) < 0.1 * est.rate_p_se
+        assert abs(shifted.rate_v - est.rate_v) < 0.1 * est.rate_v_se
+
+
 def test_rank_one_projective_on_pure_state_gives_full_information():
     rep = disturbance(kappa_povm(KappaMeasurement(1.0)), pure_density([1.0, 0.0]))
     assert rep.i_f_p == pytest.approx(1.0)

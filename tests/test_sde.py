@@ -175,6 +175,23 @@ def test_trajectory_reproducibility():
     assert np.all((ovl >= -1e-9) & (ovl <= 1 + 1e-9))
 
 
+def test_store_every_keeps_every_nth_step():
+    # 7 does not divide the 200 steps, so the last 4 steps run unstored
+    cfg = SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=1e-4, t_end=0.02)
+    policy = MeasurementPolicy(mode="relative_angle", theta=np.pi / 4)
+    rho0 = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
+    target = lambda t: np.array([np.exp(-1j * np.pi * t), np.exp(1j * np.pi * t)]) / np.sqrt(2.0)
+    full = run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3))
+    every7 = run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3),
+                                    store_every=7)
+    assert cfg.n_steps == 200 and len(every7.times) == 29
+    assert np.array_equal(every7.times, full.times[::7])
+    assert np.array_equal(every7.states, full.states[::7])
+    # records and feedback belong to the step that ended at each stored time
+    assert np.array_equal(every7.records, full.records[6::7])
+    assert np.array_equal(every7.fb_hamiltonians, full.fb_hamiltonians[6::7])
+
+
 def test_qubit_eigenbasis_conventions():
     # diagonal state: computational basis
     basis = qubit_eigenbasis(np.diag([0.9, 0.1]).astype(complex))
