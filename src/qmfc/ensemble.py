@@ -32,11 +32,28 @@ same feedback branches and the same StepRejected rule:
 
   while the dephasing channel adds 2 beta dt sz rho sz
   = beta dt (I + (-r_x, -r_y, r_z).sigma).  The next r is the sigma part of
-  the sum over its I part.  The step-size diagnostic is (1 - |r_E|) / 2 for
-  the first-order Euler-Maruyama state r_E.  Feedback is the first-order
-  rotation -sqrt(mu/2) (s x r)/|s x r| toward the target's Bloch vector s, or
-  nothing when the state already points at the target; the rare remaining
-  rows (second-order branch) go to feedback.optimal_feedback.
+  the sum over its I part.  When Tr Q = Tr H0 = 0 (every relative_angle run
+  with a traceless H0, sigma observables, the rates estimator) the terms in
+  q0 and Im alpha = -h0 dt are exactly zero and are skipped; the rest is the
+  same operations in the same order, so rows do not change in any bit.
+  The step-size diagnostic is (1 - |r_E|) / 2 for the first-order
+  Euler-Maruyama state r_E; a step is rejected when it is below -tol, that
+  is when |r_E| > 1 + 2 tol.  With eps = 2 sqrt(2k) dW,
+  c_r = 1 - 4k dt (q.q) - eps (q.r) and c_q = 4k dt (q.r) + eps,
+
+      |r_E| <= sqrt(c_r^2 |r|^2 + 2 c_r c_q (q.r) + c_q^2 (q.q))
+               + dt (2 (|g| + sqrt(mu/2)) + 4 beta) |r|
+
+  for H0 = g0 I + g.sigma (_euler_norm_bound: the first term is the exact
+  norm of c_r r + c_q q, the second bounds the rotation and dephasing, since
+  feedback rows of either branch have |h_fb| <= sqrt(mu/2)).  r_E is built
+  only when the batch maximum of this bound exceeds 1 + 2 tol less 1e-9 for
+  rounding, which never happens at fig2's defaults (largest bound about
+  1.012 against 1.04), so the rejected set and the StepRejected message are
+  those of the matrix kernel.  Feedback is the first-order rotation
+  -sqrt(mu/2) (s x r)/|s x r| toward the target's Bloch vector s, or nothing
+  when the state already points at the target; the rare remaining rows
+  (second-order branch) go to feedback.optimal_feedback.
 * N > 2, and batches of one, where the Bloch kernel's fixed cost per step
   does not pay: (m, N, N) complex stacks through sde._kraus_step.  For
   qubits this matrix kernel is the oracle the Bloch kernel is tested against.
@@ -208,7 +225,11 @@ def _density(r):
 
 
 def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    """a.b summed as a0 b0 + a1 b1 + a2 b2, accumulated in place."""
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
 
 
 def _cross(a, b, out):
@@ -219,25 +240,52 @@ def _cross(a, b, out):
     return out
 
 
+def _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, h_scale):
+    """Upper bound on |r_E|, the first-order Euler-Maruyama Bloch vector.
+
+    r_E = c_r r + c_q q + dt (2 h x r - 4 beta (r_x, r_y, 0)) with
+    eps = 2 sqrt(2k) dW, c_r = 1 - 4k dt (q.q) - eps (q.r) and
+    c_q = 4k dt (q.r) + eps; the first two terms' norm is exact, the dt term
+    is at most dt h_scale |r| for h_scale = 2 (|g| + sqrt(mu/2)) + 4 beta,
+    where g is the sigma part of H0.  rr = r.r and r_norm = |r|; every
+    argument is a scalar or an (m,) array.
+    """
+    c_r = 1.0 - (4.0 * k * dt) * qq - eps * qr
+    c_q = (4.0 * k * dt) * qr + eps
+    return (np.sqrt(c_r * c_r * rr + 2.0 * c_r * c_q * qr + c_q * c_q * qq)
+            + (dt * h_scale) * r_norm)
+
+
 class _BlochKernel:
     """Qubit states as Bloch vectors, shape (3, m); see the module docstring."""
 
     def __init__(self, cfg, m):
         self.cfg = cfg
+        sme = cfg.sme
         self.r = np.repeat(2.0 * _pauli(cfg.rho0)[1][:, None], m, axis=1)
-        self.h0_trace, h0 = _pauli(cfg.sme.h0)
+        self.h0_trace, h0 = _pauli(sme.h0)
         self.h0 = h0[:, None]
         # work arrays for the cross products and the measured axis, reused every step
-        self._sxr, self._axb, self._imxr, self._hxr, self._q = np.empty((5, 3, m))
+        self._sxr, self._axb, self._q, self._work = np.empty((4, 3, m))
         policy = cfg.policy
         if policy.mode == "relative_angle":
             st = np.sin(policy.theta)
             # measured axis in the frame whose z axis is the state's direction
             self.local = (st * np.cos(policy.phi), st * np.sin(policy.phi), np.cos(policy.theta))
             self.angles = np.zeros((2, m))  # the state's (Theta, Phi); kept where |r| < 1e-12
+            self.q_trace = 0.0
         else:
             self.q_trace, q = _pauli(policy.observable)
             self.q = q[:, None]
+        # Tr Q = Tr H0 = 0: the terms in q_trace and Im alpha are exactly zero
+        self.traceless = self.q_trace == 0 and self.h0_trace == 0
+        # feedback rows of either branch have |h_fb| <= sqrt(mu/2); the Euler
+        # state is built only when the bound on |r_E| could reach the
+        # StepRejected threshold 1 + 2 tol (less a margin for rounding)
+        self.h_scale = (2.0 * (np.sqrt(_dot(h0, h0)) + np.sqrt(cfg.mu / 2))
+                        + 4.0 * sme.dephasing_beta)
+        tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
+        self.euler_limit = 1.0 + 2.0 * tol - 1e-9
 
     def target(self, psi):
         """(psi, s0, s) with s0 I + s.sigma = |psi><psi|, shared by feedback and overlap."""
@@ -245,14 +293,19 @@ class _BlochKernel:
 
     def _measured_axis(self, norm):
         if self.cfg.policy.mode == "fixed_observable":
-            return self.q_trace, self.q
+            return self.q
         x, y, z = self.r
-        ok = norm >= 1e-12
-        big_theta = np.arccos(np.clip(z / np.where(ok, norm, 1.0), -1.0, 1.0))
-        np.copyto(self.angles[0], big_theta, where=ok)
-        np.copyto(self.angles[1], np.arctan2(y, x), where=ok)
-        ct, st = np.cos(self.angles[0]), np.sin(self.angles[0])
-        cp, sp = np.cos(self.angles[1]), np.sin(self.angles[1])
+        angles = self.angles
+        if norm.min() >= 1e-12:
+            np.arccos(np.clip(z / norm, -1.0, 1.0), out=angles[0])
+            np.arctan2(y, x, out=angles[1])
+        else:
+            ok = norm >= 1e-12
+            big_theta = np.arccos(np.clip(z / np.where(ok, norm, 1.0), -1.0, 1.0))
+            np.copyto(angles[0], big_theta, where=ok)
+            np.copyto(angles[1], np.arctan2(y, x), where=ok)
+        ct, st = np.cos(angles[0]), np.sin(angles[0])
+        cp, sp = np.cos(angles[1]), np.sin(angles[1])
         # rotate by Theta about (-sin Phi, cos Phi, 0), i.e. Rz(Phi) Ry(Theta) Rz(-Phi)
         lx, ly, lz = self.local
         u = cp * lx + sp * ly
@@ -262,14 +315,18 @@ class _BlochKernel:
         np.subtract(cp * ux, sp * w, out=q[0])
         np.add(sp * ux, cp * w, out=q[1])
         np.subtract(ct * lz, st * u, out=q[2])
-        return 0.0, q
+        return q
 
     def _feedback(self, target, r_norm):
         r, mu = self.r, self.cfg.mu
         psi, s_trace, s = target
         sxr = _cross(s[:, None], r, self._sxr)
         sxr_norm = np.sqrt(_dot(sxr, sxr))
-        # the matrix rule ||[sigma, rho]||_F > 1e-8 ||rho||_F in Bloch form
+        # the matrix rule ||[sigma, rho]||_F > 1e-8 ||rho||_F in Bloch form;
+        # rounding is monotone, so the rule at the batch's extremes covers every row
+        r_max = r_norm.max()
+        if np.sqrt(2.0) * sxr_norm.min() > 1e-8 * np.sqrt((1.0 + r_max * r_max) / 2):
+            return sxr * (-np.sqrt(mu / 2) / sxr_norm)
         tau = 1e-8 * np.sqrt((1.0 + r_norm * r_norm) / 2)
         active = np.sqrt(2.0) * sxr_norm > tau
         h = np.where(active, sxr * (-np.sqrt(mu / 2) / np.where(active, sxr_norm, 1.0)), 0.0)
@@ -283,36 +340,57 @@ class _BlochKernel:
         cfg, r = self.cfg, self.r
         k, dt, beta = cfg.sme.k, cfg.sme.dt, cfg.sme.dephasing_beta
         sqrt2k = np.sqrt(2.0 * k)
-        r_norm = np.sqrt(_dot(r, r))
-        q_trace, q = self._measured_axis(r_norm)
+        rr = _dot(r, r)
+        r_norm = np.sqrt(rr)
+        q = self._measured_axis(r_norm)
         h_fb = self._feedback(target, r_norm) if cfg.mu > 0 else None
         h = self.h0 if h_fb is None else self.h0 + h_fb
 
         qr = _dot(q, r)
         qq = _dot(q, q)
-        dy_tilde = 2.0 * sqrt2k * dt * (q_trace + qr) + dw
-        c2 = k * (dy_tilde * dy_tilde - 2.0 * dt)
-        alpha_re = (1.0 - beta * dt) + sqrt2k * dy_tilde * q_trace + c2 * (q_trace ** 2 + qq)
-        alpha_im = -dt * self.h0_trace
-        a = (sqrt2k * dy_tilde + 2.0 * c2 * q_trace) * q
         b = -dt * h
-        re_av = alpha_re * a + alpha_im * b
-        im_av = alpha_re * b - alpha_im * a
+        if self.traceless:
+            # the general branch below without its exactly-zero terms in q_trace and alpha_im
+            dy_tilde = 2.0 * sqrt2k * dt * qr + dw
+            c2 = k * (dy_tilde * dy_tilde - 2.0 * dt)
+            alpha_re = (1.0 - beta * dt) + c2 * qq
+            a = (sqrt2k * dy_tilde) * q
+            re_av = alpha_re * a
+            im_av = alpha_re * b
+            alpha2 = alpha_re * alpha_re
+        else:
+            q_trace = self.q_trace
+            dy_tilde = 2.0 * sqrt2k * dt * (q_trace + qr) + dw
+            c2 = k * (dy_tilde * dy_tilde - 2.0 * dt)
+            alpha_re = (1.0 - beta * dt) + sqrt2k * dy_tilde * q_trace + c2 * (q_trace ** 2 + qq)
+            alpha_im = -dt * self.h0_trace
+            a = (sqrt2k * dy_tilde + 2.0 * c2 * q_trace) * q
+            re_av = alpha_re * a + alpha_im * b
+            im_av = alpha_re * b - alpha_im * a
+            alpha2 = alpha_re * alpha_re + alpha_im * alpha_im
         axb = _cross(a, b, self._axb)
-        alpha2 = alpha_re * alpha_re + alpha_im * alpha_im
         v2 = _dot(a, a) + _dot(b, b)
         identity_part = (alpha2 + v2) / 2 + _dot(re_av - axb, r) + beta * dt
-        sigma_part = (re_av + axb + ((alpha2 - v2) / 2) * r + a * _dot(a, r)
-                      + b * _dot(b, r) - _cross(im_av, r, self._imxr))
+        sigma_part = np.add(re_av, axb, out=re_av)
+        sigma_part += ((alpha2 - v2) / 2) * r
+        sigma_part += a * _dot(a, r)
+        sigma_part += b * _dot(b, r)
+        sigma_part -= _cross(im_av, r, self._work)
         sigma_part[:2] -= (beta * dt) * r[:2]
         sigma_part[2] += (beta * dt) * r[2]
 
-        drift = 2.0 * _cross(h, r, self._hxr) + (4.0 * k) * (q * qr - qq * r)
-        drift[:2] -= (4.0 * beta) * r[:2]
-        euler = r + dt * drift + (2.0 * sqrt2k * dw) * (q - qr * r)
-        self.r = sigma_part / identity_part
+        eps = (2.0 * sqrt2k) * dw
+        bound = _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, self.h_scale).max()
+        if bound <= self.euler_limit:
+            euler_min = (1.0 - bound) / 2  # a lower bound on every row's diagnostic
+        else:
+            drift = 2.0 * _cross(h, r, self._work) + (4.0 * k) * (q * qr - qq * r)
+            drift[:2] -= (4.0 * beta) * r[:2]
+            euler = r + dt * drift + eps * (q - qr * r)
+            euler_min = (1.0 - np.sqrt(_dot(euler, euler))) / 2
+        self.r = np.divide(sigma_part, identity_part, out=sigma_part)
         self._last = sqrt2k, dy_tilde, h_fb
-        return (1.0 - np.sqrt(_dot(euler, euler))) / 2
+        return euler_min
 
     def last_step(self):
         """As _MatrixKernel.last_step; dy = sqrt(2k) dy~."""

@@ -337,6 +337,7 @@ def closed_loop_runs():
     return full, doubled
 
 
+@pytest.mark.slow
 def test_10_control_improves_with_measurement_angle(closed_loop_runs):
     """Information improves with the measurement angle; at these strengths
     control does not follow it (the information trade-off).
@@ -384,6 +385,7 @@ def test_10_control_improves_with_measurement_angle(closed_loop_runs):
 
 
 
+@pytest.mark.slow
 def test_closed_loop_matches_bloch_reference(closed_loop_runs):
     # Test 10's sweep against the independent Bloch-vector integration
     # (tests/bloch_reference.py: another scheme, other noise streams) at the
@@ -402,6 +404,7 @@ def test_closed_loop_matches_bloch_reference(closed_loop_runs):
     assert z.max() <= 3.0
 
 
+@pytest.mark.slow
 def test_strong_feedback_orders_overlap_in_theta():
     # With a feedback budget 1000 times larger (mu = 1e4, turning the state
     # at sqrt(2 mu) ~ 141 rad/time) the measurement's kicks are undone at once,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qmfc.ensemble import (
     EnsembleConfig,
     _advance_chunk,
     _BlochKernel,
+    _euler_norm_bound,
     _MatrixKernel,
     ensemble_states,
     precessing_plus_x,
@@ -17,6 +20,7 @@ from qmfc.sde import (
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
+    _kraus_step,
     nonselective_solve,
     run_control_trajectory,
 )
@@ -153,13 +157,12 @@ def test_noise_blocks_do_not_change_rows(monkeypatch):
         assert np.array_equal(got, want)
 
 
-def oracle_config(policy, mu, rho0):
-    # 1000 steps; h0 with a trace; start one radian behind the target
+def oracle_config(policy, mu, rho0, h0=np.pi * SIGMA_Z + 0.5 * SIGMA_X + 0.3 * np.eye(2)):
+    # 1000 steps; by default h0 with a trace; start one radian behind the target
     return small_config(
         realizations=16,
         master_seed=0,
-        sme=SmeConfig(k=2.0, h0=np.pi * SIGMA_Z + 0.5 * SIGMA_X + 0.3 * np.eye(2),
-                      dephasing_beta=0.4, dt=2.5e-5, t_end=0.025),
+        sme=SmeConfig(k=2.0, h0=h0, dephasing_beta=0.4, dt=2.5e-5, t_end=0.025),
         policy=policy,
         mu=mu,
         rho0=rho0,
@@ -195,6 +198,19 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
     # antipodal start: the first step takes the second-order feedback branch
     minus_x = pure_density(np.array([1.0, -1.0]) / np.sqrt(2.0))
     cases.append((oracle_config(policies[1], 10.0, minus_x), {"second_order"}))
+    # Tr Q = Tr H0 = 0: the kernel's traceless branch
+    traceless_h0 = np.pi * SIGMA_Z + 0.5 * SIGMA_X
+    traceless = [oracle_config(MeasurementPolicy(mode="relative_angle", theta=theta, phi=0.3),
+                               10.0, behind, h0=traceless_h0)
+                 for theta in (0.0, np.pi / 2)]
+    traceless.append(oracle_config(
+        MeasurementPolicy(mode="fixed_observable", observable=0.8 * SIGMA_X + 0.6 * SIGMA_Z),
+        0.0, behind, h0=traceless_h0))
+    for cfg, _ in cases:
+        assert not _BlochKernel(cfg, 1).traceless
+    for cfg in traceless:
+        assert _BlochKernel(cfg, 1).traceless
+    cases += [(cfg, set()) for cfg in traceless]
 
     checkpoints = range(0, 1001, 10)
     for cfg, fallback_branches in cases:
@@ -229,6 +245,112 @@ def test_kernels_reject_the_same_step():
             messages.append(str(info.value))
         # the message names the trajectory and the step
         assert messages[0] == messages[1]
+
+
+def test_step_size_bound_dominates_euler_state():
+    """_euler_norm_bound is at least |r_E| for the first-order Euler state.
+
+    The Bloch kernel builds r_E only when the batch maximum of the bound could
+    reach the StepRejected threshold, so the bound must hold for every column:
+    here against the matrix kernel's first-order eigenvalue, lambda_min =
+    (1 - |r_E|) / 2, over 6000 seeded columns at each of four (dt, beta).
+    """
+    rng = np.random.default_rng(20)
+    m = 6000
+    h0 = np.pi * SIGMA_Z + 0.5 * SIGMA_X + 0.3 * np.eye(2)
+    k, mu = 2.0, 10.0
+
+    def unit(n):
+        v = rng.standard_normal((3, n))
+        return v / np.sqrt(qmfc.ensemble._dot(v, v))
+
+    # |r| from 0 to 1 - 1e-15, most of them close to the pure states
+    r_norm = np.concatenate([[0.0, 1.0 - 1e-15], rng.uniform(0.0, 1.0, m // 4),
+                             1.0 - 10.0 ** -rng.uniform(0.0, 15.0, m - 2 - m // 4)])
+    r = unit(m) * r_norm
+    # a unit q (the relative_angle policy, and sigma observables) or a fixed Q with a trace
+    q_fixed = 0.7 * SIGMA_X + 0.3 * SIGMA_Z + 0.2 * np.eye(2)
+    q = np.where(np.arange(m) % 2 == 0, unit(m), qmfc.ensemble._pauli(q_fixed)[1][:, None])
+    q_op = np.where((np.arange(m) % 2 == 0)[:, None, None],
+                    2.0 * qmfc.ensemble._density(q) - np.eye(2), q_fixed)
+    # feedback of norm sqrt(mu / 2), the largest either branch gives
+    h_fb = unit(m) * np.sqrt(mu / 2)
+    h_op = h0 + 2.0 * qmfc.ensemble._density(h_fb) - np.eye(2)
+    rho = qmfc.ensemble._density(r)
+    for dt in (1e-4, 0.04):
+        for beta in (0.0, 0.4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # dt = 0.04 is coarse
+                cfg = small_config(sme=SmeConfig(k=k, h0=h0, dephasing_beta=beta, dt=dt,
+                                                 t_end=10 * dt), mu=mu)
+            h_scale = _BlochKernel(cfg, 1).h_scale
+            # increments up to 8 standard deviations
+            dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
+            _, _, lam_min = _kraus_step(rho, q_op, k, h_op, dt, dw, beta=beta)
+            exact = 1.0 - 2.0 * lam_min
+            rr = qmfc.ensemble._dot(r, r)
+            bound = _euler_norm_bound(np.sqrt(rr), rr, qmfc.ensemble._dot(q, r),
+                                      qmfc.ensemble._dot(q, q), 2.0 * np.sqrt(2.0 * k) * dw,
+                                      k, dt, h_scale)
+            # 1e-12 absorbs the eigensolver's rounding where the bound is tight (r = 0)
+            assert np.all(bound >= exact - 1e-12), np.max(exact - bound)
+
+
+def seeded(kernel, r):
+    """kernel, started from the Bloch vectors r (3, m) instead of cfg.rho0."""
+    def make(cfg, m):
+        batch = kernel(cfg, m)
+        if kernel is _BlochKernel:
+            batch.r = r.copy()
+        else:
+            batch.rho = qmfc.ensemble._density(r)
+        return batch
+    return make
+
+
+def test_bloch_kernel_matches_matrix_kernel_at_the_centre():
+    # rows at r = 0 keep the measured axis of the eigenbasis convention while
+    # the rest of the batch takes its own.  Five steps only: within 1000 the
+    # rows leaving the centre part through the ill-conditioned r/|r|.
+    rng = np.random.default_rng(4)
+    r = rng.uniform(-0.5, 0.5, (3, 16))
+    r[:, ::3] = 0.0
+    for mu in (0.0, 10.0):
+        cfg = oracle_config(MeasurementPolicy(mode="relative_angle", theta=np.pi / 4, phi=0.3),
+                            mu, np.eye(2) / 2)
+        runs = [_advance_chunk(cfg, 16, streams(cfg, range(16)), checkpoint_steps=range(6),
+                               kernel=seeded(kernel, r))
+                for kernel in (_BlochKernel, _MatrixKernel)]
+        for got, want in zip(runs[0][2:4], runs[1][2:4]):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_one_bad_column_rejects_a_wide_batch():
+    """A step is rejected when a single column of 64 leaves the Bloch ball.
+
+    63 columns sit on eigenstates of the measured sigma_z, where r_E = r; one
+    starts on the equator, where k dt = 4 throws r_E far outside the ball.
+    Both kernels name that trajectory in the same message.
+    """
+    bad = 41
+    with pytest.warns(UserWarning):
+        cfg = small_config(
+            realizations=64,
+            sme=SmeConfig(k=2.0, h0=np.zeros((2, 2)), dt=2.0, t_end=2.0),
+            policy=MeasurementPolicy(mode="fixed_observable", observable=SIGMA_Z),
+            mu=0.0,
+            stat_stride=1,
+        )
+    r = np.zeros((3, 64))
+    r[2] = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
+    r[:, bad] = (1.0, 0.0, 0.0)
+    messages = []
+    for kernel in (_BlochKernel, _MatrixKernel):
+        with pytest.raises(StepRejected) as info:
+            _advance_chunk(cfg, 64, streams(cfg, range(64)), kernel=seeded(kernel, r))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"trajectory {bad} (master_seed 123) at step 0:")
 
 
 def test_rerun_is_bit_identical():
