@@ -7,10 +7,15 @@ cheapest, and threads would only contend for the GIL.  A single trajectory
 (sde.run_control_trajectory) is a batch of one fed by the caller's
 generator; the rates estimator (metrics.strength_rate_numeric) is an
 open-loop ensemble.  Each ensemble trajectory owns a counter-based random
-stream derived from (master seed, sweep index, trajectory index), drawn in
-blocks of NOISE_BLOCK steps so the noise buffer does not grow with the run
-length.  Results are bit-identical for a given master seed and realization
-count, however many steps of noise are drawn at a time.  A row of a qubit
+stream derived from (master seed, sweep index, trajectory index): the Philox
+stream numpy seeds from SeedSequence(entropy=master seed, spawn_key=(sweep
+index, trajectory index)).  A Philox stream is a key and a counter, so an
+ensemble derives all its keys in one vectorised pass of SeedSequence's hash
+(_philox_keys) and opens each stream directly on its key; the streams, and so
+every drawn number, are numpy's own.  Noise is drawn in blocks of
+NOISE_BLOCK steps so the noise buffer does not grow with the run length.
+Results are bit-identical for a given master seed and realization count,
+however many steps of noise are drawn at a time.  A row of a qubit
 batch wider than one depends only on its own stream; a matrix-kernel row can
 differ in the last bits between batches narrower and wider than 32, where
 sde._matmul changes method.
@@ -123,10 +128,90 @@ class EnsembleStats:
     realizations: int
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(n):
+    """The number of 32-bit words SeedSequence makes of the integer n >= 0."""
+    return max(1, (int(n).bit_length() + 31) // 32)
+
+
+def _hash_consts(init, mult, first):
+    """init * mult**k mod 2**32 for k = first, ..., first + 3, as a (4, 1) uint32 column."""
+    return np.array([[init * pow(mult, k, 1 << 32) & _MASK32]
+                     for k in range(first, first + 4)], dtype=np.uint32)
+
+
+def _philox_keys(master_seed, sweep_index, indices):
+    """Philox keys, shape (len(indices), 2) uint64, of the streams
+    (master_seed, sweep_index, j) for the trajectory indices j.
+
+    Row j is SeedSequence(entropy=master_seed, spawn_key=(sweep_index, j))
+    .generate_state(2, np.uint64), the key Philox(seed=that SeedSequence)
+    takes, computed for every j at once.  The pool of the shared prefix
+    (master_seed, sweep_index) is numpy's own; the entropy words of j come
+    last, so they are mixed into copies of it, continuing the hash constant
+    where the prefix left it, and the output words are then generated.
+    Indices must be integers in [0, 2**64).
+    """
+    prefix = np.random.SeedSequence(entropy=master_seed, spawn_key=(sweep_index,))
+    j = np.asarray(indices)
+    if j.dtype.kind not in "iu" or (j.size and j.min() < 0):
+        raise ValueError("trajectory indices must be non-negative integers")
+    j = j.astype(np.uint64)
+
+    # hashmix calls so far: 4 to fill the pool, 12 to cross-mix it and 4 per
+    # further entropy word (the seed is padded to 4 words before a spawn key)
+    calls = 16 + 4 * (max(4, _words(prefix.entropy)) - 4 + _words(sweep_index))
+    pool = np.repeat(prefix.pool[:, None], len(j), axis=1)
+    words = [(j.astype(np.uint32), slice(None))]  # the low word of every j
+    two_words = j > _MASK32
+    if two_words.any():
+        words.append(((j[two_words] >> np.uint64(32)).astype(np.uint32), two_words))
+    for n, (word, cols) in enumerate(words):
+        # hashmix the word once per pool word, each with its own hash constant
+        hashed = word ^ _hash_consts(_INIT_A, _MULT_A, calls + 4 * n)
+        hashed *= _hash_consts(_INIT_A, _MULT_A, calls + 4 * n + 1)
+        hashed ^= hashed >> np.uint32(16)
+        mixed = np.uint32(_MIX_L) * pool[:, cols] - np.uint32(_MIX_R) * hashed
+        pool[:, cols] = mixed ^ (mixed >> np.uint32(16))
+
+    # generate_state: four output words, read as two little-endian uint64
+    state = pool ^ _hash_consts(_INIT_B, _MULT_B, 0)
+    state *= _hash_consts(_INIT_B, _MULT_B, 1)
+    state ^= state >> np.uint32(16)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A seed that gives Philox its precomputed key and nothing else."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two uint64 words")
+        return self.key
+
+
+def _open_stream(key):
+    return np.random.Generator(np.random.Philox(seed=_PhiloxKey(key)))
+
+
 def trajectory_rng(master_seed, sweep_index, traj_index):
-    """Counter-based per-trajectory stream; independent of execution order."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(sweep_index, traj_index))
-    return np.random.Generator(np.random.Philox(seed=seq))
+    """Counter-based per-trajectory stream; independent of execution order.
+
+    The stream of Philox(SeedSequence(entropy=master_seed,
+    spawn_key=(sweep_index, traj_index))), opened on the key _philox_keys
+    derives, the same derivation an ensemble makes for all its trajectories
+    at once.
+    """
+    return _open_stream(_philox_keys(master_seed, sweep_index, [traj_index])[0])
 
 
 def precessing_plus_x(omega):
@@ -409,8 +494,10 @@ class _BlochKernel:
 
 
 def _trajectory_streams(cfg, sweep_index):
-    """The ensemble's per-trajectory streams, each opened when first drawn."""
-    return (trajectory_rng(cfg.master_seed, sweep_index, j) for j in range(cfg.realizations))
+    """The ensemble's per-trajectory streams (those of trajectory_rng), each
+    opened when first drawn; their keys are all derived here, in one pass."""
+    keys = _philox_keys(cfg.master_seed, sweep_index, np.arange(cfg.realizations))
+    return (_open_stream(key) for key in keys)
 
 
 def _advance_chunk(cfg: EnsembleConfig, width, streams, checkpoint_steps=None, kernel=None):
@@ -439,6 +526,8 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, checkpoint_steps=None, k
     # blocks remain; its next block of increments continues it exactly
     block = NOISE_BLOCK
     dw = np.empty((min(block, n_steps), width))
+    draw = np.empty(len(dw))  # one stream's block, scaled into its column of dw
+    sqrt_dt = np.sqrt(dt)
 
     batch = kernel(cfg, width)
     n_stat = n_steps // cfg.stat_stride
@@ -473,9 +562,11 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, checkpoint_steps=None, k
         if row == 0:
             rows = dw[:min(block, n_steps - step)]
             more = step + len(rows) < n_steps
+            noise = draw[:len(rows)]
             kept = []
             for j, gen in enumerate(streams):
-                rows[:, j] = gen.standard_normal(len(rows)) * np.sqrt(dt)
+                gen.standard_normal(out=noise)
+                np.multiply(noise, sqrt_dt, out=rows[:, j])
                 if more:
                     kept.append(gen)
             streams = kept

@@ -173,3 +173,15 @@ def test_exit_codes(tmp_path):
 
 def test_manifest_path():
     assert manifest_path("runs/fig1.csv") == "runs/fig1.csv.manifest.txt"
+
+
+def test_negative_seed_is_a_config_error(tmp_path):
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["--experiment", "fig2", "--realizations", "4", "--t-end", "0.002",
+         "--theta-points", "2"],
+        ["--experiment", "rates", "--k-list", "1"],
+        ["--experiment", "zeno", "--m-list", "2", "--runs", "10"],
+    ):
+        assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()

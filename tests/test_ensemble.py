@@ -10,6 +10,9 @@ from qmfc.ensemble import (
     _BlochKernel,
     _euler_norm_bound,
     _MatrixKernel,
+    _philox_keys,
+    _PhiloxKey,
+    _trajectory_streams,
     ensemble_states,
     precessing_plus_x,
     run_ensemble,
@@ -98,6 +101,100 @@ def test_trajectory_rng_streams_are_independent_and_stable():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def numpy_stream(master_seed, sweep_index, traj_index):
+    """The stream (master_seed, sweep_index, traj_index) seeded by numpy's own SeedSequence."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(sweep_index, traj_index))
+    return np.random.Generator(np.random.Philox(seed=seq))
+
+
+def numpy_streams(cfg, sweep_index):
+    return (numpy_stream(cfg.master_seed, sweep_index, j) for j in range(cfg.realizations))
+
+
+@pytest.mark.filterwarnings("error")
+def test_philox_keys_match_seed_sequence():
+    # one and several words of seed, sweep index and trajectory index
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**70 + 3, 2**130 + 11]
+    sweeps = [0, 2, 2**32 + 1]
+    indices = [0, 1, 255, 256, 65539, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1]
+    for seed in seeds:
+        for sweep in sweeps:
+            keys = _philox_keys(seed, sweep, np.array(indices, dtype=np.uint64))
+            assert keys.dtype == np.uint64 and keys.shape == (len(indices), 2)
+            for j, key in zip(indices, keys):
+                seq = np.random.SeedSequence(entropy=seed, spawn_key=(sweep, j))
+                assert np.array_equal(key, seq.generate_state(2, np.uint64)), (seed, sweep, j)
+    with pytest.raises(ValueError):
+        _philox_keys(0, 0, [3, -1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_trajectory_streams_draw_numpy_seeded_streams():
+    # 600 draws span three noise blocks of every stream, the last one included
+    cfg = small_config(realizations=5, master_seed=2**70 + 3)
+    assert 600 > 2 * qmfc.ensemble.NOISE_BLOCK
+    for sweep in (0, 2**32 + 1):
+        got = [gen.standard_normal(600) for gen in _trajectory_streams(cfg, sweep)]
+        want = [gen.standard_normal(600) for gen in numpy_streams(cfg, sweep)]
+        assert len(got) == cfg.realizations
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(trajectory_rng(5, 2, 65539).standard_normal(600),
+                          numpy_stream(5, 2, 65539).standard_normal(600))
+
+
+def test_philox_key_seed_gives_only_the_key():
+    key = _philox_keys(1, 0, [0])[0]
+    seed = _PhiloxKey(key)
+    assert np.array_equal(seed.generate_state(2, np.uint64), key)
+    for n_words, dtype in ((4, np.uint32), (2, np.uint32), (1, np.uint64), (4, np.uint64)):
+        with pytest.raises(ValueError):
+            seed.generate_state(n_words, dtype)
+
+
+@pytest.mark.parametrize("make", [
+    lambda steps: small_config(sme=SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4,
+                                             dt=1e-3, t_end=steps * 1e-3), stat_stride=1),
+    lambda steps: qutrit_config(sme=SmeConfig(k=1.0, h0=qutrit_config().sme.h0,
+                                              dt=1e-3, t_end=steps * 1e-3), stat_stride=1),
+], ids=["qubit-bloch", "qutrit-matrix"])
+def test_ensemble_rows_match_numpy_seeded_streams(monkeypatch, make):
+    # two full noise blocks and a partial one
+    cfg = make(2 * qmfc.ensemble.NOISE_BLOCK + 37)
+    assert cfg.sme.n_steps == 2 * qmfc.ensemble.NOISE_BLOCK + 37
+    checkpoints = [0, 5, qmfc.ensemble.NOISE_BLOCK, cfg.sme.n_steps]
+    advance = _advance_chunk
+    outputs = []
+
+    def recording(*args, **kwargs):
+        outputs.append(advance(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(qmfc.ensemble, "_advance_chunk", recording)
+    run_ensemble(cfg, sweep_index=3)
+    ensemble_states(cfg, np.array(checkpoints) * cfg.sme.dt, sweep_index=3)
+    want = [advance(cfg, cfg.realizations, numpy_streams(cfg, 3)),
+            advance(cfg, cfg.realizations, numpy_streams(cfg, 3), checkpoint_steps=checkpoints)]
+    assert len(outputs) == 2
+    for got_rows, want_rows in zip(outputs, want):
+        for got, expected in zip(got_rows, want_rows):
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.tobytes() == expected.tobytes()
+
+    # the noise of each column is sqrt(dt) times its stream's normals, drawn in blocks
+    increments = []
+
+    class Spy(_BlochKernel if cfg.rho0.shape == (2, 2) else _MatrixKernel):
+        def step(self, target, dw):
+            increments.append(dw.copy())
+            return super().step(target, dw)
+
+    advance(cfg, cfg.realizations, _trajectory_streams(cfg, 3), kernel=Spy)
+    noise = np.array([gen.standard_normal(cfg.sme.n_steps) * np.sqrt(cfg.sme.dt)
+                      for gen in numpy_streams(cfg, 3)]).T
+    assert np.array(increments).tobytes() == noise.tobytes()
 
 
 def test_precessing_target():
