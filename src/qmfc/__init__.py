@@ -41,6 +41,5 @@ from .sde import (
     StepRejected,
     inverse_zeno_run,
     run_control_trajectory,
-    sme_step,
 )
 from .ensemble import EnsembleConfig, ensemble_states, run_ensemble, theta_experiment

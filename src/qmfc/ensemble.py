@@ -64,18 +64,20 @@ same feedback branches and the same StepRejected rule:
   qubits this matrix kernel is the oracle the Bloch kernel is tested against.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .feedback import optimal_feedback
+from .feedback import DEGEN_TOL, optimal_feedback
 from .sde import (
+    BASIS_DEGEN_TOL,
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
     _default_reject_tol,
     _kraus_step,
-    policy_observable,
+    qubit_eigenbasis,
+    relative_observable,
 )
 from .states import check_density_matrix
 
@@ -223,7 +225,7 @@ def precessing_plus_x(omega):
     return target
 
 
-def _feedback_stack(rho, psi, mu, tau_degen=1e-8):
+def _feedback_stack(rho, psi, mu):
     """Optimal feedback Hamiltonians for a stack of states toward one target."""
     m = rho.shape[0]
     rho_psi = np.einsum("mij,j->mi", rho, psi)
@@ -231,7 +233,7 @@ def _feedback_stack(rho, psi, mu, tau_degen=1e-8):
     comm = sig_rho - np.conj(np.swapaxes(sig_rho, 1, 2))
     comm_norm = np.sqrt(np.einsum("mij,mij->m", comm, np.conj(comm)).real)
     rho_norm = np.sqrt(np.einsum("mij,mij->m", rho, np.conj(rho)).real)
-    active = comm_norm > tau_degen * rho_norm
+    active = comm_norm > DEGEN_TOL * rho_norm
     h = np.zeros_like(rho)
     if np.any(active):
         chi = np.zeros(m)
@@ -258,14 +260,14 @@ class _MatrixKernel:
         return psi
 
     def step(self, psi, dw):
-        cfg, sme = self.cfg, self.cfg.sme
-        if cfg.policy.mode == "relative_angle":
-            picks = [policy_observable(cfg.policy, rho, prev_basis=basis)
-                     for rho, basis in zip(self.rho, self.bases)]
-            q_obs = np.array([q for q, _ in picks])
-            self.bases = [basis for _, basis in picks]
+        cfg, sme, policy = self.cfg, self.cfg.sme, self.cfg.policy
+        if policy.mode == "relative_angle":
+            self.bases = [qubit_eigenbasis(rho, prev=basis)
+                          for rho, basis in zip(self.rho, self.bases)]
+            q_obs = np.array([relative_observable(basis, policy.theta, policy.phi)
+                              for basis in self.bases])
         else:
-            q_obs = cfg.policy.observable
+            q_obs = policy.observable
         h_fb = _feedback_stack(self.rho, psi, cfg.mu) if cfg.mu > 0 else None
         h = np.broadcast_to(sme.h0, self.rho.shape) if h_fb is None else sme.h0[None, :, :] + h_fb
         self.rho, exp_q, euler_min = _kraus_step(
@@ -357,7 +359,8 @@ class _BlochKernel:
             st = np.sin(policy.theta)
             # measured axis in the frame whose z axis is the state's direction
             self.local = (st * np.cos(policy.phi), st * np.sin(policy.phi), np.cos(policy.theta))
-            self.angles = np.zeros((2, m))  # the state's (Theta, Phi); kept where |r| < 1e-12
+            # the state's (Theta, Phi); kept where |r| < BASIS_DEGEN_TOL
+            self.angles = np.zeros((2, m))
             self.q_trace = 0.0
         else:
             self.q_trace, q = _pauli(policy.observable)
@@ -381,11 +384,11 @@ class _BlochKernel:
             return self.q
         x, y, z = self.r
         angles = self.angles
-        if norm.min() >= 1e-12:
+        if norm.min() >= BASIS_DEGEN_TOL:
             np.arccos(np.clip(z / norm, -1.0, 1.0), out=angles[0])
             np.arctan2(y, x, out=angles[1])
         else:
-            ok = norm >= 1e-12
+            ok = norm >= BASIS_DEGEN_TOL
             big_theta = np.arccos(np.clip(z / np.where(ok, norm, 1.0), -1.0, 1.0))
             np.copyto(angles[0], big_theta, where=ok)
             np.copyto(angles[1], np.arctan2(y, x), where=ok)
@@ -407,12 +410,12 @@ class _BlochKernel:
         psi, s_trace, s = target
         sxr = _cross(s[:, None], r, self._sxr)
         sxr_norm = np.sqrt(_dot(sxr, sxr))
-        # the matrix rule ||[sigma, rho]||_F > 1e-8 ||rho||_F in Bloch form;
+        # the matrix rule ||[sigma, rho]||_F > DEGEN_TOL ||rho||_F in Bloch form;
         # rounding is monotone, so the rule at the batch's extremes covers every row
         r_max = r_norm.max()
-        if np.sqrt(2.0) * sxr_norm.min() > 1e-8 * np.sqrt((1.0 + r_max * r_max) / 2):
+        if np.sqrt(2.0) * sxr_norm.min() > DEGEN_TOL * np.sqrt((1.0 + r_max * r_max) / 2):
             return sxr * (-np.sqrt(mu / 2) / sxr_norm)
-        tau = 1e-8 * np.sqrt((1.0 + r_norm * r_norm) / 2)
+        tau = DEGEN_TOL * np.sqrt((1.0 + r_norm * r_norm) / 2)
         active = np.sqrt(2.0) * sxr_norm > tau
         h = np.where(active, sxr * (-np.sqrt(mu / 2) / np.where(active, sxr_norm, 1.0)), 0.0)
         # no-op rows: the target already carries the top eigenvalue (1 + |r|) / 2
@@ -615,9 +618,9 @@ def run_ensemble(cfg: EnsembleConfig, sweep_index=0) -> EnsembleStats:
         overlap_mean=ovl.mean(axis=0),
         overlap_se=se(ovl),
         time_avg_purity=float(tavg_p.mean()),
-        time_avg_purity_se=float(se(tavg_p)) if r > 1 else float("nan"),
+        time_avg_purity_se=float(se(tavg_p)),
         time_avg_overlap=float(tavg_o.mean()),
-        time_avg_overlap_se=float(se(tavg_o)) if r > 1 else float("nan"),
+        time_avg_overlap_se=float(se(tavg_o)),
         realizations=r,
     )
 
@@ -649,17 +652,7 @@ def theta_experiment(base: EnsembleConfig, theta_grid):
         policy = MeasurementPolicy(
             mode="relative_angle", theta=float(theta), phi=base.policy.phi
         )
-        cfg = EnsembleConfig(
-            realizations=base.realizations,
-            master_seed=base.master_seed,
-            sme=base.sme,
-            policy=policy,
-            mu=base.mu,
-            rho0=base.rho0,
-            target_fn=base.target_fn,
-            stat_stride=base.stat_stride,
-            transient_cut=base.transient_cut,
-        )
+        cfg = replace(base, policy=policy)
         stats = run_ensemble(cfg, sweep_index=i)
         rows.append(
             (

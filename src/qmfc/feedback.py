@@ -14,6 +14,11 @@ import numpy as np
 
 from .states import check_density_matrix, eig_hermitian, ket, pure_density
 
+# the commutator ||[sigma, rho]||_F, and the gap between rho's top eigenvalue
+# and the target's, count as zero below DEGEN_TOL ||rho||_F; every kernel's
+# feedback uses this one threshold, so all choose the same branch
+DEGEN_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class FeedbackDecision:
@@ -61,7 +66,7 @@ def second_order_gain(H, rho, psi_target, tol=1e-6):
     return float(np.vdot(h_psi, (rho @ h_psi) - lam_t * h_psi).real)
 
 
-def optimal_feedback(rho, psi_target, mu, tau_degen=None) -> FeedbackDecision:
+def optimal_feedback(rho, psi_target, mu) -> FeedbackDecision:
     """Feedback Hamiltonian maximizing the target fidelity under Tr[H^2] = mu.
 
     Branches:
@@ -78,8 +83,7 @@ def optimal_feedback(rho, psi_target, mu, tau_degen=None) -> FeedbackDecision:
     if mu < 0:
         raise ValueError("feedback strength must be non-negative")
     n = rho.shape[0]
-    if tau_degen is None:
-        tau_degen = 1e-8 * np.linalg.norm(rho)
+    tau_degen = DEGEN_TOL * np.linalg.norm(rho)
 
     sigma = pure_density(psi)
     comm = sigma @ rho - rho @ sigma

@@ -35,6 +35,11 @@ from .povm import bloch_rotation
 from .states import SIGMA_Z, check_density_matrix, check_hermitian, ket, overlap
 
 
+# a qubit's eigenbasis is undefined when its Bloch vector is shorter than this;
+# the measured axis then keeps the previous basis (both kernels)
+BASIS_DEGEN_TOL = 1e-12
+
+
 class StepRejected(RuntimeError):
     """Raised when dt is too large: the first-order step lands far off the physical manifold."""
 
@@ -105,7 +110,6 @@ class TrajectoryResult:
     states: np.ndarray            # (n_times, N, N)
     records: np.ndarray           # (n_times - 1,) record increments dy
     fb_hamiltonians: np.ndarray   # (n_times - 1, N, N)
-    seed: object = None
 
     @property
     def purities(self):
@@ -161,6 +165,7 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0):
 
     rho and H are (N, N) or stacks (..., N, N); Q is (N, N) or a matching
     stack (ignored when k = 0); dW is a scalar or one increment per state.
+    beta > 0 (z-dephasing) needs N = 2, which EnsembleConfig enforces.
     Returns (rho_next, exp_q, euler_min): the next state(s), Tr[Q rho] before
     the step (0 when k = 0), and the smallest eigenvalue of the first-order
     Euler-Maruyama state from the same rho, the step-size diagnostic.
@@ -168,8 +173,6 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0):
     rho = np.asarray(rho, dtype=complex)
     H = np.asarray(H, dtype=complex)
     n = rho.shape[-1]
-    if beta > 0 and n != 2:
-        raise ValueError("dephasing term is defined for qubit configurations")
     dW = np.asarray(dW, dtype=float)[..., None, None]
 
     # the first-order (Euler-Maruyama) increment is g + g^+
@@ -194,26 +197,6 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0):
     new = new / np.einsum("...ii->...", new).real[..., None, None]
     euler = rho + g + _dagger(g)
     return new, exp_q[..., 0, 0], _min_eigenvalue(euler)
-
-
-def sme_step(rho, Q, k, H, dt, dW, beta=0.0, reject_tol=None):
-    """One Kraus-map step of the conditioned evolution (see _kraus_step).
-
-    Returns (rho_next, dy) with dy = 4k Tr[Q rho] dt + sqrt(2k) dW, 0 by
-    convention when k = 0.  beta adds z-axis dephasing (qubit
-    configurations).  Raises StepRejected when the first-order state from
-    rho has an eigenvalue below -reject_tol (dt too large).
-    """
-    new, exp_q, euler_min = _kraus_step(rho, Q, k, H, dt, dW, beta=beta)
-    if reject_tol is None:
-        reject_tol = _default_reject_tol(k, beta, dt)
-    if euler_min < -reject_tol:
-        raise StepRejected(
-            f"first-order eigenvalue {euler_min:.3e} below -{reject_tol:.1e}; "
-            f"reduce dt"
-        )
-    dy = 4.0 * k * float(exp_q) * dt + np.sqrt(2.0 * k) * dW if k > 0 else 0.0
-    return new, dy
 
 
 def nonselective_solve(rho0, Q, k, H, beta, t_eval):
@@ -251,7 +234,7 @@ def nonselective_solve(rho0, Q, k, H, beta, t_eval):
     return sol.y.T.reshape(-1, n, n)
 
 
-def qubit_eigenbasis(rho, prev=None, degen_tol=1e-12):
+def qubit_eigenbasis(rho, prev=None):
     """Columns (top eigenvector, bottom eigenvector) of a qubit rho, with a
     deterministic Bloch-sphere phase convention.
 
@@ -263,7 +246,7 @@ def qubit_eigenbasis(rho, prev=None, degen_tol=1e-12):
     ry = -2.0 * rho[0, 1].imag
     rz = (rho[0, 0] - rho[1, 1]).real
     r = np.sqrt(rx * rx + ry * ry + rz * rz)
-    if r < degen_tol:
+    if r < BASIS_DEGEN_TOL:
         if prev is not None:
             return prev
         return np.eye(2, dtype=complex)
@@ -281,17 +264,6 @@ def relative_observable(basis, theta, phi=0.0):
     return basis @ rotated @ basis.conj().T
 
 
-def policy_observable(policy: MeasurementPolicy, rho, prev_basis=None):
-    """Observable to measure this step; returns (Q, basis) where basis is the
-    eigenbasis used (None for a fixed observable)."""
-    if policy.mode == "fixed_observable":
-        return policy.observable, None
-    if np.asarray(rho).shape[0] != 2:
-        raise ValueError("relative_angle policy is defined for qubits")
-    basis = qubit_eigenbasis(rho, prev=prev_basis)
-    return relative_observable(basis, policy.theta, policy.phi), basis
-
-
 def run_control_trajectory(
     cfg: SmeConfig,
     policy: MeasurementPolicy,
@@ -300,7 +272,6 @@ def run_control_trajectory(
     mu,
     rng,
     store_every=1,
-    seed_label=None,
 ) -> TrajectoryResult:
     """One closed-loop realization: a lockstep batch of one trajectory that
     draws its noise from rng (see ensemble._advance_chunk).
@@ -315,14 +286,14 @@ def run_control_trajectory(
 
     n_steps = cfg.n_steps
     batch = EnsembleConfig(
-        realizations=1, master_seed=seed_label, sme=cfg, policy=policy, mu=mu, rho0=rho0,
+        realizations=1, master_seed=None, sme=cfg, policy=policy, mu=mu, rho0=rho0,
         target_fn=psi_target_fn, stat_stride=max(n_steps, 1),
     )
     steps = np.arange(0, n_steps + 1, store_every)
     _, _, states, records, fb_hams = _advance_chunk(batch, 1, [rng], checkpoint_steps=steps)
     return TrajectoryResult(
         times=steps * cfg.dt, states=states[0], records=records[0, 1:],
-        fb_hamiltonians=np.array(fb_hams[0, 1:]), seed=seed_label,
+        fb_hamiltonians=np.array(fb_hams[0, 1:]),
     )
 
 

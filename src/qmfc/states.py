@@ -2,8 +2,7 @@
 
 All operators are plain numpy arrays (N x N complex, N <= ~16).  Density
 matrices are validated on entry: Hermitian, unit trace, positive
-semidefinite, each within the tolerances below.  Integration routines that
-drift off the physical manifold call project_to_physical() to get back.
+semidefinite, each within the tolerances below.
 """
 
 import numpy as np
@@ -12,12 +11,10 @@ TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
 TOL_PSD = 1e-9
 TOL_UNITARY = 1e-8
-TOL_EIG = 1e-8
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENT2 = np.eye(2, dtype=complex)
 
 
 def check_square(A):

@@ -6,7 +6,7 @@ import numpy as np
 from bloch_reference import bloch_step, measured_axis
 from qmfc.ensemble import precessing_plus_x
 from qmfc.feedback import optimal_feedback
-from qmfc.sde import qubit_eigenbasis, relative_observable, sme_step
+from qmfc.sde import _kraus_step, qubit_eigenbasis, relative_observable
 from qmfc.states import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -52,7 +52,7 @@ def test_one_step_agrees_with_sme_step():
         q = relative_observable(qubit_eigenbasis(rho), theta, phi)
         h = np.pi * SIGMA_Z + optimal_feedback(rho, target_fn(t), 10.0).hamiltonian
         dw = rng.standard_normal() * np.sqrt(dt)
-        new, _ = sme_step(rho, q, 2.0, h, dt, dw, beta=0.4)
+        new = _kraus_step(rho, q, 2.0, h, dt, dw, beta=0.4)[0]
         ref = bloch_step(r[:, None].copy(), t, np.array([dw]), theta=theta, phi=phi,
                          k=2.0, mu=10.0, beta=0.4, omega=np.pi, dt=dt)[:, 0]
         worst = max(worst, float(np.max(np.abs(bloch(new) - ref))))

@@ -8,7 +8,9 @@ from qmfc.ensemble import (
     EnsembleConfig,
     _advance_chunk,
     _BlochKernel,
+    _density,
     _euler_norm_bound,
+    _feedback_stack,
     _MatrixKernel,
     _philox_keys,
     _PhiloxKey,
@@ -19,6 +21,7 @@ from qmfc.ensemble import (
     theta_experiment,
     trajectory_rng,
 )
+from qmfc.feedback import DEGEN_TOL, optimal_feedback
 from qmfc.sde import (
     MeasurementPolicy,
     SmeConfig,
@@ -420,6 +423,35 @@ def test_bloch_kernel_matches_matrix_kernel_at_the_centre():
                 for kernel in (_BlochKernel, _MatrixKernel)]
         for got, want in zip(runs[0][2:4], runs[1][2:4]):
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_feedback_branches_agree_at_the_degeneracy_threshold():
+    """States just either side of the shared branch threshold, with the
+    commutator ||[sigma, rho]||_F at 0.5 and 2 times DEGEN_TOL ||rho||_F:
+    the scalar rule, the matrix stack and the Bloch kernel choose the same
+    branch, alone and in one batch."""
+    psi = np.array([1.0, 0.0], dtype=complex)  # Bloch vector +z
+    mu = 10.0
+    columns, branches = [], []
+    for z, below in ((0.6, "no_op"), (-0.6, "second_order")):
+        for factor in (0.5, 2.0):
+            # r = (x, 0, z): ||[sigma, rho]||_F = |x|/sqrt(2), ||rho||_F = sqrt((1 + |r|^2)/2)
+            x = np.sqrt(2.0) * factor * DEGEN_TOL * np.sqrt((1.0 + z * z) / 2)
+            columns.append((x, 0.0, z))
+            branches.append("first_order" if factor > 1 else below)
+    r = np.array(columns).T
+    rho = _density(r)
+    decisions = [optimal_feedback(rho_j, psi, mu) for rho_j in rho]
+    assert [d.branch for d in decisions] == branches
+    want = np.array([d.hamiltonian for d in decisions])
+    assert np.max(np.abs(_feedback_stack(rho, psi, mu) - want)) < 1e-12
+
+    cfg = small_config(mu=mu)
+    for cols in ([0], [1], [2], [3], [0, 1, 2, 3]):
+        bloch = _BlochKernel(cfg, len(cols))
+        bloch.r = r[:, cols]
+        h = bloch._feedback(bloch.target(psi), np.sqrt(np.sum(bloch.r ** 2, axis=0)))
+        assert np.max(np.abs(2.0 * _density(h) - np.eye(2) - want[cols])) < 1e-12
 
 
 def test_one_bad_column_rejects_a_wide_batch():

@@ -5,13 +5,13 @@ from qmfc.sde import (
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
+    _default_reject_tol,
+    _kraus_step,
     inverse_zeno_run,
     nonselective_solve,
-    policy_observable,
     qubit_eigenbasis,
     relative_observable,
     run_control_trajectory,
-    sme_step,
 )
 from qmfc.states import (
     SIGMA_X,
@@ -46,8 +46,14 @@ def test_measurement_policy_validation():
     MeasurementPolicy(mode="fixed_observable", observable=SIGMA_Z)
 
 
+def sme_step(rho, q, k, h, dt, dw, beta=0.0):
+    # one step of the SME's Kraus map and its record dy = 4k<Q>dt + sqrt(2k)dW
+    new, exp_q, _ = _kraus_step(rho, q, k, h, dt, dw, beta=beta)
+    return new, 4.0 * k * exp_q * dt + np.sqrt(2.0 * k) * dw
+
+
 def test_sme_step_free_evolution():
-    # k = 0: a pure Hamiltonian Euler step, dy = 0 by convention
+    # k = 0: a pure Hamiltonian step, <Q> reads 0 and so does the record
     rho = pure_density([1.0, 0.0])
     new, dy = sme_step(rho, None, 0.0, 0.5 * SIGMA_X, 1e-4, 0.0)
     assert dy == 0.0
@@ -110,11 +116,19 @@ def test_sme_step_matches_explicit_formula():
 
 
 def test_sme_step_rejects_blowup():
-    rho = pure_density([1.0, 0.0])
-    # a huge noise increment on a non-eigenstate state leaves the manifold
+    # a huge noise increment on a non-eigenstate state leaves the manifold:
+    # the first-order state lies past the rejection threshold
     rho = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    with pytest.raises(StepRejected):
-        sme_step(rho, SIGMA_Z, 1.0, np.zeros((2, 2)), 0.5, 5.0)
+    _, _, euler_min = _kraus_step(rho, SIGMA_Z, 1.0, np.zeros((2, 2)), 0.5, 5.0)
+    assert euler_min < -_default_reject_tol(1.0, 0.0, 0.5)
+    # and a trajectory that meets such a step stops with StepRejected: a
+    # transverse measurement keeps the state off Q's eigenstates, and at
+    # this dt a noise draw beyond about 2.3 sigma rejects the step (seed 3
+    # draws one at the second step)
+    cfg = SmeConfig(k=2.0, h0=np.zeros((2, 2)), dt=0.0125, t_end=0.25)
+    policy = MeasurementPolicy(mode="relative_angle", theta=np.pi / 2)
+    with pytest.raises(StepRejected, match="at step 1:"):
+        run_control_trajectory(cfg, policy, rho, None, 0.0, np.random.default_rng(3))
 
 
 def test_nonselective_solve_dephasing_closed_form():
@@ -213,11 +227,6 @@ def test_relative_observable():
     q = relative_observable(np.eye(2, dtype=complex), np.pi / 2)
     assert np.allclose(np.sort(np.linalg.eigvalsh(q)), [-1.0, 1.0])
     assert abs(np.trace(q @ SIGMA_Z).real) < 1e-12
-    # policy plumbing returns the same observable
-    policy = MeasurementPolicy(mode="relative_angle", theta=np.pi / 2)
-    q2, basis = policy_observable(policy, np.diag([0.9, 0.1]).astype(complex))
-    assert np.allclose(q2, q)
-    assert basis is not None
 
 
 def test_closed_loop_holds_pure_target():
