@@ -1,8 +1,9 @@
 """Monte Carlo orchestration: the lockstep batch driver behind every trajectory.
 
-_advance_chunk is the package's only closed-loop stepping loop.  Every
-ensemble is one lockstep batch of all its trajectories on one thread: a
-step's cost is mostly fixed numpy-call overhead, so one wide batch is
+_advance_chunk is the package's only closed-loop stepping loop: a generator
+that yields the batch after every step to callers that keep what they read.
+Every ensemble is one lockstep batch of all its trajectories on one thread:
+a step's cost is mostly fixed numpy-call overhead, so one wide batch is
 cheapest, and threads would only contend for the GIL.  A single trajectory
 (sde.run_control_trajectory) is a batch of one fed by the caller's
 generator; the rates estimator (metrics.strength_rate_numeric) is an
@@ -101,6 +102,8 @@ class EnsembleConfig:
             raise ValueError("need at least one realization")
         if self.stat_stride < 1 or self.sme.n_steps % self.stat_stride != 0:
             raise ValueError("stat_stride must divide the number of steps")
+        if self.mu < 0 or (self.mu > 0 and self.target_fn is None):
+            raise ValueError("mu must be non-negative, and zero without a target_fn")
         rho0 = check_density_matrix(self.rho0)
         object.__setattr__(self, "rho0", rho0)
         shape = rho0.shape
@@ -503,27 +506,25 @@ def _trajectory_streams(cfg, sweep_index):
     return (_open_stream(key) for key in keys)
 
 
-def _advance_chunk(cfg: EnsembleConfig, width, streams, checkpoint_steps=None, kernel=None):
-    """Run one lockstep batch of `width` trajectories; the j-th draws its noise
+def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
+    """Step one lockstep batch of `width` trajectories; the j-th draws its noise
     from the j-th generator of the iterable `streams`.
 
-    Returns (purity, overlap, states, records, feedback).  purity and overlap
-    hold a column every stat_stride steps.  The other three are None unless
-    checkpoint_steps (a sequence of step indices) is given; then they hold,
-    per trajectory and checkpoint, the conditioned state, shape
-    (width, n_cp, N, N), and the record increment dy and feedback Hamiltonian
-    of the step that ended there (zero at step 0; feedback is a read-only
-    zero array when mu = 0).  kernel defaults to _BlochKernel for qubit
-    batches wider than one, whose fixed cost per step pays only on wide
-    batches, and to _MatrixKernel otherwise.
+    A generator: yields (step, batch, target_t) at step 0 and after each of
+    the n_steps steps.  batch is the kernel holding the states after `step`
+    steps (states, purity, overlap) and, from step 1 on, the record
+    increments and feedback of the step that ended there (last_step);
+    target_t is the kernel's form of the target at step * dt, or None.  The
+    batch moves on when the generator resumes, so copy what is kept first.
+    kernel defaults to _BlochKernel for qubit batches wider than one, whose
+    fixed cost per step pays only on wide batches, and to _MatrixKernel.
     """
     sme = cfg.sme
-    n = cfg.rho0.shape[0]
     n_steps = sme.n_steps
     dt = sme.dt
     reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, dt)
     if kernel is None:
-        kernel = _BlochKernel if n == 2 and width > 1 else _MatrixKernel
+        kernel = _BlochKernel if cfg.rho0.shape == (2, 2) and width > 1 else _MatrixKernel
 
     # a stream is opened when its first block is drawn and kept only while
     # blocks remain; its next block of increments continues it exactly
@@ -533,32 +534,12 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, checkpoint_steps=None, k
     sqrt_dt = np.sqrt(dt)
 
     batch = kernel(cfg, width)
-    n_stat = n_steps // cfg.stat_stride
-    pur = np.empty((width, n_stat + 1))
-    ovl = np.empty((width, n_stat + 1))
-    states = records = feedback = None
-    cp_slots = {}
-    if checkpoint_steps is not None:
-        cp_slots = {int(s): i for i, s in enumerate(checkpoint_steps)}
-        shape = (width, len(cp_slots), n, n)
-        states = np.empty(shape, dtype=complex)
-        records = np.zeros(shape[:2])
-        if cfg.mu > 0:
-            feedback = np.zeros(shape, dtype=complex)
-        else:
-            feedback = np.broadcast_to(np.zeros((), dtype=complex), shape)
-        if 0 in cp_slots:
-            states[:, cp_slots[0]] = batch.states()
 
     def target(t):
         return batch.target(cfg.target_fn(t)) if cfg.target_fn is not None else None
 
-    def record(slot, target_t):
-        pur[:, slot] = batch.purity()
-        ovl[:, slot] = np.nan if target_t is None else batch.overlap(target_t)
-
     target_t = target(0.0)
-    record(0, target_t)
+    yield 0, batch, target_t
 
     for step in range(n_steps):
         row = step % block
@@ -581,18 +562,8 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, checkpoint_steps=None, k
                 f"trajectory {bad} (master_seed {cfg.master_seed}) at step {step}: "
                 f"first-order eigenvalue {worst:.3e} below -{reject_tol:.1e}; reduce dt"
             )
-
         target_t = target((step + 1) * dt)
-        if step + 1 in cp_slots:
-            slot = cp_slots[step + 1]
-            states[:, slot] = batch.states()
-            records[:, slot], h_fb = batch.last_step()
-            if h_fb is not None:
-                feedback[:, slot] = h_fb
-        if (step + 1) % cfg.stat_stride == 0:
-            record((step + 1) // cfg.stat_stride, target_t)
-
-    return pur, ovl, states, records, feedback
+        yield step + 1, batch, target_t
 
 
 def run_ensemble(cfg: EnsembleConfig, sweep_index=0) -> EnsembleStats:
@@ -600,7 +571,13 @@ def run_ensemble(cfg: EnsembleConfig, sweep_index=0) -> EnsembleStats:
     r = cfg.realizations
     n_stat = cfg.sme.n_steps // cfg.stat_stride
     times = np.arange(n_stat + 1) * cfg.stat_stride * cfg.sme.dt
-    pur, ovl = _advance_chunk(cfg, r, _trajectory_streams(cfg, sweep_index))[:2]
+    pur = np.empty((r, n_stat + 1))
+    ovl = np.empty((r, n_stat + 1))
+    for step, batch, target_t in _advance_chunk(cfg, r, _trajectory_streams(cfg, sweep_index)):
+        slot, off = divmod(step, cfg.stat_stride)
+        if off == 0:
+            pur[:, slot] = batch.purity()
+            ovl[:, slot] = np.nan if target_t is None else batch.overlap(target_t)
 
     keep = times >= cfg.transient_cut
     tavg_p = pur[:, keep].mean(axis=1)
@@ -640,8 +617,13 @@ def ensemble_states(cfg: EnsembleConfig, checkpoint_times, sweep_index=0):
             raise ValueError(f"checkpoint time {t} is not on the step grid")
         steps.append(step)
 
-    streams = _trajectory_streams(cfg, sweep_index)
-    return _advance_chunk(cfg, cfg.realizations, streams, checkpoint_steps=steps)[2]
+    states = np.empty((cfg.realizations, len(steps)) + cfg.rho0.shape, dtype=complex)
+    driver = _advance_chunk(cfg, cfg.realizations, _trajectory_streams(cfg, sweep_index))
+    for step, batch, _ in driver:
+        slots = [i for i, s in enumerate(steps) if s == step]
+        if slots:
+            states[:, slots] = batch.states()[:, None]
+    return states
 
 
 def theta_experiment(base: EnsembleConfig, theta_grid):

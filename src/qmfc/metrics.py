@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, ensemble_states
+from .ensemble import EnsembleConfig, _advance_chunk, _trajectory_streams
 from .sde import MeasurementPolicy, SmeConfig
 from .states import check_density_matrix, overlap, purity, von_neumann_entropy
 from .povm import EPS_PROB, KappaMeasurement, MeasurementOperatorSet, kappa_povm, nonselective_apply
@@ -141,17 +141,19 @@ def strength_rate_numeric(
     """Monte Carlo estimate of d s_v/dt and d s_p/dt at rho = I/N.
 
     Runs an ensemble of open-loop diffusive measurement trajectories of Q
-    (ensemble.ensemble_states: one lockstep batch, a random stream per
-    trajectory from `seed`) started from the maximally mixed state over a
-    short horizon, evaluates the two uncertainties on the conditional states
-    at n_samples times, and fits the strength-vs-time slope through the
-    origin.  Standard errors come from batching the trajectories.  The
+    (one lockstep batch, the streams ensemble_states draws for `seed`) from
+    the maximally mixed state over a short horizon, keeps the eigenvalues of
+    the conditional states every n_steps // n_samples steps, evaluates the
+    two uncertainties on them, and fits the strength-vs-time slope through
+    the origin.  Standard errors come from batching the trajectories.  The
     horizon defaults to 0.005/k so estimates scale exactly linearly in k.
     """
     Q = np.asarray(Q, dtype=complex)
     n = Q.shape[0]
     if k < 0:
         raise ValueError("k must be non-negative")
+    if not 1 <= n_samples <= n_steps:
+        raise ValueError("n_samples must lie between 1 and n_steps")
     if k == 0:
         return RateEstimate(0.0, 0.0, 0.0, 0.0)
     if horizon is None:
@@ -169,7 +171,11 @@ def strength_rate_numeric(
         stat_stride=n_steps,
     )
     t = np.arange(sample_every, n_steps + 1, sample_every) * dt
-    lam = np.linalg.eigvalsh(ensemble_states(cfg, t)).T  # (N, n_samples, n_traj)
+    lam = np.empty((n_traj, len(t), n))
+    for step, batch, _ in _advance_chunk(cfg, n_traj, _trajectory_streams(cfg, 0)):
+        if step > 0 and step % sample_every == 0:
+            lam[:, step // sample_every - 1] = np.linalg.eigvalsh(batch.states())
+    lam = lam.T  # (N, n_samples, n_traj)
     pur = (lam**2).sum(axis=0)
     # 0 ln 0 = 0 below 1e-15, as in states.von_neumann_entropy
     lam = np.where(lam > 1e-15, lam, 1.0)

@@ -279,22 +279,33 @@ def run_control_trajectory(
     Per step: pick the measured observable from the policy, compute the
     optimal feedback Hamiltonian toward the current target (skipped when
     mu = 0), then advance the conditioned state one measurement step under
-    H0 + H_fb.  Every store_every steps the state is stored with the record
-    increment dy and the feedback Hamiltonian of the step that ended there.
+    H0 + H_fb.  The driver yields the batch after every step; every store_every
+    steps its state, and the step's dy and H_fb (zero when mu = 0), are kept.
     """
     from .ensemble import EnsembleConfig, _advance_chunk
 
+    if store_every < 1:
+        raise ValueError("store_every must be a positive number of steps")
     n_steps = cfg.n_steps
-    batch = EnsembleConfig(
+    batch_cfg = EnsembleConfig(
         realizations=1, master_seed=None, sme=cfg, policy=policy, mu=mu, rho0=rho0,
         target_fn=psi_target_fn, stat_stride=max(n_steps, 1),
     )
     steps = np.arange(0, n_steps + 1, store_every)
-    _, _, states, records, fb_hams = _advance_chunk(batch, 1, [rng], checkpoint_steps=steps)
-    return TrajectoryResult(
-        times=steps * cfg.dt, states=states[0], records=records[0, 1:],
-        fb_hamiltonians=np.array(fb_hams[0, 1:]),
-    )
+    states = np.empty((len(steps),) + batch_cfg.rho0.shape, dtype=complex)
+    records = np.zeros(len(steps) - 1)
+    fb_hams = np.zeros_like(states[1:])
+    for step, batch, _ in _advance_chunk(batch_cfg, 1, [rng]):
+        slot, off = divmod(step, store_every)
+        if off == 0:
+            states[slot] = batch.states()[0]
+            if slot > 0:
+                dy, h_fb = batch.last_step()
+                records[slot - 1] = dy[0]
+                if h_fb is not None:
+                    fb_hams[slot - 1] = h_fb[0]
+    return TrajectoryResult(times=steps * cfg.dt, states=states, records=records,
+                            fb_hamiltonians=fb_hams)
 
 
 def inverse_zeno_run(psi_start, psi_target, n_measurements, rng):

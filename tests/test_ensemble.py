@@ -75,6 +75,37 @@ def streams(cfg, indices):
     return (trajectory_rng(cfg.master_seed, 0, j) for j in indices)
 
 
+def collect(cfg, width, gens, checkpoint_steps=None, kernel=None):
+    """Run _advance_chunk to the end and gather what its callers can read:
+    (purity, overlap, states, records, feedback).  purity and overlap hold a
+    column every stat_stride steps.  The other three are None unless
+    checkpoint_steps is given; then they hold, per trajectory and
+    checkpoint, the state, shape (width, n_cp, N, N), and the record
+    increment dy and feedback Hamiltonian of the step that ended there (zero
+    at step 0, and for the feedback when mu = 0)."""
+    stride = cfg.stat_stride
+    n = cfg.rho0.shape[0]
+    pur = np.empty((width, cfg.sme.n_steps // stride + 1))
+    ovl = np.empty_like(pur)
+    checkpoints = [] if checkpoint_steps is None else list(checkpoint_steps)
+    states = records = feedback = None
+    if checkpoint_steps is not None:
+        states = np.empty((width, len(checkpoints), n, n), dtype=complex)
+        records = np.zeros((width, len(checkpoints)))
+        feedback = np.zeros_like(states)
+    for step, batch, target_t in _advance_chunk(cfg, width, gens, kernel=kernel):
+        if step % stride == 0:
+            pur[:, step // stride] = batch.purity()
+            ovl[:, step // stride] = np.nan if target_t is None else batch.overlap(target_t)
+        for slot in (i for i, s in enumerate(checkpoints) if s == step):
+            states[:, slot] = batch.states()
+            if step > 0:
+                records[:, slot], h_fb = batch.last_step()
+                if h_fb is not None:
+                    feedback[:, slot] = h_fb
+    return pur, ovl, states, records, feedback
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(realizations=0)
@@ -82,6 +113,10 @@ def test_config_validation():
         small_config(stat_stride=7)  # does not divide 200 steps
     with pytest.raises(ValueError):
         small_config(rho0=np.eye(2))  # trace 2
+    with pytest.raises(ValueError):
+        small_config(mu=-1.0)
+    with pytest.raises(ValueError):
+        small_config(target_fn=None)  # feedback with nothing to steer toward
     # shape mismatches are refused at construction, not mid-run inside a matmul
     with pytest.raises(ValueError):
         qutrit_config(policy=MeasurementPolicy(mode="relative_angle", theta=np.pi / 4))
@@ -170,15 +205,22 @@ def test_ensemble_rows_match_numpy_seeded_streams(monkeypatch, make):
     advance = _advance_chunk
     outputs = []
 
-    def recording(*args, **kwargs):
-        outputs.append(advance(*args, **kwargs))
-        return outputs[-1]
+    def twin(gen):
+        bit_generator = np.random.Philox()
+        bit_generator.state = gen.bit_generator.state
+        return np.random.Generator(bit_generator)
+
+    def recording(cfg, width, gens, kernel=None):
+        # collect on twins of the streams the caller passed, then step the caller's own
+        gens = list(gens)
+        outputs.append(collect(cfg, width, [twin(gen) for gen in gens], checkpoints, kernel))
+        return advance(cfg, width, gens, kernel)
 
     monkeypatch.setattr(qmfc.ensemble, "_advance_chunk", recording)
     run_ensemble(cfg, sweep_index=3)
     ensemble_states(cfg, np.array(checkpoints) * cfg.sme.dt, sweep_index=3)
-    want = [advance(cfg, cfg.realizations, numpy_streams(cfg, 3)),
-            advance(cfg, cfg.realizations, numpy_streams(cfg, 3), checkpoint_steps=checkpoints)]
+    want = [collect(cfg, cfg.realizations, numpy_streams(cfg, 3), checkpoints)
+            for _ in range(2)]
     assert len(outputs) == 2
     for got_rows, want_rows in zip(outputs, want):
         for got, expected in zip(got_rows, want_rows):
@@ -194,7 +236,7 @@ def test_ensemble_rows_match_numpy_seeded_streams(monkeypatch, make):
             increments.append(dw.copy())
             return super().step(target, dw)
 
-    advance(cfg, cfg.realizations, _trajectory_streams(cfg, 3), kernel=Spy)
+    collect(cfg, cfg.realizations, _trajectory_streams(cfg, 3), kernel=Spy)
     noise = np.array([gen.standard_normal(cfg.sme.n_steps) * np.sqrt(cfg.sme.dt)
                       for gen in numpy_streams(cfg, 3)]).T
     assert np.array(increments).tobytes() == noise.tobytes()
@@ -238,9 +280,9 @@ def test_single_realization_matches_scalar_engine():
 
 def test_chunking_does_not_change_rows():
     cfg = small_config(realizations=40)
-    whole = _advance_chunk(cfg, 40, streams(cfg, range(40)))
-    parts = [_advance_chunk(cfg, 17, streams(cfg, range(17))),
-             _advance_chunk(cfg, 23, streams(cfg, range(17, 40)))]
+    whole = collect(cfg, 40, streams(cfg, range(40)))
+    parts = [collect(cfg, 17, streams(cfg, range(17))),
+             collect(cfg, 23, streams(cfg, range(17, 40)))]
     for i in range(2):
         assert np.array_equal(whole[i], np.concatenate([p[i] for p in parts]))
 
@@ -250,9 +292,9 @@ def test_noise_blocks_do_not_change_rows(monkeypatch):
     cfg = small_config(realizations=12)
     checkpoints = range(0, 201, 20)
     assert cfg.sme.n_steps < qmfc.ensemble.NOISE_BLOCK
-    whole = _advance_chunk(cfg, 12, streams(cfg, range(12)), checkpoint_steps=checkpoints)
+    whole = collect(cfg, 12, streams(cfg, range(12)), checkpoints)
     monkeypatch.setattr(qmfc.ensemble, "NOISE_BLOCK", 7)
-    blocked = _advance_chunk(cfg, 12, streams(cfg, range(12)), checkpoint_steps=checkpoints)
+    blocked = collect(cfg, 12, streams(cfg, range(12)), checkpoints)
     for got, want in zip(blocked, whole):
         assert np.array_equal(got, want)
 
@@ -315,12 +357,10 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
     checkpoints = range(0, 1001, 10)
     for cfg, fallback_branches in cases:
         branches.clear()
-        bloch = _advance_chunk(cfg, 16, streams(cfg, range(16)), checkpoint_steps=checkpoints,
-                               kernel=_BlochKernel)
+        bloch = collect(cfg, 16, streams(cfg, range(16)), checkpoints, kernel=_BlochKernel)
         # the Bloch kernel sends only second-order rows to optimal_feedback
         assert set(branches) == fallback_branches
-        matrix = _advance_chunk(cfg, 16, streams(cfg, range(16)), checkpoint_steps=checkpoints,
-                                kernel=_MatrixKernel)
+        matrix = collect(cfg, 16, streams(cfg, range(16)), checkpoints, kernel=_MatrixKernel)
         # purity, overlap, states and record increments
         for got, want in zip(bloch[:4], matrix[:4]):
             assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -341,7 +381,7 @@ def test_kernels_reject_the_same_step():
         messages = []
         for kernel in (_BlochKernel, _MatrixKernel):
             with pytest.raises(StepRejected) as info:
-                _advance_chunk(cfg, 8, streams(cfg, range(8)), kernel=kernel)
+                collect(cfg, 8, streams(cfg, range(8)), kernel=kernel)
             messages.append(str(info.value))
         # the message names the trajectory and the step
         assert messages[0] == messages[1]
@@ -418,8 +458,7 @@ def test_bloch_kernel_matches_matrix_kernel_at_the_centre():
     for mu in (0.0, 10.0):
         cfg = oracle_config(MeasurementPolicy(mode="relative_angle", theta=np.pi / 4, phi=0.3),
                             mu, np.eye(2) / 2)
-        runs = [_advance_chunk(cfg, 16, streams(cfg, range(16)), checkpoint_steps=range(6),
-                               kernel=seeded(kernel, r))
+        runs = [collect(cfg, 16, streams(cfg, range(16)), range(6), kernel=seeded(kernel, r))
                 for kernel in (_BlochKernel, _MatrixKernel)]
         for got, want in zip(runs[0][2:4], runs[1][2:4]):
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -476,7 +515,7 @@ def test_one_bad_column_rejects_a_wide_batch():
     messages = []
     for kernel in (_BlochKernel, _MatrixKernel):
         with pytest.raises(StepRejected) as info:
-            _advance_chunk(cfg, 64, streams(cfg, range(64)), kernel=seeded(kernel, r))
+            collect(cfg, 64, streams(cfg, range(64)), kernel=seeded(kernel, r))
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith(f"trajectory {bad} (master_seed 123) at step 0:")
@@ -532,6 +571,13 @@ def test_ensemble_states_validates_checkpoints():
     states = ensemble_states(cfg, [0.0, 0.1])
     assert states.shape == (2, 2, 2, 2)
     assert np.allclose(states[:, 0], cfg.rho0)
+    # each requested time gets its own slot, in the order given
+    again = ensemble_states(cfg, [0.1, 0.05, 0.1, 0.0])
+    assert again.shape == (2, 4, 2, 2)
+    assert np.array_equal(again[:, 0], states[:, 1])
+    assert np.array_equal(again[:, 2], states[:, 1])
+    assert np.array_equal(again[:, 3], states[:, 0])
+    assert np.array_equal(ensemble_states(cfg, [0.05, 0.05]), again[:, [1, 1]])
 
 
 def test_standard_error_scales_with_realizations():

@@ -212,6 +212,9 @@ def test_strength_rate_numeric_matches_expansion():
     assert zero.rate_p == 0.0 and zero.rate_v == 0.0
     with pytest.raises(ValueError):
         strength_rate_numeric(SIGMA_Z, -1.0)
+    for n_samples in (0, 51):  # more samples than the 50 steps
+        with pytest.raises(ValueError):
+            strength_rate_numeric(SIGMA_Z, 1.0, n_samples=n_samples)
 
 
 def test_strength_rate_numeric_invariant_under_identity_shift():

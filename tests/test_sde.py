@@ -204,6 +204,10 @@ def test_store_every_keeps_every_nth_step():
     # records and feedback belong to the step that ended at each stored time
     assert np.array_equal(every7.records, full.records[6::7])
     assert np.array_equal(every7.fb_hamiltonians, full.fb_hamiltonians[6::7])
+    for store_every in (0, -1):
+        with pytest.raises(ValueError):
+            run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3),
+                                   store_every=store_every)
 
 
 def test_qubit_eigenbasis_conventions():
