@@ -63,6 +63,13 @@ same feedback branches and the same StepRejected rule:
 * N > 2, and batches of one, where the Bloch kernel's fixed cost per step
   does not pay: (m, N, N) complex stacks through sde._kraus_step.  For
   qubits this matrix kernel is the oracle the Bloch kernel is tested against.
+  For N > 2 its step-size diagnostic is the per-row lower bound
+  -||euler - rho'||_F (Weyl's inequality), and the batch is eigensolved only
+  when the bound could reach the StepRejected threshold, so the rejected set
+  and the message are those of the exact diagnostic.  Feedback rows that the
+  first-order test leaves go through one batched eigvalsh: rows whose target
+  already carries the top eigenvalue, such as every row at I/N, are no-ops,
+  and only the rest (second-order branch) go to feedback.optimal_feedback.
 """
 
 from dataclasses import dataclass, replace
@@ -243,10 +250,18 @@ def _feedback_stack(rho, psi, mu):
         chi[active] = np.sqrt(mu) / comm_norm[active]
         h = 1j * chi[:, None, None] * comm
         h = (h + np.conj(np.swapaxes(h, 1, 2))) / 2
-    for idx in np.nonzero(~active)[0]:
-        h[idx] = optimal_feedback(
-            np.asarray(rho[idx]), psi, mu
-        ).hamiltonian
+    rest = np.nonzero(~active)[0]
+    if rest.size:
+        # no-op rows: the target already carries the top eigenvalue.  Half of
+        # optimal_feedback's threshold leaves room for its own rounding, so
+        # these rows are no-ops there too; the rest decide there
+        sub = rho[rest]
+        top = np.linalg.eigvalsh((sub + np.conj(np.swapaxes(sub, 1, 2))) / 2)[:, -1]
+        lam_t = np.einsum("i,mij,j->m", np.conj(psi), sub, psi).real
+        no_op = top - lam_t <= 0.5 * DEGEN_TOL * rho_norm[rest]
+        h[rest[no_op]] = 0.0  # exactly +0, as optimal_feedback's no-op
+        for idx in rest[~no_op]:
+            h[idx] = optimal_feedback(np.asarray(rho[idx]), psi, mu).hamiltonian
     return h
 
 
@@ -258,6 +273,8 @@ class _MatrixKernel:
         self.cfg = cfg
         self.rho = np.broadcast_to(cfg.rho0, (m, n, n)).astype(complex).copy()
         self.bases = [None] * m  # per-row eigenbases of the relative_angle policy
+        # N > 2 bounds the step-size diagnostic unless it could reach -tol
+        self.reject_tol = _default_reject_tol(cfg.sme.k, cfg.sme.dephasing_beta, cfg.sme.dt)
 
     def target(self, psi):
         return psi
@@ -274,7 +291,7 @@ class _MatrixKernel:
         h_fb = _feedback_stack(self.rho, psi, cfg.mu) if cfg.mu > 0 else None
         h = np.broadcast_to(sme.h0, self.rho.shape) if h_fb is None else sme.h0[None, :, :] + h_fb
         self.rho, exp_q, euler_min = _kraus_step(
-            self.rho, q_obs, sme.k, h, sme.dt, dw, beta=sme.dephasing_beta
+            self.rho, q_obs, sme.k, h, sme.dt, dw, beta=sme.dephasing_beta, tol=self.reject_tol
         )
         self._last = exp_q, dw, h_fb
         return euler_min

@@ -15,7 +15,14 @@ import numpy as np
 from .ensemble import EnsembleConfig, _advance_chunk, _trajectory_streams
 from .sde import MeasurementPolicy, SmeConfig
 from .states import check_density_matrix, overlap, purity, von_neumann_entropy
-from .povm import EPS_PROB, KappaMeasurement, MeasurementOperatorSet, kappa_povm, nonselective_apply
+from .povm import (
+    EPS_PROB,
+    KappaMeasurement,
+    MeasurementOperatorSet,
+    _nonselective,
+    kappa_povm,
+    nonselective_apply,
+)
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,10 @@ def uncertainty_v(mset: MeasurementOperatorSet, rho):
 
 def uncertainty_p(mset: MeasurementOperatorSet, rho):
     """Probability-weighted average post-outcome impurity, 1 - sum Tr[(O rho O^dag)^2]/Tr[O rho O^dag]."""
-    rho = check_density_matrix(rho)
+    return _uncertainty_p(mset, check_density_matrix(rho))
+
+
+def _uncertainty_p(mset, rho):
     return float(1.0 - sum(p * purity(r) for p, r in _outcome_terms(mset, rho)))
 
 
@@ -95,11 +105,18 @@ def strength(mset: MeasurementOperatorSet) -> StrengthReport:
 def disturbance(mset: MeasurementOperatorSet, rho) -> DisturbanceReport:
     """Excess noise of the outcome-averaged state and the average final purity."""
     rho = check_density_matrix(rho)
-    rho_f = nonselective_apply(mset, rho)
+    if rho.shape[0] != mset.dim:
+        raise ValueError("dimension mismatch between state and measurement")
+    return _disturbance(mset, rho)
+
+
+def _disturbance(mset, rho):
+    """disturbance for a density matrix rho already validated against mset."""
+    rho_f = _nonselective(mset, rho)
     return DisturbanceReport(
         n_e_v=von_neumann_entropy(rho_f) - von_neumann_entropy(rho),
         n_e_p=purity(rho) - purity(rho_f),
-        i_f_p=1.0 - uncertainty_p(mset, rho),
+        i_f_p=1.0 - _uncertainty_p(mset, rho),
     )
 
 
@@ -107,13 +124,14 @@ def theta_sweep(p, kappa, theta_grid):
     """Information/disturbance trade-off of a kappa measurement on diag(p, 1-p).
 
     Returns a list of (theta, i_f_p, n_e_p, n_e_v) rows, one per grid angle.
+    The state is validated once for the whole sweep.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    rho = np.diag([p, 1.0 - p]).astype(complex)
+    rho = check_density_matrix(np.diag([p, 1.0 - p]).astype(complex))
     rows = []
     for theta in np.asarray(theta_grid, dtype=float):
-        rep = disturbance(kappa_povm(KappaMeasurement(kappa, theta)), rho)
+        rep = _disturbance(kappa_povm(KappaMeasurement(kappa, theta)), rho)
         rows.append((float(theta), rep.i_f_p, rep.n_e_p, rep.n_e_v))
     return rows
 
@@ -143,9 +161,10 @@ def strength_rate_numeric(
     Runs an ensemble of open-loop diffusive measurement trajectories of Q
     (one lockstep batch, the streams ensemble_states draws for `seed`) from
     the maximally mixed state over a short horizon, keeps the eigenvalues of
-    the conditional states every n_steps // n_samples steps, evaluates the
-    two uncertainties on them, and fits the strength-vs-time slope through
-    the origin.  Standard errors come from batching the trajectories.  The
+    the conditional states at n_samples times, after round(j n_steps /
+    n_samples) steps for j = 1, ..., n_samples, evaluates the two
+    uncertainties on them, and fits the strength-vs-time slope through the
+    origin.  Standard errors come from batching the trajectories.  The
     horizon defaults to 0.005/k so estimates scale exactly linearly in k.
     """
     Q = np.asarray(Q, dtype=complex)
@@ -159,7 +178,8 @@ def strength_rate_numeric(
     if horizon is None:
         horizon = 0.005 / k
     dt = horizon / n_steps
-    sample_every = n_steps // n_samples
+    sample_steps = [round(j * n_steps / n_samples) for j in range(1, n_samples + 1)]
+    slot = {step: i for i, step in enumerate(sample_steps)}
     cfg = EnsembleConfig(
         realizations=n_traj,
         master_seed=seed,
@@ -170,11 +190,11 @@ def strength_rate_numeric(
         target_fn=None,
         stat_stride=n_steps,
     )
-    t = np.arange(sample_every, n_steps + 1, sample_every) * dt
-    lam = np.empty((n_traj, len(t), n))
+    t = np.array(sample_steps) * dt
+    lam = np.empty((n_traj, n_samples, n))
     for step, batch, _ in _advance_chunk(cfg, n_traj, _trajectory_streams(cfg, 0)):
-        if step > 0 and step % sample_every == 0:
-            lam[:, step // sample_every - 1] = np.linalg.eigvalsh(batch.states())
+        if step in slot:
+            lam[:, slot[step]] = np.linalg.eigvalsh(batch.states())
     lam = lam.T  # (N, n_samples, n_traj)
     pur = (lam**2).sum(axis=0)
     # 0 ln 0 = 0 below 1e-15, as in states.von_neumann_entropy

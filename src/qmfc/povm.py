@@ -223,8 +223,12 @@ def nonselective_apply(mset: MeasurementOperatorSet, rho):
     rho = check_density_matrix(rho)
     if rho.shape[0] != mset.dim:
         raise ValueError("dimension mismatch between state and measurement")
-    out = sum(om @ rho @ om.conj().T for om in mset.ops)
-    return project_to_physical(out)
+    return _nonselective(mset, rho)
+
+
+def _nonselective(mset, rho):
+    """nonselective_apply for a density matrix rho already validated against mset."""
+    return project_to_physical(sum(om @ rho @ om.conj().T for om in mset.ops))
 
 
 def polar_split(omega):

@@ -18,7 +18,10 @@ which agrees with the equation above to first order, keeps the Milstein
 correction, and maps a density matrix to a density matrix for any dt, so no
 eigenvalue clip is needed.  A step is still rejected (dt too large) when the
 first-order Euler-Maruyama state from the same rho would have an eigenvalue
-far below zero.
+far below zero.  For N > 2 that eigenvalue is bounded without an eigensolve:
+rho' is positive semidefinite, so by Weyl's inequality the Euler state's
+smallest eigenvalue is at least -||euler - rho'||_F, and the batch is
+eigensolved only when that bound could reach the rejection threshold.
 
 The closed loop measures a spin direction at a fixed Bloch angle from the
 instantaneous eigenbasis of rho and applies the optimal constrained feedback
@@ -160,15 +163,20 @@ def _min_eigenvalue(a):
 _SZ_SANDWICH = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0):
+def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None):
     """One Kraus-map step of the conditioned evolution (see the module docstring).
 
     rho and H are (N, N) or stacks (..., N, N); Q is (N, N) or a matching
     stack (ignored when k = 0); dW is a scalar or one increment per state.
     beta > 0 (z-dephasing) needs N = 2, which EnsembleConfig enforces.
     Returns (rho_next, exp_q, euler_min): the next state(s), Tr[Q rho] before
-    the step (0 when k = 0), and the smallest eigenvalue of the first-order
-    Euler-Maruyama state from the same rho, the step-size diagnostic.
+    the step (0 when k = 0), and the step-size diagnostic, the smallest
+    eigenvalue of the first-order Euler-Maruyama state from the same rho.
+    With a rejection tolerance tol and N > 2, euler_min is instead the lower
+    bound -||euler - rho_next||_F of every state whenever the largest of
+    these distances is at most tol less 1e-9 (a margin for rho_next's
+    rounding-level negative eigenvalues), so no state can be rejected; it
+    is exact otherwise, and always for N = 2 or without tol.
     """
     rho = np.asarray(rho, dtype=complex)
     H = np.asarray(H, dtype=complex)
@@ -196,6 +204,11 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0):
         new = new + (2.0 * beta * dt) * sz_rho_sz
     new = new / np.einsum("...ii->...", new).real[..., None, None]
     euler = rho + g + _dagger(g)
+    if tol is not None and n > 2:
+        diff = np.ascontiguousarray(euler - new).view(float)
+        dist = np.sqrt(np.einsum("...ij,...ij->...", diff, diff))
+        if dist.max() <= tol - 1e-9:
+            return new, exp_q[..., 0, 0], -dist
     return new, exp_q[..., 0, 0], _min_eigenvalue(euler)
 
 

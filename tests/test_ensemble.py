@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -68,6 +69,29 @@ def qutrit_config(**overrides):
     )
     defaults.update(overrides)
     return EnsembleConfig(**defaults)
+
+
+def general_n_config(n):
+    # N = 3 or 4 from I/N toward the last basis state, 40 rows: wide enough
+    # that sde._matmul sums outer products (from 32 matrices on)
+    target = np.zeros(n, dtype=complex)
+    target[-1] = 1.0
+    if n == 3:
+        h0 = np.array([[0.2, 0.5, 0.1j], [0.5, -0.4, 0.3], [-0.1j, 0.3, 0.2]])
+    else:
+        h0 = np.array([[0.3, 0.4, 0.0, 0.2j], [0.4, -0.1, 0.5, 0.0],
+                       [0.0, 0.5, -0.3, 0.1], [-0.2j, 0.0, 0.1, 0.1]])
+    return EnsembleConfig(
+        realizations=40,
+        master_seed=7,
+        sme=SmeConfig(k=1.0, h0=h0, dt=1e-3, t_end=0.05),
+        policy=MeasurementPolicy(mode="fixed_observable",
+                                 observable=np.diag(np.linspace(1.0, -1.0, n))),
+        mu=5.0,
+        rho0=np.eye(n, dtype=complex) / n,
+        target_fn=lambda t: target,
+        stat_stride=5,
+    )
 
 
 def streams(cfg, indices):
@@ -436,6 +460,124 @@ def test_step_size_bound_dominates_euler_state():
             assert np.all(bound >= exact - 1e-12), np.max(exact - bound)
 
 
+def test_weyl_bound_dominates_general_n_euler_state():
+    """For N > 2 the matrix kernel's step-size diagnostic may be the bound
+    -||euler - rho'||_F: rho' is positive semidefinite, so by Weyl's
+    inequality the bound is at most the Euler state's smallest eigenvalue.
+    Checked against the exact eigenvalue for 2000 seeded near-pure N = 3 and
+    4 states at each dt, with increments up to 8 standard deviations."""
+    rng = np.random.default_rng(21)
+    m, k = 2000, 2.0
+
+    def hermitian(n):
+        g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        h = (g + np.conj(np.swapaxes(g, 1, 2))) / 2
+        return h / np.linalg.norm(h, axis=(1, 2), keepdims=True)
+
+    for n in (3, 4):
+        psi = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        mixed = g @ np.conj(np.swapaxes(g, 1, 2))
+        mixed /= np.einsum("mii->m", mixed).real[:, None, None]
+        # (1 - eps) |psi><psi| + eps sigma, eps from 1 down to 1e-15
+        eps = (10.0 ** -rng.uniform(0.0, 15.0, m))[:, None, None]
+        rho = (1.0 - eps) * psi[:, :, None] * np.conj(psi)[:, None, :] + eps * mixed
+        q = hermitian(n)
+        # a drift and a feedback Hamiltonian of norm sqrt(mu) = sqrt(5)
+        h = hermitian(n) + np.sqrt(5.0) * hermitian(n)
+        for dt in (1e-4, 1e-3, 1e-2):
+            dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
+            new, _, exact = _kraus_step(rho, q, k, h, dt, dw)
+            gated, _, bound = _kraus_step(rho, q, k, h, dt, dw, tol=np.inf)
+            assert np.array_equal(gated, new)
+            # 1e-12 absorbs the eigensolver's rounding and rho''s
+            assert np.all(bound <= exact + 1e-12), np.max(bound - exact)
+
+
+def test_general_n_batch_rejects_the_exact_step(monkeypatch):
+    """A step is rejected when one row of a 40-row N = 3 batch (past
+    sde._matmul's switch at 32 matrices) leaves the physical states.
+
+    39 rows sit on eigenstates of the measured Q, where the Euler state is
+    rho; one starts on a superposition, where k dt = 4 throws it far below
+    zero.  The message names that row and step, and is the one the exact
+    diagnostic gives."""
+    bad, width = 37, 40
+    with pytest.warns(UserWarning):
+        cfg = qutrit_config(
+            realizations=width,
+            sme=SmeConfig(k=2.0, h0=np.zeros((3, 3)), dt=2.0, t_end=4.0),
+            mu=0.0,
+            target_fn=None,
+            stat_stride=1,
+        )
+    rho = np.zeros((width, 3, 3), dtype=complex)
+    rho[np.arange(width), np.arange(width) % 3, np.arange(width) % 3] = 1.0
+    rho[bad] = pure_density(np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0))
+
+    def make(cfg, m):
+        batch = _MatrixKernel(cfg, m)
+        batch.rho = rho.copy()
+        return batch
+
+    def message():
+        with pytest.raises(StepRejected) as info:
+            collect(cfg, width, streams(cfg, range(width)), kernel=make)
+        return str(info.value)
+
+    gated = message()
+    assert gated.startswith(f"trajectory {bad} (master_seed 5) at step 0:")
+    kraus_step = qmfc.ensemble._kraus_step
+    monkeypatch.setattr(qmfc.ensemble, "_kraus_step",
+                        lambda *args, tol=None, **kwargs: kraus_step(*args, **kwargs))
+    assert message() == gated
+
+
+def test_feedback_stack_sends_only_second_order_rows_to_the_scalar_rule(monkeypatch):
+    """Rows of a mixed N = 3 stack that fail the first-order test are decided
+    in one batch: no-op rows are exactly +0, and optimal_feedback is called
+    only for second-order rows and for rows whose gap to the top eigenvalue
+    lies between half and all of the no-op threshold."""
+    psi = np.array([0.0, 0.0, 1.0], dtype=complex)
+    mu = 5.0
+    rng = np.random.default_rng(8)
+    first_order = []
+    for _ in range(4):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        first_order.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    # the target's eigenvalue x, and a top eigenvalue 0.75 of the threshold above it
+    x = 0.45
+    tau = DEGEN_TOL * np.linalg.norm(np.diag([x, 1.0 - 2.0 * x, x]))
+    band = np.diag([x + 0.75 * tau, 1.0 - 2.0 * x - 0.75 * tau, x]).astype(complex)
+    assert 0.5 < (band[0, 0] - x).real / (DEGEN_TOL * np.linalg.norm(band)) < 1.0
+    rows = {  # kind: (states, the scalar rule's branch)
+        "first_order": (first_order, "first_order"),
+        "mixed": ([np.eye(3, dtype=complex) / 3] * 3, "no_op"),
+        "target_on_top": ([np.diag([0.2, 0.1, 0.7]), np.diag([0.45, 0.1, 0.45])], "no_op"),
+        "second_order": ([np.diag([0.5, 0.2, 0.3]), np.diag([0.1, 0.6, 0.3])], "second_order"),
+        "band": ([band], "no_op"),
+    }
+    rho = np.array([r for states, _ in rows.values() for r in states], dtype=complex)
+    kinds = np.repeat(list(rows), [len(states) for states, _ in rows.values()])
+    calls = []
+    monkeypatch.setattr(qmfc.ensemble, "optimal_feedback",
+                        lambda *args: calls.append(args) or optimal_feedback(*args))
+    shuffled = np.random.default_rng(9).permutation(len(rho))
+    # a shuffled stack, and one where no row takes the commutator branch
+    for pick in (shuffled, shuffled[kinds[shuffled] != "first_order"]):
+        decisions = [optimal_feedback(r, psi, mu) for r in rho[pick]]
+        assert [d.branch for d in decisions] == [rows[kind][1] for kind in kinds[pick]]
+        want = np.array([d.hamiltonian for d in decisions])
+        first = kinds[pick] == "first_order"
+        calls.clear()
+        h = _feedback_stack(rho[pick], psi, mu)
+        # byte for byte, signed zeros included, where the scalar rule decides
+        assert h[~first].tobytes() == want[~first].tobytes()
+        assert np.max(np.abs(h[first] - want[first]), initial=0.0) < 1e-12
+        assert len(calls) == np.isin(kinds[pick], ["second_order", "band"]).sum()
+
+
 def seeded(kernel, r):
     """kernel, started from the Bloch vectors r (3, m) instead of cfg.rho0."""
     def make(cfg, m):
@@ -611,3 +753,30 @@ def test_theta_experiment_rows_and_seeding():
     # different angles use different random streams by sweep index
     again = theta_experiment(cfg, grid)
     assert rows == again
+
+
+# time averages (purity, se, overlap, se) as float.hex, and the SHA-256 of
+# the states at t_end, recorded with numpy 2.4.6 on x86-64 before the matrix
+# kernel's step-size diagnostic and no-op feedback rows were batched
+GENERAL_N_GOLDEN = {
+    3: (("0x1.85cd8f8f59306p-2", "0x1.c4c096b6dbc80p-8",
+         "0x1.75f63d0160bd6p-2", "0x1.4526223760022p-6"),
+        "af3a537dbd5eb1a085518b1605928973ebf82e225d32237b816dd42ed83d865f"),
+    4: (("0x1.1f24d6fc7a522p-2", "0x1.2ceb7c8c44822p-8",
+         "0x1.18e6e45c4a4bdp-2", "0x1.f0dfb738a234bp-7"),
+        "d387ecb717c42924a9728d8a500198aef5253cf893ecec40abf8d902e15414ba"),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_general_n_rows_are_pinned(n):
+    """Closed-loop N = 3 and 4 ensembles from I/N (mu = 5, R = 40) keep their
+    bits: any change to the matrix kernel's rows shows here."""
+    cfg = general_n_config(n)
+    stats = run_ensemble(cfg)
+    averages, digest = GENERAL_N_GOLDEN[n]
+    got = (stats.time_avg_purity, stats.time_avg_purity_se,
+           stats.time_avg_overlap, stats.time_avg_overlap_se)
+    assert tuple(float(x).hex() for x in got) == averages
+    states = ensemble_states(cfg, [cfg.sme.t_end])[:, 0]
+    assert hashlib.sha256(np.ascontiguousarray(states).tobytes()).hexdigest() == digest

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import qmfc.metrics
+import qmfc.povm
 from qmfc.metrics import (
     disturbance,
     fidelity_bound_check,
@@ -20,6 +22,7 @@ from qmfc.povm import (
     KappaMeasurement,
     MeasurementOperatorSet,
     kappa_povm,
+    nonselective_apply,
     random_pure_measurement,
 )
 from qmfc.states import SIGMA_Z, pure_density
@@ -215,6 +218,61 @@ def test_strength_rate_numeric_matches_expansion():
     for n_samples in (0, 51):  # more samples than the 50 steps
         with pytest.raises(ValueError):
             strength_rate_numeric(SIGMA_Z, 1.0, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("n_steps, n_samples, want", [
+    (10, 4, [2, 5, 8, 10]),
+    (50, 7, [7, 14, 21, 29, 36, 43, 50]),
+    (50, 5, [10, 20, 30, 40, 50]),
+])
+def test_strength_rate_numeric_samples_n_samples_times(monkeypatch, n_steps, n_samples, want):
+    # the slope is fitted through the states read at exactly n_samples steps,
+    # round(j n_steps / n_samples) for j = 1..n_samples, the last at n_steps
+    read = []
+    driver = qmfc.metrics._advance_chunk
+
+    class Reads:
+        def __init__(self, batch, step):
+            self.batch, self.step = batch, step
+
+        def states(self):
+            read.append(self.step)
+            return self.batch.states()
+
+    def spy(*args, **kwargs):
+        for step, batch, target_t in driver(*args, **kwargs):
+            yield step, Reads(batch, step), target_t
+
+    monkeypatch.setattr(qmfc.metrics, "_advance_chunk", spy)
+    est = strength_rate_numeric(SIGMA_Z, 1.0, n_traj=80, n_batches=4, n_steps=n_steps,
+                                n_samples=n_samples, seed=2)
+    assert read == want
+    assert np.isfinite([est.rate_p, est.rate_v]).all()
+
+
+def test_theta_sweep_validates_once(monkeypatch):
+    # the sweep validates its fixed state once; each row is disturbance's
+    grid = np.linspace(0.0, np.pi, 7)
+    rows = theta_sweep(0.7, 0.8, grid)
+    rho = np.diag([0.7, 1.0 - 0.7]).astype(complex)
+    for (theta, i_f_p, n_e_p, n_e_v), t in zip(rows, grid):
+        rep = disturbance(kappa_povm(KappaMeasurement(0.8, t)), rho)
+        assert (theta, i_f_p, n_e_p, n_e_v) == (t, rep.i_f_p, rep.n_e_p, rep.n_e_v)
+    calls = []
+    for module in (qmfc.metrics, qmfc.povm):
+        check = module.check_density_matrix
+        monkeypatch.setattr(module, "check_density_matrix",
+                            lambda rho, check=check: calls.append(1) or check(rho))
+    assert theta_sweep(0.7, 0.8, grid) == rows
+    assert len(calls) == 1
+    # the public calls still validate their inputs
+    mset = kappa_povm(KappaMeasurement(0.8, 0.3))
+    not_a_state = np.diag([0.7, 0.7]).astype(complex)
+    for fn in (disturbance, nonselective_apply, uncertainty_p):
+        with pytest.raises(ValueError):
+            fn(mset, not_a_state)
+    with pytest.raises(ValueError):
+        disturbance(mset, np.eye(3, dtype=complex) / 3)
 
 
 def test_strength_rate_numeric_invariant_under_identity_shift():
