@@ -780,3 +780,51 @@ def test_general_n_rows_are_pinned(n):
     assert tuple(float(x).hex() for x in got) == averages
     states = ensemble_states(cfg, [cfg.sme.t_end])[:, 0]
     assert hashlib.sha256(np.ascontiguousarray(states).tobytes()).hexdigest() == digest
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# below sde._matmul's switch at 32 matrices: the time averages (purity, se,
+# overlap, se) of an 8-row N = 3 batch as float.hex with the SHA-256 of its
+# states at t_end, and the SHA-256 of (states, records, fb_hamiltonians) of
+# two single trajectories.  Recorded with numpy 2.4.6 on x86-64 by running
+# these configurations on the (m, N, N) matrix kernel, before the kernel
+# stored its stacks trajectory-last
+NARROW_GOLDEN = {
+    "qutrit": (("0x1.83877f4e9b96ep-2", "0x1.7d79bc459dae9p-7",
+                "0x1.67e148ed7e692p-2", "0x1.95c19b9d872f0p-5"),
+               "0f7b8f4b232a73dc64f966cc7191f64224b6e8d4f06906b43b9f74afa9ea22af"),
+    "relative_angle": "6730a34ca5672620ad64665851754761402923a4485f0cbe485bbcc083775d48",
+    "fixed_observable": "e433eabb83df89c5e692b58c6562ed841b0a681de2a2075eb806a26852784b55",
+}
+
+
+def test_narrow_matrix_rows_are_pinned():
+    """Matrix-kernel batches narrower than 32 keep their bits: an 8-row N = 3
+    ensemble, and width-one closed-loop trajectories (beta = 0.4, mu = 10)
+    on the relative_angle policy and on a fixed observable from diag(0.8, 0.2)."""
+    cfg = qutrit_config()
+    stats = run_ensemble(cfg)
+    averages, states_digest = NARROW_GOLDEN["qutrit"]
+    got = (stats.time_avg_purity, stats.time_avg_purity_se,
+           stats.time_avg_overlap, stats.time_avg_overlap_se)
+    assert tuple(float(x).hex() for x in got) == averages
+    assert digest(ensemble_states(cfg, [cfg.sme.t_end])[:, 0]) == states_digest
+
+    sme = small_config().sme
+    runs = {
+        "relative_angle": (MeasurementPolicy(mode="relative_angle", theta=np.pi / 4),
+                           plus_x_density()),
+        "fixed_observable": (MeasurementPolicy(mode="fixed_observable",
+                                               observable=0.7 * SIGMA_X + 0.3 * SIGMA_Z),
+                             np.diag([0.8, 0.2]).astype(complex)),
+    }
+    for mode, (policy, rho0) in runs.items():
+        res = run_control_trajectory(sme, policy, rho0, precessing_plus_x(np.pi), 10.0,
+                                     trajectory_rng(123, 0, 0))
+        assert digest(res.states, res.records, res.fb_hamiltonians) == NARROW_GOLDEN[mode]
