@@ -17,9 +17,9 @@ every drawn number, are numpy's own.  Noise is drawn in blocks of
 NOISE_BLOCK steps so the noise buffer does not grow with the run length.
 Results are bit-identical for a given master seed and realization count,
 however many steps of noise are drawn at a time.  A row of a qubit
-batch wider than one depends only on its own stream; a matrix-kernel row can
-differ in the last bits between batches narrower and wider than 32, where
-sde._matmul changes method.
+batch wider than one depends only on its own stream, and so does a row of a
+matrix-kernel batch of 32 or more; below 32, where sde._matmul changes
+method, a matrix-kernel row can differ in the last bits.
 
 Two kernels run the same step as sde._kraus_step, with the same noise, the
 same feedback branches and the same StepRejected rule:
@@ -61,8 +61,9 @@ same feedback branches and the same StepRejected rule:
   when the state already points at the target; the rare remaining rows
   (second-order branch) go to feedback.optimal_feedback.
 * N > 2, and batches of one, where the Bloch kernel's fixed cost per step
-  does not pay: (m, N, N) complex stacks through sde._kraus_step.  For
-  qubits this matrix kernel is the oracle the Bloch kernel is tested against.
+  does not pay: an (N, N, m) complex array, trajectory axis last, through
+  sde._kraus_step (a batch of one steps its N x N matrix).  For qubits this
+  matrix kernel is the oracle the Bloch kernel is tested against.
   For N > 2 its step-size diagnostic is the per-row lower bound
   -||euler - rho'||_F (Weyl's inequality), and the batch is eigensolved only
   when the bound could reach the StepRejected threshold, so the rejected set
@@ -236,42 +237,41 @@ def precessing_plus_x(omega):
 
 
 def _feedback_stack(rho, psi, mu):
-    """Optimal feedback Hamiltonians for a stack of states toward one target."""
-    m = rho.shape[0]
-    rho_psi = np.einsum("mij,j->mi", rho, psi)
-    sig_rho = psi[None, :, None] * np.conj(rho_psi)[:, None, :]
-    comm = sig_rho - np.conj(np.swapaxes(sig_rho, 1, 2))
-    comm_norm = np.sqrt(np.einsum("mij,mij->m", comm, np.conj(comm)).real)
-    rho_norm = np.sqrt(np.einsum("mij,mij->m", rho, np.conj(rho)).real)
+    """Optimal feedback Hamiltonians, shape (N, N, m), for the states of a
+    trajectory-last stack (N, N, m) toward one target."""
+    rho_psi = np.einsum("ijm,j->im", rho, psi)
+    sig_rho = psi[:, None, None] * np.conj(rho_psi)
+    comm = sig_rho - np.conj(np.swapaxes(sig_rho, 0, 1))
+    comm_norm = np.sqrt(np.einsum("ijm,ijm->m", comm, np.conj(comm)).real)
+    rho_norm = np.sqrt(np.einsum("ijm,ijm->m", rho, np.conj(rho)).real)
     active = comm_norm > DEGEN_TOL * rho_norm
-    h = np.zeros_like(rho)
-    if np.any(active):
-        chi = np.zeros(m)
-        chi[active] = np.sqrt(mu) / comm_norm[active]
-        h = 1j * chi[:, None, None] * comm
-        h = (h + np.conj(np.swapaxes(h, 1, 2))) / 2
+    chi = np.zeros(rho.shape[2])
+    chi[active] = np.sqrt(mu) / comm_norm[active]
+    h = 1j * chi * comm
+    h = (h + np.conj(np.swapaxes(h, 0, 1))) / 2
     rest = np.nonzero(~active)[0]
     if rest.size:
-        # no-op rows: the target already carries the top eigenvalue.  Half of
-        # optimal_feedback's threshold leaves room for its own rounding, so
-        # these rows are no-ops there too; the rest decide there
-        sub = rho[rest]
+        # these rows are overwritten.  No-op rows: the target already carries
+        # the top eigenvalue.  Half of optimal_feedback's threshold leaves room
+        # for its own rounding, so these rows are no-ops there too; the rest
+        # decide there
+        sub = np.ascontiguousarray(rho[..., rest].transpose(2, 0, 1))
         top = np.linalg.eigvalsh((sub + np.conj(np.swapaxes(sub, 1, 2))) / 2)[:, -1]
         lam_t = np.einsum("i,mij,j->m", np.conj(psi), sub, psi).real
         no_op = top - lam_t <= 0.5 * DEGEN_TOL * rho_norm[rest]
-        h[rest[no_op]] = 0.0  # exactly +0, as optimal_feedback's no-op
-        for idx in rest[~no_op]:
-            h[idx] = optimal_feedback(np.asarray(rho[idx]), psi, mu).hamiltonian
+        h[..., rest[no_op]] = 0.0  # exactly +0, as optimal_feedback's no-op
+        for j in np.nonzero(~no_op)[0]:
+            h[..., rest[j]] = optimal_feedback(sub[j], psi, mu).hamiltonian
     return h
 
 
 class _MatrixKernel:
-    """States as an (m, N, N) complex stack, advanced by sde._kraus_step."""
+    """States as an (N, N, m) complex array, trajectory last, advanced by
+    sde._kraus_step; states() is its (m, N, N) view."""
 
     def __init__(self, cfg, m):
-        n = cfg.rho0.shape[0]
         self.cfg = cfg
-        self.rho = np.broadcast_to(cfg.rho0, (m, n, n)).astype(complex).copy()
+        self.rho = np.repeat(cfg.rho0[:, :, None], m, axis=2)
         self.bases = [None] * m  # per-row eigenbases of the relative_angle policy
         # N > 2 bounds the step-size diagnostic unless it could reach -tol
         self.reject_tol = _default_reject_tol(cfg.sme.k, cfg.sme.dephasing_beta, cfg.sme.dt)
@@ -281,19 +281,21 @@ class _MatrixKernel:
 
     def step(self, psi, dw):
         cfg, sme, policy = self.cfg, self.cfg.sme, self.cfg.policy
+        # a batch of one steps its (N, N) matrix, without the trajectory axis
+        cut = 0 if self.rho.shape[2] == 1 else slice(None)
         if policy.mode == "relative_angle":
-            self.bases = [qubit_eigenbasis(rho, prev=basis)
-                          for rho, basis in zip(self.rho, self.bases)]
-            q_obs = np.array([relative_observable(basis, policy.theta, policy.phi)
-                              for basis in self.bases])
+            self.bases = [qubit_eigenbasis(self.rho[..., j], prev=basis)
+                          for j, basis in enumerate(self.bases)]
+            q_obs = np.stack([relative_observable(basis, policy.theta, policy.phi)
+                              for basis in self.bases], axis=-1)[..., cut]
         else:
             q_obs = policy.observable
         h_fb = _feedback_stack(self.rho, psi, cfg.mu) if cfg.mu > 0 else None
-        h = np.broadcast_to(sme.h0, self.rho.shape) if h_fb is None else sme.h0[None, :, :] + h_fb
-        self.rho, exp_q, euler_min = _kraus_step(
-            self.rho, q_obs, sme.k, h, sme.dt, dw, beta=sme.dephasing_beta, tol=self.reject_tol
-        )
-        self._last = exp_q, dw, h_fb
+        h = sme.h0 if h_fb is None else (sme.h0[..., None] + h_fb)[..., cut]
+        rho, exp_q, euler_min = _kraus_step(self.rho[..., cut], q_obs, sme.k, h, sme.dt, dw[cut],
+                                            beta=sme.dephasing_beta, tol=self.reject_tol)
+        self.rho = rho.reshape(self.rho.shape)
+        self._last = exp_q, dw, None if h_fb is None else h_fb.transpose(2, 0, 1)
         return euler_min
 
     def last_step(self):
@@ -303,14 +305,16 @@ class _MatrixKernel:
         k, dt = self.cfg.sme.k, self.cfg.sme.dt
         return 4.0 * k * exp_q * dt + np.sqrt(2.0 * k) * dw, h_fb
 
+    # purity and overlap sum over a C-ordered (m, N, N) copy: rho's memory order changes the sum
     def purity(self):
-        return np.einsum("mij,mji->m", self.rho, self.rho).real
+        rho = np.ascontiguousarray(self.states())
+        return np.einsum("mij,mji->m", rho, rho).real
 
     def overlap(self, psi):
-        return np.einsum("i,mij,j->m", psi.conj(), self.rho, psi).real
+        return np.einsum("i,mij,j->m", psi.conj(), np.ascontiguousarray(self.states()), psi).real
 
     def states(self):
-        return self.rho
+        return self.rho.transpose(2, 0, 1)
 
 
 def _pauli(a):

@@ -221,37 +221,33 @@ def strength_rate_numeric(
     )
 
 
+def _traces(Q):
+    """(N, Tr[Q^2], Tr[Q]) of an observable Q."""
+    Q = np.asarray(Q, dtype=complex)
+    return Q.shape[0], np.trace(Q @ Q).real, np.trace(Q).real
+
+
 def printed_rate_v(Q, k):
     """Closed-form entropy-strength rate as printed: 4k/(N ln^2 N) (Tr[Q^2] + 3 Tr[Q]^2)."""
-    Q = np.asarray(Q, dtype=complex)
-    n = Q.shape[0]
-    tr_q2 = np.trace(Q @ Q).real
-    tr_q = np.trace(Q).real
+    n, tr_q2, tr_q = _traces(Q)
     return 4.0 * k / (n * np.log(n) ** 2) * (tr_q2 + 3.0 * tr_q**2)
 
 
 def printed_rate_p(Q, k):
     """Closed-form purity-strength rate as printed: 8k N^2/(N-1)^2 Tr[Q^2]."""
-    Q = np.asarray(Q, dtype=complex)
-    n = Q.shape[0]
-    return 8.0 * k * n**2 / (n - 1.0) ** 2 * np.trace(Q @ Q).real
+    n, tr_q2, _ = _traces(Q)
+    return 8.0 * k * n**2 / (n - 1.0) ** 2 * tr_q2
 
 
 def ito_rate_v(Q, k):
     """Independent Ito-expansion entropy-strength rate at rho = I/N:
     4k/(N ln^2 N) (Tr[Q^2] - Tr[Q]^2/N)."""
-    Q = np.asarray(Q, dtype=complex)
-    n = Q.shape[0]
-    tr_q2 = np.trace(Q @ Q).real
-    tr_q = np.trace(Q).real
+    n, tr_q2, tr_q = _traces(Q)
     return 4.0 * k / (n * np.log(n) ** 2) * (tr_q2 - tr_q**2 / n)
 
 
 def ito_rate_p(Q, k):
     """Independent Ito-expansion purity-strength rate at rho = I/N:
     8k/(N-1)^2 (Tr[Q^2] - Tr[Q]^2/N)."""
-    Q = np.asarray(Q, dtype=complex)
-    n = Q.shape[0]
-    tr_q2 = np.trace(Q @ Q).real
-    tr_q = np.trace(Q).real
+    n, tr_q2, tr_q = _traces(Q)
     return 8.0 * k / (n - 1.0) ** 2 * (tr_q2 - tr_q**2 / n)

@@ -131,31 +131,34 @@ def _default_reject_tol(k, beta, dt):
 
 
 def _dagger(a):
-    return a.conj().swapaxes(-1, -2)
+    return a.conj().swapaxes(0, 1)
 
 
 def _matmul(a, b):
-    """a @ b for small matrices or stacks of them.
+    """a @ b for N x N matrices or trajectory-last stacks (N, N, m) of them; a
+    matrix multiplies every matrix of a stack.
 
-    np.matmul works through a stack one matrix at a time; from a few dozen
-    matrices on, a sum of N broadcast outer products is faster (several
-    times for 2x2 stacks).
+    Below 32 matrices this is np.matmul.  From 32 on it is a sum of N
+    broadcast outer products, each a ufunc call over the contiguous m axis.
     """
-    n = a.shape[-1]
-    if max(a.size, b.size) < 32 * n * n:
+    n = a.shape[0]
+    if a.ndim == 2 and b.ndim == 2:
         return a @ b
-    out = a[..., :, :1] * b[..., :1, :]
+    if max(a.size, b.size) < 32 * n * n:
+        return np.ascontiguousarray(np.matmul(a, b, axes=[(0, 1)] * 3))
+    a, b = (x[..., None] if x.ndim == 2 else x for x in (a, b))
+    out = a[:, :1] * b[:1]
     for j in range(1, n):
-        out = out + a[..., :, j:j + 1] * b[..., j:j + 1, :]
+        out = out + a[:, j:j + 1] * b[j:j + 1]
     return out
 
 
 def _min_eigenvalue(a):
     """Smallest eigenvalue of a Hermitian matrix or stack (lower triangle read)."""
-    if a.shape[-1] != 2:
-        return np.linalg.eigvalsh(a)[..., 0]
-    d00, d11 = a[..., 0, 0].real, a[..., 1, 1].real
-    gap = np.sqrt(((d00 - d11) / 2) ** 2 + np.abs(a[..., 1, 0]) ** 2)
+    if a.shape[0] != 2:
+        return np.linalg.eigvalsh(a.transpose(2, 0, 1) if a.ndim == 3 else a)[..., 0]
+    d00, d11 = a[0, 0].real, a[1, 1].real
+    gap = np.sqrt(((d00 - d11) / 2) ** 2 + np.abs(a[1, 0]) ** 2)
     return (d00 + d11) / 2 - gap
 
 
@@ -166,9 +169,9 @@ _SZ_SANDWICH = np.array([[1.0, -1.0], [-1.0, 1.0]])
 def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None):
     """One Kraus-map step of the conditioned evolution (see the module docstring).
 
-    rho and H are (N, N) or stacks (..., N, N); Q is (N, N) or a matching
-    stack (ignored when k = 0); dW is a scalar or one increment per state.
-    beta > 0 (z-dephasing) needs N = 2, which EnsembleConfig enforces.
+    rho is (N, N) or a stack (N, N, m), trajectory axis last; H and Q (ignored
+    when k = 0) are like rho or (N, N); dW is a scalar or one increment per
+    state.  beta > 0 (z-dephasing) needs N = 2, which EnsembleConfig enforces.
     Returns (rho_next, exp_q, euler_min): the next state(s), Tr[Q rho] before
     the step (0 when k = 0), and the step-size diagnostic, the smallest
     eigenvalue of the first-order Euler-Maruyama state from the same rho.
@@ -179,19 +182,23 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None):
     is exact otherwise, and always for N = 2 or without tol.
     """
     rho = np.asarray(rho, dtype=complex)
-    H = np.asarray(H, dtype=complex)
-    n = rho.shape[-1]
-    dW = np.asarray(dW, dtype=float)[..., None, None]
+    n = rho.shape[0]
+
+    def lift(a):  # an (N, N) operand of a stack acts on every trajectory
+        return a[..., None] if a.ndim < rho.ndim else a
+
+    H = lift(np.asarray(H, dtype=complex))
+    dW = np.asarray(dW, dtype=float)
 
     # the first-order (Euler-Maruyama) increment is g + g^+
     g = (-1j * dt) * _matmul(H, rho)
-    m_op = (1.0 - beta * dt) * np.eye(n) - 1j * dt * H
-    exp_q = np.zeros(rho.shape[:-2] + (1, 1))
+    m_op = (1.0 - beta * dt) * lift(np.eye(n)) - 1j * dt * H
+    exp_q = np.zeros(rho.shape[2:])
     if k > 0:
-        Q = np.asarray(Q, dtype=complex)
+        Q = lift(np.asarray(Q, dtype=complex))
         sqrt2k = np.sqrt(2.0 * k)
         q_rho = _matmul(Q, rho)
-        exp_q = np.einsum("...ii->...", q_rho).real[..., None, None]
+        exp_q = np.einsum("ii...->...", q_rho).real
         g = g - (k * dt) * _matmul(Q, q_rho - _dagger(q_rho)) + (sqrt2k * dW) * (
             q_rho - exp_q * rho
         )
@@ -199,17 +206,16 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None):
         m_op = m_op + sqrt2k * dy_tilde * Q + k * (dy_tilde ** 2 - 2.0 * dt) * _matmul(Q, Q)
     new = _matmul(_matmul(m_op, rho), _dagger(m_op))
     if beta > 0:
-        sz_rho_sz = _SZ_SANDWICH * rho
+        sz_rho_sz = lift(_SZ_SANDWICH) * rho
         g = g + (beta * dt) * (sz_rho_sz - rho)
         new = new + (2.0 * beta * dt) * sz_rho_sz
-    new = new / np.einsum("...ii->...", new).real[..., None, None]
+    new = new / np.einsum("ii...->...", new).real
     euler = rho + g + _dagger(g)
     if tol is not None and n > 2:
-        diff = np.ascontiguousarray(euler - new).view(float)
-        dist = np.sqrt(np.einsum("...ij,...ij->...", diff, diff))
+        dist = np.linalg.norm(euler - new, axis=(0, 1))
         if dist.max() <= tol - 1e-9:
-            return new, exp_q[..., 0, 0], -dist
-    return new, exp_q[..., 0, 0], _min_eigenvalue(euler)
+            return new, exp_q, -dist
+    return new, exp_q, _min_eigenvalue(euler)
 
 
 def nonselective_solve(rho0, Q, k, H, beta, t_eval):

@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +74,8 @@ def qutrit_config(**overrides):
 
 def general_n_config(n):
     # N = 3 or 4 from I/N toward the last basis state, 40 rows: wide enough
-    # that sde._matmul sums outer products (from 32 matrices on)
+    # that sde._matmul sums outer products over the trajectory axis (from 32
+    # matrices on)
     target = np.zeros(n, dtype=complex)
     target[-1] = 1.0
     if n == 3:
@@ -92,6 +94,11 @@ def general_n_config(n):
         target_fn=lambda t: target,
         stat_stride=5,
     )
+
+
+def trajectory_last(stack):
+    """A stack of matrices (m, N, N) in the matrix kernel's layout, (N, N, m)."""
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
 
 
 def streams(cfg, indices):
@@ -450,7 +457,8 @@ def test_step_size_bound_dominates_euler_state():
             h_scale = _BlochKernel(cfg, 1).h_scale
             # increments up to 8 standard deviations
             dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
-            _, _, lam_min = _kraus_step(rho, q_op, k, h_op, dt, dw, beta=beta)
+            _, _, lam_min = _kraus_step(trajectory_last(rho), trajectory_last(q_op), k,
+                                        trajectory_last(h_op), dt, dw, beta=beta)
             exact = 1.0 - 2.0 * lam_min
             rr = qmfc.ensemble._dot(r, r)
             bound = _euler_norm_bound(np.sqrt(rr), rr, qmfc.ensemble._dot(q, r),
@@ -486,6 +494,7 @@ def test_weyl_bound_dominates_general_n_euler_state():
         q = hermitian(n)
         # a drift and a feedback Hamiltonian of norm sqrt(mu) = sqrt(5)
         h = hermitian(n) + np.sqrt(5.0) * hermitian(n)
+        rho, q, h = trajectory_last(rho), trajectory_last(q), trajectory_last(h)
         for dt in (1e-4, 1e-3, 1e-2):
             dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
             new, _, exact = _kraus_step(rho, q, k, h, dt, dw)
@@ -518,7 +527,7 @@ def test_general_n_batch_rejects_the_exact_step(monkeypatch):
 
     def make(cfg, m):
         batch = _MatrixKernel(cfg, m)
-        batch.rho = rho.copy()
+        batch.rho = trajectory_last(rho)
         return batch
 
     def message():
@@ -532,6 +541,21 @@ def test_general_n_batch_rejects_the_exact_step(monkeypatch):
     monkeypatch.setattr(qmfc.ensemble, "_kraus_step",
                         lambda *args, tol=None, **kwargs: kraus_step(*args, **kwargs))
     assert message() == gated
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_wide_matrix_rows_do_not_depend_on_the_batch_width(n):
+    """From 32 matrices on, every operation of the trajectory-last kernel runs
+    column by column, so the first 32 rows of N = 3 and 4 batches of widths
+    32, 40 and 4000 on shared streams are byte-identical: purity, overlap,
+    states, records and feedback."""
+    cfg = replace(general_n_config(n), sme=replace(general_n_config(n).sme, t_end=0.02))
+    checkpoints = range(0, cfg.sme.n_steps + 1, cfg.stat_stride)
+    runs = [collect(cfg, width, streams(cfg, range(width)), checkpoints)
+            for width in (32, 40, 4000)]
+    for wider in runs[1:]:
+        for got, want in zip(wider, runs[0]):
+            assert got[:32].tobytes() == want.tobytes()
 
 
 def test_feedback_stack_sends_only_second_order_rows_to_the_scalar_rule(monkeypatch):
@@ -571,7 +595,7 @@ def test_feedback_stack_sends_only_second_order_rows_to_the_scalar_rule(monkeypa
         want = np.array([d.hamiltonian for d in decisions])
         first = kinds[pick] == "first_order"
         calls.clear()
-        h = _feedback_stack(rho[pick], psi, mu)
+        h = np.moveaxis(_feedback_stack(trajectory_last(rho[pick]), psi, mu), -1, 0)
         # byte for byte, signed zeros included, where the scalar rule decides
         assert h[~first].tobytes() == want[~first].tobytes()
         assert np.max(np.abs(h[first] - want[first]), initial=0.0) < 1e-12
@@ -585,7 +609,7 @@ def seeded(kernel, r):
         if kernel is _BlochKernel:
             batch.r = r.copy()
         else:
-            batch.rho = qmfc.ensemble._density(r)
+            batch.rho = trajectory_last(qmfc.ensemble._density(r))
         return batch
     return make
 
@@ -625,7 +649,8 @@ def test_feedback_branches_agree_at_the_degeneracy_threshold():
     decisions = [optimal_feedback(rho_j, psi, mu) for rho_j in rho]
     assert [d.branch for d in decisions] == branches
     want = np.array([d.hamiltonian for d in decisions])
-    assert np.max(np.abs(_feedback_stack(rho, psi, mu) - want)) < 1e-12
+    h = np.moveaxis(_feedback_stack(trajectory_last(rho), psi, mu), -1, 0)
+    assert np.max(np.abs(h - want)) < 1e-12
 
     cfg = small_config(mu=mu)
     for cols in ([0], [1], [2], [3], [0, 1, 2, 3]):

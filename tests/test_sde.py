@@ -7,6 +7,7 @@ from qmfc.sde import (
     StepRejected,
     _default_reject_tol,
     _kraus_step,
+    _matmul,
     inverse_zeno_run,
     nonselective_solve,
     qubit_eigenbasis,
@@ -50,6 +51,25 @@ def sme_step(rho, q, k, h, dt, dw, beta=0.0):
     # one step of the SME's Kraus map and its record dy = 4k<Q>dt + sqrt(2k)dW
     new, exp_q, _ = _kraus_step(rho, q, k, h, dt, dw, beta=beta)
     return new, 4.0 * k * exp_q * dt + np.sqrt(2.0 * k) * dw
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matmul_matches_numpy_on_trajectory_last_stacks(n):
+    """_matmul multiplies (N, N, m) stacks, with the trajectory axis last, as
+    np.matmul multiplies (m, N, N) stacks: on both sides of its method switch
+    at 32 matrices, and with a matrix (N, N) on either side."""
+    rng = np.random.default_rng(n)
+
+    def stack(m):
+        return rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+
+    for m in (1, 31, 32, 4000):
+        a, b, matrix = stack(m), stack(m), stack(1)[0]
+        pairs = [(matrix, b, matrix @ b), (a, matrix, a @ matrix), (a, b, a @ b)]
+        for left, right, want in pairs:
+            got = _matmul(*(x if x.ndim == 2 else np.moveaxis(x, 0, -1) for x in (left, right)))
+            assert got.shape == (n, n, m)
+            assert np.max(np.abs(np.moveaxis(got, -1, 0) - want)) <= 1e-14
 
 
 def test_sme_step_free_evolution():
