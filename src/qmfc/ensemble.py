@@ -61,9 +61,8 @@ same feedback branches and the same StepRejected rule:
   when the state already points at the target; the rare remaining rows
   (second-order branch) go to feedback.optimal_feedback.
 * N > 2, and batches of one, where the Bloch kernel's fixed cost per step
-  does not pay: an (N, N, m) complex array, trajectory axis last, through
-  sde._kraus_step (a batch of one steps its N x N matrix).  For qubits this
-  matrix kernel is the oracle the Bloch kernel is tested against.
+  does not pay: (N, N, m) complex arrays, trajectory axis last, through
+  sde._kraus_step.  For qubits this matrix kernel is the Bloch kernel's oracle.
   For N > 2 its step-size diagnostic is the per-row lower bound
   -||euler - rho'||_F (Weyl's inequality), and the batch is eigensolved only
   when the bound could reach the StepRejected threshold, so the rejected set
@@ -237,8 +236,7 @@ def precessing_plus_x(omega):
 
 
 def _feedback_stack(rho, psi, mu):
-    """Optimal feedback Hamiltonians, shape (N, N, m), for the states of a
-    trajectory-last stack (N, N, m) toward one target."""
+    """Optimal feedback Hamiltonians (N, N, m) for a trajectory-last stack toward one target."""
     rho_psi = np.einsum("ijm,j->im", rho, psi)
     sig_rho = psi[:, None, None] * np.conj(rho_psi)
     comm = sig_rho - np.conj(np.swapaxes(sig_rho, 0, 1))
@@ -251,10 +249,9 @@ def _feedback_stack(rho, psi, mu):
     h = (h + np.conj(np.swapaxes(h, 0, 1))) / 2
     rest = np.nonzero(~active)[0]
     if rest.size:
-        # these rows are overwritten.  No-op rows: the target already carries
-        # the top eigenvalue.  Half of optimal_feedback's threshold leaves room
-        # for its own rounding, so these rows are no-ops there too; the rest
-        # decide there
+        # no-op rows: the target already carries the top eigenvalue.  Half of
+        # optimal_feedback's threshold leaves room for its own rounding, so
+        # these rows are no-ops there too; the rest decide there
         sub = np.ascontiguousarray(rho[..., rest].transpose(2, 0, 1))
         top = np.linalg.eigvalsh((sub + np.conj(np.swapaxes(sub, 1, 2))) / 2)[:, -1]
         lam_t = np.einsum("i,mij,j->m", np.conj(psi), sub, psi).real
@@ -266,8 +263,7 @@ def _feedback_stack(rho, psi, mu):
 
 
 class _MatrixKernel:
-    """States as an (N, N, m) complex array, trajectory last, advanced by
-    sde._kraus_step; states() is its (m, N, N) view."""
+    """States as an (N, N, m) complex array, trajectory last; states() is its (m, N, N) view."""
 
     def __init__(self, cfg, m):
         self.cfg = cfg

@@ -135,12 +135,9 @@ def _dagger(a):
 
 
 def _matmul(a, b):
-    """a @ b for N x N matrices or trajectory-last stacks (N, N, m) of them; a
-    matrix multiplies every matrix of a stack.
-
-    Below 32 matrices this is np.matmul.  From 32 on it is a sum of N
-    broadcast outer products, each a ufunc call over the contiguous m axis.
-    """
+    """a @ b for N x N matrices or trajectory-last stacks (N, N, m) of them, a
+    matrix acting on every matrix of a stack: np.matmul below 32 matrices, and
+    from 32 on a sum of N outer products, each a ufunc over the contiguous m axis."""
     n = a.shape[0]
     if a.ndim == 2 and b.ndim == 2:
         return a @ b
@@ -188,7 +185,6 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None):
         return a[..., None] if a.ndim < rho.ndim else a
 
     H = lift(np.asarray(H, dtype=complex))
-    dW = np.asarray(dW, dtype=float)
 
     # the first-order (Euler-Maruyama) increment is g + g^+
     g = (-1j * dt) * _matmul(H, rho)
