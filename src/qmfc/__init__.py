@@ -40,6 +40,7 @@ from .sde import (
     SmeConfig,
     StepRejected,
     inverse_zeno_run,
+    inverse_zeno_successes,
     run_control_trajectory,
 )
 from .ensemble import EnsembleConfig, ensemble_states, run_ensemble, theta_experiment

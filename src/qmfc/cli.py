@@ -28,7 +28,7 @@ from .metrics import (
     strength_rate_numeric,
     theta_sweep,
 )
-from .sde import MeasurementPolicy, SmeConfig, StepRejected, inverse_zeno_run
+from .sde import MeasurementPolicy, SmeConfig, StepRejected, inverse_zeno_successes
 from .states import SIGMA_Z, pure_density
 
 
@@ -149,10 +149,7 @@ def cmd_zeno(args):
         rng = np.random.Generator(
             np.random.Philox(seed=np.random.SeedSequence(entropy=args.seed, spawn_key=(i,)))
         )
-        successes = sum(
-            inverse_zeno_run(psi_start, psi_target, m, rng)[0] for _ in range(args.runs)
-        )
-        rate = successes / args.runs
+        rate = inverse_zeno_successes(psi_start, psi_target, m, args.runs, rng) / args.runs
         half_width = 1.96 * np.sqrt(max(rate * (1.0 - rate), 1e-12) / args.runs)
         analytic = float(np.cos(np.pi / (2 * m)) ** (2 * m))
         rows.append((m, rate, max(rate - half_width, 0.0), min(rate + half_width, 1.0), analytic))
@@ -231,7 +228,8 @@ def cmd_rates(args):
     write_manifest(manifest_path(args.out), entries)
 
 
-# per-experiment option schema: dest -> (type, default)
+# per-experiment option schema: dest -> (type, default); every int option is a
+# count and must be at least 1
 _OPTIONS = {
     "fig1": {"p": (float, 0.1), "kappa": (float, 0.75), "theta_points": (int, 181)},
     "fig2": {
@@ -282,6 +280,10 @@ def resolve_args(args):
         if getattr(args, dest, None) is None:
             raw = config.get(dest)
             setattr(args, dest, typ(raw) if raw is not None else default)
+    for dest, (typ, _default) in _OPTIONS[args.experiment].items():
+        if typ is int and getattr(args, dest) < 1:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} must be at least 1, got {getattr(args, dest)}")
     return args
 
 

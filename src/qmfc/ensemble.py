@@ -84,8 +84,8 @@ from .sde import (
     StepRejected,
     _default_reject_tol,
     _kraus_step,
+    _rotated_sigma_z,
     qubit_eigenbasis,
-    relative_observable,
 )
 from .states import check_density_matrix
 
@@ -269,6 +269,8 @@ class _MatrixKernel:
         self.cfg = cfg
         self.rho = np.repeat(cfg.rho0[:, :, None], m, axis=2)
         self.bases = [None] * m  # per-row eigenbases of the relative_angle policy
+        if cfg.policy.mode == "relative_angle":  # relative_observable's sz, turned once per run
+            self.rotated_sz = _rotated_sigma_z(cfg.policy.theta, cfg.policy.phi)
         # N > 2 bounds the step-size diagnostic unless it could reach -tol
         self.reject_tol = _default_reject_tol(cfg.sme.k, cfg.sme.dephasing_beta, cfg.sme.dt)
 
@@ -282,7 +284,7 @@ class _MatrixKernel:
         if policy.mode == "relative_angle":
             self.bases = [qubit_eigenbasis(self.rho[..., j], prev=basis)
                           for j, basis in enumerate(self.bases)]
-            q_obs = np.stack([relative_observable(basis, policy.theta, policy.phi)
+            q_obs = np.stack([basis @ self.rotated_sz @ basis.conj().T
                               for basis in self.bases], axis=-1)[..., cut]
         else:
             q_obs = policy.observable

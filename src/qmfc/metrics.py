@@ -19,7 +19,9 @@ from .povm import (
     EPS_PROB,
     KappaMeasurement,
     MeasurementOperatorSet,
+    _dagger,
     _nonselective,
+    _sandwich,
     kappa_povm,
     nonselective_apply,
 )
@@ -49,18 +51,29 @@ class RateEstimate:
 
 
 def _outcome_terms(mset, rho):
-    """Yield (probability, normalized post-state) for outcomes with P > eps."""
-    for om in mset.ops:
-        raw = om @ rho @ om.conj().T
-        p = np.trace(raw).real
-        if p > EPS_PROB:
-            yield p, raw / p
+    """(probabilities, normalized post-states) of the outcomes with P > eps,
+    shapes (n,) and (n, N, N), in outcome order."""
+    raw = _sandwich(mset, rho)
+    p = np.trace(raw, axis1=1, axis2=2).real
+    keep = p > EPS_PROB
+    p = p[keep]
+    return p, raw[keep] / p[:, None, None]
+
+
+def _ordered_sum(x):
+    """sum(x) from 0 in index order, as a Python loop adds: a pairwise numpy
+    sum would round differently."""
+    return float(np.add.accumulate(np.concatenate(([0.0], x)))[-1])
 
 
 def uncertainty_v(mset: MeasurementOperatorSet, rho):
     """Probability-weighted average post-outcome von Neumann entropy."""
     rho = check_density_matrix(rho)
-    return float(sum(p * von_neumann_entropy(r) for p, r in _outcome_terms(mset, rho)))
+    p, post = _outcome_terms(mset, rho)
+    # von_neumann_entropy on every post-state: 0 ln 0 = 0 below 1e-15
+    lam = np.linalg.eigvalsh((post + _dagger(post)) / 2)
+    lam = np.where(lam > 1e-15, lam, 1.0)
+    return _ordered_sum(p * -(lam * np.log(lam)).sum(axis=1))
 
 
 def uncertainty_p(mset: MeasurementOperatorSet, rho):
@@ -69,7 +82,8 @@ def uncertainty_p(mset: MeasurementOperatorSet, rho):
 
 
 def _uncertainty_p(mset, rho):
-    return float(1.0 - sum(p * purity(r) for p, r in _outcome_terms(mset, rho)))
+    p, post = _outcome_terms(mset, rho)
+    return float(1.0 - _ordered_sum(p * np.einsum("nij,nji->n", post, post).real))
 
 
 # u(I/N) below this threshold is treated as exactly zero
@@ -77,11 +91,11 @@ _ZERO_UNCERTAINTY = 1e-12
 
 
 def _contains_rank_one(mset):
-    for om in mset.ops:
-        sv = np.linalg.svd(om, compute_uv=False)
-        if sv[0] > 1e-12 and (sv.size == 1 or sv[1] <= 1e-10 * sv[0]):
-            return True
-    return False
+    sv = np.linalg.svd(mset._stack, compute_uv=False)
+    rank_one = sv[:, 0] > 1e-12
+    if sv.shape[1] > 1:
+        rank_one &= sv[:, 1] <= 1e-10 * sv[:, 0]
+    return bool(rank_one.any())
 
 
 def strength(mset: MeasurementOperatorSet) -> StrengthReport:

@@ -5,6 +5,13 @@ Outcome n occurs with probability Tr[Omega_n^dag Omega_n rho] and leaves the
 state Omega_n rho Omega_n^dag / P(n).  Builders are provided for the Gaussian
 weak-measurement family, the two-operator Poisson pair, and the two-outcome
 kappa family on a qubit with an arbitrary Bloch rotation.
+
+A set keeps its operators as one read-only (n, N, N) complex stack, and ops
+is a tuple of read-only views of it; the effects Omega_n^dag Omega_n are kept
+as a second stack.  Completeness, classification, outcome
+probabilities and the outcome-averaged state run on the whole stack with the
+same per-matrix operations as one operator at a time, and sums over outcomes
+run in outcome order, so they give the same bits.
 """
 
 from dataclasses import dataclass, field
@@ -23,18 +30,20 @@ TOL_COMPLETENESS = 1e-8
 EPS_PROB = 1e-14
 
 
-def _classify(ops):
+def _dagger(a):
+    """Conjugate transpose of every matrix of an (n, N, N) stack."""
+    return a.conj().transpose(0, 2, 1)
+
+
+def _classify(stack):
     """Tag a family as projective, pure (all PSD Hermitian) or general."""
-    projective = True
-    for om in ops:
-        if np.max(np.abs(om - om.conj().T)) > TOL_HERM:
-            return "general"
-        lam = np.linalg.eigvalsh((om + om.conj().T) / 2)
-        if lam.min() < -TOL_PSD:
-            return "general"
-        if np.max(np.abs(om @ om - om)) > TOL_PSD * 10:
-            projective = False
-    return "projective" if projective else "pure"
+    if np.max(np.abs(stack - _dagger(stack))) > TOL_HERM:
+        return "general"
+    if np.linalg.eigvalsh((stack + _dagger(stack)) / 2).min() < -TOL_PSD:
+        return "general"
+    if np.max(np.abs(stack @ stack - stack)) > TOL_PSD * 10:
+        return "pure"
+    return "projective"
 
 
 @dataclass(frozen=True)
@@ -43,33 +52,40 @@ class MeasurementOperatorSet:
 
     ops: tuple
     kind: str = field(init=False)
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _effects: np.ndarray = field(init=False, repr=False, compare=False)  # Omega^dag Omega
 
     def __post_init__(self):
-        ops = tuple(np.asarray(om, dtype=complex) for om in self.ops)
-        if not ops:
+        if len(self.ops) == 0:
             raise ValueError("measurement set must contain at least one operator")
-        dim = ops[0].shape[0]
-        for om in ops:
-            if om.shape != (dim, dim):
-                raise ValueError("all operators must be square with equal dimension")
-        total = sum(om.conj().T @ om for om in ops)
-        residual = np.max(np.abs(total - np.eye(dim)))
+        try:
+            stack = np.asarray(self.ops, dtype=complex)
+        except ValueError:
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError("all operators must be square with equal dimension")
+        effects = _dagger(stack) @ stack
+        # 0 + sum: the same first addition as summing the operators one at a time
+        total = np.add.reduce(effects, axis=0, initial=0)
+        residual = np.max(np.abs(total - np.eye(stack.shape[1])))
         if residual > TOL_COMPLETENESS:
             raise ValueError(
                 f"completeness violated: ||sum Omega^dag Omega - I|| = {residual:.3e} "
                 f"> {TOL_COMPLETENESS:.1e}"
             )
-        for om in ops:
-            om.setflags(write=False)
-        object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "kind", _classify(ops))
+        stack.setflags(write=False)
+        effects.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_effects", effects)
+        object.__setattr__(self, "ops", tuple(stack))
+        object.__setattr__(self, "kind", _classify(stack))
 
     @property
     def dim(self):
-        return self.ops[0].shape[0]
+        return self._stack.shape[1]
 
     def __len__(self):
-        return len(self.ops)
+        return len(self._stack)
 
 
 @dataclass(frozen=True)
@@ -165,8 +181,7 @@ def gaussian_weak_povm(Q, k, dt, alpha_grid=None) -> MeasurementOperatorSet:
         )
     c = 1.0 / np.sqrt(mean_sum)
     amp = c * np.sqrt(d_alpha) * np.exp(-k * dt * (q[None, :] - alpha_grid[:, None]) ** 2)
-    ops = tuple((v * amp[i]) @ v.conj().T for i in range(alpha_grid.size))
-    return MeasurementOperatorSet(ops)
+    return MeasurementOperatorSet((v * amp[:, None, :]) @ v.conj().T)
 
 
 def poisson_povm(Q, k, dt) -> MeasurementOperatorSet:
@@ -189,10 +204,7 @@ def poisson_povm(Q, k, dt) -> MeasurementOperatorSet:
 def outcome_probabilities(mset: MeasurementOperatorSet, rho):
     """Tr[Omega_n^dag Omega_n rho] for every outcome."""
     rho = check_density_matrix(rho)
-    p = np.array(
-        [np.einsum("ij,ji->", om.conj().T @ om, rho).real for om in mset.ops]
-    )
-    return np.clip(p, 0.0, None)
+    return np.clip(np.einsum("nij,ji->n", mset._effects, rho).real, 0.0, None)
 
 
 def apply_outcome(mset: MeasurementOperatorSet, rho, n) -> MeasurementOutcome:
@@ -228,7 +240,12 @@ def nonselective_apply(mset: MeasurementOperatorSet, rho):
 
 def _nonselective(mset, rho):
     """nonselective_apply for a density matrix rho already validated against mset."""
-    return project_to_physical(sum(om @ rho @ om.conj().T for om in mset.ops))
+    return project_to_physical(np.add.reduce(_sandwich(mset, rho), axis=0, initial=0))
+
+
+def _sandwich(mset, rho):
+    """Omega_n rho Omega_n^dag for every outcome, an (n, N, N) stack."""
+    return mset._stack @ rho @ _dagger(mset._stack)
 
 
 def polar_split(omega):
@@ -252,17 +269,12 @@ def random_pure_measurement(dim, n_ops, rng) -> MeasurementOperatorSet:
     Draws random PSD effects E_i, normalizes them with T^(-1/2) E_i T^(-1/2)
     where T = sum E_i, and takes Omega_i = sqrt(E_i).
     """
-    effects = []
-    for _ in range(n_ops):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        effects.append(g @ g.conj().T)
-    total = sum(effects)
-    vals, vecs = np.linalg.eigh(total)
+    draws = rng.standard_normal((n_ops, 2, dim, dim))  # each operator's real, then imaginary part
+    g = draws[:, 0] + 1j * draws[:, 1]
+    effects = g @ _dagger(g)
+    vals, vecs = np.linalg.eigh(np.add.reduce(effects, axis=0, initial=0))
     inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    ops = []
-    for e in effects:
-        e = inv_sqrt @ e @ inv_sqrt
-        lam, v = np.linalg.eigh((e + e.conj().T) / 2)
-        lam = np.clip(lam, 0.0, None)
-        ops.append((v * np.sqrt(lam)) @ v.conj().T)
-    return MeasurementOperatorSet(tuple(ops))
+    e = inv_sqrt @ effects @ inv_sqrt
+    lam, v = np.linalg.eigh((e + _dagger(e)) / 2)
+    lam = np.clip(lam, 0.0, None)
+    return MeasurementOperatorSet((v * np.sqrt(lam)[:, None, :]) @ _dagger(v))

@@ -27,6 +27,11 @@ The closed loop measures a spin direction at a fixed Bloch angle from the
 instantaneous eigenbasis of rho and applies the optimal constrained feedback
 Hamiltonian recomputed every step.  Trajectories are stepped by the batch
 driver in qmfc.ensemble; run_control_trajectory is a batch of one.
+
+Measurement dragging (inverse_zeno_run) follows one deterministic surviving
+branch, so many runs need only their uniforms: inverse_zeno_successes
+decides a whole batch of runs from blocks of draws, consuming exactly the
+uniforms that successive inverse_zeno_run calls would, in the same order.
 """
 
 import warnings
@@ -272,11 +277,15 @@ def qubit_eigenbasis(rho, prev=None):
     return np.array([[c, -s / e], [s * e, c]], dtype=complex)
 
 
+def _rotated_sigma_z(theta, phi=0.0):
+    """sz turned to Bloch angle (theta, phi) from the z-axis."""
+    a = bloch_rotation(theta, phi)
+    return a @ SIGMA_Z @ a.conj().T
+
+
 def relative_observable(basis, theta, phi=0.0):
     """Spin observable at Bloch angle (theta, phi) from the given eigenbasis."""
-    a = bloch_rotation(theta, phi)
-    rotated = a @ SIGMA_Z @ a.conj().T
-    return basis @ rotated @ basis.conj().T
+    return basis @ _rotated_sigma_z(theta, phi) @ basis.conj().T
 
 
 def run_control_trajectory(
@@ -323,13 +332,16 @@ def run_control_trajectory(
                             fb_hamiltonians=fb_hams)
 
 
-def inverse_zeno_run(psi_start, psi_target, n_measurements, rng):
-    """Drag a state to the target with a sequence of slightly rotated projections.
+def _zeno_branch(psi_start, psi_target, n_measurements):
+    """The surviving branch of a dragging run, or None when the states
+    coincide, which needs no measurement.
 
-    The geodesic between the two states is split into n_measurements equal
-    angular increments; each step applies the two-outcome projective
-    measurement onto the advanced state.  Success means every outcome landed
-    on the advanced branch, in which case the final state is the target.
+    Returns (f1, branch, p).  The frame (f0, f1) spans the plane of the two
+    states, f0 physically equal to the start and the target at angle gamma
+    from f0; branch[i] = cos(i eps) f0 + sin(i eps) f1, eps = gamma /
+    n_measurements, is the state after i successful measurements (branch[0]
+    = f0), and p[i - 1] = |<branch[i]|branch[i - 1]>|^2 is the probability
+    that measurement i succeeds.
     """
     if n_measurements < 1:
         raise ValueError("need at least one measurement")
@@ -337,10 +349,8 @@ def inverse_zeno_run(psi_start, psi_target, n_measurements, rng):
     psi_target = ket(psi_target)
     c = np.vdot(psi_start, psi_target)
     if abs(c) > 1.0 - 1e-12:
-        return True, np.outer(psi_target, psi_target.conj())
+        return None
 
-    # orthonormal frame (f0, f1) of the 2-plane with the target at angle gamma
-    # from f0 and f0 physically equal to the start state
     residual = psi_target - c * psi_start
     f1 = residual / np.linalg.norm(residual)
     phase = c / abs(c) if abs(c) > 1e-15 else 1.0
@@ -348,18 +358,77 @@ def inverse_zeno_run(psi_start, psi_target, n_measurements, rng):
     gamma = np.arccos(np.clip(abs(c), 0.0, 1.0))
 
     eps = gamma / n_measurements
-    current = f0
-    for i in range(1, n_measurements + 1):
-        advanced = np.cos(i * eps) * f0 + np.sin(i * eps) * f1
-        p_success = abs(np.vdot(advanced, current)) ** 2
-        if rng.random() < p_success:
-            current = advanced
-        else:
+    # cos and sin of each angle as scalars: the array functions may round differently
+    angles = [i * eps for i in range(1, n_measurements + 1)]
+    cos = np.array([np.cos(a) for a in angles])
+    sin = np.array([np.sin(a) for a in angles])
+    branch = np.empty((n_measurements + 1, f0.size), dtype=complex)
+    branch[0] = f0
+    branch[1:] = cos[:, None] * f0 + sin[:, None] * f1
+    p = [abs(np.vdot(branch[i], branch[i - 1])) ** 2 for i in range(1, n_measurements + 1)]
+    return f1, branch, p
+
+
+def inverse_zeno_run(psi_start, psi_target, n_measurements, rng):
+    """Drag a state to the target with a sequence of slightly rotated projections.
+
+    The geodesic between the two states is split into n_measurements equal
+    angular increments; each step applies the two-outcome projective
+    measurement onto the advanced state.  Success means every outcome landed
+    on the advanced branch, in which case the final state is the target.
+    Measurement i draws one rng.random() and succeeds when it is below p_i.
+    """
+    surviving = _zeno_branch(psi_start, psi_target, n_measurements)
+    if surviving is None:
+        psi_target = ket(psi_target)
+        return True, np.outer(psi_target, psi_target.conj())
+    f1, branch, p = surviving
+    for i, p_success in enumerate(p, 1):
+        if not rng.random() < p_success:
+            current, advanced = branch[i - 1], branch[i]
             failed = current - np.vdot(advanced, current) * advanced
             norm = np.linalg.norm(failed)
             if norm < 1e-15:
-                failed = f1 if i == n_measurements else f0
+                failed = f1 if i == n_measurements else branch[0]
                 norm = 1.0
             current = failed / norm
             return False, np.outer(current, current.conj())
+    current = branch[-1]
     return True, np.outer(current, current.conj())
+
+
+def inverse_zeno_successes(psi_start, psi_target, n_measurements, runs, rng):
+    """Number of successes in `runs` successive inverse_zeno_run calls.
+
+    The surviving branch is the same in every run, so a run is decided by its
+    uniforms alone: it fails at its first draw u_i >= p_i and succeeds after
+    n_measurements draws below them.  The runs consume exactly the uniforms
+    that successive inverse_zeno_run calls draw, in the same order, and leave
+    rng in the same state.  Every unfinished run takes at least one more draw,
+    so the uniforms come in blocks of one per unfinished run.
+    """
+    if runs < 1:
+        raise ValueError("need at least one run")
+    surviving = _zeno_branch(psi_start, psi_target, n_measurements)
+    if surviving is None:
+        return runs
+    p = surviving[2]
+    p_low = min(p)
+    successes = done = 0
+    start = 0  # first draw of the current run, counted from the block's start
+    while done < runs:
+        u = rng.random(runs - done)
+        # a draw below every p_i succeeds wherever it falls in its run
+        for t in np.flatnonzero(u >= p_low).tolist():
+            whole, i = divmod(t - start, n_measurements)
+            successes += whole
+            done += whole
+            start += whole * n_measurements
+            if u[t] >= p[i]:
+                done += 1
+                start = t + 1
+        whole = (len(u) - start) // n_measurements
+        successes += whole
+        done += whole
+        start += whole * n_measurements - len(u)
+    return successes

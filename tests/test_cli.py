@@ -186,3 +186,19 @@ def test_negative_seed_is_a_config_error(tmp_path):
     ):
         assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def test_counts_below_one_are_config_errors(tmp_path):
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["--experiment", "zeno", "--m-list", "2", "--runs", "0"],
+        ["--experiment", "zeno", "--m-list", "2", "--runs", "-3"],
+        ["--experiment", "fig1", "--theta-points", "0"],
+        ["--experiment", "fig2", "--theta-points", "0", "--realizations", "4",
+         "--t-end", "0.002"],
+        ["--experiment", "fig2", "--theta-points", "2", "--realizations", "0",
+         "--t-end", "0.002"],
+    ):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.manifest.txt").exists()

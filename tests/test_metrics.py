@@ -19,13 +19,23 @@ from qmfc.metrics import (
     uncertainty_v,
 )
 from qmfc.povm import (
+    EPS_PROB,
     KappaMeasurement,
     MeasurementOperatorSet,
+    gaussian_weak_povm,
     kappa_povm,
     nonselective_apply,
+    outcome_probabilities,
     random_pure_measurement,
 )
-from qmfc.states import SIGMA_Z, pure_density
+from qmfc.states import (
+    SIGMA_X,
+    SIGMA_Z,
+    project_to_physical,
+    pure_density,
+    purity,
+    von_neumann_entropy,
+)
 
 
 def random_density(rng, n):
@@ -290,3 +300,25 @@ def test_rank_one_projective_on_pure_state_gives_full_information():
     rep = disturbance(kappa_povm(KappaMeasurement(1.0)), pure_density([1.0, 0.0]))
     assert rep.i_f_p == pytest.approx(1.0)
     assert rep.n_e_p == pytest.approx(0.0, abs=1e-12)
+
+
+def test_stacked_functionals_match_per_outcome_loops():
+    """The operator-stack functionals equal, bit for bit, the same operations
+    done one outcome at a time and summed in outcome order."""
+    rng = np.random.default_rng(23)
+    families = [random_pure_measurement(n, n_ops, rng) for n in (2, 3, 4) for n_ops in (2, 7)]
+    families.append(gaussian_weak_povm(0.6 * SIGMA_X + 0.8 * SIGMA_Z, 1.0, 1e-2))
+    for mset in families:
+        rho = random_density(rng, mset.dim)
+        terms = []
+        for om in mset.ops:
+            raw = om @ rho @ om.conj().T
+            p = np.trace(raw).real
+            if p > EPS_PROB:
+                terms.append((p, raw / p))
+        probs = [np.einsum("ij,ji->", om.conj().T @ om, rho).real for om in mset.ops]
+        assert outcome_probabilities(mset, rho).tobytes() == np.clip(probs, 0.0, None).tobytes()
+        averaged = project_to_physical(sum(om @ rho @ om.conj().T for om in mset.ops))
+        assert nonselective_apply(mset, rho).tobytes() == averaged.tobytes()
+        assert uncertainty_v(mset, rho) == float(sum(p * von_neumann_entropy(r) for p, r in terms))
+        assert uncertainty_p(mset, rho) == float(1.0 - sum(p * purity(r) for p, r in terms))

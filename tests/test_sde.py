@@ -9,6 +9,7 @@ from qmfc.sde import (
     _kraus_step,
     _matmul,
     inverse_zeno_run,
+    inverse_zeno_successes,
     nonselective_solve,
     qubit_eigenbasis,
     relative_observable,
@@ -308,3 +309,33 @@ def test_inverse_zeno_success_reaches_target():
     assert ok and trace_distance(rho, pure_density(psi0)) < 1e-12
     with pytest.raises(ValueError):
         inverse_zeno_run(psi0, psi1, 0, rng)
+
+
+ZENO_PAIRS = {
+    "orthogonal": (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+    "45 degrees": (np.array([1.0, 0.0]), np.array([1.0, 1.0j]) / np.sqrt(2.0)),
+    "coincident": (np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, 1.0]) / np.sqrt(2.0)),
+}
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+@pytest.mark.parametrize("pair", sorted(ZENO_PAIRS))
+def test_inverse_zeno_successes_draws_what_single_runs_draw(bit_generator, pair):
+    psi0, psi1 = ZENO_PAIRS[pair]
+    for m in (1, 2, 10, 50):
+        for runs in (1, 7, 1000):
+            seed = 1000 * m + runs
+            single = np.random.Generator(bit_generator(seed))
+            batch = np.random.Generator(bit_generator(seed))
+            expected = sum(inverse_zeno_run(psi0, psi1, m, single)[0] for _ in range(runs))
+            assert inverse_zeno_successes(psi0, psi1, m, runs, batch) == expected
+            # the same uniforms were consumed, so the next draw agrees
+            assert batch.random() == single.random()
+
+
+def test_inverse_zeno_successes_rejects_empty_counts():
+    psi0, psi1 = ZENO_PAIRS["orthogonal"]
+    rng = np.random.default_rng(0)
+    for m, runs in ((0, 10), (-1, 10), (5, 0), (5, -3)):
+        with pytest.raises(ValueError):
+            inverse_zeno_successes(psi0, psi1, m, runs, rng)
