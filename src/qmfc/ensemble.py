@@ -16,10 +16,9 @@ ensemble derives all its keys in one vectorised pass of SeedSequence's hash
 every drawn number, are numpy's own.  Noise is drawn in blocks of
 NOISE_BLOCK steps so the noise buffer does not grow with the run length.
 Results are bit-identical for a given master seed and realization count,
-however many steps of noise are drawn at a time.  A row of a qubit
-batch wider than one depends only on its own stream, and so does a row of a
-matrix-kernel batch of 32 or more; below 32, where sde._matmul changes
-method, a matrix-kernel row can differ in the last bits.
+however many steps of noise are drawn at a time.  A row of a batch wider
+than one depends only on its own stream, on either kernel; a batch of one
+steps plain (N, N) matrices, whose products round differently.
 
 Two kernels run the same step as sde._kraus_step, with the same noise, the
 same feedback branches and the same StepRejected rule:
@@ -102,7 +101,6 @@ class EnsembleConfig:
     rho0: np.ndarray
     target_fn: object            # callable t -> pure-state vector, or None
     stat_stride: int = 10        # store statistics every this many steps
-    transient_cut: float = 0.0   # drop times < this from the time averages
 
     def __post_init__(self):
         if self.realizations < 1:
@@ -598,9 +596,9 @@ def run_ensemble(cfg: EnsembleConfig, sweep_index=0) -> EnsembleStats:
             pur[:, slot] = batch.purity()
             ovl[:, slot] = np.nan if target_t is None else batch.overlap(target_t)
 
-    keep = times >= cfg.transient_cut
-    tavg_p = pur[:, keep].mean(axis=1)
-    tavg_o = ovl[:, keep].mean(axis=1)
+    # a Fortran-ordered copy fixes the summation order, and so the bits, of the time averages
+    tavg_p = np.asfortranarray(pur).mean(axis=1)
+    tavg_o = np.asfortranarray(ovl).mean(axis=1)
 
     def se(x, axis=0):
         if r < 2:

@@ -22,8 +22,8 @@ from .povm import (
     _dagger,
     _nonselective,
     _sandwich,
+    _validated,
     kappa_povm,
-    nonselective_apply,
 )
 
 
@@ -118,10 +118,7 @@ def strength(mset: MeasurementOperatorSet) -> StrengthReport:
 
 def disturbance(mset: MeasurementOperatorSet, rho) -> DisturbanceReport:
     """Excess noise of the outcome-averaged state and the average final purity."""
-    rho = check_density_matrix(rho)
-    if rho.shape[0] != mset.dim:
-        raise ValueError("dimension mismatch between state and measurement")
-    return _disturbance(mset, rho)
+    return _disturbance(mset, _validated(mset, rho))
 
 
 def _disturbance(mset, rho):
@@ -155,9 +152,9 @@ def fidelity_bound_check(mset: MeasurementOperatorSet, rho, psi_target, slack=1e
     largest-eigenvalue bound.  Only meaningful for pure (all-PSD) sets."""
     if mset.kind not in ("pure", "projective"):
         raise ValueError("bound applies to pure measurements only")
-    rho = check_density_matrix(rho)
+    rho = _validated(mset, rho)
     lam_max = float(np.linalg.eigvalsh(rho).max())
-    return overlap(nonselective_apply(mset, rho), psi_target) <= lam_max + slack
+    return overlap(_nonselective(mset, rho), psi_target) <= lam_max + slack
 
 
 def strength_rate_numeric(

@@ -201,17 +201,30 @@ def poisson_povm(Q, k, dt) -> MeasurementOperatorSet:
     return MeasurementOperatorSet((om0, om1))
 
 
+def _validated(mset, rho):
+    """rho checked as a density matrix of mset's dimension."""
+    rho = check_density_matrix(rho)
+    if rho.shape[0] != mset.dim:
+        raise ValueError("dimension mismatch between state and measurement")
+    return rho
+
+
 def outcome_probabilities(mset: MeasurementOperatorSet, rho):
     """Tr[Omega_n^dag Omega_n rho] for every outcome."""
-    rho = check_density_matrix(rho)
+    return _probabilities(mset, _validated(mset, rho))
+
+
+def _probabilities(mset, rho):
     return np.clip(np.einsum("nij,ji->n", mset._effects, rho).real, 0.0, None)
 
 
 def apply_outcome(mset: MeasurementOperatorSet, rho, n) -> MeasurementOutcome:
     """Condition rho on outcome n: Omega_n rho Omega_n^dag / P(n)."""
-    rho = check_density_matrix(rho)
-    if rho.shape[0] != mset.dim:
-        raise ValueError("dimension mismatch between state and measurement")
+    return _condition(mset, _validated(mset, rho), n)
+
+
+def _condition(mset, rho, n):
+    """apply_outcome for a density matrix rho already validated against mset."""
     om = mset.ops[n]
     raw = om @ rho @ om.conj().T
     p = np.trace(raw).real
@@ -225,17 +238,15 @@ def apply_outcome(mset: MeasurementOperatorSet, rho, n) -> MeasurementOutcome:
 
 def sample_outcome(mset: MeasurementOperatorSet, rho, rng) -> MeasurementOutcome:
     """Draw an outcome from the measurement distribution using rng."""
-    p = outcome_probabilities(mset, rho)
+    rho = _validated(mset, rho)
+    p = _probabilities(mset, rho)
     n = int(rng.choice(len(p), p=p / p.sum()))
-    return apply_outcome(mset, rho, n)
+    return _condition(mset, rho, n)
 
 
 def nonselective_apply(mset: MeasurementOperatorSet, rho):
     """Average over outcomes: sum_n Omega_n rho Omega_n^dag."""
-    rho = check_density_matrix(rho)
-    if rho.shape[0] != mset.dim:
-        raise ValueError("dimension mismatch between state and measurement")
-    return _nonselective(mset, rho)
+    return _nonselective(mset, _validated(mset, rho))
 
 
 def _nonselective(mset, rho):

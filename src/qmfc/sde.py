@@ -140,17 +140,14 @@ def _dagger(a):
 
 
 def _matmul(a, b):
-    """a @ b for N x N matrices or trajectory-last stacks (N, N, m) of them, a
-    matrix acting on every matrix of a stack: np.matmul below 32 matrices, and
-    from 32 on a sum of N outer products, each a ufunc over the contiguous m axis."""
-    n = a.shape[0]
-    if a.ndim == 2 and b.ndim == 2:
+    """a @ b for two N x N matrices, or for trajectory-last stacks (N, N, m)
+    of them, where an (N, N, 1) operand acts on every matrix of the other.  A
+    stack is a sum of N outer products in j order, each a ufunc over the
+    contiguous m axis, so every column is computed alone, whatever the width."""
+    if a.ndim == 2:
         return a @ b
-    if max(a.size, b.size) < 32 * n * n:
-        return np.ascontiguousarray(np.matmul(a, b, axes=[(0, 1)] * 3))
-    a, b = (x[..., None] if x.ndim == 2 else x for x in (a, b))
     out = a[:, :1] * b[:1]
-    for j in range(1, n):
+    for j in range(1, a.shape[0]):
         out = out + a[:, j:j + 1] * b[j:j + 1]
     return out
 

@@ -1,0 +1,26 @@
+"""Print the numeric environment at the top of every run.
+
+The golden tests pin bits, which depend on numpy, the BLAS it was built with
+and the machine; a mismatch can be traced to its environment from this header.
+"""
+
+import os
+import platform
+
+import numpy as np
+import scipy
+
+
+def _blas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config instead
+        return "unknown"
+    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+
+
+def pytest_report_header(config):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (f"qmfc environment: Python {platform.python_version()}, numpy {np.__version__}, "
+            f"scipy {scipy.__version__}, BLAS {_blas()}, nproc {cpus}, "
+            f"{platform.machine()}")

@@ -73,9 +73,7 @@ def qutrit_config(**overrides):
 
 
 def general_n_config(n):
-    # N = 3 or 4 from I/N toward the last basis state, 40 rows: wide enough
-    # that sde._matmul sums outer products over the trajectory axis (from 32
-    # matrices on)
+    # N = 3 or 4 from I/N toward the last basis state, 40 rows
     target = np.zeros(n, dtype=complex)
     target[-1] = 1.0
     if n == 3:
@@ -310,12 +308,16 @@ def test_single_realization_matches_scalar_engine():
 
 
 def test_chunking_does_not_change_rows():
-    cfg = small_config(realizations=40)
-    whole = collect(cfg, 40, streams(cfg, range(40)))
-    parts = [collect(cfg, 17, streams(cfg, range(17))),
-             collect(cfg, 23, streams(cfg, range(17, 40)))]
-    for i in range(2):
-        assert np.array_equal(whole[i], np.concatenate([p[i] for p in parts]))
+    """A 40-row batch split 17 + 23 gives the same rows in every bit: purity,
+    overlap, states, records and feedback, on the Bloch kernel and on the
+    matrix kernel for N = 3 and 4."""
+    for cfg in (small_config(realizations=40), general_n_config(3), general_n_config(4)):
+        checkpoints = range(0, cfg.sme.n_steps + 1, cfg.stat_stride)
+        whole = collect(cfg, 40, streams(cfg, range(40)), checkpoints)
+        parts = [collect(cfg, 17, streams(cfg, range(17)), checkpoints),
+                 collect(cfg, 23, streams(cfg, range(17, 40)), checkpoints)]
+        for got, want in zip(zip(*parts), whole):
+            assert np.concatenate(got).tobytes() == want.tobytes(), cfg.rho0.shape
 
 
 def test_noise_blocks_do_not_change_rows(monkeypatch):
@@ -505,8 +507,8 @@ def test_weyl_bound_dominates_general_n_euler_state():
 
 
 def test_general_n_batch_rejects_the_exact_step(monkeypatch):
-    """A step is rejected when one row of a 40-row N = 3 batch (past
-    sde._matmul's switch at 32 matrices) leaves the physical states.
+    """A step is rejected when one row of a 40-row N = 3 batch leaves the
+    physical states.
 
     39 rows sit on eigenstates of the measured Q, where the Euler state is
     rho; one starts on a superposition, where k dt = 4 throws it far below
@@ -545,17 +547,21 @@ def test_general_n_batch_rejects_the_exact_step(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_wide_matrix_rows_do_not_depend_on_the_batch_width(n):
-    """From 32 matrices on, every operation of the trajectory-last kernel runs
-    column by column, so the first 32 rows of N = 3 and 4 batches of widths
-    32, 40 and 4000 on shared streams are byte-identical: purity, overlap,
-    states, records and feedback."""
+    """Every operation of the trajectory-last kernel runs column by column at
+    any width from 2 on, so the rows of N = 3 and 4 batches of widths 2, 8,
+    31, 32 and 4000 on shared streams are byte-identical to the same rows of
+    a 40-wide batch: purity, overlap, states, records and feedback."""
     cfg = replace(general_n_config(n), sme=replace(general_n_config(n).sme, t_end=0.02))
     checkpoints = range(0, cfg.sme.n_steps + 1, cfg.stat_stride)
-    runs = [collect(cfg, width, streams(cfg, range(width)), checkpoints)
-            for width in (32, 40, 4000)]
-    for wider in runs[1:]:
-        for got, want in zip(wider, runs[0]):
-            assert got[:32].tobytes() == want.tobytes()
+
+    def run(width):
+        return collect(cfg, width, streams(cfg, range(width)), checkpoints)
+
+    reference = run(40)
+    for width in (2, 8, 31, 32, 4000):
+        rows = min(width, 40)
+        for got, want in zip(run(width), reference):
+            assert got[:rows].tobytes() == want[:rows].tobytes()
 
 
 def test_feedback_stack_sends_only_second_order_rows_to_the_scalar_rule(monkeypatch):
@@ -814,23 +820,26 @@ def digest(*arrays):
     return h.hexdigest()
 
 
-# below sde._matmul's switch at 32 matrices: the time averages (purity, se,
-# overlap, se) of an 8-row N = 3 batch as float.hex with the SHA-256 of its
-# states at t_end, and the SHA-256 of (states, records, fb_hamiltonians) of
-# two single trajectories.  Recorded with numpy 2.4.6 on x86-64 by running
-# these configurations on the (m, N, N) matrix kernel, before the kernel
-# stored its stacks trajectory-last
+# the time averages (purity, se, overlap, se) of an 8-row N = 3 batch as
+# float.hex with the SHA-256 of its states at t_end, and the SHA-256 of
+# (states, records, fb_hamiltonians) of two single trajectories, which step
+# (N, N) matrices without the trajectory axis.  Recorded with numpy 2.4.6 on
+# x86-64.  The trajectories were recorded on the (m, N, N) matrix kernel,
+# before the kernel stored its stacks trajectory-last.  The qutrit entry was
+# re-recorded when sde._matmul stopped switching to np.matmul below 32
+# matrices: it is the first 8 rows of the same ensemble at width 40, which
+# the code before that change gave in every bit
 NARROW_GOLDEN = {
-    "qutrit": (("0x1.83877f4e9b96ep-2", "0x1.7d79bc459dae9p-7",
-                "0x1.67e148ed7e692p-2", "0x1.95c19b9d872f0p-5"),
-               "0f7b8f4b232a73dc64f966cc7191f64224b6e8d4f06906b43b9f74afa9ea22af"),
+    "qutrit": (("0x1.83877f4e9b96dp-2", "0x1.7d79bc459dae8p-7",
+                "0x1.67e148ed7e692p-2", "0x1.95c19b9d872ecp-5"),
+               "83783bddb652adece9ef2b693e9db5d2b52f3823f60a3b011bca480a6ee0bddd"),
     "relative_angle": "6730a34ca5672620ad64665851754761402923a4485f0cbe485bbcc083775d48",
     "fixed_observable": "e433eabb83df89c5e692b58c6562ed841b0a681de2a2075eb806a26852784b55",
 }
 
 
 def test_narrow_matrix_rows_are_pinned():
-    """Matrix-kernel batches narrower than 32 keep their bits: an 8-row N = 3
+    """Narrow matrix-kernel batches keep their bits: an 8-row N = 3
     ensemble, and width-one closed-loop trajectories (beta = 0.4, mu = 10)
     on the relative_angle policy and on a fixed observable from diag(0.8, 0.2)."""
     cfg = qutrit_config()

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import qmfc.povm
 from qmfc.povm import (
     EPS_PROB,
     KappaMeasurement,
@@ -133,6 +136,45 @@ def test_sample_outcome_deterministic_and_frequencies():
     hits = sum(sample_outcome(mset, rho, rng).index == 0 for _ in range(draws))
     sigma = np.sqrt(p0 * (1 - p0) / draws)
     assert abs(hits / draws - p0) < 4 * sigma
+
+
+# SHA-256 over (index, probability.hex) and the post-state of 12 chained
+# sample_outcome calls on one rng, with the float.hex of its next draw,
+# recorded while sample_outcome still validated the state twice, and passing there
+SAMPLE_GOLDEN = ("6ec1a9dd55bde6c1c61f8c4e7d0f775b529c54b22fcf250f5e26fff382d09ab8",
+                 "0x1.3cdd676268f92p-2")
+
+
+def test_sample_outcome_validates_once_and_keeps_its_bits(monkeypatch):
+    calls = []
+
+    def counted(rho):
+        calls.append(1)
+        return check_density_matrix(rho)
+
+    monkeypatch.setattr(qmfc.povm, "check_density_matrix", counted)
+    weak = gaussian_weak_povm(0.6 * SIGMA_X + 0.8 * SIGMA_Z, 1.0, 1e-2)
+    chains = [
+        (np.eye(2, dtype=complex) / 2,
+         [weak] * 5 + [kappa_povm(KappaMeasurement(0.3, 1.0)),
+                       kappa_povm(KappaMeasurement(0.9, 2.0))]),
+        (np.diag([0.5, 0.3, 0.2]).astype(complex),
+         [random_pure_measurement(3, 4, np.random.default_rng(3))] * 5),
+    ]
+    rng = np.random.default_rng(99)
+    h = hashlib.sha256()
+    for rho, msets in chains:
+        for mset in msets:
+            before = len(calls)
+            out = sample_outcome(mset, rho, rng)
+            assert len(calls) == before + 1
+            rho = out.post_state
+            h.update(str((out.index, float(out.probability).hex())).encode())
+            h.update(rho.tobytes())
+    assert (h.hexdigest(), rng.random().hex()) == SAMPLE_GOLDEN
+    # the dimension is still checked
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sample_outcome(weak, np.eye(3) / 3, rng)
 
 
 def test_nonselective_apply_examples():

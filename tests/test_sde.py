@@ -57,8 +57,8 @@ def sme_step(rho, q, k, h, dt, dw, beta=0.0):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_matmul_matches_numpy_on_trajectory_last_stacks(n):
     """_matmul multiplies (N, N, m) stacks, with the trajectory axis last, as
-    np.matmul multiplies (m, N, N) stacks: on both sides of its method switch
-    at 32 matrices, and with a matrix (N, N) on either side."""
+    np.matmul multiplies (m, N, N) stacks: at widths from one to thousands,
+    and with a matrix, lifted to (N, N, 1), on either side."""
     rng = np.random.default_rng(n)
 
     def stack(m):
@@ -68,7 +68,8 @@ def test_matmul_matches_numpy_on_trajectory_last_stacks(n):
         a, b, matrix = stack(m), stack(m), stack(1)[0]
         pairs = [(matrix, b, matrix @ b), (a, matrix, a @ matrix), (a, b, a @ b)]
         for left, right, want in pairs:
-            got = _matmul(*(x if x.ndim == 2 else np.moveaxis(x, 0, -1) for x in (left, right)))
+            got = _matmul(*(x[..., None] if x.ndim == 2 else np.moveaxis(x, 0, -1)
+                            for x in (left, right)))
             assert got.shape == (n, n, m)
             assert np.max(np.abs(np.moveaxis(got, -1, 0) - want)) <= 1e-14
 
