@@ -5,6 +5,10 @@ leaves behind when applied to the maximally mixed state: sharper measurements
 leave purer (lower-entropy) conditional states.  Disturbance is the entropy
 gained (or purity lost) by the outcome-averaged state.  Both notions use the
 final, post-measurement state, which is what a feedback controller acts on.
+
+The outcome terms, the uncertainties and the disturbance also take a stack
+of sets (..., n, N, N) and give each set the bits it gets on its own;
+theta_sweep runs all its angles in one pass this way.
 """
 
 import math
@@ -17,13 +21,12 @@ from .sde import MeasurementPolicy, SmeConfig
 from .states import check_density_matrix, overlap, purity, von_neumann_entropy
 from .povm import (
     EPS_PROB,
-    KappaMeasurement,
     MeasurementOperatorSet,
-    _dagger,
-    _nonselective,
+    _averaged,
+    _effects,
+    _kappa_stack,
     _sandwich,
     _validated,
-    kappa_povm,
 )
 
 
@@ -50,40 +53,38 @@ class RateEstimate:
     rate_p_se: float
 
 
-def _outcome_terms(mset, rho):
-    """(probabilities, normalized post-states) of the outcomes with P > eps,
-    shapes (n,) and (n, N, N), in outcome order."""
-    raw = _sandwich(mset, rho)
-    p = np.trace(raw, axis1=1, axis2=2).real
+def _outcome_terms(raw):
+    """(probabilities, normalized post-states) of every outcome of a stack of
+    sandwiches Omega rho Omega^dag (..., n, N, N), shapes (..., n) and
+    (..., n, N, N).  An outcome with P <= EPS_PROB is dropped: its probability
+    reads 0 and its post-state is the finite Omega rho Omega^dag, so it adds
+    exactly 0 to a weighted sum."""
+    p = np.trace(raw, axis1=-2, axis2=-1).real
     keep = p > EPS_PROB
-    p = p[keep]
-    return p, raw[keep] / p[:, None, None]
+    return np.where(keep, p, 0.0), raw / np.where(keep, p, 1.0)[..., None, None]
 
 
 def _ordered_sum(x):
-    """sum(x) from 0 in index order, as a Python loop adds: a pairwise numpy
-    sum would round differently."""
-    return float(np.add.accumulate(np.concatenate(([0.0], x)))[-1])
+    """sum over the last axis from 0 in index order, as a Python loop adds: a
+    pairwise numpy sum would round differently."""
+    zero = np.zeros(x.shape[:-1] + (1,))
+    return np.add.accumulate(np.concatenate((zero, x), axis=-1), axis=-1)[..., -1]
 
 
 def uncertainty_v(mset: MeasurementOperatorSet, rho):
     """Probability-weighted average post-outcome von Neumann entropy."""
-    rho = check_density_matrix(rho)
-    p, post = _outcome_terms(mset, rho)
-    # von_neumann_entropy on every post-state: 0 ln 0 = 0 below 1e-15
-    lam = np.linalg.eigvalsh((post + _dagger(post)) / 2)
-    lam = np.where(lam > 1e-15, lam, 1.0)
-    return _ordered_sum(p * -(lam * np.log(lam)).sum(axis=1))
+    p, post = _outcome_terms(_sandwich(mset._stack, check_density_matrix(rho)))
+    return float(_ordered_sum(p * von_neumann_entropy(post)))
 
 
 def uncertainty_p(mset: MeasurementOperatorSet, rho):
     """Probability-weighted average post-outcome impurity, 1 - sum Tr[(O rho O^dag)^2]/Tr[O rho O^dag]."""
-    return _uncertainty_p(mset, check_density_matrix(rho))
+    return float(_uncertainty_p(_sandwich(mset._stack, check_density_matrix(rho))))
 
 
-def _uncertainty_p(mset, rho):
-    p, post = _outcome_terms(mset, rho)
-    return float(1.0 - _ordered_sum(p * np.einsum("nij,nji->n", post, post).real))
+def _uncertainty_p(raw):
+    p, post = _outcome_terms(raw)
+    return 1.0 - _ordered_sum(p * purity(post))
 
 
 # u(I/N) below this threshold is treated as exactly zero
@@ -118,33 +119,39 @@ def strength(mset: MeasurementOperatorSet) -> StrengthReport:
 
 def disturbance(mset: MeasurementOperatorSet, rho) -> DisturbanceReport:
     """Excess noise of the outcome-averaged state and the average final purity."""
-    return _disturbance(mset, _validated(mset, rho))
+    return DisturbanceReport(*map(float, _disturbance(mset._stack, _validated(mset, rho))))
 
 
-def _disturbance(mset, rho):
-    """disturbance for a density matrix rho already validated against mset."""
-    rho_f = _nonselective(mset, rho)
-    return DisturbanceReport(
-        n_e_v=von_neumann_entropy(rho_f) - von_neumann_entropy(rho),
-        n_e_p=purity(rho) - purity(rho_f),
-        i_f_p=1.0 - _uncertainty_p(mset, rho),
+def _disturbance(ops, rho):
+    """(n_e_v, n_e_p, i_f_p) of a stack of sets (..., n, N, N), one value per
+    set, for a density matrix rho already validated against them.  rho's own
+    entropy and purity are computed once for the whole stack."""
+    raw = _sandwich(ops, rho)
+    rho_f = _averaged(raw)
+    return (
+        von_neumann_entropy(rho_f) - von_neumann_entropy(rho),
+        purity(rho) - purity(rho_f),
+        1.0 - _uncertainty_p(raw),
     )
 
 
 def theta_sweep(p, kappa, theta_grid):
     """Information/disturbance trade-off of a kappa measurement on diag(p, 1-p).
 
-    Returns a list of (theta, i_f_p, n_e_p, n_e_v) rows, one per grid angle.
-    The state is validated once for the whole sweep.
+    Returns a list of (theta, i_f_p, n_e_p, n_e_v) rows, one per grid angle,
+    each equal in every bit to disturbance(kappa_povm(KappaMeasurement(kappa,
+    theta)), rho).  All angles run in one pass over a (T, 2, 2, 2) stack of
+    kappa pairs: p, kappa, every theta and the completeness of every pair are
+    checked first, then the state is validated once for the whole sweep.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    theta = np.asarray(theta_grid, dtype=float)
+    ops = _kappa_stack(kappa, theta)
+    _effects(ops)  # completeness of every pair
     rho = check_density_matrix(np.diag([p, 1.0 - p]).astype(complex))
-    rows = []
-    for theta in np.asarray(theta_grid, dtype=float):
-        rep = _disturbance(kappa_povm(KappaMeasurement(kappa, theta)), rho)
-        rows.append((float(theta), rep.i_f_p, rep.n_e_p, rep.n_e_v))
-    return rows
+    n_e_v, n_e_p, i_f_p = _disturbance(ops, rho)
+    return list(zip(theta.tolist(), i_f_p.tolist(), n_e_p.tolist(), n_e_v.tolist()))
 
 
 def fidelity_bound_check(mset: MeasurementOperatorSet, rho, psi_target, slack=1e-12):
@@ -154,7 +161,7 @@ def fidelity_bound_check(mset: MeasurementOperatorSet, rho, psi_target, slack=1e
         raise ValueError("bound applies to pure measurements only")
     rho = _validated(mset, rho)
     lam_max = float(np.linalg.eigvalsh(rho).max())
-    return overlap(_nonselective(mset, rho), psi_target) <= lam_max + slack
+    return overlap(_averaged(_sandwich(mset._stack, rho)), psi_target) <= lam_max + slack
 
 
 def strength_rate_numeric(

@@ -12,6 +12,10 @@ as a second stack.  Completeness, classification, outcome
 probabilities and the outcome-averaged state run on the whole stack with the
 same per-matrix operations as one operator at a time, and sums over outcomes
 run in outcome order, so they give the same bits.
+
+The completeness check, Omega rho Omega^dag and the outcome average also
+take a stack of sets (..., n, N, N); metrics.theta_sweep runs all its angles
+as one (T, 2, 2, 2) stack of kappa pairs.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +25,7 @@ import numpy as np
 from .states import (
     TOL_HERM,
     TOL_PSD,
+    _dagger,
     check_hermitian,
     check_density_matrix,
     project_to_physical,
@@ -30,9 +35,20 @@ TOL_COMPLETENESS = 1e-8
 EPS_PROB = 1e-14
 
 
-def _dagger(a):
-    """Conjugate transpose of every matrix of an (n, N, N) stack."""
-    return a.conj().transpose(0, 2, 1)
+def _effects(stack):
+    """Omega^dag Omega for every operator of a stack of sets (..., n, N, N).
+    Raises unless every set's effects sum to the identity within
+    TOL_COMPLETENESS."""
+    effects = _dagger(stack) @ stack
+    # 0 + sum: the same first addition as summing the operators one at a time
+    total = np.add.reduce(effects, axis=-3, initial=0)
+    residual = np.max(np.abs(total - np.eye(stack.shape[-1])), initial=0.0)
+    if residual > TOL_COMPLETENESS:
+        raise ValueError(
+            f"completeness violated: ||sum Omega^dag Omega - I|| = {residual:.3e} "
+            f"> {TOL_COMPLETENESS:.1e}"
+        )
+    return effects
 
 
 def _classify(stack):
@@ -64,15 +80,7 @@ class MeasurementOperatorSet:
             stack = None
         if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("all operators must be square with equal dimension")
-        effects = _dagger(stack) @ stack
-        # 0 + sum: the same first addition as summing the operators one at a time
-        total = np.add.reduce(effects, axis=0, initial=0)
-        residual = np.max(np.abs(total - np.eye(stack.shape[1])))
-        if residual > TOL_COMPLETENESS:
-            raise ValueError(
-                f"completeness violated: ||sum Omega^dag Omega - I|| = {residual:.3e} "
-                f"> {TOL_COMPLETENESS:.1e}"
-            )
+        effects = _effects(stack)
         stack.setflags(write=False)
         effects.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
@@ -109,12 +117,17 @@ class KappaMeasurement:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError("kappa must lie in [0, 1]")
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError("theta must lie in [0, pi]")
-        if not 0.0 <= self.phi < 2 * np.pi:
-            raise ValueError("phi must lie in [0, 2*pi)")
+        _check_kappa(self.kappa, self.theta, self.phi)
+
+
+def _check_kappa(kappa, theta, phi):
+    """The ranges of a kappa measurement, for one theta or an array of them."""
+    if not 0.0 <= kappa <= 1.0:
+        raise ValueError("kappa must lie in [0, 1]")
+    if not np.all((theta >= 0.0) & (theta <= np.pi)):
+        raise ValueError("theta must lie in [0, pi]")
+    if not 0.0 <= phi < 2 * np.pi:
+        raise ValueError("phi must lie in [0, 2*pi)")
 
 
 def bloch_rotation(theta, phi=0.0):
@@ -131,10 +144,23 @@ def kappa_povm(m: KappaMeasurement) -> MeasurementOperatorSet:
     Omega_0 = sqrt(kappa)|0><0| + sqrt(1-kappa)|1><1| and Omega_1 with the
     weights swapped; Omega_0^2 + Omega_1^2 = 1 holds exactly.
     """
-    u = bloch_rotation(m.theta, m.phi)
-    om0 = np.diag([np.sqrt(m.kappa), np.sqrt(1.0 - m.kappa)]).astype(complex)
-    om1 = np.diag([np.sqrt(1.0 - m.kappa), np.sqrt(m.kappa)]).astype(complex)
-    return MeasurementOperatorSet((u @ om0 @ u.conj().T, u @ om1 @ u.conj().T))
+    theta = np.array([m.theta], dtype=float)
+    return MeasurementOperatorSet(_kappa_stack(m.kappa, theta, m.phi)[0])
+
+
+def _kappa_stack(kappa, theta, phi=0.0):
+    """The kappa pairs at every angle of a 1-D theta array, a (T, 2, 2, 2) stack.
+
+    The ranges of kappa, phi and every theta are checked before anything is
+    built; completeness is left to the caller's _effects.  Each U is
+    bloch_rotation's, with scalar trig, and the products are batched matmuls,
+    so each pair has the bits it has on its own.
+    """
+    _check_kappa(kappa, theta, phi)
+    u = np.array([bloch_rotation(t, phi) for t in theta], dtype=complex).reshape(-1, 2, 2)
+    w = (np.sqrt(kappa), np.sqrt(1.0 - kappa))
+    om = np.array([np.diag(w), np.diag(w[::-1])]).astype(complex)
+    return u[:, None] @ om @ _dagger(u)[:, None]
 
 
 def default_alpha_grid(Q, k, dt, center=0.0, n_points=2048):
@@ -225,8 +251,7 @@ def apply_outcome(mset: MeasurementOperatorSet, rho, n) -> MeasurementOutcome:
 
 def _condition(mset, rho, n):
     """apply_outcome for a density matrix rho already validated against mset."""
-    om = mset.ops[n]
-    raw = om @ rho @ om.conj().T
+    raw = _sandwich(mset.ops[n], rho)
     p = np.trace(raw).real
     if p <= EPS_PROB:
         raise ValueError(
@@ -246,17 +271,18 @@ def sample_outcome(mset: MeasurementOperatorSet, rho, rng) -> MeasurementOutcome
 
 def nonselective_apply(mset: MeasurementOperatorSet, rho):
     """Average over outcomes: sum_n Omega_n rho Omega_n^dag."""
-    return _nonselective(mset, _validated(mset, rho))
+    return _averaged(_sandwich(mset._stack, _validated(mset, rho)))
 
 
-def _nonselective(mset, rho):
-    """nonselective_apply for a density matrix rho already validated against mset."""
-    return project_to_physical(np.add.reduce(_sandwich(mset, rho), axis=0, initial=0))
+def _averaged(raw):
+    """The outcome average of sandwiched stacks (..., n, N, N): their sum over
+    outcomes, from 0 in outcome order, projected to a physical state."""
+    return project_to_physical(np.add.reduce(raw, axis=-3, initial=0))
 
 
-def _sandwich(mset, rho):
-    """Omega_n rho Omega_n^dag for every outcome, an (n, N, N) stack."""
-    return mset._stack @ rho @ _dagger(mset._stack)
+def _sandwich(ops, rho):
+    """Omega rho Omega^dag for every operator of a stack (..., N, N)."""
+    return ops @ rho @ _dagger(ops)
 
 
 def polar_split(omega):

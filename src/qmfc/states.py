@@ -3,6 +3,9 @@
 All operators are plain numpy arrays (N x N complex, N <= ~16).  Density
 matrices are validated on entry: Hermitian, unit trace, positive
 semidefinite, each within the tolerances below.
+
+purity, von_neumann_entropy and project_to_physical also take a stack
+(..., N, N) and give one result per matrix, with the bits it gets on its own.
 """
 
 import numpy as np
@@ -121,17 +124,28 @@ def expm_skew(H, t, tol=TOL_HERM):
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
 
+def _dagger(a):
+    """Conjugate transpose of a matrix, or of every matrix of a stack (..., N, N)."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _per_matrix(x):
+    """A float for one matrix, the array of values for a stack."""
+    return float(x) if x.ndim == 0 else x
+
+
 def purity(rho):
-    """Tr[rho^2], in [1/N, 1]."""
+    """Tr[rho^2], in [1/N, 1]; one per matrix of a stack."""
     rho = np.asarray(rho, dtype=complex)
-    return float(np.einsum("ij,ji->", rho, rho).real)
+    return _per_matrix(np.einsum("...ij,...ji->...", rho, rho).real)
 
 
 def von_neumann_entropy(rho):
-    """-Tr[rho ln rho] in nats, with 0 ln 0 = 0."""
-    lam = np.linalg.eigvalsh((rho + np.asarray(rho).conj().T) / 2)
-    lam = lam[lam > 1e-15]
-    return float(-(lam * np.log(lam)).sum())
+    """-Tr[rho ln rho] in nats, with 0 ln 0 = 0 below 1e-15; one per matrix of a stack."""
+    rho = np.asarray(rho)
+    lam = np.linalg.eigvalsh((rho + _dagger(rho)) / 2)
+    lam = np.where(lam > 1e-15, lam, 1.0)
+    return _per_matrix(-(lam * np.log(lam)).sum(axis=-1))
 
 
 def overlap(rho, psi):
@@ -172,13 +186,12 @@ def majorizes(lam, mu, tol=TOL_TRACE):
 
 
 def project_to_physical(mat):
-    """Nearest-physical-state projection: Hermitize, clip eigenvalues, renormalize."""
+    """Nearest-physical-state projection: Hermitize, clip eigenvalues, renormalize.
+    Projects every matrix of a stack (..., N, N)."""
     mat = np.asarray(mat, dtype=complex)
-    herm = (mat + mat.conj().T) / 2
-    vals, vecs = np.linalg.eigh(herm)
+    vals, vecs = np.linalg.eigh((mat + _dagger(mat)) / 2)
     vals = np.clip(vals, 0.0, None)
-    s = vals.sum()
-    if s <= 0:
+    s = vals.sum(axis=-1, keepdims=True)
+    if np.any(s <= 0):
         raise ValueError("projection failed: state has no positive weight")
-    vals /= s
-    return (vecs * vals) @ vecs.conj().T
+    return (vecs * (vals / s)[..., None, :]) @ _dagger(vecs)

@@ -1,4 +1,4 @@
-"""Print the numeric environment at the top of every run.
+"""Print the numeric environment at the top and the end of every run.
 
 The golden tests pin bits, which depend on numpy, the BLAS it was built with
 and the machine; a mismatch can be traced to its environment from this header.
@@ -19,8 +19,17 @@ def _blas():
     return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
 
 
-def pytest_report_header(config):
+def _environment():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return (f"qmfc environment: Python {platform.python_version()}, numpy {np.__version__}, "
             f"scipy {scipy.__version__}, BLAS {_blas()}, nproc {cpus}, "
             f"{platform.machine()}")
+
+
+def pytest_report_header(config):
+    return _environment()
+
+
+def pytest_terminal_summary(terminalreporter):
+    # -q hides the header, so the summary repeats the line
+    terminalreporter.write_line(_environment())

@@ -160,6 +160,8 @@ def test_exit_codes(tmp_path):
     # config error: invalid parameter value
     out = tmp_path / "x.csv"
     assert main(["--experiment", "fig1", "--out", str(out), "--p", "0.0"]) == 2
+    assert main(["--experiment", "fig1", "--out", str(out), "--kappa", "1.5"]) == 2
+    assert not out.exists()
     assert main(["--experiment", "fig2", "--out", str(out), "--mu", "-1"]) == 2
     # i/o error: unwritable output location
     assert main(["--experiment", "fig1", "--out", str(tmp_path / "no" / "dir.csv")]) == 4

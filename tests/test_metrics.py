@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -283,6 +284,53 @@ def test_theta_sweep_validates_once(monkeypatch):
             fn(mset, not_a_state)
     with pytest.raises(ValueError):
         disturbance(mset, np.eye(3, dtype=complex) / 3)
+
+
+# SHA-256 of the float.hex of every row of sweep_cases(), recorded on the
+# theta_sweep that ran one kappa_povm and one disturbance per angle
+SWEEP_SHA256 = "64beb98120535ea273ffd989a9e875db0fdf0f4c38dedead463a20fad2d7c9a5"
+
+
+def sweep_cases():
+    """(p, kappa, grid): 20 seeded (p, kappa) on the 181-angle grid, the
+    projective and uninformative kappas at the aligned angles, a p so small
+    that one outcome falls below EPS_PROB, a one-angle grid and an empty one."""
+    rng = np.random.default_rng(15)
+    grid = np.linspace(0.0, np.pi, 181)
+    cases = [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), grid) for _ in range(20)]
+    cases += [(0.3, kappa, np.array([0.0, np.pi])) for kappa in (0.0, 0.5, 1.0)]
+    cases += [(1e-300, 1.0, np.array([0.0])), (0.6, 0.8, np.array([1.1])),
+              (0.6, 0.8, np.array([]))]
+    return cases
+
+
+def test_theta_sweep_equals_per_angle_disturbance():
+    # every bit of every row, signed zeros included, is disturbance's for that angle
+    digest = hashlib.sha256()
+    for p, kappa, grid in sweep_cases():
+        rows = [tuple(map(float.hex, row)) for row in theta_sweep(p, kappa, grid)]
+        rho = np.diag([p, 1.0 - p]).astype(complex)
+        want = []
+        for theta in grid:
+            rep = disturbance(kappa_povm(KappaMeasurement(kappa, theta)), rho)
+            want.append(tuple(map(float.hex, (float(theta), rep.i_f_p, rep.n_e_p, rep.n_e_v))))
+        assert rows == want
+        digest.update(repr(rows).encode())
+    assert digest.hexdigest() == SWEEP_SHA256
+    assert theta_sweep(0.6, 0.8, []) == []
+    # the p = 1e-300 sweep does drop its first outcome
+    rho = np.diag([1e-300, 1.0]).astype(complex)
+    assert outcome_probabilities(kappa_povm(KappaMeasurement(1.0)), rho)[0] <= EPS_PROB
+
+
+def test_theta_sweep_rejects_bad_angles_and_kappas():
+    grid = np.linspace(0.0, np.pi, 5)
+    for theta in (-1e-9, np.pi + 1e-9, np.nan):
+        with pytest.raises(ValueError, match="theta"):
+            theta_sweep(0.3, 0.7, np.append(grid, theta))
+    for kappa in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match="kappa"):
+            theta_sweep(0.3, kappa, grid)
 
 
 def test_strength_rate_numeric_invariant_under_identity_shift():

@@ -198,6 +198,21 @@ def test_project_to_physical():
         check_density_matrix(project_to_physical(g + g.conj().T))
 
 
+def test_state_functionals_take_stacks():
+    # a stack (..., N, N) gives every matrix the bits it gets on its own
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4):
+        mats = np.array([[random_density(rng, n) for _ in range(5)] for _ in range(3)])
+        mats[0, 0] = pure_density(np.eye(n)[0])     # zero eigenvalues: 0 ln 0 = 0
+        mats[1, 1] = random_hermitian(rng, n) + np.eye(n)  # clipped by the projection
+        for fn in (purity, von_neumann_entropy, project_to_physical):
+            stacked = fn(mats)
+            for idx in np.ndindex(3, 5):
+                assert np.asarray(fn(mats[idx])).tobytes() == stacked[idx].tobytes()
+    with pytest.raises(ValueError):
+        project_to_physical(np.array([np.eye(2) / 2, -np.eye(2)]))
+
+
 def test_check_hermitian_returns_input():
     h = SIGMA_Y
     assert check_hermitian(h) is h
