@@ -49,26 +49,30 @@ same feedback branches and the same StepRejected rule:
       |r_E| <= sqrt(c_r^2 |r|^2 + 2 c_r c_q (q.r) + c_q^2 (q.q))
                + dt (2 (|g| + sqrt(mu/2)) + 4 beta) |r|
 
-  for H0 = g0 I + g.sigma (_euler_norm_bound: the first term is the exact
-  norm of c_r r + c_q q, the second bounds the rotation and dephasing, since
-  feedback rows of either branch have |h_fb| <= sqrt(mu/2)).  r_E is built
-  only when the batch maximum of this bound exceeds 1 + 2 tol less 1e-9 for
-  rounding, which never happens at fig2's defaults (largest bound about
-  1.012 against 1.04), so the rejected set and the StepRejected message are
-  those of the matrix kernel.  Feedback is the first-order rotation
-  -sqrt(mu/2) (s x r)/|s x r| toward the target's Bloch vector s, or nothing
-  when the state already points at the target; the rare remaining rows
-  (second-order branch) go to feedback.optimal_feedback.
+  for H0 = g0 I + g.sigma (sde._euler_norm_bound: the first term is the
+  exact norm of c_r r + c_q q, the second bounds the rotation and
+  dephasing, since feedback rows of either branch have |h_fb| <= sqrt(mu/2)).
+  r_E is built only when the batch maximum of this bound exceeds 1 + 2 tol
+  less 1e-9 for rounding, which never happens at fig2's defaults (largest
+  bound about 1.012 against 1.04), so the rejected set and the StepRejected
+  message are those of the matrix kernel, which applies the same rule.
+  Feedback is the first-order rotation -sqrt(mu/2) (s x r)/|s x r| toward
+  the target's Bloch vector s, or nothing when the state already points at
+  the target; the rare remaining rows (second-order branch) go to
+  feedback.optimal_feedback.
 * N > 2, and batches of one, where the Bloch kernel's fixed cost per step
   does not pay: (N, N, m) complex arrays, trajectory axis last, through
   sde._kraus_step.  For qubits this matrix kernel is the Bloch kernel's oracle.
-  For N > 2 its step-size diagnostic is the per-row lower bound
-  -||euler - rho'||_F (Weyl's inequality), and the batch is eigensolved only
-  when the bound could reach the StepRejected threshold, so the rejected set
-  and the message are those of the exact diagnostic.  Feedback rows that the
-  first-order test leaves go through one batched eigvalsh: rows whose target
-  already carries the top eigenvalue, such as every row at I/N, are no-ops,
-  and only the rest (second-order branch) go to feedback.optimal_feedback.
+  Its step-size diagnostic is a per-row lower bound unless the bound could
+  reach the StepRejected threshold, so the rejected set and the message are
+  those of the exact diagnostic: for qubits (Tr rho - b) / 2 for the bound b
+  above, with each row's exact |h|, so no Euler state is built; for N > 2
+  -||euler - rho'||_F (Weyl's inequality), so no eigensolver runs.  The
+  run's constants (1 - beta dt) I and a fixed observable's Q^2 are built
+  once per run.  Feedback rows that the first-order test leaves go through
+  one batched eigvalsh: rows whose target already carries the top
+  eigenvalue, such as every row at I/N, are no-ops, and only the rest
+  (second-order branch) go to feedback.optimal_feedback.
 """
 
 from dataclasses import dataclass, replace
@@ -82,7 +86,9 @@ from .sde import (
     SmeConfig,
     StepRejected,
     _default_reject_tol,
+    _euler_norm_bound,
     _kraus_step,
+    _matmul,
     _rotated_sigma_z,
     qubit_eigenbasis,
 )
@@ -107,8 +113,8 @@ class EnsembleConfig:
             raise ValueError("need at least one realization")
         if self.stat_stride < 1 or self.sme.n_steps % self.stat_stride != 0:
             raise ValueError("stat_stride must divide the number of steps")
-        if self.mu < 0 or (self.mu > 0 and self.target_fn is None):
-            raise ValueError("mu must be non-negative, and zero without a target_fn")
+        if not 0 <= self.mu < np.inf or (self.mu > 0 and self.target_fn is None):
+            raise ValueError("mu must be non-negative and finite, and zero without a target_fn")
         rho0 = check_density_matrix(self.rho0)
         object.__setattr__(self, "rho0", rho0)
         shape = rho0.shape
@@ -241,6 +247,9 @@ def _feedback_stack(rho, psi, mu):
     comm_norm = np.sqrt(np.einsum("ijm,ijm->m", comm, np.conj(comm)).real)
     rho_norm = np.sqrt(np.einsum("ijm,ijm->m", rho, np.conj(rho)).real)
     active = comm_norm > DEGEN_TOL * rho_norm
+    if active.all():  # every row first order, as in nearly every closed-loop step
+        h = 1j * (np.sqrt(mu) / comm_norm) * comm
+        return (h + np.conj(np.swapaxes(h, 0, 1))) / 2
     chi = np.zeros(rho.shape[2])
     chi[active] = np.sqrt(mu) / comm_norm[active]
     h = 1j * chi * comm
@@ -265,12 +274,24 @@ class _MatrixKernel:
 
     def __init__(self, cfg, m):
         self.cfg = cfg
+        sme, policy = cfg.sme, cfg.policy
         self.rho = np.repeat(cfg.rho0[:, :, None], m, axis=2)
         self.bases = [None] * m  # per-row eigenbases of the relative_angle policy
-        if cfg.policy.mode == "relative_angle":  # relative_observable's sz, turned once per run
-            self.rotated_sz = _rotated_sigma_z(cfg.policy.theta, cfg.policy.phi)
-        # N > 2 bounds the step-size diagnostic unless it could reach -tol
-        self.reject_tol = _default_reject_tol(cfg.sme.k, cfg.sme.dephasing_beta, cfg.sme.dt)
+
+        # the step's per-run constants, lifted as _kraus_step lifts them: a
+        # batch of one steps (N, N) matrices, wider ones (N, N, m) stacks
+        def lift(a):
+            return a if m == 1 else a[..., None]
+
+        self.m0 = (1.0 - sme.dephasing_beta * sme.dt) * lift(np.eye(len(cfg.rho0)))
+        self.q_sq = None
+        if policy.mode == "relative_angle":  # the measured sz, turned once per run
+            self.rotated_sz = _rotated_sigma_z(policy.theta, policy.phi)
+        else:
+            q = lift(policy.observable)
+            self.q_sq = _matmul(q, q)
+        # the step-size diagnostic is bounded unless it could reach -tol
+        self.reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
 
     def target(self, psi):
         return psi
@@ -282,14 +303,15 @@ class _MatrixKernel:
         if policy.mode == "relative_angle":
             self.bases = [qubit_eigenbasis(self.rho[..., j], prev=basis)
                           for j, basis in enumerate(self.bases)]
-            q_obs = np.stack([basis @ self.rotated_sz @ basis.conj().T
-                              for basis in self.bases], axis=-1)[..., cut]
+            q_obs = [basis @ self.rotated_sz @ basis.conj().T for basis in self.bases]
+            q_obs = q_obs[0] if len(q_obs) == 1 else np.stack(q_obs, axis=-1)
         else:
             q_obs = policy.observable
         h_fb = _feedback_stack(self.rho, psi, cfg.mu) if cfg.mu > 0 else None
         h = sme.h0 if h_fb is None else (sme.h0[..., None] + h_fb)[..., cut]
         rho, exp_q, euler_min = _kraus_step(self.rho[..., cut], q_obs, sme.k, h, sme.dt, dw[cut],
-                                            beta=sme.dephasing_beta, tol=self.reject_tol)
+                                            beta=sme.dephasing_beta, tol=self.reject_tol,
+                                            m0=self.m0, q_sq=self.q_sq)
         self.rho = rho.reshape(self.rho.shape)
         self._last = exp_q, dw, None if h_fb is None else h_fb.transpose(2, 0, 1)
         return euler_min
@@ -347,22 +369,6 @@ def _cross(a, b, out):
     return out
 
 
-def _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, h_scale):
-    """Upper bound on |r_E|, the first-order Euler-Maruyama Bloch vector.
-
-    r_E = c_r r + c_q q + dt (2 h x r - 4 beta (r_x, r_y, 0)) with
-    eps = 2 sqrt(2k) dW, c_r = 1 - 4k dt (q.q) - eps (q.r) and
-    c_q = 4k dt (q.r) + eps; the first two terms' norm is exact, the dt term
-    is at most dt h_scale |r| for h_scale = 2 (|g| + sqrt(mu/2)) + 4 beta,
-    where g is the sigma part of H0.  rr = r.r and r_norm = |r|; every
-    argument is a scalar or an (m,) array.
-    """
-    c_r = 1.0 - (4.0 * k * dt) * qq - eps * qr
-    c_q = (4.0 * k * dt) * qr + eps
-    return (np.sqrt(c_r * c_r * rr + 2.0 * c_r * c_q * qr + c_q * c_q * qq)
-            + (dt * h_scale) * r_norm)
-
-
 class _BlochKernel:
     """Qubit states as Bloch vectors, shape (3, m); see the module docstring."""
 
@@ -387,9 +393,10 @@ class _BlochKernel:
             self.q = q[:, None]
         # Tr Q = Tr H0 = 0: the terms in q_trace and Im alpha are exactly zero
         self.traceless = self.q_trace == 0 and self.h0_trace == 0
-        # feedback rows of either branch have |h_fb| <= sqrt(mu/2); the Euler
-        # state is built only when the bound on |r_E| could reach the
-        # StepRejected threshold 1 + 2 tol (less a margin for rounding)
+        # feedback rows of either branch have |h_fb| <= sqrt(mu/2), so |h| <=
+        # |g| + sqrt(mu/2) for H0 = g0 I + g.sigma; the Euler state is built
+        # only when the bound on |r_E| could reach the StepRejected threshold
+        # 1 + 2 tol (less a margin for rounding), as in sde._kraus_step
         self.h_scale = (2.0 * (np.sqrt(_dot(h0, h0)) + np.sqrt(cfg.mu / 2))
                         + 4.0 * sme.dephasing_beta)
         tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)

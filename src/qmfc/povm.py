@@ -43,7 +43,7 @@ def _effects(stack):
     # 0 + sum: the same first addition as summing the operators one at a time
     total = np.add.reduce(effects, axis=-3, initial=0)
     residual = np.max(np.abs(total - np.eye(stack.shape[-1])), initial=0.0)
-    if residual > TOL_COMPLETENESS:
+    if not residual <= TOL_COMPLETENESS:  # NaN entries fail too
         raise ValueError(
             f"completeness violated: ||sum Omega^dag Omega - I|| = {residual:.3e} "
             f"> {TOL_COMPLETENESS:.1e}"

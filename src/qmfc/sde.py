@@ -18,10 +18,17 @@ which agrees with the equation above to first order, keeps the Milstein
 correction, and maps a density matrix to a density matrix for any dt, so no
 eigenvalue clip is needed.  A step is still rejected (dt too large) when the
 first-order Euler-Maruyama state from the same rho would have an eigenvalue
-far below zero.  For N > 2 that eigenvalue is bounded without an eigensolve:
-rho' is positive semidefinite, so by Weyl's inequality the Euler state's
-smallest eigenvalue is at least -||euler - rho'||_F, and the batch is
-eigensolved only when that bound could reach the rejection threshold.
+far below zero.  That eigenvalue is bounded without building the Euler state
+(N = 2) or without an eigensolve (N > 2), and the exact value is computed
+only when a state's bound could reach the rejection threshold:
+
+* N = 2: the Euler state is (Tr rho I + r_E.sigma) / 2 for a Bloch vector
+  r_E whose norm _euler_norm_bound bounds in closed form from the sigma
+  parts of rho, Q and H, so its smallest eigenvalue is at least
+  (Tr rho - bound) / 2 (the Bloch kernel of qmfc.ensemble applies the same
+  bound, with Tr rho = 1);
+* N > 2: rho' is positive semidefinite, so by Weyl's inequality the Euler
+  state's smallest eigenvalue is at least -||euler - rho'||_F.
 
 The closed loop measures a spin direction at a fixed Bloch angle from the
 instantaneous eigenbasis of rho and applies the optimal constrained feedback
@@ -61,12 +68,14 @@ class SmeConfig:
     t_end: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.k < 0 or self.dephasing_beta < 0:
-            raise ValueError("k and dephasing_beta must be non-negative")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        # written so that NaN fails every check
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (0 <= self.k < np.inf and 0 <= self.dephasing_beta < np.inf):
+            raise ValueError("k and dephasing_beta must be non-negative and finite, "
+                             f"got {self.k} and {self.dephasing_beta}")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         h0 = check_hermitian(np.asarray(self.h0, dtype=complex))
         object.__setattr__(self, "h0", h0)
         scale = max(self.k, self.dephasing_beta, float(np.linalg.norm(h0, 2)))
@@ -161,24 +170,72 @@ def _min_eigenvalue(a):
     return (d00 + d11) / 2 - gap
 
 
+def _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, h_scale):
+    """Upper bound on |r_E|, the first-order Euler-Maruyama Bloch vector.
+
+    r_E = c_r r + c_q q + dt (2 h x r - 4 beta (r_x, r_y, 0)) with
+    eps = 2 sqrt(2k) dW, c_r = 1 - 4k dt (q.q) - eps (q.r) and
+    c_q = 4k dt (q.r) + eps, where Q = q0 I + q.sigma and H = h0 I + h.sigma;
+    the first two terms' norm is exact, and the dt term is at most
+    dt h_scale |r| for any h_scale >= 2 |h| + 4 beta.  rr = r.r and
+    r_norm = |r|; every argument is a scalar or an (m,) array.
+    """
+    c_r = 1.0 - (4.0 * k * dt) * qq - eps * qr
+    c_q = (4.0 * k * dt) * qr + eps
+    return (np.sqrt(c_r * c_r * rr + 2.0 * c_r * c_q * qr + c_q * c_q * qq)
+            + (dt * h_scale) * r_norm)
+
+
+def _qubit_euler_min(rho, Q, k, H, dt, dW, beta):
+    """A lower bound on the smallest eigenvalue of each qubit Euler state of
+    _kraus_step, built from the sigma parts of rho, Q and H without the
+    Euler state: (Tr rho - b) / 2 for the bound b on |r_E| of
+    _euler_norm_bound, with each state's exact |h|.  Q is ignored when k = 0.
+    Matrices are read from the lower triangle, as _min_eigenvalue reads them,
+    a (2, 2) matrix as Python floats."""
+
+    def parts(a):  # (a00 + a11, x, y, z) for a = a0 I + (x, y, z).sigma
+        (a00, _), (a10, a11) = a.tolist() if a.ndim == 2 else a
+        return a00.real + a11.real, a10.real, a10.imag, (a00.real - a11.real) / 2
+
+    trace, rx, ry, rz = parts(rho)
+    rx, ry, rz = 2.0 * rx, 2.0 * ry, 2.0 * rz
+    rr = rx * rx + ry * ry + rz * rz
+    _, hx, hy, hz = parts(H)
+    h_scale = 2.0 * np.sqrt(hx * hx + hy * hy + hz * hz) + 4.0 * beta
+    qr = qq = eps = 0.0
+    if k > 0:
+        _, qx, qy, qz = parts(Q)
+        qr = qx * rx + qy * ry + qz * rz
+        qq = qx * qx + qy * qy + qz * qz
+        eps = (2.0 * np.sqrt(2.0 * k)) * dW
+    return (trace - _euler_norm_bound(np.sqrt(rr), rr, qr, qq, eps, k, dt, h_scale)) / 2
+
+
 # sz rho sz flips the sign of a qubit's off-diagonal entries
 _SZ_SANDWICH = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None):
+def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
     """One Kraus-map step of the conditioned evolution (see the module docstring).
 
     rho is (N, N) or a stack (N, N, m), trajectory axis last; H and Q (ignored
     when k = 0) are like rho or (N, N); dW is a scalar or one increment per
     state.  beta > 0 (z-dephasing) needs N = 2, which EnsembleConfig enforces.
+    m0 = (1 - beta dt) I and q_sq = Q^2, lifted like rho, may be passed by a
+    caller that steps many times with the same beta dt and Q; they must be
+    computed as here.
     Returns (rho_next, exp_q, euler_min): the next state(s), Tr[Q rho] before
     the step (0 when k = 0), and the step-size diagnostic, the smallest
     eigenvalue of the first-order Euler-Maruyama state from the same rho.
-    With a rejection tolerance tol and N > 2, euler_min is instead the lower
-    bound -||euler - rho_next||_F of every state whenever the largest of
-    these distances is at most tol less 1e-9 (a margin for rho_next's
-    rounding-level negative eigenvalues), so no state can be rejected; it
-    is exact otherwise, and always for N = 2 or without tol.
+    Without a rejection tolerance tol it is exact.  With tol it is instead a
+    lower bound for every state whenever the batch's smallest bound clears
+    the rejection threshold -tol by a margin for rounding, so no state can
+    be rejected, and exact otherwise:
+    for N = 2 the bound is _qubit_euler_min's, which needs no Euler state,
+    with a margin of 5e-10 (the Bloch kernel's 1e-9 on |r_E|); for N > 2 it
+    is -||euler - rho_next||_F, with a margin of 1e-9 (also for rho_next's
+    rounding-level negative eigenvalues).
     """
     rho = np.asarray(rho, dtype=complex)
     n = rho.shape[0]
@@ -187,28 +244,44 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None):
         return a[..., None] if a.ndim < rho.ndim else a
 
     H = lift(np.asarray(H, dtype=complex))
-
-    # the first-order (Euler-Maruyama) increment is g + g^+
-    g = (-1j * dt) * _matmul(H, rho)
-    m_op = (1.0 - beta * dt) * lift(np.eye(n)) - 1j * dt * H
     exp_q = np.zeros(rho.shape[2:])
     if k > 0:
         Q = lift(np.asarray(Q, dtype=complex))
         sqrt2k = np.sqrt(2.0 * k)
         q_rho = _matmul(Q, rho)
         exp_q = np.einsum("ii...->...", q_rho).real
-        g = g - (k * dt) * _matmul(Q, q_rho - _dagger(q_rho)) + (sqrt2k * dW) * (
-            q_rho - exp_q * rho
-        )
-        dy_tilde = 2.0 * sqrt2k * dt * exp_q + dW
-        m_op = m_op + sqrt2k * dy_tilde * Q + k * (dy_tilde ** 2 - 2.0 * dt) * _matmul(Q, Q)
-    new = _matmul(_matmul(m_op, rho), _dagger(m_op))
     if beta > 0:
         sz_rho_sz = lift(_SZ_SANDWICH) * rho
-        g = g + (beta * dt) * (sz_rho_sz - rho)
+    euler_min = None
+    if tol is not None and n == 2:
+        bound = _qubit_euler_min(rho, Q, k, H, dt, dW, beta)
+        if bound.min() >= 5e-10 - tol:
+            euler_min = bound
+    if euler_min is None:
+        # the first-order (Euler-Maruyama) increment is g + g^+
+        g = (-1j * dt) * _matmul(H, rho)
+        if k > 0:
+            g = g - (k * dt) * _matmul(Q, q_rho - _dagger(q_rho)) + (sqrt2k * dW) * (
+                q_rho - exp_q * rho
+            )
+        if beta > 0:
+            g = g + (beta * dt) * (sz_rho_sz - rho)
+        euler = rho + g + _dagger(g)
+
+    if m0 is None:
+        m0 = (1.0 - beta * dt) * lift(np.eye(n))
+    m_op = m0 - 1j * dt * H
+    if k > 0:
+        if q_sq is None:
+            q_sq = _matmul(Q, Q)
+        dy_tilde = 2.0 * sqrt2k * dt * exp_q + dW
+        m_op = m_op + sqrt2k * dy_tilde * Q + k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
+    new = _matmul(_matmul(m_op, rho), _dagger(m_op))
+    if beta > 0:
         new = new + (2.0 * beta * dt) * sz_rho_sz
     new = new / np.einsum("ii...->...", new).real
-    euler = rho + g + _dagger(g)
+    if euler_min is not None:
+        return new, exp_q, euler_min
     if tol is not None and n > 2:
         dist = np.linalg.norm(euler - new, axis=(0, 1))
         if dist.max() <= tol - 1e-9:
@@ -267,7 +340,7 @@ def qubit_eigenbasis(rho, prev=None):
         if prev is not None:
             return prev
         return np.eye(2, dtype=complex)
-    big_theta = np.arccos(np.clip(rz / r, -1.0, 1.0))
+    big_theta = np.arccos(min(max(rz / r, -1.0), 1.0))
     big_phi = np.arctan2(ry, rx)
     c, s = np.cos(big_theta / 2), np.sin(big_theta / 2)
     e = np.exp(1j * big_phi)
@@ -278,11 +351,6 @@ def _rotated_sigma_z(theta, phi=0.0):
     """sz turned to Bloch angle (theta, phi) from the z-axis."""
     a = bloch_rotation(theta, phi)
     return a @ SIGMA_Z @ a.conj().T
-
-
-def relative_observable(basis, theta, phi=0.0):
-    """Spin observable at Bloch angle (theta, phi) from the given eigenbasis."""
-    return basis @ _rotated_sigma_z(theta, phi) @ basis.conj().T
 
 
 def run_control_trajectory(

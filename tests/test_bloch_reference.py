@@ -6,7 +6,7 @@ import numpy as np
 from bloch_reference import bloch_step, measured_axis
 from qmfc.ensemble import precessing_plus_x
 from qmfc.feedback import optimal_feedback
-from qmfc.sde import _kraus_step, qubit_eigenbasis, relative_observable
+from qmfc.sde import _kraus_step, _rotated_sigma_z, qubit_eigenbasis
 from qmfc.states import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -31,7 +31,8 @@ def test_measured_axis_matches_engine_convention():
     for _ in range(100):
         r = random_bloch(rng, 0.05, 1.0)
         theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-        q = relative_observable(qubit_eigenbasis(density(r)), theta, phi)
+        basis = qubit_eigenbasis(density(r))
+        q = basis @ _rotated_sigma_z(theta, phi) @ basis.conj().T
         axis = measured_axis(r[:, None], theta, phi)[:, 0]
         assert np.max(np.abs(bloch(q) / 2 - axis)) < 1e-12
 
@@ -49,7 +50,8 @@ def test_one_step_agrees_with_sme_step():
         theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
         t = rng.uniform(0, 2)
         rho = density(r)
-        q = relative_observable(qubit_eigenbasis(rho), theta, phi)
+        basis = qubit_eigenbasis(rho)
+        q = basis @ _rotated_sigma_z(theta, phi) @ basis.conj().T
         h = np.pi * SIGMA_Z + optimal_feedback(rho, target_fn(t), 10.0).hamiltonian
         dw = rng.standard_normal() * np.sqrt(dt)
         new = _kraus_step(rho, q, 2.0, h, dt, dw, beta=0.4)[0]

@@ -190,6 +190,17 @@ def test_negative_seed_is_a_config_error(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--k", "--beta", "--mu", "--dt"])
+def test_non_finite_physics_is_a_config_error(tmp_path, capsys, flag):
+    out = tmp_path / "x.csv"
+    argv = ["--experiment", "fig2", "--realizations", "4", "--t-end", "0.002",
+            "--theta-points", "2", "--out", str(out)]
+    assert main(argv + [flag, "nan"]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.manifest.txt").exists()
+    assert flag.lstrip("-") in capsys.readouterr().err
+
+
 def test_counts_below_one_are_config_errors(tmp_path):
     out = tmp_path / "x.csv"
     for argv in (

@@ -28,8 +28,11 @@ from qmfc.sde import (
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
+    _default_reject_tol,
     _kraus_step,
+    _rotated_sigma_z,
     nonselective_solve,
+    qubit_eigenbasis,
     run_control_trajectory,
 )
 from qmfc.states import SIGMA_X, SIGMA_Z, pure_density
@@ -158,6 +161,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         qutrit_config(sme=SmeConfig(k=1.0, h0=np.eye(3), dephasing_beta=0.4, dt=1e-3,
                                     t_end=0.05))
+
+
+def test_config_refuses_non_finite_mu():
+    for mu in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="mu"):
+            small_config(mu=mu)
 
 
 def test_trajectory_rng_streams_are_independent_and_stable():
@@ -504,6 +513,86 @@ def test_weyl_bound_dominates_general_n_euler_state():
             assert np.array_equal(gated, new)
             # 1e-12 absorbs the eigensolver's rounding and rho''s
             assert np.all(bound <= exact + 1e-12), np.max(bound - exact)
+
+
+def test_qubit_bound_dominates_matrix_euler_state():
+    """For N = 2 the matrix kernel's step-size diagnostic may be
+    (Tr rho - b) / 2 for the closed-form bound b on |r_E|
+    (sde._qubit_euler_min), which needs no Euler state: it is at most the
+    Euler state's smallest eigenvalue.  Checked for 2000 seeded near-pure
+    qubit states as a stack and for 200 of them at width one, at each
+    (dt, beta), with increments up to 8 standard deviations; the states are
+    those of the ungated step, and so is the set of rejected rows."""
+    rng = np.random.default_rng(22)
+    m, k, mu = 2000, 2.0, 10.0
+
+    def unit(n):
+        v = rng.standard_normal((n, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    def spin(v):  # v.sigma for rows of vectors, (m, 2, 2)
+        return 2.0 * _density(v.T) - np.eye(2)
+
+    psi = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    # (1 - eps) |psi><psi| + eps sigma, eps from 1 down to 1e-15
+    eps = (10.0 ** -rng.uniform(0.0, 15.0, m))[:, None, None]
+    mixed = _density(unit(m).T * rng.uniform(0.0, 1.0, m))
+    rho = (1.0 - eps) * psi[:, :, None] * np.conj(psi)[:, None, :] + eps * mixed
+    # a rotated sz in the state's eigenbasis (the relative_angle policy), or a fixed Q with a trace
+    q_fixed = 0.7 * SIGMA_X + 0.3 * SIGMA_Z + 0.2 * np.eye(2)
+    q = np.empty((m, 2, 2), dtype=complex)
+    for j in range(m):
+        basis = qubit_eigenbasis(rho[j])
+        rotated = basis @ _rotated_sigma_z(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
+        q[j] = rotated @ basis.conj().T if j % 2 == 0 else q_fixed
+    # a drift with a trace plus feedback of norm sqrt(mu)
+    h = np.pi * SIGMA_Z + 0.5 * SIGMA_X + 0.3 * np.eye(2) + np.sqrt(mu / 2) * spin(unit(m))
+    stack = trajectory_last(rho), trajectory_last(q), trajectory_last(h)
+    for dt in (1e-4, 1e-2, 0.04):
+        for beta in (0.0, 0.4):
+            tol = _default_reject_tol(k, beta, dt)
+            dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
+            cases = [(*stack, dw)] + [(rho[j], q[j], h[j], dw[j]) for j in range(0, m, 10)]
+            for rho_j, q_j, h_j, dw_j in cases:
+                new, _, exact = _kraus_step(rho_j, q_j, k, h_j, dt, dw_j, beta=beta)
+                gated, _, bound = _kraus_step(rho_j, q_j, k, h_j, dt, dw_j, beta=beta,
+                                              tol=np.inf)
+                assert gated.tobytes() == new.tobytes()
+                # 1e-12 absorbs the rounding of rho, Q and H's Hermitian parts
+                assert np.all(bound <= exact + 1e-12), np.max(bound - exact)
+                diagnostic = _kraus_step(rho_j, q_j, k, h_j, dt, dw_j, beta=beta, tol=tol)[2]
+                assert np.array_equal(diagnostic < -tol, exact < -tol)
+
+
+def test_width_one_trajectory_rejects_the_exact_step(monkeypatch):
+    """A width-one closed-loop trajectory at dt = 0.04 raises StepRejected
+    with the message of the exact diagnostic, after steps whose diagnostic
+    the N = 2 bound certified without an Euler state."""
+    with pytest.warns(UserWarning):
+        sme = SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=0.04, t_end=4.0)
+    policy = MeasurementPolicy(mode="relative_angle", theta=np.pi / 4)
+    kraus_step = qmfc.ensemble._kraus_step
+    certified = []
+
+    def counting(*args, **kwargs):
+        out = kraus_step(*args, **kwargs)
+        certified.append(out[2] != kraus_step(*args, **{**kwargs, "tol": None})[2])
+        return out
+
+    def message():
+        with pytest.raises(StepRejected) as info:
+            run_control_trajectory(sme, policy, plus_x_density(), precessing_plus_x(np.pi),
+                                   10.0, np.random.default_rng(3))
+        return str(info.value)
+
+    monkeypatch.setattr(qmfc.ensemble, "_kraus_step", counting)
+    gated = message()
+    assert gated.startswith("trajectory 0 (master_seed None) at step ")
+    assert any(certified)
+    monkeypatch.setattr(qmfc.ensemble, "_kraus_step",
+                        lambda *args, tol=None, **kwargs: kraus_step(*args, **kwargs))
+    assert message() == gated
 
 
 def test_general_n_batch_rejects_the_exact_step(monkeypatch):

@@ -56,6 +56,12 @@ def test_set_validates_completeness():
         mset.ops[0][0, 0] = 2.0  # operators are frozen
 
 
+def test_set_refuses_nan_operators():
+    # a NaN residual fails the completeness check instead of passing it
+    with pytest.raises(ValueError, match="completeness"):
+        MeasurementOperatorSet((np.full((2, 2), np.nan),))
+
+
 def test_kind_classification():
     assert kappa_povm(KappaMeasurement(1.0)).kind == "projective"
     assert kappa_povm(KappaMeasurement(0.75)).kind == "pure"

@@ -8,11 +8,11 @@ from qmfc.sde import (
     _default_reject_tol,
     _kraus_step,
     _matmul,
+    _rotated_sigma_z,
     inverse_zeno_run,
     inverse_zeno_successes,
     nonselective_solve,
     qubit_eigenbasis,
-    relative_observable,
     run_control_trajectory,
 )
 from qmfc.states import (
@@ -36,6 +36,13 @@ def test_sme_config_validation():
         SmeConfig(k=100.0, h0=np.zeros((2, 2)), dt=1e-3)
     cfg = SmeConfig(k=1.0, h0=np.zeros((2, 2)), dt=1e-3, t_end=0.5)
     assert cfg.n_steps == 500
+
+
+@pytest.mark.parametrize("field", ["k", "dephasing_beta", "dt", "t_end"])
+def test_sme_config_refuses_non_finite_values(field):
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=field):
+            SmeConfig(**{"k": 1.0, "h0": np.zeros((2, 2)), field: value})
 
 
 def test_measurement_policy_validation():
@@ -246,11 +253,13 @@ def test_qubit_eigenbasis_conventions():
 
 
 def test_relative_observable():
+    # the spin at Bloch angle theta from an eigenbasis, as the matrix kernel measures it
+    basis = np.eye(2, dtype=complex)
     # angle 0 from the computational basis is sigma_z itself
-    q = relative_observable(np.eye(2, dtype=complex), 0.0)
+    q = basis @ _rotated_sigma_z(0.0) @ basis.conj().T
     assert np.allclose(q, SIGMA_Z)
     # angle pi/2 is a transverse spin with eigenvalues +-1
-    q = relative_observable(np.eye(2, dtype=complex), np.pi / 2)
+    q = basis @ _rotated_sigma_z(np.pi / 2) @ basis.conj().T
     assert np.allclose(np.sort(np.linalg.eigvalsh(q)), [-1.0, 1.0])
     assert abs(np.trace(q @ SIGMA_Z).real) < 1e-12
 
