@@ -69,7 +69,8 @@ same feedback branches and the same StepRejected rule:
   above, with each row's exact |h|, so no Euler state is built; for N > 2
   -||euler - rho'||_F (Weyl's inequality), so no eigensolver runs.  The
   run's constants (1 - beta dt) I and a fixed observable's Q^2 are built
-  once per run.  Feedback rows that the first-order test leaves go through
+  once per run; the step, which works in place on its own temporaries,
+  only reads them.  Feedback rows that the first-order test leaves go through
   one batched eigvalsh: rows whose target already carries the top
   eigenvalue, such as every row at I/N, are no-ops, and only the rest
   (second-order branch) go to feedback.optimal_feedback.

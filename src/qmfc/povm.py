@@ -37,8 +37,14 @@ EPS_PROB = 1e-14
 
 def _effects(stack):
     """Omega^dag Omega for every operator of a stack of sets (..., n, N, N).
-    Raises unless every set's effects sum to the identity within
+    Raises unless every entry is finite (checked first, so an inf meets no
+    product) and every set's effects sum to the identity within
     TOL_COMPLETENESS."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        where = np.argwhere(~finite)[0].tolist()
+        raise ValueError(f"completeness cannot hold: operator "
+                         f"{where[0] if len(where) == 1 else tuple(where)} has a non-finite entry")
     effects = _dagger(stack) @ stack
     # 0 + sum: the same first addition as summing the operators one at a time
     total = np.add.reduce(effects, axis=-3, initial=0)

@@ -152,12 +152,15 @@ def _matmul(a, b):
     """a @ b for two N x N matrices, or for trajectory-last stacks (N, N, m)
     of them, where an (N, N, 1) operand acts on every matrix of the other.  A
     stack is a sum of N outer products in j order, each a ufunc over the
-    contiguous m axis, so every column is computed alone, whatever the width."""
+    contiguous m axis, so every column is computed alone, whatever the width.
+    The terms are accumulated in place (out += term, the same additions in
+    the same order) through one work array; a and b are only read."""
     if a.ndim == 2:
         return a @ b
     out = a[:, :1] * b[:1]
+    term = np.empty_like(out)
     for j in range(1, a.shape[0]):
-        out = out + a[:, j:j + 1] * b[j:j + 1]
+        out += np.multiply(a[:, j:j + 1], b[j:j + 1], out=term)
     return out
 
 
@@ -236,6 +239,12 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
     with a margin of 5e-10 (the Bloch kernel's 1e-9 on |r_E|); for N > 2 it
     is -||euler - rho_next||_F, with a margin of 1e-9 (also for rho_next's
     rounding-level negative eigenvalues).
+    Full-width temporaries are updated in place (out= ufuncs, +=, -=, /=)
+    with the operands of every product and sum in the formula's order, so
+    each holds the bits a fresh array would, and fewer of them are alive at
+    once than in an out-of-place step.  No argument is written, and no
+    array a later branch still reads (rho, and euler for the exact
+    diagnostic).
     """
     rho = np.asarray(rho, dtype=complex)
     n = rho.shape[0]
@@ -259,14 +268,23 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
             euler_min = bound
     if euler_min is None:
         # the first-order (Euler-Maruyama) increment is g + g^+
-        g = (-1j * dt) * _matmul(H, rho)
+        g = _matmul(H, rho)
+        np.multiply(-1j * dt, g, out=g)
         if k > 0:
-            g = g - (k * dt) * _matmul(Q, q_rho - _dagger(q_rho)) + (sqrt2k * dW) * (
-                q_rho - exp_q * rho
-            )
+            work = _dagger(q_rho)
+            work = _matmul(Q, np.subtract(q_rho, work, out=work))
+            g -= np.multiply(k * dt, work, out=work)
+            np.subtract(q_rho, np.multiply(exp_q, rho, out=work), out=work)
+            g += np.multiply(sqrt2k * dW, work, out=work)
         if beta > 0:
-            g = g + (beta * dt) * (sz_rho_sz - rho)
-        euler = rho + g + _dagger(g)
+            work = sz_rho_sz - rho
+            g += np.multiply(beta * dt, work, out=work)
+        euler = rho + g
+        euler += _dagger(g)
+    # q_rho and g are dead.  work, allocated last, lives until the step
+    # returns: freed here too, it lets glibc trim the heap top, which the
+    # Kraus products then fault back in (10x the minor page faults)
+    q_rho = g = None
 
     if m0 is None:
         m0 = (1.0 - beta * dt) * lift(np.eye(n))
@@ -275,11 +293,13 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
         if q_sq is None:
             q_sq = _matmul(Q, Q)
         dy_tilde = 2.0 * sqrt2k * dt * exp_q + dW
-        m_op = m_op + sqrt2k * dy_tilde * Q + k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
+        drive = (sqrt2k * dy_tilde) * Q
+        m_op = np.add(m_op, drive, out=drive)
+        m_op += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
     new = _matmul(_matmul(m_op, rho), _dagger(m_op))
     if beta > 0:
-        new = new + (2.0 * beta * dt) * sz_rho_sz
-    new = new / np.einsum("ii...->...", new).real
+        new += np.multiply(2.0 * beta * dt, sz_rho_sz, out=sz_rho_sz)
+    new /= np.einsum("ii...->...", new).real
     if euler_min is not None:
         return new, exp_q, euler_min
     if tol is not None and n > 2:

@@ -634,6 +634,24 @@ def test_general_n_batch_rejects_the_exact_step(monkeypatch):
     assert message() == gated
 
 
+def test_matrix_kernel_keeps_its_per_run_constants():
+    """The in-place step never writes the constants a _MatrixKernel passes
+    it every step: after 50 steps, the lifted (1 - beta dt) I, a fixed
+    observable's Q^2 and the relative_angle policy's rotated sz keep every
+    byte, at width one and on a stack of 31 rows."""
+    cases = [(qutrit_config(), "q_sq"), (small_config(), "rotated_sz")]
+    for cfg, cached in cases:
+        for m in (1, 31):
+            batch = _MatrixKernel(cfg, m)
+            constants = {name: getattr(batch, name) for name in ("m0", cached)}
+            before = {name: a.tobytes() for name, a in constants.items()}
+            rng = np.random.default_rng(m)
+            for step in range(50):
+                dw = rng.normal(0.0, np.sqrt(cfg.sme.dt), m)
+                batch.step(cfg.target_fn(step * cfg.sme.dt), dw)
+            assert {name: a.tobytes() for name, a in constants.items()} == before
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_wide_matrix_rows_do_not_depend_on_the_batch_width(n):
     """Every operation of the trajectory-last kernel runs column by column at

@@ -62,6 +62,26 @@ def test_set_refuses_nan_operators():
         MeasurementOperatorSet((np.full((2, 2), np.nan),))
 
 
+def test_set_names_its_non_finite_operator():
+    """An inf or NaN entry is refused with a ValueError naming its operator,
+    before Omega^dag Omega is formed: an inf there would raise numpy's
+    invalid-value RuntimeWarning, an error under this suite's filter."""
+    for bad in (np.inf, -np.inf, np.nan, 1j * np.inf):
+        with pytest.raises(ValueError, match="operator 0 has a non-finite entry"):
+            MeasurementOperatorSet((np.full((2, 2), bad),))
+        op = np.zeros((2, 2), dtype=complex)
+        op[0, 1] = bad
+        with pytest.raises(ValueError, match="operator 1 has a non-finite entry"):
+            MeasurementOperatorSet((np.eye(2), op))
+    # the theta sweep's (T, 2, 2, 2) stack of kappa pairs takes the same check
+    ops = qmfc.povm._kappa_stack(0.75, np.linspace(0.0, np.pi, 5))
+    qmfc.povm._effects(ops)
+    for bad in (np.inf, np.nan):
+        ops[3, 1, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"operator \(3, 1\) has a non-finite entry"):
+            qmfc.povm._effects(ops)
+
+
 def test_kind_classification():
     assert kappa_povm(KappaMeasurement(1.0)).kind == "projective"
     assert kappa_povm(KappaMeasurement(0.75)).kind == "pure"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,64 @@ def test_matmul_matches_numpy_on_trajectory_last_stacks(n):
                             for x in (left, right)))
             assert got.shape == (n, n, m)
             assert np.max(np.abs(np.moveaxis(got, -1, 0) - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kraus_step_writes_no_argument(n):
+    """The step writes its temporaries in place, but never into what it is
+    given: rho, Q, H and the cached m0 and q_sq keep every byte.  Checked at
+    width one and on stacks of 2 and 31, with per-row and shared (lifted) Q
+    and H, both where the step-size diagnostic is certified (tol = inf) and
+    where it is exact (no tol, or one that pure states' bound cannot clear)."""
+    rng = np.random.default_rng(40 + n)
+    k, dt = 2.0, 1e-2
+    beta = 0.4 if n == 2 else 0.0  # z-dephasing is for qubits
+
+    def hermitian(shape):
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return (g + np.conj(np.swapaxes(g, 0, 1))) / 2
+
+    for m in (None, 2, 31):
+        shape = (n, n) if m is None else (n, n, m)
+        psi = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
+        rho = psi[:, None] * np.conj(psi)[None, :]  # pure: the Euler state dips below 0
+        rho /= np.einsum("ii...->...", rho).real
+        dw = rng.normal(0.0, np.sqrt(dt), () if m is None else m)
+        for per_row in (True, False):
+            q, h = (hermitian(shape if per_row else (n, n)) for _ in range(2))
+            lifted_q = q if q.ndim == rho.ndim else q[..., None]
+            m0 = (1.0 - beta * dt) * np.eye(n)[(...,) if m is None else (..., None)]
+            q_sq = _matmul(lifted_q, lifted_q)
+            exact = _kraus_step(rho, q, k, h, dt, dw, beta=beta)[2]
+            for tol in (None, np.inf, 1e-12):
+                given = (rho, q, h, m0, q_sq)
+                before = [a.tobytes() for a in given]
+                diagnostic = _kraus_step(rho, q, k, h, dt, dw, beta=beta, tol=tol,
+                                         m0=m0, q_sq=q_sq)[2]
+                assert [a.tobytes() for a in given] == before
+                # tol = inf certifies the diagnostic with a bound; the others are exact
+                assert np.array_equal(diagnostic, exact) == (tol != np.inf)
+
+
+def test_wide_kraus_step_peaks_below_its_out_of_place_working_set():
+    """One N = 4 step at width 4000 (a fixed diagonal Q, H = 0 and the
+    rejection tolerance, as strength_rate_numeric steps) peaks under
+    tracemalloc at no more than 8.1 arrays the size of rho, the peak of the
+    step when every temporary was a fresh array: working in place must not
+    keep more temporaries alive at once."""
+    n, m, k, dt = 4, 4000, 1.0, 1e-3
+    rho = np.repeat(np.eye(n, dtype=complex)[:, :, None] / n, m, axis=2)
+    args = (rho, np.diag(np.linspace(1.0, -1.0, n)), k, np.zeros((n, n)), dt,
+            np.random.default_rng(41).normal(0.0, np.sqrt(dt), m))
+    tol = _default_reject_tol(k, 0.0, dt)
+    _kraus_step(*args, tol=tol)
+    tracemalloc.start()
+    try:
+        _kraus_step(*args, tol=tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.1 * rho.nbytes, peak / rho.nbytes
 
 
 def test_sme_step_free_evolution():
