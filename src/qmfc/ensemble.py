@@ -14,7 +14,11 @@ index, trajectory index)).  A Philox stream is a key and a counter, so an
 ensemble derives all its keys in one vectorised pass of SeedSequence's hash
 (_philox_keys) and opens each stream directly on its key; the streams, and so
 every drawn number, are numpy's own.  Noise is drawn in blocks of
-NOISE_BLOCK steps so the noise buffer does not grow with the run length.
+NOISE_BLOCK steps so the noise buffer does not grow with the run length.  A
+run of more than one block opens each stream when its first block is drawn
+and keeps it for the next; a run of one block draws each stream once, from
+counter 0, through one generator whose state is reset to each key in turn,
+which draws the same numbers for about a third of the cost of opening them.
 Results are bit-identical for a given master seed and realization count,
 however many steps of noise are drawn at a time.  A row of a batch wider
 than one depends only on its own stream, on either kernel; a batch of one
@@ -66,8 +70,9 @@ same feedback branches and the same StepRejected rule:
   Its step-size diagnostic is a per-row lower bound unless the bound could
   reach the StepRejected threshold, so the rejected set and the message are
   those of the exact diagnostic: for qubits (Tr rho - b) / 2 for the bound b
-  above, with each row's exact |h|, so no Euler state is built; for N > 2
-  -||euler - rho'||_F (Weyl's inequality), so no eigensolver runs.  The
+  above, with each row's exact |h|; for N > 2 -c for a certificate
+  c >= ||euler - rho'||_F (Weyl's inequality, sde._weyl_certificate).
+  Neither builds the Euler state, nor runs an eigensolver.  The
   run's constants (1 - beta dt) I and a fixed observable's Q^2 are built
   once per run; the step, which works in place on its own temporaries,
   only reads them.  Feedback rows that the first-order test leaves go through
@@ -524,16 +529,45 @@ class _BlochKernel:
         return _density(self.r)
 
 
+class _TrajectoryStreams:
+    """An ensemble's per-trajectory streams (those of trajectory_rng), held
+    as their Philox keys, all derived in one pass.  Iterating opens each
+    stream when it is reached, so whatever an iteration yields may be kept."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def __iter__(self):
+        return (_open_stream(key) for key in self.keys)
+
+    def drawn_once(self):
+        """The streams in turn, each for one draw from its start: a single
+        generator whose state is reset to each stream's key, with counter 0,
+        when the next is asked for.  It draws the numbers of the opened stream
+        for about a third of the cost of opening one.  It is the same object
+        every time, so it is valid only until the next is asked for and must
+        never be kept; _advance_chunk uses it only for a run of one noise
+        block, which keeps no stream."""
+        gen = _open_stream(self.keys[0])
+        fresh = gen.bit_generator.state
+        yield gen
+        for key in self.keys[1:]:
+            fresh["state"]["key"] = key
+            gen.bit_generator.state = fresh
+            yield gen
+
+
 def _trajectory_streams(cfg, sweep_index):
-    """The ensemble's per-trajectory streams (those of trajectory_rng), each
-    opened when first drawn; their keys are all derived here, in one pass."""
-    keys = _philox_keys(cfg.master_seed, sweep_index, np.arange(cfg.realizations))
-    return (_open_stream(key) for key in keys)
+    """The ensemble's per-trajectory streams; see _TrajectoryStreams."""
+    return _TrajectoryStreams(
+        _philox_keys(cfg.master_seed, sweep_index, np.arange(cfg.realizations)))
 
 
 def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
     """Step one lockstep batch of `width` trajectories; the j-th draws its noise
-    from the j-th generator of the iterable `streams`.
+    from the j-th generator of the iterable `streams`.  A run of at most
+    NOISE_BLOCK steps draws every stream once, so it draws _TrajectoryStreams
+    through one reset generator (drawn_once) instead of opening each.
 
     A generator: yields (step, batch, target_t) at step 0 and after each of
     the n_steps steps.  batch is the kernel holding the states after `step`
@@ -552,7 +586,8 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
         kernel = _BlochKernel if cfg.rho0.shape == (2, 2) and width > 1 else _MatrixKernel
 
     # a stream is opened when its first block is drawn and kept only while
-    # blocks remain; its next block of increments continues it exactly
+    # blocks remain; its next block of increments continues it exactly.  Only
+    # a run of one block draws from drawn_once's shared generator: none is kept
     block = NOISE_BLOCK
     dw = np.empty((min(block, n_steps), width))
     draw = np.empty(len(dw))  # one stream's block, scaled into its column of dw
@@ -573,7 +608,8 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
             more = step + len(rows) < n_steps
             noise = draw[:len(rows)]
             kept = []
-            for j, gen in enumerate(streams):
+            one_block = not more and isinstance(streams, _TrajectoryStreams)
+            for j, gen in enumerate(streams.drawn_once() if one_block else streams):
                 gen.standard_normal(out=noise)
                 np.multiply(noise, sqrt_dt, out=rows[:, j])
                 if more:

@@ -18,9 +18,9 @@ which agrees with the equation above to first order, keeps the Milstein
 correction, and maps a density matrix to a density matrix for any dt, so no
 eigenvalue clip is needed.  A step is still rejected (dt too large) when the
 first-order Euler-Maruyama state from the same rho would have an eigenvalue
-far below zero.  That eigenvalue is bounded without building the Euler state
-(N = 2) or without an eigensolve (N > 2), and the exact value is computed
-only when a state's bound could reach the rejection threshold:
+far below zero.  That eigenvalue is bounded without building the Euler state,
+which is built, and its exact smallest eigenvalue computed, only when a
+state's bound could reach the rejection threshold:
 
 * N = 2: the Euler state is (Tr rho I + r_E.sigma) / 2 for a Bloch vector
   r_E whose norm _euler_norm_bound bounds in closed form from the sigma
@@ -28,7 +28,11 @@ only when a state's bound could reach the rejection threshold:
   (Tr rho - bound) / 2 (the Bloch kernel of qmfc.ensemble applies the same
   bound, with Tr rho = 1);
 * N > 2: rho' is positive semidefinite, so by Weyl's inequality the Euler
-  state's smallest eigenvalue is at least -||euler - rho'||_F.
+  state's smallest eigenvalue is at least -c for any c >= ||euler - rho'||_F.
+  _weyl_certificate computes such a c from Q rho, which the step has
+  anyway: the difference's noise part exactly, and its two drift
+  commutators, which are O(dt) against a threshold of O(sqrt(dt)), by a
+  norm bound.
 
 The closed loop measures a spin direction at a fixed Bloch angle from the
 instantaneous eigenbasis of rho and applies the optimal constrained feedback
@@ -219,6 +223,72 @@ def _qubit_euler_min(rho, Q, k, H, dt, dW, beta):
 _SZ_SANDWICH = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
+def _traceless_norm(a):
+    """||a - (Tr a / N) I||_F of an (N, N) matrix, or of each matrix of an
+    (N, N, m) stack."""
+    n = a.shape[0]
+    centred = a.reshape((n * n,) + a.shape[2:]).copy()  # entry (i, j) is row i n + j
+    diagonal = centred[::n + 1]
+    diagonal -= diagonal.sum(axis=0) / n
+    centred *= centred.conj()
+    return np.sqrt(centred.real.sum(axis=0))
+
+
+def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q):
+    """An upper bound c on ||E - new||_F for each state of an N > 2 step of
+    _kraus_step, where E is its first-order Euler-Maruyama state and new its
+    Kraus state, built without E.
+
+    E - new = A + D, with the noise part
+
+        A = rho - new + sqrt(2k) dW (Q rho + rho Q - 2 Tr[Q rho] rho),
+
+    computed from q_rho = Q rho, and the drift D = -i dt [H, rho]
+    - k dt [Q, [Q, rho]], which is O(dt) and only bounded: with
+    X_0 = X - (Tr X / N) I, ||[X, Y]||_F <= 2 ||X_0||_F ||Y||_F and
+    ||rho||_F <= 1 for a density matrix, so
+
+        ||D||_F <= 2 dt ||H_0||_F + 2 k dt ||Q_0||_F ||[Q, rho]||_F,
+
+    where [Q, rho] = q_rho - q_rho^+.  c = ||A||_F + that bound.  Q, q_rho
+    and exp_q are ignored when k = 0.
+    """
+    drift = (2.0 * dt) * _traceless_norm(H)
+    if k == 0:
+        return np.linalg.norm(rho - new, axis=(0, 1)) + drift
+    work = _dagger(q_rho)
+    a = np.subtract(q_rho, work)  # [Q, rho]
+    drift = drift + (2.0 * k * dt) * _traceless_norm(Q) * np.linalg.norm(a, axis=(0, 1))
+    noise = np.sqrt(2.0 * k) * dW
+    work += q_rho
+    work *= noise
+    # rho - 2 sqrt(2k) dW Tr[Q rho] rho as one product, then A in place
+    np.multiply(1.0 - 2.0 * noise * exp_q, rho, out=a)
+    a -= new
+    a += work
+    return np.linalg.norm(a, axis=(0, 1)) + drift
+
+
+def _euler_state(rho, Q, k, H, dt, dW, beta, q_rho, exp_q, sz_rho_sz):
+    """The first-order Euler-Maruyama state rho + g + g^+ of a _kraus_step
+    from rho, with its q_rho = Q rho, exp_q = Tr[Q rho] and, when beta > 0,
+    sz rho sz; Q and H lifted as rho.  Its temporaries work in place."""
+    g = _matmul(H, rho)
+    np.multiply(-1j * dt, g, out=g)
+    if k > 0:
+        work = _dagger(q_rho)
+        work = _matmul(Q, np.subtract(q_rho, work, out=work))
+        g -= np.multiply(k * dt, work, out=work)
+        np.subtract(q_rho, np.multiply(exp_q, rho, out=work), out=work)
+        g += np.multiply(np.sqrt(2.0 * k) * dW, work, out=work)
+    if beta > 0:
+        work = sz_rho_sz - rho
+        g += np.multiply(beta * dt, work, out=work)
+    euler = rho + g
+    euler += _dagger(g)
+    return euler
+
+
 def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
     """One Kraus-map step of the conditioned evolution (see the module docstring).
 
@@ -234,17 +304,18 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
     Without a rejection tolerance tol it is exact.  With tol it is instead a
     lower bound for every state whenever the batch's smallest bound clears
     the rejection threshold -tol by a margin for rounding, so no state can
-    be rejected, and exact otherwise:
-    for N = 2 the bound is _qubit_euler_min's, which needs no Euler state,
-    with a margin of 5e-10 (the Bloch kernel's 1e-9 on |r_E|); for N > 2 it
-    is -||euler - rho_next||_F, with a margin of 1e-9 (also for rho_next's
-    rounding-level negative eigenvalues).
+    be rejected, and exact otherwise.  Neither bound needs the Euler state,
+    which is built (_euler_state) only for the exact value:
+    for N = 2 the bound is _qubit_euler_min's, with a margin of 5e-10 (the
+    Bloch kernel's 1e-9 on |r_E|); for N > 2 it is -c for the certificate c
+    >= ||euler - rho_next||_F of _weyl_certificate (rho_next is positive
+    semidefinite, so Weyl's inequality applies), with a margin of 1e-9 (also
+    for rho_next's rounding-level negative eigenvalues).
     Full-width temporaries are updated in place (out= ufuncs, +=, -=, /=)
     with the operands of every product and sum in the formula's order, so
     each holds the bits a fresh array would, and fewer of them are alive at
     once than in an out-of-place step.  No argument is written, and no
-    array a later branch still reads (rho, and euler for the exact
-    diagnostic).
+    array a later stage still reads (rho, and Q rho for the diagnostic).
     """
     rho = np.asarray(rho, dtype=complex)
     n = rho.shape[0]
@@ -254,6 +325,7 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
 
     H = lift(np.asarray(H, dtype=complex))
     exp_q = np.zeros(rho.shape[2:])
+    q_rho = sz_rho_sz = None
     if k > 0:
         Q = lift(np.asarray(Q, dtype=complex))
         sqrt2k = np.sqrt(2.0 * k)
@@ -261,30 +333,6 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
         exp_q = np.einsum("ii...->...", q_rho).real
     if beta > 0:
         sz_rho_sz = lift(_SZ_SANDWICH) * rho
-    euler_min = None
-    if tol is not None and n == 2:
-        bound = _qubit_euler_min(rho, Q, k, H, dt, dW, beta)
-        if bound.min() >= 5e-10 - tol:
-            euler_min = bound
-    if euler_min is None:
-        # the first-order (Euler-Maruyama) increment is g + g^+
-        g = _matmul(H, rho)
-        np.multiply(-1j * dt, g, out=g)
-        if k > 0:
-            work = _dagger(q_rho)
-            work = _matmul(Q, np.subtract(q_rho, work, out=work))
-            g -= np.multiply(k * dt, work, out=work)
-            np.subtract(q_rho, np.multiply(exp_q, rho, out=work), out=work)
-            g += np.multiply(sqrt2k * dW, work, out=work)
-        if beta > 0:
-            work = sz_rho_sz - rho
-            g += np.multiply(beta * dt, work, out=work)
-        euler = rho + g
-        euler += _dagger(g)
-    # q_rho and g are dead.  work, allocated last, lives until the step
-    # returns: freed here too, it lets glibc trim the heap top, which the
-    # Kraus products then fault back in (10x the minor page faults)
-    q_rho = g = None
 
     if m0 is None:
         m0 = (1.0 - beta * dt) * lift(np.eye(n))
@@ -297,15 +345,20 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
         m_op = np.add(m_op, drive, out=drive)
         m_op += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
     new = _matmul(_matmul(m_op, rho), _dagger(m_op))
+    m_op = None  # dead: freed before the diagnostic's temporaries
     if beta > 0:
-        new += np.multiply(2.0 * beta * dt, sz_rho_sz, out=sz_rho_sz)
+        new += np.multiply(2.0 * beta * dt, sz_rho_sz)
     new /= np.einsum("ii...->...", new).real
-    if euler_min is not None:
-        return new, exp_q, euler_min
-    if tol is not None and n > 2:
-        dist = np.linalg.norm(euler - new, axis=(0, 1))
-        if dist.max() <= tol - 1e-9:
-            return new, exp_q, -dist
+
+    if tol is not None:
+        if n == 2:
+            bound, margin = _qubit_euler_min(rho, Q, k, H, dt, dW, beta), 5e-10
+        else:
+            bound = -_weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q)
+            margin = 1e-9
+        if bound.min() >= margin - tol:
+            return new, exp_q, bound
+    euler = _euler_state(rho, Q, k, H, dt, dW, beta, q_rho, exp_q, sz_rho_sz)
     return new, exp_q, _min_eigenvalue(euler)
 
 

@@ -229,6 +229,56 @@ def test_philox_key_seed_gives_only_the_key():
             seed.generate_state(n_words, dtype)
 
 
+def test_one_block_streams_may_be_kept():
+    """A run of one noise block draws every stream through one reset
+    generator (_TrajectoryStreams.drawn_once), but iterating the streams
+    still opens each: kept in a list, they are distinct generators that draw
+    numpy's streams, and the reset generator draws the same numbers."""
+    cfg = small_config(realizations=5)
+    assert cfg.sme.n_steps <= qmfc.ensemble.NOISE_BLOCK
+    want = [gen.standard_normal(cfg.sme.n_steps) for gen in numpy_streams(cfg, 1)]
+    kept = list(_trajectory_streams(cfg, 1))
+    assert len({id(gen) for gen in kept}) == cfg.realizations
+    assert all(np.array_equal(gen.standard_normal(cfg.sme.n_steps), w)
+               for gen, w in zip(kept, want))
+    once = [gen.standard_normal(cfg.sme.n_steps)
+            for gen in _trajectory_streams(cfg, 1).drawn_once()]
+    assert len(once) == cfg.realizations
+    assert all(np.array_equal(got, w) for got, w in zip(once, want))
+
+
+def noise_increments(cfg):
+    """The noise increments each step of _advance_chunk hands the kernel, on
+    the streams of sweep 3, as a (steps, realizations) array."""
+    increments = []
+
+    class Spy(_BlochKernel if cfg.rho0.shape == (2, 2) else _MatrixKernel):
+        def step(self, target, dw):
+            increments.append(dw.copy())
+            return super().step(target, dw)
+
+    collect(cfg, cfg.realizations, _trajectory_streams(cfg, 3), kernel=Spy)
+    return np.array(increments)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["one-block", "one-block-plus-one"])
+@pytest.mark.parametrize("make", [
+    lambda steps: small_config(sme=SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4,
+                                             dt=1e-3, t_end=steps * 1e-3), stat_stride=1),
+    lambda steps: qutrit_config(sme=SmeConfig(k=1.0, h0=qutrit_config().sme.h0,
+                                              dt=1e-3, t_end=steps * 1e-3), stat_stride=1),
+], ids=["qubit-bloch", "qutrit-matrix"])
+def test_noise_increments_at_the_block_edge(make, extra):
+    """At NOISE_BLOCK steps every stream is drawn once, through the reset
+    generator; one step more draws two blocks from opened streams.  Either
+    way the noise of each column is sqrt(dt) times its stream's normals."""
+    cfg = make(qmfc.ensemble.NOISE_BLOCK + extra)
+    assert cfg.sme.n_steps == qmfc.ensemble.NOISE_BLOCK + extra
+    noise = np.array([gen.standard_normal(cfg.sme.n_steps) * np.sqrt(cfg.sme.dt)
+                      for gen in numpy_streams(cfg, 3)]).T
+    assert noise_increments(cfg).tobytes() == noise.tobytes()
+
+
 @pytest.mark.parametrize("make", [
     lambda steps: small_config(sme=SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4,
                                              dt=1e-3, t_end=steps * 1e-3), stat_stride=1),
@@ -481,7 +531,8 @@ def test_step_size_bound_dominates_euler_state():
 
 def test_weyl_bound_dominates_general_n_euler_state():
     """For N > 2 the matrix kernel's step-size diagnostic may be the bound
-    -||euler - rho'||_F: rho' is positive semidefinite, so by Weyl's
+    -c, for the certificate c >= ||euler - rho'||_F of sde._weyl_certificate,
+    which needs no Euler state: rho' is positive semidefinite, so by Weyl's
     inequality the bound is at most the Euler state's smallest eigenvalue.
     Checked against the exact eigenvalue for 2000 seeded near-pure N = 3 and
     4 states at each dt, with increments up to 8 standard deviations."""
@@ -513,6 +564,73 @@ def test_weyl_bound_dominates_general_n_euler_state():
             assert np.array_equal(gated, new)
             # 1e-12 absorbs the eigensolver's rounding and rho''s
             assert np.all(bound <= exact + 1e-12), np.max(bound - exact)
+
+
+def test_weyl_certificate_bounds_the_euler_distance():
+    """The N > 2 certificate c of sde._weyl_certificate is at least the
+    Frobenius distance from the Kraus state to the Euler state, here written
+    out from the SME, and exceeds it by at most twice its bound on the drift
+    part, since its noise part is exact.  Checked for 500 seeded near-pure
+    N = 3 and 4 states with per-row and shared Q and H, with and without the
+    measurement, at each dt, with increments up to 8 standard deviations."""
+    rng = np.random.default_rng(23)
+    m = 500
+
+    def hermitian(n, rows):
+        g = rng.standard_normal((rows, n, n)) + 1j * rng.standard_normal((rows, n, n))
+        return (g + np.conj(np.swapaxes(g, 1, 2))) / 2
+
+    def traceless_norm(a):
+        n = a.shape[-1]
+        trace = np.einsum("...ii->...", a)
+        return np.linalg.norm(a - trace[..., None, None] / n * np.eye(n), axis=(-2, -1))
+
+    for n in (3, 4):
+        psi = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+        mixed = g @ np.conj(np.swapaxes(g, 1, 2))
+        mixed /= np.einsum("mii->m", mixed).real[:, None, None]
+        eps = (10.0 ** -rng.uniform(0.0, 15.0, m))[:, None, None]
+        rho = (1.0 - eps) * psi[:, :, None] * np.conj(psi)[:, None, :] + eps * mixed
+        for rows, k in ((m, 2.0), (1, 2.0), (m, 0.0)):
+            q, h = hermitian(n, rows), 2.0 * hermitian(n, rows)
+            for dt in (1e-4, 1e-3, 1e-2):
+                dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
+                new, _, minus_c = _kraus_step(trajectory_last(rho), trajectory_last(q), k,
+                                              trajectory_last(h), dt, dw, tol=np.inf)
+                new = np.moveaxis(new, -1, 0)
+                q_rho = q @ rho
+                exp_q = np.einsum("mii->m", q_rho).real[:, None, None]
+                comm = q_rho - rho @ q
+                euler = (rho - 1j * dt * (h @ rho - rho @ h) - k * dt * (q @ comm - comm @ q)
+                         + np.sqrt(2.0 * k) * dw[:, None, None]
+                         * (q_rho + rho @ q - 2.0 * exp_q * rho))
+                dist = np.linalg.norm(euler - new, axis=(1, 2))
+                drift_bound = 2.0 * dt * (traceless_norm(h) + k * traceless_norm(q)
+                                          * np.linalg.norm(comm, axis=(1, 2)))
+                assert np.all(-minus_c >= dist - 1e-12), np.max(dist + minus_c)
+                assert np.all(-minus_c <= dist + 2.0 * drift_bound + 1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.0, 5.0])
+@pytest.mark.parametrize("n", [3, 4])
+def test_general_n_steps_build_no_euler_state(monkeypatch, n, mu):
+    """On general_n_config's N = 3 and 4 ensembles, open loop and with
+    feedback, sde._weyl_certificate clears the StepRejected threshold at
+    every step, so no step builds the Euler state."""
+    built, certified = [], []
+    euler_state, certificate = qmfc.sde._euler_state, qmfc.sde._weyl_certificate
+
+    def spy(calls, fn):
+        return lambda *args: calls.append(1) or fn(*args)
+
+    monkeypatch.setattr(qmfc.sde, "_euler_state", spy(built, euler_state))
+    monkeypatch.setattr(qmfc.sde, "_weyl_certificate", spy(certified, certificate))
+    cfg = replace(general_n_config(n), mu=mu)
+    run_ensemble(cfg)
+    assert len(certified) == cfg.sme.n_steps
+    assert built == []
 
 
 def test_qubit_bound_dominates_matrix_euler_state():
