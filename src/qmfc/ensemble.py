@@ -14,7 +14,10 @@ index, trajectory index)).  A Philox stream is a key and a counter, so an
 ensemble derives all its keys in one vectorised pass of SeedSequence's hash
 (_philox_keys) and opens each stream directly on its key; the streams, and so
 every drawn number, are numpy's own.  Noise is drawn in blocks of
-NOISE_BLOCK steps so the noise buffer does not grow with the run length.  A
+NOISE_BLOCK steps so the noise buffer does not grow with the run length.  The
+buffer is (steps, trajectories) in Fortran order: each stream draws its block
+straight into its own contiguous column, the block is scaled by sqrt(dt) in
+one product, and each step copies its row out contiguously.  A
 run of more than one block opens each stream when its first block is drawn
 and keeps it for the next; a run of one block draws each stream once, from
 counter 0, through one generator whose state is reset to each key in turn,
@@ -73,9 +76,14 @@ same feedback branches and the same StepRejected rule:
   above, with each row's exact |h|; for N > 2 -c for a certificate
   c >= ||euler - rho'||_F (Weyl's inequality, sde._weyl_certificate).
   Neither builds the Euler state, nor runs an eigensolver.  The
-  run's constants (1 - beta dt) I and a fixed observable's Q^2 are built
-  once per run; the step, which works in place on its own temporaries,
-  only reads them.  Feedback rows that the first-order test leaves go through
+  run's constants (1 - beta dt) I, a fixed observable's Q^2 and, for
+  N > 2, the certificate's norm bounds ||Q_0||_F and ||H0_0||_F + sqrt(mu)
+  (which bounds every feedback row's ||H_0||_F, as ||H_fb||_F is sqrt(mu)
+  or 0) are built once per run; the step, which works in place on its own
+  temporaries, only reads them.  The first-order feedback test
+  ||[sigma, rho]||_F > DEGEN_TOL ||rho||_F needs no ||rho||_F when every
+  row's commutator exceeds 2 DEGEN_TOL, since ||rho||_F <= 1.  Feedback rows
+  that the test leaves go through
   one batched eigvalsh: rows whose target already carries the top
   eigenvalue, such as every row at I/N, are no-ops, and only the rest
   (second-order branch) go to feedback.optimal_feedback.
@@ -96,6 +104,7 @@ from .sde import (
     _kraus_step,
     _matmul,
     _rotated_sigma_z,
+    _traceless_norm,
     qubit_eigenbasis,
 )
 from .states import check_density_matrix
@@ -251,27 +260,32 @@ def _feedback_stack(rho, psi, mu):
     sig_rho = psi[:, None, None] * np.conj(rho_psi)
     comm = sig_rho - np.conj(np.swapaxes(sig_rho, 0, 1))
     comm_norm = np.sqrt(np.einsum("ijm,ijm->m", comm, np.conj(comm)).real)
-    rho_norm = np.sqrt(np.einsum("ijm,ijm->m", rho, np.conj(rho)).real)
-    active = comm_norm > DEGEN_TOL * rho_norm
-    if active.all():  # every row first order, as in nearly every closed-loop step
+    # a row is first order when comm_norm > DEGEN_TOL ||rho||_F.  ||rho||_F <= 1
+    # for a density matrix, so a batch whose rows all clear 2 DEGEN_TOL (twice,
+    # for rounding) needs no ||rho||_F; any other batch takes the exact rule
+    first_order = comm_norm.min() > 2.0 * DEGEN_TOL
+    if not first_order:
+        rho_norm = np.sqrt(np.einsum("ijm,ijm->m", rho, np.conj(rho)).real)
+        active = comm_norm > DEGEN_TOL * rho_norm
+        first_order = active.all()
+    if first_order:  # every row, as in nearly every closed-loop step
         h = 1j * (np.sqrt(mu) / comm_norm) * comm
         return (h + np.conj(np.swapaxes(h, 0, 1))) / 2
     chi = np.zeros(rho.shape[2])
     chi[active] = np.sqrt(mu) / comm_norm[active]
     h = 1j * chi * comm
     h = (h + np.conj(np.swapaxes(h, 0, 1))) / 2
+    # no-op rows: the target already carries the top eigenvalue.  Half of
+    # optimal_feedback's threshold leaves room for its own rounding, so these
+    # rows are no-ops there too; the rest decide there
     rest = np.nonzero(~active)[0]
-    if rest.size:
-        # no-op rows: the target already carries the top eigenvalue.  Half of
-        # optimal_feedback's threshold leaves room for its own rounding, so
-        # these rows are no-ops there too; the rest decide there
-        sub = np.ascontiguousarray(rho[..., rest].transpose(2, 0, 1))
-        top = np.linalg.eigvalsh((sub + np.conj(np.swapaxes(sub, 1, 2))) / 2)[:, -1]
-        lam_t = np.einsum("i,mij,j->m", np.conj(psi), sub, psi).real
-        no_op = top - lam_t <= 0.5 * DEGEN_TOL * rho_norm[rest]
-        h[..., rest[no_op]] = 0.0  # exactly +0, as optimal_feedback's no-op
-        for j in np.nonzero(~no_op)[0]:
-            h[..., rest[j]] = optimal_feedback(sub[j], psi, mu).hamiltonian
+    sub = np.ascontiguousarray(rho[..., rest].transpose(2, 0, 1))
+    top = np.linalg.eigvalsh((sub + np.conj(np.swapaxes(sub, 1, 2))) / 2)[:, -1]
+    lam_t = np.einsum("i,mij,j->m", np.conj(psi), sub, psi).real
+    no_op = top - lam_t <= 0.5 * DEGEN_TOL * rho_norm[rest]
+    h[..., rest[no_op]] = 0.0  # exactly +0, as optimal_feedback's no-op
+    for j in np.nonzero(~no_op)[0]:
+        h[..., rest[j]] = optimal_feedback(sub[j], psi, mu).hamiltonian
     return h
 
 
@@ -290,12 +304,18 @@ class _MatrixKernel:
             return a if m == 1 else a[..., None]
 
         self.m0 = (1.0 - sme.dephasing_beta * sme.dt) * lift(np.eye(len(cfg.rho0)))
-        self.q_sq = None
+        self.q_sq = self.norms = None
         if policy.mode == "relative_angle":  # the measured sz, turned once per run
             self.rotated_sz = _rotated_sigma_z(policy.theta, policy.phi)
         else:
             q = lift(policy.observable)
             self.q_sq = _matmul(q, q)
+        if len(cfg.rho0) > 2:
+            # the N > 2 certificate's bounds on every row's ||H_0||_F and
+            # ||Q_0||_F (sde._weyl_certificate): a feedback row adds at most
+            # ||H_fb||_F = sqrt(mu) to H0's, and Q is a fixed observable
+            self.norms = (_traceless_norm(sme.h0) + np.sqrt(cfg.mu),
+                          _traceless_norm(policy.observable))
         # the step-size diagnostic is bounded unless it could reach -tol
         self.reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
 
@@ -317,7 +337,7 @@ class _MatrixKernel:
         h = sme.h0 if h_fb is None else (sme.h0[..., None] + h_fb)[..., cut]
         rho, exp_q, euler_min = _kraus_step(self.rho[..., cut], q_obs, sme.k, h, sme.dt, dw[cut],
                                             beta=sme.dephasing_beta, tol=self.reject_tol,
-                                            m0=self.m0, q_sq=self.q_sq)
+                                            m0=self.m0, q_sq=self.q_sq, norms=self.norms)
         self.rho = rho.reshape(self.rho.shape)
         self._last = exp_q, dw, None if h_fb is None else h_fb.transpose(2, 0, 1)
         return euler_min
@@ -589,8 +609,10 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
     # blocks remain; its next block of increments continues it exactly.  Only
     # a run of one block draws from drawn_once's shared generator: none is kept
     block = NOISE_BLOCK
-    dw = np.empty((min(block, n_steps), width))
-    draw = np.empty(len(dw))  # one stream's block, scaled into its column of dw
+    # each stream draws its block straight into its own contiguous column,
+    # and the block is scaled once; a step reads its row as a contiguous copy
+    dw = np.empty((min(block, n_steps), width), order="F")
+    dw_row = np.empty(width)
     sqrt_dt = np.sqrt(dt)
 
     batch = kernel(cfg, width)
@@ -606,16 +628,16 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
         if row == 0:
             rows = dw[:min(block, n_steps - step)]
             more = step + len(rows) < n_steps
-            noise = draw[:len(rows)]
             kept = []
             one_block = not more and isinstance(streams, _TrajectoryStreams)
             for j, gen in enumerate(streams.drawn_once() if one_block else streams):
-                gen.standard_normal(out=noise)
-                np.multiply(noise, sqrt_dt, out=rows[:, j])
+                gen.standard_normal(out=rows[:, j])
                 if more:
                     kept.append(gen)
             streams = kept
-        euler_min = batch.step(target_t, dw[row])
+            rows *= sqrt_dt
+        np.copyto(dw_row, dw[row])
+        euler_min = batch.step(target_t, dw_row)
         worst = euler_min.min()
         if worst < -reject_tol:
             bad = int(np.argmin(euler_min))

@@ -32,7 +32,11 @@ state's bound could reach the rejection threshold:
   _weyl_certificate computes such a c from Q rho, which the step has
   anyway: the difference's noise part exactly, and its two drift
   commutators, which are O(dt) against a threshold of O(sqrt(dt)), by a
-  norm bound.
+  norm bound in ||H_0||_F and ||Q_0||_F, the norms of their traceless parts.
+  A caller that steps many times passes bounds on both, constant for its
+  run (the ensemble's matrix kernel: ||Q_0||_F of its fixed observable and
+  ||H0_0||_F + sqrt(mu) for every feedback row); a direct call takes them
+  from Q and H.
 
 The closed loop measures a spin direction at a fixed Bloch angle from the
 instantaneous eigenbasis of rho and applies the optimal constrained feedback
@@ -234,7 +238,16 @@ def _traceless_norm(a):
     return np.sqrt(centred.real.sum(axis=0))
 
 
-def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q):
+def _frobenius(a):
+    """||a||_F of an (N, N) matrix, or of each matrix of an (N, N, m) stack,
+    as one sum of squares over a real view of its N^2 entries."""
+    n = a.shape[0]
+    parts = np.ascontiguousarray(a).reshape(n * n, -1).view(np.float64)  # (Re, Im) pairs
+    sums = np.einsum("ij,ij->j", parts, parts)
+    return np.sqrt(sums[0::2] + sums[1::2]).reshape(a.shape[2:])
+
+
+def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms=None):
     """An upper bound c on ||E - new||_F for each state of an N > 2 step of
     _kraus_step, where E is its first-order Euler-Maruyama state and new its
     Kraus state, built without E.
@@ -250,15 +263,26 @@ def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q):
 
         ||D||_F <= 2 dt ||H_0||_F + 2 k dt ||Q_0||_F ||[Q, rho]||_F,
 
-    where [Q, rho] = q_rho - q_rho^+.  c = ||A||_F + that bound.  Q, q_rho
-    and exp_q are ignored when k = 0.
+    where [Q, rho] = q_rho - q_rho^+.  c = ||A||_F + that bound.  norms =
+    (h, q) are upper bounds on every state's ||H_0||_F and ||Q_0||_F; a
+    caller that steps a whole run passes them once (_kraus_step), and
+    without them they are computed here from H and Q.  For per-row
+    feedback H = H0 + H_fb with Tr[H_fb^2] = mu or 0, h = ||H0_0||_F +
+    sqrt(mu) holds, since ||X_0||_F <= ||X||_F; it is exact when mu = 0.
+    Both Frobenius norms are sums of squares over real views (_frobenius):
+    c only decides whether the exact diagnostic runs, and the margin of
+    _kraus_step covers its rounding.  Q, q_rho and exp_q are ignored when
+    k = 0.
     """
-    drift = (2.0 * dt) * _traceless_norm(H)
+    if norms is None:
+        norms = _traceless_norm(H), None if k == 0 else _traceless_norm(Q)
+    h_norm, q_norm = norms
+    drift = (2.0 * dt) * h_norm
     if k == 0:
-        return np.linalg.norm(rho - new, axis=(0, 1)) + drift
+        return _frobenius(rho - new) + drift
     work = _dagger(q_rho)
     a = np.subtract(q_rho, work)  # [Q, rho]
-    drift = drift + (2.0 * k * dt) * _traceless_norm(Q) * np.linalg.norm(a, axis=(0, 1))
+    drift = drift + (2.0 * k * dt) * q_norm * _frobenius(a)
     noise = np.sqrt(2.0 * k) * dW
     work += q_rho
     work *= noise
@@ -266,7 +290,7 @@ def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q):
     np.multiply(1.0 - 2.0 * noise * exp_q, rho, out=a)
     a -= new
     a += work
-    return np.linalg.norm(a, axis=(0, 1)) + drift
+    return _frobenius(a) + drift
 
 
 def _euler_state(rho, Q, k, H, dt, dW, beta, q_rho, exp_q, sz_rho_sz):
@@ -289,7 +313,7 @@ def _euler_state(rho, Q, k, H, dt, dW, beta, q_rho, exp_q, sz_rho_sz):
     return euler
 
 
-def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
+def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None, norms=None):
     """One Kraus-map step of the conditioned evolution (see the module docstring).
 
     rho is (N, N) or a stack (N, N, m), trajectory axis last; H and Q (ignored
@@ -297,7 +321,11 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
     state.  beta > 0 (z-dephasing) needs N = 2, which EnsembleConfig enforces.
     m0 = (1 - beta dt) I and q_sq = Q^2, lifted like rho, may be passed by a
     caller that steps many times with the same beta dt and Q; they must be
-    computed as here.
+    computed as here.  Such a caller may also pass norms = (h, q), bounds
+    on every state's ||H_0||_F and ||Q_0||_F for the N > 2 certificate: the
+    ensemble's matrix kernel passes its fixed observable's ||Q_0||_F and, for
+    per-row feedback H = H0 + H_fb, ||H0_0||_F + sqrt(mu).  Without them
+    _weyl_certificate computes both from H and Q at every call.
     Returns (rho_next, exp_q, euler_min): the next state(s), Tr[Q rho] before
     the step (0 when k = 0), and the step-size diagnostic, the smallest
     eigenvalue of the first-order Euler-Maruyama state from the same rho.
@@ -310,7 +338,8 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
     Bloch kernel's 1e-9 on |r_E|); for N > 2 it is -c for the certificate c
     >= ||euler - rho_next||_F of _weyl_certificate (rho_next is positive
     semidefinite, so Weyl's inequality applies), with a margin of 1e-9 (also
-    for rho_next's rounding-level negative eigenvalues).
+    for rho_next's rounding-level negative eigenvalues and the rounding of
+    c's sums of squares).
     Full-width temporaries are updated in place (out= ufuncs, +=, -=, /=)
     with the operands of every product and sum in the formula's order, so
     each holds the bits a fresh array would, and fewer of them are alive at
@@ -354,7 +383,7 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None):
         if n == 2:
             bound, margin = _qubit_euler_min(rho, Q, k, H, dt, dW, beta), 5e-10
         else:
-            bound = -_weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q)
+            bound = -_weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms)
             margin = 1e-9
         if bound.min() >= margin - tol:
             return new, exp_q, bound

@@ -633,6 +633,34 @@ def test_general_n_steps_build_no_euler_state(monkeypatch, n, mu):
     assert built == []
 
 
+@pytest.mark.parametrize("drift", ["shifted", "zero"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_run_constant_certificate_bounds_every_step(monkeypatch, n, drift):
+    """The certificate a _MatrixKernel builds from its run constants, ||Q_0||_F
+    and the bound ||H0_0||_F + sqrt(mu) on every row's ||H_0||_F, is at least
+    the exact ||E - rho'||_F, E from sde._euler_state, at every step of
+    general_n_config's feedback ensembles (mu = 5): with the drift H0 + 2I,
+    whose trace the bound must not count, and with H0 = 0, where the
+    feedback is all of H."""
+    certificate, euler_state = qmfc.sde._weyl_certificate, qmfc.sde._euler_state
+    gaps = []
+
+    def checked(rho, new, q, k, h, dt, dw, q_rho, exp_q, *constants):
+        assert constants and constants[0] is not None  # the kernel's run constants
+        c = certificate(rho, new, q, k, h, dt, dw, q_rho, exp_q, *constants)
+        euler = euler_state(rho, q, k, h, dt, dw, 0.0, q_rho, exp_q, None)
+        gaps.append(np.min(c - np.linalg.norm(euler - new, axis=(0, 1))))
+        return c
+
+    monkeypatch.setattr(qmfc.sde, "_weyl_certificate", checked)
+    cfg = general_n_config(n)
+    h0 = cfg.sme.h0 + 2.0 * np.eye(n) if drift == "shifted" else np.zeros((n, n))
+    cfg = replace(cfg, sme=replace(cfg.sme, h0=h0))
+    run_ensemble(cfg)
+    assert len(gaps) == cfg.sme.n_steps
+    assert min(gaps) >= -1e-12, min(gaps)
+
+
 def test_qubit_bound_dominates_matrix_euler_state():
     """For N = 2 the matrix kernel's step-size diagnostic may be
     (Tr rho - b) / 2 for the closed-form bound b on |r_E|
@@ -831,6 +859,45 @@ def test_feedback_stack_sends_only_second_order_rows_to_the_scalar_rule(monkeypa
         assert h[~first].tobytes() == want[~first].tobytes()
         assert np.max(np.abs(h[first] - want[first]), initial=0.0) < 1e-12
         assert len(calls) == np.isin(kinds[pick], ["second_order", "band"]).sum()
+
+
+def test_feedback_stack_shortcut_keeps_every_row_bit():
+    """Every row of a stack is decided with the bits it gets alone, whether
+    or not the stack skips ||rho||_F (when every ||[sigma, rho]||_F exceeds
+    2 DEGEN_TOL, which is safe because ||rho||_F <= 1).  Two N = 3 stacks of
+    random mixed rows and one edge row: one whose edge row, the stack's
+    smallest commutator, lies just above 2 DEGEN_TOL, and one whose edge row
+    lies in (DEGEN_TOL ||rho||_F, 2 DEGEN_TOL] beside a no-op row at I/3."""
+    psi = np.array([0.0, 0.0, 1.0], dtype=complex)
+    mu = 5.0
+    rng = np.random.default_rng(12)
+    mixed = []
+    for _ in range(6):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        mixed.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+
+    def edge(comm_norm):  # ||[sigma, rho]||_F = sqrt(2) |rho_02| toward the last basis state
+        rho = np.diag([0.3, 0.3, 0.4]).astype(complex)
+        rho[0, 2] = rho[2, 0] = comm_norm / np.sqrt(2.0)
+        return rho
+
+    def comm_norms(stack):
+        sigma = np.outer(psi, psi.conj())
+        return np.linalg.norm(sigma @ stack - stack @ sigma, axis=(1, 2))
+
+    above = edge(2.0 * DEGEN_TOL * (1.0 + 1e-6))
+    inside = edge(1.5 * DEGEN_TOL * np.linalg.norm(np.diag([0.3, 0.3, 0.4])))
+    for extra in ([above], [inside, np.eye(3, dtype=complex) / 3]):
+        stack = np.array(mixed + extra)
+        norms = comm_norms(stack)
+        if len(extra) == 1:
+            assert 2.0 * DEGEN_TOL < norms.min() == norms[-1] < 2.0 * DEGEN_TOL * (1.0 + 1e-5)
+        else:
+            assert DEGEN_TOL * np.linalg.norm(extra[0]) < norms[-2] <= 2.0 * DEGEN_TOL
+        h = _feedback_stack(trajectory_last(stack), psi, mu)
+        for j in range(len(stack)):
+            alone = _feedback_stack(trajectory_last(stack[j:j + 1]), psi, mu)
+            assert alone[..., 0].tobytes() == h[..., j].tobytes(), j
 
 
 def seeded(kernel, r):
