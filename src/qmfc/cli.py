@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .ensemble import EnsembleConfig, precessing_plus_x, run_ensemble, theta_experiment
+from .ensemble import EnsembleConfig, precessing_plus_x, theta_experiment
 from .metrics import (
     ito_rate_p,
     ito_rate_v,

@@ -28,26 +28,27 @@ than one depends only on its own stream, on either kernel; a batch of one
 steps plain (N, N) matrices, whose products round differently.
 
 Two kernels run the same step as sde._kraus_step, with the same noise, the
-same feedback branches and the same StepRejected rule:
+same feedback branches and the same StepRejected rule.  Both step
+Q - (Tr Q / N) I and H0 - (Tr H0 / N) I, built once per run (relative_angle
+observables have zero trace already): the conditioned master equation sees
+no more of Q and H, so Q + cI and H0 + cI move no state beyond the rounding
+of the shift, and the record dy gets its 4k (Tr Q / N) dt added back.
 
 * qubit batches wider than one (Bloch form; Jacobs and Steck, Contemp.
   Phys. 47, 279 (2006)): each state is a real Bloch vector r,
   rho = (I + r.sigma) / 2, stored as a (3, m) array with one column per
-  trajectory.  With Q = q0 I + q.sigma and
-  H = h0 I + h.sigma the Kraus operator is M = alpha I + v.sigma, with alpha
-  complex and v = a + ib a complex 3-vector, and
+  trajectory.  With Q = q.sigma and H = h.sigma the Kraus operator is
+  M = alpha I + (a + ib).sigma, with the real alpha = 1 - beta dt
+  + k (dy~^2 - 2 dt) (q.q), a = sqrt(2k) dy~ q and b = -dt h, and
 
-      M M^+         = (|alpha|^2 + |v|^2) I + (2 Re(alpha* v) + 2 a x b).sigma
-      M (r.sigma) M^+ = 2 (Re(alpha* v) - a x b).r I
-                      + ((|alpha|^2 - |v|^2) r + 2a(a.r) + 2b(b.r)
-                         - 2 Im(alpha* v) x r).sigma
+      M M^+           = (alpha^2 + |a|^2 + |b|^2) I + (2 alpha a + 2 a x b).sigma
+      M (r.sigma) M^+ = 2 (alpha a - a x b).r I
+                        + ((alpha^2 - |a|^2 - |b|^2) r + 2a(a.r) + 2b(b.r)
+                           - 2 alpha b x r).sigma
 
   while the dephasing channel adds 2 beta dt sz rho sz
   = beta dt (I + (-r_x, -r_y, r_z).sigma).  The next r is the sigma part of
-  the sum over its I part.  When Tr Q = Tr H0 = 0 (every relative_angle run
-  with a traceless H0, sigma observables, the rates estimator) the terms in
-  q0 and Im alpha = -h0 dt are exactly zero and are skipped; the rest is the
-  same operations in the same order, so rows do not change in any bit.
+  the sum over its I part.
   The step-size diagnostic is (1 - |r_E|) / 2 for the first-order
   Euler-Maruyama state r_E; a step is rejected when it is below -tol, that
   is when |r_E| > 1 + 2 tol.  With eps = 2 sqrt(2k) dW,
@@ -56,7 +57,7 @@ same feedback branches and the same StepRejected rule:
       |r_E| <= sqrt(c_r^2 |r|^2 + 2 c_r c_q (q.r) + c_q^2 (q.q))
                + dt (2 (|g| + sqrt(mu/2)) + 4 beta) |r|
 
-  for H0 = g0 I + g.sigma (sde._euler_norm_bound: the first term is the
+  for H0's sigma part g (sde._euler_norm_bound: the first term is the
   exact norm of c_r r + c_q q, the second bounds the rotation and
   dephasing, since feedback rows of either branch have |h_fb| <= sqrt(mu/2)).
   r_E is built only when the batch maximum of this bound exceeds 1 + 2 tol
@@ -75,18 +76,16 @@ same feedback branches and the same StepRejected rule:
   those of the exact diagnostic: for qubits (Tr rho - b) / 2 for the bound b
   above, with each row's exact |h|; for N > 2 -c for a certificate
   c >= ||euler - rho'||_F (Weyl's inequality, sde._weyl_certificate).
-  Neither builds the Euler state, nor runs an eigensolver.  The
-  run's constants (1 - beta dt) I, a fixed observable's Q^2 and, for
-  N > 2, the certificate's norm bounds ||Q_0||_F and ||H0_0||_F + sqrt(mu)
-  (which bounds every feedback row's ||H_0||_F, as ||H_fb||_F is sqrt(mu)
-  or 0) are built once per run; the step, which works in place on its own
-  temporaries, only reads them.  The first-order feedback test
-  ||[sigma, rho]||_F > DEGEN_TOL ||rho||_F needs no ||rho||_F when every
-  row's commutator exceeds 2 DEGEN_TOL, since ||rho||_F <= 1.  Feedback rows
-  that the test leaves go through
-  one batched eigvalsh: rows whose target already carries the top
-  eigenvalue, such as every row at I/N, are no-ops, and only the rest
-  (second-order branch) go to feedback.optimal_feedback.
+  Neither builds the Euler state, nor runs an eigensolver.  The run's
+  constants (1 - beta dt) I, the centred Q and H0, Q^2 and, for N > 2, the
+  certificate's norm bounds of sde._weyl_certificate are built once per run;
+  the step, which works in place on its own temporaries, only reads them.
+  The first-order feedback test ||[sigma, rho]||_F > DEGEN_TOL ||rho||_F
+  needs no ||rho||_F when every row's commutator exceeds 2 DEGEN_TOL, since
+  ||rho||_F <= 1.  Feedback rows that the test leaves go through one batched
+  eigvalsh: rows whose target already carries the top eigenvalue, such as
+  every row at I/N, are no-ops, and only the rest (second-order branch) go
+  to feedback.optimal_feedback.
 """
 
 from dataclasses import dataclass, replace
@@ -99,12 +98,14 @@ from .sde import (
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
+    _centred,
     _default_reject_tol,
     _euler_norm_bound,
+    _frobenius,
     _kraus_step,
     _matmul,
+    _on_step_grid,
     _rotated_sigma_z,
-    _traceless_norm,
     qubit_eigenbasis,
 )
 from .states import check_density_matrix
@@ -304,18 +305,18 @@ class _MatrixKernel:
             return a if m == 1 else a[..., None]
 
         self.m0 = (1.0 - sme.dephasing_beta * sme.dt) * lift(np.eye(len(cfg.rho0)))
-        self.q_sq = self.norms = None
+        # the step sees H0 and a fixed observable centred (module docstring)
+        self.h0 = _centred(sme.h0)
+        self.q = self.q_sq = self.norms = None
+        self.dy_shift = 0.0
         if policy.mode == "relative_angle":  # the measured sz, turned once per run
             self.rotated_sz = _rotated_sigma_z(policy.theta, policy.phi)
         else:
-            q = lift(policy.observable)
-            self.q_sq = _matmul(q, q)
-        if len(cfg.rho0) > 2:
-            # the N > 2 certificate's bounds on every row's ||H_0||_F and
-            # ||Q_0||_F (sde._weyl_certificate): a feedback row adds at most
-            # ||H_fb||_F = sqrt(mu) to H0's, and Q is a fixed observable
-            self.norms = (_traceless_norm(sme.h0) + np.sqrt(cfg.mu),
-                          _traceless_norm(policy.observable))
+            self.q = _centred(policy.observable)
+            self.q_sq = _matmul(lift(self.q), lift(self.q))
+            self.dy_shift = 4.0 * sme.k * (np.trace(policy.observable).real / len(self.q)) * sme.dt
+        if len(cfg.rho0) > 2:  # the N > 2 certificate's norm bounds (sde._weyl_certificate)
+            self.norms = _frobenius(self.h0) + np.sqrt(cfg.mu), _frobenius(self.q)
         # the step-size diagnostic is bounded unless it could reach -tol
         self.reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
 
@@ -332,9 +333,9 @@ class _MatrixKernel:
             q_obs = [basis @ self.rotated_sz @ basis.conj().T for basis in self.bases]
             q_obs = q_obs[0] if len(q_obs) == 1 else np.stack(q_obs, axis=-1)
         else:
-            q_obs = policy.observable
+            q_obs = self.q
         h_fb = _feedback_stack(self.rho, psi, cfg.mu) if cfg.mu > 0 else None
-        h = sme.h0 if h_fb is None else (sme.h0[..., None] + h_fb)[..., cut]
+        h = self.h0 if h_fb is None else (self.h0[..., None] + h_fb)[..., cut]
         rho, exp_q, euler_min = _kraus_step(self.rho[..., cut], q_obs, sme.k, h, sme.dt, dw[cut],
                                             beta=sme.dephasing_beta, tol=self.reject_tol,
                                             m0=self.m0, q_sq=self.q_sq, norms=self.norms)
@@ -347,7 +348,7 @@ class _MatrixKernel:
         feedback Hamiltonians, shape (m, N, N), or None when mu = 0."""
         exp_q, dw, h_fb = self._last
         k, dt = self.cfg.sme.k, self.cfg.sme.dt
-        return 4.0 * k * exp_q * dt + np.sqrt(2.0 * k) * dw, h_fb
+        return 4.0 * k * exp_q * dt + np.sqrt(2.0 * k) * dw + self.dy_shift, h_fb
 
     # purity and overlap sum over a C-ordered (m, N, N) copy: rho's memory order changes the sum
     def purity(self):
@@ -402,8 +403,10 @@ class _BlochKernel:
         self.cfg = cfg
         sme = cfg.sme
         self.r = np.repeat(2.0 * _pauli(cfg.rho0)[1][:, None], m, axis=1)
-        self.h0_trace, h0 = _pauli(sme.h0)
+        # the step sees only the sigma parts of H0 and Q (module docstring)
+        h0 = _pauli(sme.h0)[1]
         self.h0 = h0[:, None]
+        self.dy_shift = 0.0  # 4k q0 dt for a fixed observable Q = q0 I + q.sigma
         # work arrays for the cross products and the measured axis, reused every step
         self._sxr, self._axb, self._q, self._work = np.empty((4, 3, m))
         policy = cfg.policy
@@ -413,16 +416,12 @@ class _BlochKernel:
             self.local = (st * np.cos(policy.phi), st * np.sin(policy.phi), np.cos(policy.theta))
             # the state's (Theta, Phi); kept where |r| < BASIS_DEGEN_TOL
             self.angles = np.zeros((2, m))
-            self.q_trace = 0.0
         else:
-            self.q_trace, q = _pauli(policy.observable)
+            q0, q = _pauli(policy.observable)
             self.q = q[:, None]
-        # Tr Q = Tr H0 = 0: the terms in q_trace and Im alpha are exactly zero
-        self.traceless = self.q_trace == 0 and self.h0_trace == 0
-        # feedback rows of either branch have |h_fb| <= sqrt(mu/2), so |h| <=
-        # |g| + sqrt(mu/2) for H0 = g0 I + g.sigma; the Euler state is built
-        # only when the bound on |r_E| could reach the StepRejected threshold
-        # 1 + 2 tol (less a margin for rounding), as in sde._kraus_step
+            self.dy_shift = 4.0 * sme.k * q0 * sme.dt
+        # |h| <= |h0| + sqrt(mu/2) on either feedback branch; the Euler state is built
+        # only when the bound on |r_E| could reach 1 + 2 tol less a rounding margin
         self.h_scale = (2.0 * (np.sqrt(_dot(h0, h0)) + np.sqrt(cfg.mu / 2))
                         + 4.0 * sme.dephasing_beta)
         tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
@@ -489,34 +488,22 @@ class _BlochKernel:
 
         qr = _dot(q, r)
         qq = _dot(q, q)
+        # M = alpha I + (a + ib).sigma with a real alpha (module docstring)
         b = -dt * h
-        if self.traceless:
-            # the general branch below without its exactly-zero terms in q_trace and alpha_im
-            dy_tilde = 2.0 * sqrt2k * dt * qr + dw
-            c2 = k * (dy_tilde * dy_tilde - 2.0 * dt)
-            alpha_re = (1.0 - beta * dt) + c2 * qq
-            a = (sqrt2k * dy_tilde) * q
-            re_av = alpha_re * a
-            im_av = alpha_re * b
-            alpha2 = alpha_re * alpha_re
-        else:
-            q_trace = self.q_trace
-            dy_tilde = 2.0 * sqrt2k * dt * (q_trace + qr) + dw
-            c2 = k * (dy_tilde * dy_tilde - 2.0 * dt)
-            alpha_re = (1.0 - beta * dt) + sqrt2k * dy_tilde * q_trace + c2 * (q_trace ** 2 + qq)
-            alpha_im = -dt * self.h0_trace
-            a = (sqrt2k * dy_tilde + 2.0 * c2 * q_trace) * q
-            re_av = alpha_re * a + alpha_im * b
-            im_av = alpha_re * b - alpha_im * a
-            alpha2 = alpha_re * alpha_re + alpha_im * alpha_im
+        dy_tilde = 2.0 * sqrt2k * dt * qr + dw
+        c2 = k * (dy_tilde * dy_tilde - 2.0 * dt)
+        alpha = (1.0 - beta * dt) + c2 * qq
+        a = (sqrt2k * dy_tilde) * q
+        alpha_a = alpha * a
+        alpha2 = alpha * alpha
         axb = _cross(a, b, self._axb)
         v2 = _dot(a, a) + _dot(b, b)
-        identity_part = (alpha2 + v2) / 2 + _dot(re_av - axb, r) + beta * dt
-        sigma_part = np.add(re_av, axb, out=re_av)
+        identity_part = (alpha2 + v2) / 2 + _dot(alpha_a - axb, r) + beta * dt
+        sigma_part = np.add(alpha_a, axb, out=alpha_a)
         sigma_part += ((alpha2 - v2) / 2) * r
         sigma_part += a * _dot(a, r)
         sigma_part += b * _dot(b, r)
-        sigma_part -= _cross(im_av, r, self._work)
+        sigma_part -= _cross(alpha * b, r, self._work)
         sigma_part[:2] -= (beta * dt) * r[:2]
         sigma_part[2] += (beta * dt) * r[2]
 
@@ -534,9 +521,10 @@ class _BlochKernel:
         return euler_min
 
     def last_step(self):
-        """As _MatrixKernel.last_step; dy = sqrt(2k) dy~."""
+        """As _MatrixKernel.last_step; dy = sqrt(2k) dy~ + 4k q0 dt."""
         sqrt2k, dy_tilde, h_fb = self._last
-        return sqrt2k * dy_tilde, None if h_fb is None else 2.0 * _density(h_fb) - np.eye(2)
+        h_fb = None if h_fb is None else 2.0 * _density(h_fb) - np.eye(2)
+        return sqrt2k * dy_tilde + self.dy_shift, h_fb
 
     def purity(self):
         return (1.0 + _dot(self.r, self.r)) / 2
@@ -692,11 +680,10 @@ def ensemble_states(cfg: EnsembleConfig, checkpoint_times, sweep_index=0):
     same random streams as run_ensemble, so the conditional ensemble average
     can be compared entrywise against the outcome-averaged master equation.
     """
-    dt = cfg.sme.dt
     steps = []
     for t in checkpoint_times:
-        step = int(round(t / dt))
-        if not 0 <= step <= cfg.sme.n_steps or abs(step * dt - t) > 1e-9 * max(t, dt):
+        step = _on_step_grid(t, cfg.sme.dt)
+        if step is None or not 0 <= step <= cfg.sme.n_steps:
             raise ValueError(f"checkpoint time {t} is not on the step grid")
         steps.append(step)
 

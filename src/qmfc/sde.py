@@ -32,11 +32,8 @@ state's bound could reach the rejection threshold:
   _weyl_certificate computes such a c from Q rho, which the step has
   anyway: the difference's noise part exactly, and its two drift
   commutators, which are O(dt) against a threshold of O(sqrt(dt)), by a
-  norm bound in ||H_0||_F and ||Q_0||_F, the norms of their traceless parts.
-  A caller that steps many times passes bounds on both, constant for its
-  run (the ensemble's matrix kernel: ||Q_0||_F of its fixed observable and
-  ||H0_0||_F + sqrt(mu) for every feedback row); a direct call takes them
-  from Q and H.
+  norm bound in ||H_0||_F and ||Q_0||_F, the norms of their traceless parts,
+  which a caller that steps many times passes as constants of its run.
 
 The closed loop measures a spin direction at a fixed Bloch angle from the
 instantaneous eigenbasis of rho and applies the optimal constrained feedback
@@ -67,6 +64,24 @@ class StepRejected(RuntimeError):
     """Raised when dt is too large: the first-order step lands far off the physical manifold."""
 
 
+def _on_step_grid(t, dt):
+    """The number of steps of dt that reach time t, or None when t is not a
+    whole number of them (to 1e-9 of the larger of t and dt)."""
+    step = int(round(t / dt))
+    return step if abs(step * dt - t) <= 1e-9 * max(t, dt) else None
+
+
+def _centred(a):
+    """a - (Tr a / N) I for a Hermitian (N, N) matrix or each of an (N, N, m)
+    stack, as a new array: all the conditioned evolution sees of a measured
+    observable or a Hamiltonian.  A matrix of zero trace keeps every bit."""
+    out = np.array(a, dtype=complex)
+    shift = np.einsum("ii...->...", out).real / len(out)
+    if np.any(shift):
+        out[np.diag_indices(len(out))] -= shift
+    return out
+
+
 @dataclass(frozen=True)
 class SmeConfig:
     k: float                 # measurement constant [1/time]
@@ -84,12 +99,15 @@ class SmeConfig:
                              f"got {self.k} and {self.dephasing_beta}")
         if not 0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if _on_step_grid(self.t_end, self.dt) is None:
+            raise ValueError(f"t_end {self.t_end} is not a whole number of steps of dt {self.dt}")
         h0 = check_hermitian(np.asarray(self.h0, dtype=complex))
         object.__setattr__(self, "h0", h0)
-        scale = max(self.k, self.dephasing_beta, float(np.linalg.norm(h0, 2)))
+        # H0's trace shifts every energy alike and moves no state
+        scale = max(self.k, self.dephasing_beta, float(np.linalg.norm(_centred(h0), 2)))
         if self.dt * scale > 0.05:
             warnings.warn(
-                f"dt * max(k, beta, ||H0||) = {self.dt * scale:.3g} > 0.05; "
+                f"dt * max(k, beta, ||H0_0||) = {self.dt * scale:.3g} > 0.05; "
                 f"integration error may be significant",
                 stacklevel=2,
             )
@@ -230,12 +248,7 @@ _SZ_SANDWICH = np.array([[1.0, -1.0], [-1.0, 1.0]])
 def _traceless_norm(a):
     """||a - (Tr a / N) I||_F of an (N, N) matrix, or of each matrix of an
     (N, N, m) stack."""
-    n = a.shape[0]
-    centred = a.reshape((n * n,) + a.shape[2:]).copy()  # entry (i, j) is row i n + j
-    diagonal = centred[::n + 1]
-    diagonal -= diagonal.sum(axis=0) / n
-    centred *= centred.conj()
-    return np.sqrt(centred.real.sum(axis=0))
+    return _frobenius(_centred(a))
 
 
 def _frobenius(a):
@@ -266,9 +279,10 @@ def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms=None):
     where [Q, rho] = q_rho - q_rho^+.  c = ||A||_F + that bound.  norms =
     (h, q) are upper bounds on every state's ||H_0||_F and ||Q_0||_F; a
     caller that steps a whole run passes them once (_kraus_step), and
-    without them they are computed here from H and Q.  For per-row
-    feedback H = H0 + H_fb with Tr[H_fb^2] = mu or 0, h = ||H0_0||_F +
-    sqrt(mu) holds, since ||X_0||_F <= ||X||_F; it is exact when mu = 0.
+    without them they are computed here from H and Q.  Since ||X_0||_F <=
+    ||X||_F, the ensemble's matrix kernel passes ||Q||_F and, for per-row
+    feedback H = H0 + H_fb with Tr[H_fb^2] = mu or 0, ||H0||_F + sqrt(mu)
+    of its centred Q and H0.
     Both Frobenius norms are sums of squares over real views (_frobenius):
     c only decides whether the exact diagnostic runs, and the margin of
     _kraus_step covers its rounding.  Q, q_rho and exp_q are ignored when
@@ -319,13 +333,12 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None, no
     rho is (N, N) or a stack (N, N, m), trajectory axis last; H and Q (ignored
     when k = 0) are like rho or (N, N); dW is a scalar or one increment per
     state.  beta > 0 (z-dephasing) needs N = 2, which EnsembleConfig enforces.
+    The step moves at O(dt^1.5) with the traces of Q and H, which the
+    evolution does not see, so the ensemble's kernels pass both _centred.
     m0 = (1 - beta dt) I and q_sq = Q^2, lifted like rho, may be passed by a
     caller that steps many times with the same beta dt and Q; they must be
-    computed as here.  Such a caller may also pass norms = (h, q), bounds
-    on every state's ||H_0||_F and ||Q_0||_F for the N > 2 certificate: the
-    ensemble's matrix kernel passes its fixed observable's ||Q_0||_F and, for
-    per-row feedback H = H0 + H_fb, ||H0_0||_F + sqrt(mu).  Without them
-    _weyl_certificate computes both from H and Q at every call.
+    computed as here.  Such a caller may also pass the N > 2 certificate's
+    norm bounds (see _weyl_certificate), constant for its run.
     Returns (rho_next, exp_q, euler_min): the next state(s), Tr[Q rho] before
     the step (0 when k = 0), and the step-size diagnostic, the smallest
     eigenvalue of the first-order Euler-Maruyama state from the same rho.
@@ -477,12 +490,11 @@ def run_control_trajectory(
 
     if store_every < 1:
         raise ValueError("store_every must be a positive number of steps")
-    n_steps = cfg.n_steps
     batch_cfg = EnsembleConfig(
         realizations=1, master_seed=None, sme=cfg, policy=policy, mu=mu, rho0=rho0,
-        target_fn=psi_target_fn, stat_stride=max(n_steps, 1),
+        target_fn=psi_target_fn, stat_stride=cfg.n_steps,
     )
-    steps = np.arange(0, n_steps + 1, store_every)
+    steps = np.arange(0, cfg.n_steps + 1, store_every)
     states = np.empty((len(steps),) + batch_cfg.rho0.shape, dtype=complex)
     records = np.zeros(len(steps) - 1)
     fb_hams = np.zeros_like(states[1:])

@@ -201,6 +201,18 @@ def test_non_finite_physics_is_a_config_error(tmp_path, capsys, flag):
     assert flag.lstrip("-") in capsys.readouterr().err
 
 
+def test_t_end_off_the_step_grid_is_a_config_error(tmp_path, capsys):
+    # 1e-5 is a tenth of the default dt, and 1.5e-4 one and a half steps
+    out = tmp_path / "x.csv"
+    for t_end in ("1e-5", "1.5e-4"):
+        argv = ["--experiment", "fig2", "--realizations", "4", "--t-end", t_end,
+                "--theta-points", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.manifest.txt").exists()
+        assert "t_end" in capsys.readouterr().err
+
+
 def test_counts_below_one_are_config_errors(tmp_path):
     out = tmp_path / "x.csv"
     for argv in (

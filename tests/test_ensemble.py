@@ -432,7 +432,7 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
     # antipodal start: the first step takes the second-order feedback branch
     minus_x = pure_density(np.array([1.0, -1.0]) / np.sqrt(2.0))
     cases.append((oracle_config(policies[1], 10.0, minus_x), {"second_order"}))
-    # Tr Q = Tr H0 = 0: the kernel's traceless branch
+    # Tr Q = Tr H0 = 0, beside the traced Q and H0 above
     traceless_h0 = np.pi * SIGMA_Z + 0.5 * SIGMA_X
     traceless = [oracle_config(MeasurementPolicy(mode="relative_angle", theta=theta, phi=0.3),
                                10.0, behind, h0=traceless_h0)
@@ -440,10 +440,6 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
     traceless.append(oracle_config(
         MeasurementPolicy(mode="fixed_observable", observable=0.8 * SIGMA_X + 0.6 * SIGMA_Z),
         0.0, behind, h0=traceless_h0))
-    for cfg, _ in cases:
-        assert not _BlochKernel(cfg, 1).traceless
-    for cfg in traceless:
-        assert _BlochKernel(cfg, 1).traceless
     cases += [(cfg, set()) for cfg in traceless]
 
     checkpoints = range(0, 1001, 10)
@@ -1080,14 +1076,17 @@ def test_theta_experiment_rows_and_seeding():
 
 # time averages (purity, se, overlap, se) as float.hex, and the SHA-256 of
 # the states at t_end, recorded with numpy 2.4.6 on x86-64 before the matrix
-# kernel's step-size diagnostic and no-op feedback rows were batched
+# kernel's step-size diagnostic and no-op feedback rows were batched.  The
+# N = 4 entry was re-recorded when the kernels began to step the traceless
+# part of Q: diag(linspace(1, -1, 4)) has the trace 2.2e-16, and the code
+# before that change, given Q - (Tr Q / 4) I, gave the new entry in every bit
 GENERAL_N_GOLDEN = {
     3: (("0x1.85cd8f8f59306p-2", "0x1.c4c096b6dbc80p-8",
          "0x1.75f63d0160bd6p-2", "0x1.4526223760022p-6"),
         "af3a537dbd5eb1a085518b1605928973ebf82e225d32237b816dd42ed83d865f"),
     4: (("0x1.1f24d6fc7a522p-2", "0x1.2ceb7c8c44822p-8",
-         "0x1.18e6e45c4a4bdp-2", "0x1.f0dfb738a234bp-7"),
-        "d387ecb717c42924a9728d8a500198aef5253cf893ecec40abf8d902e15414ba"),
+         "0x1.18e6e45c4a4bcp-2", "0x1.f0dfb738a2348p-7"),
+        "49489b351ef3735b24afe4aad967be8bd133a7b44af5c1fd8c3d214f5f75b9db"),
 }
 
 
@@ -1154,3 +1153,86 @@ def test_narrow_matrix_rows_are_pinned():
         res = run_control_trajectory(sme, policy, rho0, precessing_plus_x(np.pi), 10.0,
                                      trajectory_rng(123, 0, 0))
         assert digest(res.states, res.records, res.fb_hamiltonians) == NARROW_GOLDEN[mode]
+
+
+def dyadic_config(n, q_shift=0.0, h0_shift=0.0):
+    """A closed loop (mu = 5) on a fixed observable from a mixed state, with
+    traceless dyadic Q and H0 shifted by q_shift I and h0_shift I: every
+    entry, and the centring of each shift, is exact."""
+    if n == 2:
+        q = np.array([[0.5, 0.75], [0.75, -0.5]])
+        h0 = np.array([[0.5, 0.25 - 0.5j], [0.25 + 0.5j, -0.5]])
+        rho0 = np.array([[0.625, 0.25 - 0.125j], [0.25 + 0.125j, 0.375]])
+    else:
+        q = np.diag([1.0, 0.0, -1.0] if n == 3 else [1.5, 0.5, -0.5, -1.5]).astype(complex)
+        q[0, 1] = q[1, 0] = 0.25
+        h0 = np.diag([0.5, 0.0, -0.5] if n == 3 else [0.5, 0.25, -0.25, -0.5]).astype(complex)
+        h0[0, -1], h0[-1, 0] = 0.25j, -0.25j
+        h0[1, 2] = h0[2, 1] = 0.5
+        rho0 = np.full((n, n), 0.0625, dtype=complex) + (1.0 - 0.0625 * n) / n * np.eye(n)
+    target = np.zeros(n, dtype=complex)
+    target[-1] = 1.0
+    return EnsembleConfig(
+        realizations=8,
+        master_seed=11,
+        sme=SmeConfig(k=1.0, h0=h0 + h0_shift * np.eye(n), dephasing_beta=0.25 if n == 2 else 0.0,
+                      dt=1e-3, t_end=0.05),
+        policy=MeasurementPolicy(mode="fixed_observable", observable=q + q_shift * np.eye(n)),
+        mu=5.0,
+        rho0=rho0,
+        target_fn=lambda t: target,
+        stat_stride=5,
+    )
+
+
+@pytest.mark.parametrize("n, kernel", [(2, _BlochKernel), (2, _MatrixKernel),
+                                       (3, _MatrixKernel), (4, _MatrixKernel)])
+def test_identity_shifts_leave_every_state_bit(n, kernel):
+    """The conditioned master equation sees Q only through Q - Tr[Q rho] and
+    H0 only through commutators, so on shared noise Q + cI and H0 + cI give
+    byte-identical states, purities, overlaps and feedback on both kernels;
+    only the record dy = 4k Tr[Q rho] dt + sqrt(2k) dW moves, by 4k c dt."""
+    checkpoints = range(0, 51)
+    cfg = dyadic_config(n)
+    plain = collect(cfg, 8, streams(cfg, range(8)), checkpoints, kernel=kernel)
+    for c in (0.5, 2.0):
+        for q_shift, h0_shift in ((c, 0.0), (0.0, c)):
+            shifted_cfg = dyadic_config(n, q_shift, h0_shift)
+            pur, ovl, states, records, feedback = collect(
+                shifted_cfg, 8, streams(cfg, range(8)), checkpoints, kernel=kernel)
+            for got, want in ((pur, plain[0]), (ovl, plain[1]), (states, plain[2]),
+                              (feedback, plain[4])):
+                assert got.tobytes() == want.tobytes()
+            shift = 4.0 * cfg.sme.k * q_shift * cfg.sme.dt
+            assert np.max(np.abs(records[:, 1:] - plain[3][:, 1:] - shift)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_closed_loop_is_covariant_under_unitary_conjugation(n):
+    """Conjugating rho0, Q, H0 and the target by a seeded random unitary U
+    conjugates every row of an N > 2 closed loop (fixed observable, mu = 5,
+    R = 40, a mixed start) on shared noise: over the first 100 steps each
+    state is U rho U^+ of the plain run's row, and each record is the same,
+    within 1e-12.  Later steps part through rounding near the target."""
+    rng = np.random.default_rng(100 + n)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mixed = g @ g.conj().T
+    mixed /= np.trace(mixed).real
+    base = general_n_config(n)
+    base = replace(base, rho0=mixed, sme=replace(base.sme, t_end=0.1))
+    psi = base.target_fn(0.0)
+    psi_u = u @ psi
+
+    def conj(a):
+        return u @ a @ u.conj().T
+
+    turned = replace(base, rho0=conj(mixed), sme=replace(base.sme, h0=conj(base.sme.h0)),
+                     policy=MeasurementPolicy(mode="fixed_observable",
+                                              observable=conj(base.policy.observable)),
+                     target_fn=lambda t: psi_u)
+    checkpoints = range(0, 101)
+    plain = collect(base, 40, streams(base, range(40)), checkpoints)
+    rotated = collect(turned, 40, streams(base, range(40)), checkpoints)
+    assert np.max(np.abs(rotated[2] - conj(plain[2]))) <= 1e-12
+    assert np.max(np.abs(rotated[3] - plain[3])) <= 1e-12

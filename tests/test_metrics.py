@@ -344,6 +344,19 @@ def test_strength_rate_numeric_invariant_under_identity_shift():
         assert abs(shifted.rate_v - est.rate_v) < 0.1 * est.rate_v_se
 
 
+def test_strength_rate_numeric_is_bit_equal_under_identity_shift():
+    # the step sees only the traceless part of Q, so a dyadic Q + cI, whose
+    # centring is exact, gives the same estimate in every bit
+    for diagonal in ([1.0, -1.0], [1.0, 0.0, -1.0], [1.5, 0.5, -0.5, -1.5]):
+        q = np.diag(diagonal).astype(complex)
+        def bits(shift):
+            est = strength_rate_numeric(q + shift * np.eye(len(q)), 1.0, n_traj=400, seed=3)
+            return [float(x).hex() for x in (est.rate_v, est.rate_v_se, est.rate_p, est.rate_p_se)]
+
+        assert bits(0.5) == bits(0.0)
+        assert bits(2.0) == bits(0.0)
+
+
 def test_rank_one_projective_on_pure_state_gives_full_information():
     rep = disturbance(kappa_povm(KappaMeasurement(1.0)), pure_density([1.0, 0.0]))
     assert rep.i_f_p == pytest.approx(1.0)

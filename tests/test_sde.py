@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,26 @@ def test_sme_config_validation():
         SmeConfig(k=100.0, h0=np.zeros((2, 2)), dt=1e-3)
     cfg = SmeConfig(k=1.0, h0=np.zeros((2, 2)), dt=1e-3, t_end=0.5)
     assert cfg.n_steps == 500
+
+
+def test_step_size_warning_reads_only_the_traceless_part_of_h0():
+    # 1000 I shifts every energy alike and moves no state; 1000 sz at
+    # dt = 1e-4 turns by 0.1 rad per step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SmeConfig(k=0.0, h0=1000.0 * np.eye(2), dt=1e-4)
+        SmeConfig(k=0.0, h0=1000.0 * np.eye(3) + np.diag([0.5, 0.0, -0.5]), dt=1e-4)
+    with pytest.warns(UserWarning, match="0.1 > 0.05"):
+        SmeConfig(k=0.0, h0=1000.0 * SIGMA_Z, dt=1e-4)
+
+
+def test_sme_config_refuses_a_t_end_off_the_step_grid():
+    for t_end in (1e-5, 1.5e-4, 0.10005):
+        with pytest.raises(ValueError, match="t_end"):
+            SmeConfig(k=1.0, h0=np.zeros((2, 2)), dt=1e-4, t_end=t_end)
+    # rounding-level misses of a whole number of steps are on the grid
+    for dt, t_end, steps in ((1e-4, 0.1, 1000), (1e-3, 0.3, 300), (0.04, 4.0, 100)):
+        assert SmeConfig(k=1.0, h0=np.zeros((2, 2)), dt=dt, t_end=t_end).n_steps == steps
 
 
 @pytest.mark.parametrize("field", ["k", "dephasing_beta", "dt", "t_end"])
