@@ -33,6 +33,13 @@ Q - (Tr Q / N) I and H0 - (Tr H0 / N) I, built once per run (relative_angle
 observables have zero trace already): the conditioned master equation sees
 no more of Q and H, so Q + cI and H0 + cI move no state beyond the rounding
 of the shift, and the record dy gets its 4k (Tr Q / N) dt added back.
+Both take the relative_angle policy's measured axis n from the one function
+sde._relative_axis: the policy's (theta, phi) axis turned by the rotation by
+Theta about (-sin Phi, cos Phi, 0), for each state's Bloch vector at polar
+angles (Theta, Phi); a state shorter than BASIS_DEGEN_TOL keeps its previous
+(Theta, Phi), and the frame is discontinuous at Theta = pi.  The Bloch
+kernel passes its (3, m) rows; the matrix kernel reads r from rho, as Python
+floats at width one, and measures Q = n.sigma.
 
 * qubit batches wider than one (Bloch form; Jacobs and Steck, Contemp.
   Phys. 47, 279 (2006)): each state is a real Bloch vector r,
@@ -94,7 +101,6 @@ import numpy as np
 
 from .feedback import DEGEN_TOL, optimal_feedback
 from .sde import (
-    BASIS_DEGEN_TOL,
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
@@ -103,10 +109,11 @@ from .sde import (
     _euler_norm_bound,
     _frobenius,
     _kraus_step,
+    _local_axis,
     _matmul,
     _on_step_grid,
-    _rotated_sigma_z,
-    qubit_eigenbasis,
+    _relative_axis,
+    _sigma_parts,
 )
 from .states import check_density_matrix
 
@@ -297,7 +304,6 @@ class _MatrixKernel:
         self.cfg = cfg
         sme, policy = cfg.sme, cfg.policy
         self.rho = np.repeat(cfg.rho0[:, :, None], m, axis=2)
-        self.bases = [None] * m  # per-row eigenbases of the relative_angle policy
 
         # the step's per-run constants, lifted as _kraus_step lifts them: a
         # batch of one steps (N, N) matrices, wider ones (N, N, m) stacks
@@ -309,8 +315,8 @@ class _MatrixKernel:
         self.h0 = _centred(sme.h0)
         self.q = self.q_sq = self.norms = None
         self.dy_shift = 0.0
-        if policy.mode == "relative_angle":  # the measured sz, turned once per run
-            self.rotated_sz = _rotated_sigma_z(policy.theta, policy.phi)
+        if policy.mode == "relative_angle":  # every row's frame starts as the lab frame
+            self.local, self.angles = _local_axis(policy.theta, policy.phi), (0.0, 0.0)
         else:
             self.q = _centred(policy.observable)
             self.q_sq = _matmul(lift(self.q), lift(self.q))
@@ -327,11 +333,11 @@ class _MatrixKernel:
         cfg, sme, policy = self.cfg, self.cfg.sme, self.cfg.policy
         # a batch of one steps its (N, N) matrix, without the trajectory axis
         cut = 0 if self.rho.shape[2] == 1 else slice(None)
-        if policy.mode == "relative_angle":
-            self.bases = [qubit_eigenbasis(self.rho[..., j], prev=basis)
-                          for j, basis in enumerate(self.bases)]
-            q_obs = [basis @ self.rotated_sz @ basis.conj().T for basis in self.bases]
-            q_obs = q_obs[0] if len(q_obs) == 1 else np.stack(q_obs, axis=-1)
+        if policy.mode == "relative_angle":  # Q = n.sigma, traceless
+            r = [2.0 * part for part in _sigma_parts(self.rho[..., cut])[1:]]
+            (nx, ny, nz), self.angles = _relative_axis(r, np.sqrt(_dot(r, r)), self.local,
+                                                       self.angles)
+            q_obs = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
         else:
             q_obs = self.q
         h_fb = _feedback_stack(self.rho, psi, cfg.mu) if cfg.mu > 0 else None
@@ -407,15 +413,11 @@ class _BlochKernel:
         h0 = _pauli(sme.h0)[1]
         self.h0 = h0[:, None]
         self.dy_shift = 0.0  # 4k q0 dt for a fixed observable Q = q0 I + q.sigma
-        # work arrays for the cross products and the measured axis, reused every step
-        self._sxr, self._axb, self._q, self._work = np.empty((4, 3, m))
+        # work arrays for the cross products, reused every step
+        self._sxr, self._axb, self._work = np.empty((3, 3, m))
         policy = cfg.policy
-        if policy.mode == "relative_angle":
-            st = np.sin(policy.theta)
-            # measured axis in the frame whose z axis is the state's direction
-            self.local = (st * np.cos(policy.phi), st * np.sin(policy.phi), np.cos(policy.theta))
-            # the state's (Theta, Phi); kept where |r| < BASIS_DEGEN_TOL
-            self.angles = np.zeros((2, m))
+        if policy.mode == "relative_angle":  # as _MatrixKernel
+            self.local, self.angles = _local_axis(policy.theta, policy.phi), (0.0, 0.0)
         else:
             q0, q = _pauli(policy.observable)
             self.q = q[:, None]
@@ -430,32 +432,6 @@ class _BlochKernel:
     def target(self, psi):
         """(psi, s0, s) with s0 I + s.sigma = |psi><psi|, shared by feedback and overlap."""
         return (psi,) + _pauli(np.outer(psi, psi.conj()))
-
-    def _measured_axis(self, norm):
-        if self.cfg.policy.mode == "fixed_observable":
-            return self.q
-        x, y, z = self.r
-        angles = self.angles
-        if norm.min() >= BASIS_DEGEN_TOL:
-            np.arccos(np.clip(z / norm, -1.0, 1.0), out=angles[0])
-            np.arctan2(y, x, out=angles[1])
-        else:
-            ok = norm >= BASIS_DEGEN_TOL
-            big_theta = np.arccos(np.clip(z / np.where(ok, norm, 1.0), -1.0, 1.0))
-            np.copyto(angles[0], big_theta, where=ok)
-            np.copyto(angles[1], np.arctan2(y, x), where=ok)
-        ct, st = np.cos(angles[0]), np.sin(angles[0])
-        cp, sp = np.cos(angles[1]), np.sin(angles[1])
-        # rotate by Theta about (-sin Phi, cos Phi, 0), i.e. Rz(Phi) Ry(Theta) Rz(-Phi)
-        lx, ly, lz = self.local
-        u = cp * lx + sp * ly
-        w = cp * ly - sp * lx
-        ux = ct * u + st * lz
-        q = self._q
-        np.subtract(cp * ux, sp * w, out=q[0])
-        np.add(sp * ux, cp * w, out=q[1])
-        np.subtract(ct * lz, st * u, out=q[2])
-        return q
 
     def _feedback(self, target, r_norm):
         r, mu = self.r, self.cfg.mu
@@ -482,7 +458,11 @@ class _BlochKernel:
         sqrt2k = np.sqrt(2.0 * k)
         rr = _dot(r, r)
         r_norm = np.sqrt(rr)
-        q = self._measured_axis(r_norm)
+        if cfg.policy.mode == "relative_angle":
+            axis, self.angles = _relative_axis(r, r_norm, self.local, self.angles)
+            q = np.array(axis)
+        else:
+            q = self.q
         h_fb = self._feedback(target, r_norm) if cfg.mu > 0 else None
         h = self.h0 if h_fb is None else self.h0 + h_fb
 

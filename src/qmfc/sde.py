@@ -35,10 +35,16 @@ state's bound could reach the rejection threshold:
   norm bound in ||H_0||_F and ||Q_0||_F, the norms of their traceless parts,
   which a caller that steps many times passes as constants of its run.
 
-The closed loop measures a spin direction at a fixed Bloch angle from the
-instantaneous eigenbasis of rho and applies the optimal constrained feedback
-Hamiltonian recomputed every step.  Trajectories are stepped by the batch
-driver in qmfc.ensemble; run_control_trajectory is a batch of one.
+The closed loop measures, on a qubit, the spin along a fixed Bloch angle
+(theta, phi) from the state's own direction and applies the optimal
+constrained feedback Hamiltonian recomputed every step.  With r/|r| at polar
+angles (Theta, Phi), the measured axis is (sin theta cos phi, sin theta
+sin phi, cos theta) turned by the rotation by Theta about (-sin Phi, cos Phi,
+0), which takes e_z to r/|r| (_relative_axis, for both kernels).  Below
+|r| = BASIS_DEGEN_TOL the state has no direction, and the previous (Theta,
+Phi) are kept.  The frame is discontinuous at Theta = pi, where its rotation
+axis turns with Phi.  Trajectories are stepped by the batch driver in
+qmfc.ensemble; run_control_trajectory is a batch of one.
 
 Measurement dragging (inverse_zeno_run) follows one deterministic surviving
 branch, so many runs need only their uniforms: inverse_zeno_successes
@@ -51,12 +57,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import bloch_rotation
 from .states import SIGMA_Z, check_density_matrix, check_hermitian, ket, overlap
 
 
-# a qubit's eigenbasis is undefined when its Bloch vector is shorter than this;
-# the measured axis then keeps the previous basis (both kernels)
+# a qubit state has no direction when its Bloch vector is shorter than this;
+# the relative_angle frame then keeps its previous angles (_relative_axis)
 BASIS_DEGEN_TOL = 1e-12
 
 
@@ -66,7 +71,9 @@ class StepRejected(RuntimeError):
 
 def _on_step_grid(t, dt):
     """The number of steps of dt that reach time t, or None when t is not a
-    whole number of them (to 1e-9 of the larger of t and dt)."""
+    whole number of them (to 1e-9 of the larger of t and dt), or not finite."""
+    if not np.isfinite(t):
+        return None
     step = int(round(t / dt))
     return step if abs(step * dt - t) <= 1e-9 * max(t, dt) else None
 
@@ -123,7 +130,7 @@ class MeasurementPolicy:
 
     mode "fixed_observable" measures the given observable throughout; mode
     "relative_angle" measures, on a qubit, the spin direction at Bloch angle
-    (theta, phi) from the instantaneous eigenbasis of rho.
+    (theta, phi) from the state's own direction (_relative_axis).
     """
 
     mode: str
@@ -145,6 +152,40 @@ class MeasurementPolicy:
                 raise ValueError("theta must lie in [0, pi]")
             if not 0.0 <= self.phi < 2 * np.pi:
                 raise ValueError("phi must lie in [0, 2*pi)")
+
+
+def _local_axis(theta, phi):
+    """The relative_angle policy's measured axis in the frame where the state
+    points along e_z: (sin theta cos phi, sin theta sin phi, cos theta)."""
+    st = np.sin(theta)
+    return st * np.cos(phi), st * np.sin(phi), np.cos(theta)
+
+
+def _relative_axis(r, norm, local, angles):
+    """The relative_angle policy's measured axis for a qubit's Bloch vector
+    r = (x, y, z) of length norm: local (_local_axis) turned by Theta about
+    (-sin Phi, cos Phi, 0), i.e. Rz(Phi) Ry(Theta) Rz(-Phi), for the polar
+    angles (Theta, Phi) of r.  angles are the previous (Theta, Phi), kept
+    where norm < BASIS_DEGEN_TOL.  r and norm hold Python floats or (m,)
+    arrays, and angles the same or floats (the kernels start from (0, 0),
+    the lab frame); returns ((n_x, n_y, n_z), (Theta, Phi)) of r's kind."""
+    x, y, z = r
+    short = norm < BASIS_DEGEN_TOL
+    # norm + short is norm, or norm + 1 where the angles are kept, so nothing
+    # divides by zero; minimum and maximum clip as np.clip does, bit for bit,
+    # at less cost on a float
+    cos_theta = np.minimum(np.maximum(z / (norm + short), -1.0), 1.0)
+    big_theta, big_phi = np.arccos(cos_theta), np.arctan2(y, x)
+    if np.count_nonzero(short):
+        big_theta = np.where(short, angles[0], big_theta)
+        big_phi = np.where(short, angles[1], big_phi)
+    ct, st = np.cos(big_theta), np.sin(big_theta)
+    cp, sp = np.cos(big_phi), np.sin(big_phi)
+    lx, ly, lz = local
+    u = cp * lx + sp * ly
+    w = cp * ly - sp * lx
+    ux = ct * u + st * lz
+    return (cp * ux - sp * w, sp * ux + cp * w, ct * lz - st * u), (big_theta, big_phi)
 
 
 @dataclass
@@ -215,26 +256,27 @@ def _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, h_scale):
             + (dt * h_scale) * r_norm)
 
 
+def _sigma_parts(a):
+    """(a00 + a11, x, y, z) for a qubit operator a = a0 I + (x, y, z).sigma,
+    read from the lower triangle, as _min_eigenvalue reads it: of a (2, 2)
+    matrix as Python floats, of a (2, 2, m) stack as (m,) arrays."""
+    (a00, _), (a10, a11) = a.tolist() if a.ndim == 2 else a
+    return a00.real + a11.real, a10.real, a10.imag, (a00.real - a11.real) / 2
+
+
 def _qubit_euler_min(rho, Q, k, H, dt, dW, beta):
     """A lower bound on the smallest eigenvalue of each qubit Euler state of
-    _kraus_step, built from the sigma parts of rho, Q and H without the
-    Euler state: (Tr rho - b) / 2 for the bound b on |r_E| of
-    _euler_norm_bound, with each state's exact |h|.  Q is ignored when k = 0.
-    Matrices are read from the lower triangle, as _min_eigenvalue reads them,
-    a (2, 2) matrix as Python floats."""
-
-    def parts(a):  # (a00 + a11, x, y, z) for a = a0 I + (x, y, z).sigma
-        (a00, _), (a10, a11) = a.tolist() if a.ndim == 2 else a
-        return a00.real + a11.real, a10.real, a10.imag, (a00.real - a11.real) / 2
-
-    trace, rx, ry, rz = parts(rho)
+    _kraus_step, built from the sigma parts of rho, Q and H (_sigma_parts)
+    without the Euler state: (Tr rho - b) / 2 for the bound b on |r_E| of
+    _euler_norm_bound, with each state's exact |h|.  Q is ignored when k = 0."""
+    trace, rx, ry, rz = _sigma_parts(rho)
     rx, ry, rz = 2.0 * rx, 2.0 * ry, 2.0 * rz
     rr = rx * rx + ry * ry + rz * rz
-    _, hx, hy, hz = parts(H)
+    _, hx, hy, hz = _sigma_parts(H)
     h_scale = 2.0 * np.sqrt(hx * hx + hy * hy + hz * hz) + 4.0 * beta
     qr = qq = eps = 0.0
     if k > 0:
-        _, qx, qy, qz = parts(Q)
+        _, qx, qy, qz = _sigma_parts(Q)
         qr = qx * rx + qy * ry + qz * rz
         qq = qx * qx + qy * qy + qz * qz
         eps = (2.0 * np.sqrt(2.0 * k)) * dW
@@ -437,35 +479,6 @@ def nonselective_solve(rho0, Q, k, H, beta, t_eval):
         atol=1e-12,
     )
     return sol.y.T.reshape(-1, n, n)
-
-
-def qubit_eigenbasis(rho, prev=None):
-    """Columns (top eigenvector, bottom eigenvector) of a qubit rho, with a
-    deterministic Bloch-sphere phase convention.
-
-    At eigen-degeneracy (maximally mixed rho) the previous basis is reused so
-    the measured direction varies continuously along a trajectory.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    rx = 2.0 * rho[0, 1].real
-    ry = -2.0 * rho[0, 1].imag
-    rz = (rho[0, 0] - rho[1, 1]).real
-    r = np.sqrt(rx * rx + ry * ry + rz * rz)
-    if r < BASIS_DEGEN_TOL:
-        if prev is not None:
-            return prev
-        return np.eye(2, dtype=complex)
-    big_theta = np.arccos(min(max(rz / r, -1.0), 1.0))
-    big_phi = np.arctan2(ry, rx)
-    c, s = np.cos(big_theta / 2), np.sin(big_theta / 2)
-    e = np.exp(1j * big_phi)
-    return np.array([[c, -s / e], [s * e, c]], dtype=complex)
-
-
-def _rotated_sigma_z(theta, phi=0.0):
-    """sz turned to Bloch angle (theta, phi) from the z-axis."""
-    a = bloch_rotation(theta, phi)
-    return a @ SIGMA_Z @ a.conj().T
 
 
 def run_control_trajectory(

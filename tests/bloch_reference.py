@@ -27,8 +27,12 @@ the engine's, so agreement of the ensemble time averages checks the engine
 rather than restating it.
 
 The local frame (e1, e2, r/|r|) is the image of (x, y, z) under the rotation
-that takes e_z to r/|r| about e_z x r, which is `qmfc.sde.qubit_eigenbasis`'s
-convention.
+that takes e_z to r/|r| about e_z x r: for r/|r| at polar angles (Theta, Phi),
+the rotation by Theta about (-sin Phi, cos Phi, 0).  That is the engine's
+frame (`qmfc.sde._relative_axis`), which the engine computes from the angles
+by trig, and this module from r by arithmetic.  The engine keeps its previous
+frame below |r| = `qmfc.sde.BASIS_DEGEN_TOL`; this module has no such rule.
+Both are discontinuous at Theta = pi, where the rotation axis turns with Phi.
 
 Run as a script it prints the time-averaged purity and target overlap per
 measurement angle for a list of feedback strengths and, optionally, a

@@ -6,7 +6,7 @@ import numpy as np
 from bloch_reference import bloch_step, measured_axis
 from qmfc.ensemble import precessing_plus_x
 from qmfc.feedback import optimal_feedback
-from qmfc.sde import _kraus_step, _rotated_sigma_z, qubit_eigenbasis
+from qmfc.sde import _kraus_step, _local_axis, _relative_axis
 from qmfc.states import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -14,6 +14,20 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 def density(r):
     return (np.eye(2) + sum(c * s for c, s in zip(r, PAULIS))) / 2
+
+
+def spin(n):
+    # the spin observable n.sigma
+    return sum(c * s for c, s in zip(n, PAULIS))
+
+
+def engine_axis(r, theta, phi):
+    # the engine's measured axis, with no previous frame, for a Bloch vector
+    # (3,), passed as Python floats, or for the columns of a (3, m) array
+    norm = np.sqrt(np.sum(r * r, axis=0))
+    if r.ndim == 1:
+        r, norm = r.tolist(), float(norm)
+    return _relative_axis(r, norm, _local_axis(theta, phi), (0.0, 0.0))[0]
 
 
 def bloch(op):
@@ -27,14 +41,17 @@ def random_bloch(rng, lo, hi):
 
 
 def test_measured_axis_matches_engine_convention():
+    # the engine's axis on Python floats, state by state, and on one array of all 100
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        r = random_bloch(rng, 0.05, 1.0)
-        theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-        basis = qubit_eigenbasis(density(r))
-        q = basis @ _rotated_sigma_z(theta, phi) @ basis.conj().T
-        axis = measured_axis(r[:, None], theta, phi)[:, 0]
-        assert np.max(np.abs(bloch(q) / 2 - axis)) < 1e-12
+    cases = [(random_bloch(rng, 0.05, 1.0), rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+             for _ in range(100)]
+    r, theta, phi = (np.array(column) for column in zip(*cases))
+    r = r.T
+    want = measured_axis(r, theta, phi)
+    got = np.array([[float(c) for c in engine_axis(r_j, theta_j, phi_j)]
+                    for r_j, theta_j, phi_j in cases]).T
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(np.array(engine_axis(r, theta, phi)) - want)) < 1e-12
 
 
 def test_one_step_agrees_with_sme_step():
@@ -50,8 +67,7 @@ def test_one_step_agrees_with_sme_step():
         theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
         t = rng.uniform(0, 2)
         rho = density(r)
-        basis = qubit_eigenbasis(rho)
-        q = basis @ _rotated_sigma_z(theta, phi) @ basis.conj().T
+        q = spin(engine_axis(r, theta, phi))
         h = np.pi * SIGMA_Z + optimal_feedback(rho, target_fn(t), 10.0).hamiltonian
         dw = rng.standard_normal() * np.sqrt(dt)
         new = _kraus_step(rho, q, 2.0, h, dt, dw, beta=0.4)[0]

@@ -30,9 +30,10 @@ from qmfc.sde import (
     StepRejected,
     _default_reject_tol,
     _kraus_step,
-    _rotated_sigma_z,
+    _local_axis,
+    _relative_axis,
+    _sigma_parts,
     nonselective_solve,
-    qubit_eigenbasis,
     run_control_trajectory,
 )
 from qmfc.states import SIGMA_X, SIGMA_Z, pure_density
@@ -391,6 +392,11 @@ def test_noise_blocks_do_not_change_rows(monkeypatch):
         assert np.array_equal(got, want)
 
 
+def behind_target():
+    """A pure state on the equator, one radian behind oracle_config's target."""
+    return pure_density(np.array([1.0, np.exp(-1j)]) / np.sqrt(2.0))
+
+
 def oracle_config(policy, mu, rho0, h0=np.pi * SIGMA_Z + 0.5 * SIGMA_X + 0.3 * np.eye(2)):
     # 1000 steps; by default h0 with a trace; start one radian behind the target
     return small_config(
@@ -408,8 +414,8 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
 
     Agreement to 1e-12 can hold only away from the closed loop's
     discontinuities, where any two roundings part: the relative_angle axis
-    near the south pole of the eigenbasis convention (Theta = pi, where it
-    turns with the azimuth Phi) and the feedback direction (s x r)/|s x r|
+    near the south pole of its frame (Theta = pi, where the frame turns with
+    the azimuth Phi) and the feedback direction (s x r)/|s x r|
     once the state chatters about the target.  So the runs are short
     (t = 0.025) and start on the equator, one radian behind the target.
     """
@@ -422,7 +428,7 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
         return decision
 
     monkeypatch.setattr(qmfc.ensemble, "optimal_feedback", counted)
-    behind = pure_density(np.array([1.0, np.exp(-1j)]) / np.sqrt(2.0))
+    behind = behind_target()
     q_fixed = 0.7 * SIGMA_X + 0.3 * SIGMA_Z + 0.2 * np.eye(2)  # Tr Q != 0, Q^2 != I
     policies = [MeasurementPolicy(mode="relative_angle", theta=theta, phi=0.3)
                 for theta in (0.0, np.pi / 4, np.pi / 2)]
@@ -456,6 +462,23 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
         # the feedback direction (s x r)/|s x r| scales rounding by 1/|s x r|,
         # about 1e3 in the first steps after the antipodal start (3.5e-12 there)
         assert np.max(np.abs(bloch[4] - matrix[4])) <= 1e-9
+
+
+def test_width_one_trajectory_matches_a_wide_matrix_batch():
+    """A width-one trajectory, whose matrix kernel reads its frame from Python
+    floats, agrees within 1e-12 with row 0 of a 16-wide _MatrixKernel batch,
+    which reads it from arrays, on the same stream: states, records and
+    feedback over 1000 steps from oracle_config's equator start."""
+    for theta in (0.0, np.pi / 4, np.pi / 2):
+        cfg = oracle_config(MeasurementPolicy(mode="relative_angle", theta=theta, phi=0.3),
+                            10.0, behind_target())
+        one = run_control_trajectory(cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, cfg.mu,
+                                     trajectory_rng(cfg.master_seed, 0, 0))
+        _, _, states, records, feedback = collect(cfg, 16, streams(cfg, range(16)),
+                                                  range(cfg.sme.n_steps + 1), kernel=_MatrixKernel)
+        assert np.max(np.abs(one.states - states[0])) <= 1e-12
+        assert np.max(np.abs(one.records - records[0, 1:])) <= 1e-12
+        assert np.max(np.abs(one.fb_hamiltonians - feedback[0, 1:])) <= 1e-12
 
 
 def test_kernels_reject_the_same_step():
@@ -681,13 +704,14 @@ def test_qubit_bound_dominates_matrix_euler_state():
     eps = (10.0 ** -rng.uniform(0.0, 15.0, m))[:, None, None]
     mixed = _density(unit(m).T * rng.uniform(0.0, 1.0, m))
     rho = (1.0 - eps) * psi[:, :, None] * np.conj(psi)[:, None, :] + eps * mixed
-    # a rotated sz in the state's eigenbasis (the relative_angle policy), or a fixed Q with a trace
+    # the spin at a random Bloch angle from the state's direction (the
+    # relative_angle policy) on even rows, a fixed Q with a trace on odd ones
     q_fixed = 0.7 * SIGMA_X + 0.3 * SIGMA_Z + 0.2 * np.eye(2)
-    q = np.empty((m, 2, 2), dtype=complex)
-    for j in range(m):
-        basis = qubit_eigenbasis(rho[j])
-        rotated = basis @ _rotated_sigma_z(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
-        q[j] = rotated @ basis.conj().T if j % 2 == 0 else q_fixed
+    theta, phi = np.array([(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
+                           for _ in range(m)]).T
+    r = 2.0 * np.array(_sigma_parts(trajectory_last(rho))[1:])
+    axis = _relative_axis(r, np.linalg.norm(r, axis=0), _local_axis(theta, phi), (0.0, 0.0))[0]
+    q = np.where((np.arange(m) % 2 == 0)[:, None, None], spin(np.array(axis).T), q_fixed)
     # a drift with a trace plus feedback of norm sqrt(mu)
     h = np.pi * SIGMA_Z + 0.5 * SIGMA_X + 0.3 * np.eye(2) + np.sqrt(mu / 2) * spin(unit(m))
     stack = trajectory_last(rho), trajectory_last(q), trajectory_last(h)
@@ -778,14 +802,14 @@ def test_general_n_batch_rejects_the_exact_step(monkeypatch):
 
 def test_matrix_kernel_keeps_its_per_run_constants():
     """The in-place step never writes the constants a _MatrixKernel passes
-    it every step: after 50 steps, the lifted (1 - beta dt) I, a fixed
-    observable's Q^2 and the relative_angle policy's rotated sz keep every
-    byte, at width one and on a stack of 31 rows."""
-    cases = [(qutrit_config(), "q_sq"), (small_config(), "rotated_sz")]
+    it every step: after 50 steps, the lifted (1 - beta dt) I and a fixed
+    observable's Q^2 keep every byte, at width one and on a stack of 31 rows,
+    on a fixed observable and on the relative_angle policy."""
+    cases = [(qutrit_config(), ("m0", "q_sq")), (small_config(), ("m0",))]
     for cfg, cached in cases:
         for m in (1, 31):
             batch = _MatrixKernel(cfg, m)
-            constants = {name: getattr(batch, name) for name in ("m0", cached)}
+            constants = {name: getattr(batch, name) for name in cached}
             before = {name: a.tobytes() for name, a in constants.items()}
             rng = np.random.default_rng(m)
             for step in range(50):
@@ -909,9 +933,10 @@ def seeded(kernel, r):
 
 
 def test_bloch_kernel_matches_matrix_kernel_at_the_centre():
-    # rows at r = 0 keep the measured axis of the eigenbasis convention while
-    # the rest of the batch takes its own.  Five steps only: within 1000 the
-    # rows leaving the centre part through the ill-conditioned r/|r|.
+    # rows at r = 0 keep the previous frame of the relative_angle axis (the
+    # lab frame, at the start) while the rest of the batch takes its own.
+    # Five steps only: within 1000 the rows leaving the centre part through
+    # the ill-conditioned r/|r|.
     rng = np.random.default_rng(4)
     r = rng.uniform(-0.5, 0.5, (3, 16))
     r[:, ::3] = 0.0
@@ -1041,6 +1066,12 @@ def test_ensemble_states_validates_checkpoints():
     assert np.array_equal(ensemble_states(cfg, [0.05, 0.05]), again[:, [1, 1]])
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_checkpoint_is_not_on_the_step_grid(t):
+    with pytest.raises(ValueError, match="is not on the step grid"):
+        ensemble_states(small_config(realizations=2), [0.1, t])
+
+
 def test_standard_error_scales_with_realizations():
     base = dict(
         master_seed=11,
@@ -1119,12 +1150,15 @@ def digest(*arrays):
 # before the kernel stored its stacks trajectory-last.  The qutrit entry was
 # re-recorded when sde._matmul stopped switching to np.matmul below 32
 # matrices: it is the first 8 rows of the same ensemble at width 40, which
-# the code before that change gave in every bit
+# the code before that change gave in every bit.  The relative_angle entry was
+# re-recorded when the width-one kernel began to take its measured axis from
+# sde._relative_axis on the Bloch vector instead of an eigenbasis product: the
+# same axis, rounded differently (states moved by at most 1.1e-15)
 NARROW_GOLDEN = {
     "qutrit": (("0x1.83877f4e9b96dp-2", "0x1.7d79bc459dae8p-7",
                 "0x1.67e148ed7e692p-2", "0x1.95c19b9d872ecp-5"),
                "83783bddb652adece9ef2b693e9db5d2b52f3823f60a3b011bca480a6ee0bddd"),
-    "relative_angle": "6730a34ca5672620ad64665851754761402923a4485f0cbe485bbcc083775d48",
+    "relative_angle": "ee3966df609fbd73d9d6f66947cd59bf42ddd16aaf0b6059d15c2711f99cd018",
     "fixed_observable": "e433eabb83df89c5e692b58c6562ed841b0a681de2a2075eb806a26852784b55",
 }
 
@@ -1213,7 +1247,9 @@ def test_closed_loop_is_covariant_under_unitary_conjugation(n):
     conjugates every row of an N > 2 closed loop (fixed observable, mu = 5,
     R = 40, a mixed start) on shared noise: over the first 100 steps each
     state is U rho U^+ of the plain run's row, and each record is the same,
-    within 1e-12.  Later steps part through rounding near the target."""
+    within 1e-12.  Later steps part through rounding near the target, so
+    over a full run of 2000 steps the time-averaged purity and overlap
+    agree within 2 combined se."""
     rng = np.random.default_rng(100 + n)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -1236,3 +1272,8 @@ def test_closed_loop_is_covariant_under_unitary_conjugation(n):
     rotated = collect(turned, 40, streams(base, range(40)), checkpoints)
     assert np.max(np.abs(rotated[2] - conj(plain[2]))) <= 1e-12
     assert np.max(np.abs(rotated[3] - plain[3])) <= 1e-12
+    full = [run_ensemble(replace(cfg, sme=replace(cfg.sme, t_end=2.0))) for cfg in (base, turned)]
+    for name in ("purity", "overlap"):
+        means = [getattr(stats, f"time_avg_{name}") for stats in full]
+        se = np.hypot(*(getattr(stats, f"time_avg_{name}_se") for stats in full))
+        assert abs(means[0] - means[1]) <= 2.0 * se

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from qmfc.sde import (
+    BASIS_DEGEN_TOL,
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
     _default_reject_tol,
     _kraus_step,
+    _local_axis,
     _matmul,
-    _rotated_sigma_z,
+    _relative_axis,
     inverse_zeno_run,
     inverse_zeno_successes,
     nonselective_solve,
-    qubit_eigenbasis,
     run_control_trajectory,
 )
 from qmfc.states import (
@@ -320,29 +321,63 @@ def test_store_every_keeps_every_nth_step():
                                    store_every=store_every)
 
 
-def test_qubit_eigenbasis_conventions():
-    # diagonal state: computational basis
-    basis = qubit_eigenbasis(np.diag([0.9, 0.1]).astype(complex))
-    assert np.allclose(basis, np.eye(2))
-    # |+x>: top eigenvector along +x
-    basis = qubit_eigenbasis(pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0)))
-    assert np.allclose(np.abs(basis[:, 0]), [1, 1] / np.sqrt(2.0))
-    # degenerate state reuses the previous basis
-    prev = qubit_eigenbasis(pure_density([1.0, 0.0]))
-    basis = qubit_eigenbasis(np.eye(2, dtype=complex) / 2, prev=prev)
-    assert basis is prev
+def relative_axis(r, theta, phi, angles, as_array):
+    """_relative_axis for Bloch vectors r, shape (3, m), and previous angles,
+    shape (2, m): on (m,) arrays, or column by column on Python floats.
+    Returns the axes and angles, shapes (3, m) and (2, m)."""
+    local = _local_axis(theta, phi)
+    norm = np.sqrt(np.sum(r * r, axis=0))
+    if as_array:
+        return tuple(np.array(out) for out in _relative_axis(r, norm, local, angles))
+    columns = [_relative_axis(r[:, j].tolist(), norm[j].item(), local, angles[:, j].tolist())
+               for j in range(r.shape[1])]
+    return tuple(np.array([[float(c) for c in col[i]] for col in columns]).T for i in (0, 1))
 
 
-def test_relative_observable():
-    # the spin at Bloch angle theta from an eigenbasis, as the matrix kernel measures it
-    basis = np.eye(2, dtype=complex)
-    # angle 0 from the computational basis is sigma_z itself
-    q = basis @ _rotated_sigma_z(0.0) @ basis.conj().T
-    assert np.allclose(q, SIGMA_Z)
-    # angle pi/2 is a transverse spin with eigenvalues +-1
-    q = basis @ _rotated_sigma_z(np.pi / 2) @ basis.conj().T
-    assert np.allclose(np.sort(np.linalg.eigvalsh(q)), [-1.0, 1.0])
-    assert abs(np.trace(q @ SIGMA_Z).real) < 1e-12
+def unit_columns(r):
+    return r / np.sqrt(np.sum(r * r, axis=0))
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["floats", "arrays"])
+def test_relative_axis_conventions(as_array):
+    # the measured axis, on floats and on arrays, for states of every length
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal((3, 40))
+    u[:, :4] = [[0.0, 0.0, 1.0, 1e-4], [0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 1.0]]
+    u = unit_columns(u)  # e_z, -e_z, +x, near e_z, and random directions
+    r = u * rng.uniform(0.01, 1.0, 40)
+    for phi in (0.0, 0.3, 4.0):
+        # angle 0 from the state's direction is that direction itself
+        axis, _ = relative_axis(r, 0.0, phi, np.zeros((2, 40)), as_array)
+        assert np.max(np.abs(axis - u)) < 1e-12
+        # angle pi/2 is a unit vector perpendicular to it
+        axis, _ = relative_axis(r, np.pi / 2, phi, np.zeros((2, 40)), as_array)
+        assert np.max(np.abs(np.sum(axis * axis, axis=0) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.sum(axis * u, axis=0))) < 1e-12
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["floats", "arrays"])
+def test_relative_axis_keeps_the_previous_frame_below_the_tolerance(as_array):
+    # every other state is shorter than BASIS_DEGEN_TOL: it keeps the angles
+    # (and so the axis) of the state before it; the rest take their own
+    rng = np.random.default_rng(5)
+    before = unit_columns(rng.standard_normal((3, 10))) * 0.6
+    after = unit_columns(rng.standard_normal((3, 10))) * 0.8
+    short = np.arange(10) % 2 == 0
+    after[:, short] *= 0.5 * BASIS_DEGEN_TOL / 0.8
+    after[:, 0] = 0.0  # the maximally mixed state
+    for theta, phi in ((0.0, 0.0), (np.pi / 4, 0.3), (np.pi / 2, 5.0)):
+        axis, angles = relative_axis(before, theta, phi, np.zeros((2, 10)), as_array)
+        kept_axis, kept_angles = relative_axis(after, theta, phi, angles, as_array)
+        assert np.array_equal(kept_axis[:, short], axis[:, short])
+        assert np.array_equal(kept_angles[:, short], angles[:, short])
+        own_axis, own_angles = relative_axis(after, theta, phi, np.zeros((2, 10)), as_array)
+        assert np.array_equal(kept_axis[:, ~short], own_axis[:, ~short])
+        assert np.array_equal(kept_angles[:, ~short], own_angles[:, ~short])
+        assert not np.allclose(axis[:, ~short], own_axis[:, ~short])
+    # with no previous state the frame is the lab frame: the axis is the policy's own
+    axis, _ = relative_axis(np.zeros((3, 2)), np.pi / 4, 0.3, np.zeros((2, 2)), as_array)
+    assert np.array_equal(axis, np.repeat(np.array(_local_axis(np.pi / 4, 0.3))[:, None], 2, 1))
 
 
 def test_closed_loop_holds_pure_target():
