@@ -14,7 +14,8 @@ index, trajectory index)).  A Philox stream is a key and a counter, so an
 ensemble derives all its keys in one vectorised pass of SeedSequence's hash
 (_philox_keys) and opens each stream directly on its key; the streams, and so
 every drawn number, are numpy's own.  Noise is drawn in blocks of
-NOISE_BLOCK steps so the noise buffer does not grow with the run length.  The
+NOISE_BLOCK steps, and run_ensemble reduces its statistics STAT_BLOCK slots at
+a time, so neither buffer grows with the run length.  The
 buffer is (steps, trajectories) in Fortran order: each stream draws its block
 straight into its own contiguous column, the block is scaled by sqrt(dt) in
 one product, and each step copies its row out contiguously.  A
@@ -118,6 +119,7 @@ from .sde import (
 from .states import check_density_matrix
 
 NOISE_BLOCK = 256  # steps of noise drawn per trajectory at a time
+STAT_BLOCK = 32  # stat slots that run_ensemble reduces across trajectories in one call
 
 
 @dataclass(frozen=True)
@@ -618,39 +620,44 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
 
 
 def run_ensemble(cfg: EnsembleConfig, sweep_index=0) -> EnsembleStats:
-    """Advance all realizations as one batch and aggregate purity/overlap statistics."""
+    """Advance all realizations as one batch and aggregate purity/overlap statistics: slots
+    are reduced a STAT_BLOCK at a time and time averages kept as sums, in memory flat in t_end."""
     r = cfg.realizations
     n_stat = cfg.sme.n_steps // cfg.stat_stride
     times = np.arange(n_stat + 1) * cfg.stat_stride * cfg.sme.dt
-    pur = np.empty((r, n_stat + 1))
-    ovl = np.empty((r, n_stat + 1))
-    for step, batch, target_t in _advance_chunk(cfg, r, _trajectory_streams(cfg, sweep_index)):
-        slot, off = divmod(step, cfg.stat_stride)
-        if off == 0:
-            pur[:, slot] = batch.purity()
-            ovl[:, slot] = np.nan if target_t is None else batch.overlap(target_t)
-
-    # a Fortran-ordered copy fixes the summation order, and so the bits, of the time averages
-    tavg_p = np.asfortranarray(pur).mean(axis=1)
-    tavg_o = np.asfortranarray(ovl).mean(axis=1)
+    width = min(STAT_BLOCK, n_stat + 1)
+    block = np.zeros((2, r, width))  # purity and overlap of every trajectory, by slot
+    sums = np.zeros((2, r))  # the same, summed over the slots in order
+    per_slot = np.empty((2, 2, n_stat + 1))  # (mean, se) of (purity, overlap)
 
     def se(x, axis=0):
         if r < 2:
             return np.full(np.shape(np.mean(x, axis=axis)), np.nan)
         return np.std(x, axis=axis, ddof=1) / np.sqrt(r)
 
+    def reduce_block(j, slot):
+        # over two or more slots numpy adds the trajectories in order, as over an
+        # (r, slots) array; a lone contiguous column it would sum pairwise
+        x = block[:, :, :max(j, 1) + 1]
+        per_slot[..., slot - j:slot + 1] = [x.mean(axis=1)[:, :j + 1], se(x, 1)[:, :j + 1]]
+
+    for step, batch, target_t in _advance_chunk(cfg, r, _trajectory_streams(cfg, sweep_index)):
+        slot, off = divmod(step, cfg.stat_stride)
+        if off == 0:
+            j = slot % width
+            block[0, :, j] = batch.purity()
+            block[1, :, j] = np.nan if target_t is None else batch.overlap(target_t)
+            sums += block[:, :, j]
+            if j == width - 1 and slot < n_stat:
+                reduce_block(j, slot)
+    reduce_block(n_stat % width, n_stat)  # once the driver has freed its noise buffer
+    tavg_p, tavg_o = sums / (n_stat + 1)
     return EnsembleStats(
-        times=times,
-        purity_mean=pur.mean(axis=0),
-        purity_se=se(pur),
-        overlap_mean=ovl.mean(axis=0),
-        overlap_se=se(ovl),
-        time_avg_purity=float(tavg_p.mean()),
-        time_avg_purity_se=float(se(tavg_p)),
-        time_avg_overlap=float(tavg_o.mean()),
-        time_avg_overlap_se=float(se(tavg_o)),
-        realizations=r,
-    )
+        times, purity_mean=per_slot[0, 0], purity_se=per_slot[1, 0],
+        overlap_mean=per_slot[0, 1], overlap_se=per_slot[1, 1],
+        time_avg_purity=float(tavg_p.mean()), time_avg_purity_se=float(se(tavg_p)),
+        time_avg_overlap=float(tavg_o.mean()), time_avg_overlap_se=float(se(tavg_o)),
+        realizations=r)
 
 
 def ensemble_states(cfg: EnsembleConfig, checkpoint_times, sweep_index=0):

@@ -46,6 +46,9 @@ Phi) are kept.  The frame is discontinuous at Theta = pi, where its rotation
 axis turns with Phi.  Trajectories are stepped by the batch driver in
 qmfc.ensemble; run_control_trajectory is a batch of one.
 
+Their outcome average obeys the linear master equation above without its dW
+term; nonselective_solve exponentiates its generator exactly, in numpy alone.
+
 Measurement dragging (inverse_zeno_run) follows one deterministic surviving
 branch, so many runs need only their uniforms: inverse_zeno_successes
 decides a whole batch of runs from blocks of draws, consuming exactly the
@@ -446,39 +449,44 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None, no
     return new, exp_q, _min_eigenvalue(euler)
 
 
+def _expm(a):
+    """exp(a) for a small square matrix by scaling and squaring: the degree-14 Taylor
+    polynomial of a / 2^s, for the least s >= 0 with ||a||_1 / 2^s <= 1/2 (so the tail
+    is below 2 (1/2)^15 / 15! < 1e-16), squared s times.  No eigendecomposition: a
+    Lindbladian is not normal, and at an exceptional point it is defective."""
+    s = max(0, int(np.ceil(np.log2(2.0 * np.abs(a).sum(axis=0).max() or 1.0))))
+    a = a / 2.0 ** s
+    out = eye = np.eye(len(a))
+    for j in range(14, 0, -1):  # Horner
+        out = eye + (a @ out) / j
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def nonselective_solve(rho0, Q, k, H, beta, t_eval):
-    """Outcome-averaged evolution integrated with an adaptive ODE solver.
-
-    Independent reference for trajectory-ensemble consistency checks.
-    """
-    from scipy.integrate import solve_ivp
-
+    """The outcome-averaged states exp(L t) rho0, each computed from t = 0, at
+    the times t_eval, for L rho = -i[H, rho] - k[Q, [Q, rho]] - beta[sz, [sz, rho]]:
+    on row-major vec(rho), L = -i C_H - k C_Q^2 - beta C_sz^2, with C_A = A (x) I
+    - I (x) A^T.  Independent reference for trajectory-ensemble consistency checks."""
     rho0 = check_density_matrix(rho0)
-    n = rho0.shape[0]
-    H = np.asarray(H, dtype=complex)
-    Q = None if Q is None else np.asarray(Q, dtype=complex)
+    times = np.asarray(t_eval, dtype=float).reshape(-1)
+    if times.size == 0:
+        raise ValueError("t_eval is empty")
+    for t in times:
+        if not 0 <= t < np.inf:
+            raise ValueError(f"time {t} is not finite and non-negative")
+    eye = np.eye(len(rho0))
 
-    def rhs(_t, y):
-        rho = y.reshape(n, n)
-        out = -1j * (H @ rho - rho @ H)
-        if k > 0:
-            comm = Q @ rho - rho @ Q
-            out -= k * (Q @ comm - comm @ Q)
-        if beta > 0:
-            comm = SIGMA_Z @ rho - rho @ SIGMA_Z
-            out -= beta * (SIGMA_Z @ comm - comm @ SIGMA_Z)
-        return out.ravel()
+    def comm(a):
+        return np.kron(a, eye) - np.kron(eye, np.transpose(a))
 
-    t_eval = np.asarray(t_eval, dtype=float)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_eval[-1]),
-        rho0.ravel().astype(complex),
-        t_eval=t_eval,
-        rtol=1e-10,
-        atol=1e-12,
-    )
-    return sol.y.T.reshape(-1, n, n)
+    gen = -1j * comm(H)
+    if k > 0:
+        gen -= k * comm(Q) @ comm(Q)
+    if beta > 0:
+        gen -= beta * comm(SIGMA_Z) @ comm(SIGMA_Z)
+    return np.array([(_expm(gen * t) @ rho0.ravel()).reshape(rho0.shape) for t in times])
 
 
 def run_control_trajectory(

@@ -8,7 +8,11 @@ import os
 import platform
 
 import numpy as np
-import scipy
+
+try:  # qmfc needs numpy alone; scipy comes with the benchmark's extra
+    import scipy
+except ImportError:
+    scipy = None
 
 
 def _blas():
@@ -21,9 +25,9 @@ def _blas():
 
 def _environment():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    scipy_version = f"scipy {scipy.__version__}, " if scipy else ""
     return (f"qmfc environment: Python {platform.python_version()}, numpy {np.__version__}, "
-            f"scipy {scipy.__version__}, BLAS {_blas()}, nproc {cpus}, "
-            f"{platform.machine()}")
+            f"{scipy_version}BLAS {_blas()}, nproc {cpus}, {platform.machine()}")
 
 
 def pytest_report_header(config):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -1014,6 +1015,54 @@ def test_rerun_is_bit_identical():
     assert np.array_equal(a.purity_mean, b.purity_mean)
     assert np.array_equal(a.overlap_mean, b.overlap_mean)
     assert a.time_avg_overlap == b.time_avg_overlap
+
+
+@pytest.mark.parametrize("r", [2, 3, 17])
+@pytest.mark.parametrize("make", [
+    lambda **kw: small_config(stat_stride=1, **kw),  # 201 slots: six full STAT_BLOCKs
+    qutrit_config,  # 11 slots: one block, narrower than STAT_BLOCK
+    # 33 slots: the last block holds one slot
+    lambda **kw: small_config(mu=0.0, target_fn=None, stat_stride=2,
+                              sme=replace(small_config().sme, t_end=0.064), **kw),
+], ids=["bloch", "qutrit", "no_target"])
+def test_streamed_statistics_match_the_stored_columns(make, r):
+    """run_ensemble's streamed statistics equal, bit for bit, those taken over
+    every row's purity and overlap at every slot, kept as (r, slots) arrays:
+    per-slot mean and se over the rows, and per-row time averages summed over
+    the slots in order."""
+    cfg = make(realizations=r)
+    pur, ovl = collect(cfg, r, streams(cfg, range(r)))[:2]
+    stats = run_ensemble(cfg)
+    for x, mean, se, tavg, tavg_se in ((pur, stats.purity_mean, stats.purity_se,
+                                        stats.time_avg_purity, stats.time_avg_purity_se),
+                                       (ovl, stats.overlap_mean, stats.overlap_se,
+                                        stats.time_avg_overlap, stats.time_avg_overlap_se)):
+        rows = np.asfortranarray(x).mean(axis=1)
+        expected = (x.mean(axis=0), np.std(x, axis=0, ddof=1) / np.sqrt(r),
+                    rows.mean(), np.std(rows, ddof=1) / np.sqrt(r))
+        for got, want in zip((mean, se, tavg, tavg_se), expected):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_run_ensemble_memory_does_not_grow_with_t_end():
+    """At R = 1000 the statistics are streamed: the peak traced allocation of
+    a run ten times longer (2640 steps and 331 stat slots, against 264 and
+    34) grows by less than 100 kB.  Kept (R, slots) purity and overlap
+    arrays would add 4.8 MB.  Both runs span more than one noise block and
+    one STAT_BLOCK, so every fixed-size buffer, and the streams kept between
+    noise blocks, are at full size in both."""
+    peaks = []
+    for t_end in (0.264, 2.64):
+        cfg = small_config(realizations=1000, stat_stride=8,
+                           sme=replace(small_config().sme, t_end=t_end))
+        run_ensemble(replace(cfg, realizations=2))
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 100e3, peaks
 
 
 def test_noiseless_closed_loop_stays_on_target():

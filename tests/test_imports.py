@@ -1,8 +1,12 @@
-"""Every name a qmfc module imports is used in it, and every private
-top-level function or class is used somewhere in the package: a parse of
-each module with ast, in place of a linter."""
+"""Every name a qmfc module imports is used in it, every private top-level
+function or class is used somewhere in the package, and no module imports
+scipy: a parse of each module with ast, in place of a linter.  A fresh
+interpreter also runs every experiment without loading scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -49,3 +53,47 @@ def test_every_private_definition_is_used(path):
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
               and package[node.name] == references(node)[node.name]]
     assert not unused, f"{path.name} defines private names the package never uses: {unused}"
+
+
+def imported_modules(tree):
+    """Every module an import statement in the tree names, dotted."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # qmfc depends on numpy alone; scipy is the benchmark's optional extra
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scipy = [m for m in imported_modules(tree) if m.split(".")[0] == "scipy"]
+    assert not scipy, f"{path.name} imports {scipy}"
+
+
+RUN_EVERYTHING = """
+import os, sys
+import numpy as np
+import qmfc
+from qmfc.cli import main
+from qmfc.sde import nonselective_solve
+for argv in (["fig1", "--theta-points", "7"],
+             ["fig2", "--realizations", "2", "--t-end", "0.01", "--dt", "1e-3",
+              "--theta-points", "2"],
+             ["zeno", "--m-list", "2", "--runs", "10"],
+             ["rates", "--k-list", "1"]):
+    assert main(["--experiment", argv[0], "--out", argv[0] + ".csv"] + argv[1:]) == 0
+nonselective_solve(np.eye(2) / 2, qmfc.SIGMA_Z, 1.0, qmfc.SIGMA_X, 0.2, [0.0, 1.0])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_experiments_run_without_loading_scipy(tmp_path):
+    # every CLI experiment at smoke size, and the master-equation reference,
+    # in a fresh interpreter: this test process may have scipy loaded
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", RUN_EVERYTHING], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]", out

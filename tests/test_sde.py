@@ -21,6 +21,7 @@ from qmfc.sde import (
 )
 from qmfc.states import (
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     check_density_matrix,
     overlap,
@@ -250,6 +251,117 @@ def test_nonselective_solve_dephasing_closed_form():
     for t, rho in zip(ts, sol):
         assert rho[0, 1].real == pytest.approx(0.5 * np.exp(-4 * beta * t), abs=1e-8)
         assert rho[0, 0].real == pytest.approx(0.5, abs=1e-9)
+
+
+def random_hermitian(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (g + g.conj().T) / 2
+
+
+def random_density(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_nonselective_solve_unitary_closed_form(n):
+    # k = 0, beta = 0: rho(t) = U rho0 U^+ with U = exp(-iHt) from eigh
+    rng = np.random.default_rng(60 + n)
+    rho0, H = random_density(rng, n), random_hermitian(rng, n)
+    ts = [0.0, 0.3, 1.0, 4.0]
+    energies, vecs = np.linalg.eigh(H)
+    for t, rho in zip(ts, nonselective_solve(rho0, None, 0.0, H, 0.0, ts)):
+        u = (vecs * np.exp(-1j * energies * t)) @ vecs.conj().T
+        assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_nonselective_solve_diagonal_q_closed_form(n):
+    # H = 0: a diagonal Q damps each coherence as exp(-k (q_i - q_j)^2 t)
+    rng = np.random.default_rng(70 + n)
+    rho0, q, k = random_density(rng, n), rng.uniform(-1.5, 1.5, n), 0.8
+    ts = [0.0, 0.2, 1.0, 5.0]
+    for t, rho in zip(ts, nonselective_solve(rho0, np.diag(q), k, np.zeros((n, n)), 0.0, ts)):
+        exact = rho0 * np.exp(-k * (q[:, None] - q[None, :]) ** 2 * t)
+        assert np.max(np.abs(rho - exact)) < 1e-12
+
+
+def test_nonselective_solve_at_an_exceptional_point():
+    # H = beta sx with sz dephasing beta: the Bloch components (y, z) obey
+    # d/dt (y, z) = (-4 beta y - 2 beta z, 2 beta y), a critically damped
+    # pair whose generator is a Jordan block at -2 beta (defective, so no
+    # eigendecomposition exponentiates it); x decays as exp(-4 beta t)
+    beta, (x0, y0, z0) = 0.4, (0.3, 0.5, -0.6)
+    rho0 = (np.eye(2) + x0 * SIGMA_X + y0 * SIGMA_Y + z0 * SIGMA_Z) / 2
+    ts = [0.0, 0.5, 1.0, 2.5, 10.0]
+    for t, rho in zip(ts, nonselective_solve(rho0, None, 0.0, beta * SIGMA_X, beta, ts)):
+        a, decay = 2 * beta * t, np.exp(-2 * beta * t)
+        x, y, z = x0 * decay ** 2, decay * ((1 - a) * y0 - a * z0), decay * (a * y0 + (1 + a) * z0)
+        exact = (np.eye(2) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2
+        assert np.max(np.abs(rho - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nonselective_solve_is_unital_hermitian_and_trace_preserving(n):
+    rng = np.random.default_rng(80 + n)
+    H, Q = random_hermitian(rng, n), random_hermitian(rng, n)
+    beta = 0.3 if n == 2 else 0.0
+    ts = [0.0, 0.1, 1.0, 7.0]
+    fixed = nonselective_solve(np.eye(n) / n, Q, 1.3, H, beta, ts)
+    assert np.max(np.abs(fixed - np.eye(n) / n)) < 1e-13
+    for rho in np.concatenate([fixed, nonselective_solve(random_density(rng, n), Q, 1.3, H, beta, ts)]):
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-13
+        assert abs(np.trace(rho) - 1.0) < 1e-13
+
+
+def test_nonselective_solve_matches_an_adaptive_solver():
+    """The exact propagator against scipy's solve_ivp at rtol 1e-10, on the
+    cases the ensemble tests compare with and on random N = 3 and 4 cases."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    rng = np.random.default_rng(90)
+    plus, up = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0)), np.diag([1.0, 0.0])
+    cases = [(plus, None, 0.0, np.zeros((2, 2)), 0.4, [0.0, 0.5, 1.0, 2.0]),
+             (up, SIGMA_Z, 1.0, 0.5 * SIGMA_X, 0.2, [0.25]),
+             (up, SIGMA_Z, 1.0, 0.5 * SIGMA_X, 0.0, [0.1, 0.25, 0.5, 1.0]),
+             (up, SIGMA_Z, 0.25, 0.5 * SIGMA_X, 0.0, [0.5, 2.0])]
+    for n in (3, 4):
+        cases.append((random_density(rng, n), random_hermitian(rng, n), 0.7,
+                      random_hermitian(rng, n), 0.0, [0.02, 0.05, 0.1, 1.0]))
+    for rho0, Q, k, H, beta, ts in cases:
+        n = len(rho0)
+
+        def rhs(_t, y):
+            rho = y.reshape(n, n)
+            out = -1j * (H @ rho - rho @ H)
+            for c, a in ((k, Q), (beta, SIGMA_Z)):
+                if c > 0:
+                    comm = a @ rho - rho @ a
+                    out -= c * (a @ comm - comm @ a)
+            return out.ravel()
+
+        sol = solve_ivp(rhs, (0.0, ts[-1]), rho0.ravel().astype(complex), t_eval=ts,
+                        rtol=1e-10, atol=1e-12)
+        ref = sol.y.T.reshape(-1, n, n)
+        assert np.max(np.abs(nonselective_solve(rho0, Q, k, H, beta, ts) - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("t_eval, message", [
+    ([0.5, -0.1], "time -0.1 is not finite and non-negative"),
+    ([np.nan], "time nan is not finite and non-negative"),
+    ([1.0, np.inf], "time inf is not finite and non-negative"),
+    ([], "t_eval is empty"),
+], ids=["negative", "nan", "inf", "empty"])
+def test_nonselective_solve_refuses_bad_times(t_eval, message):
+    with pytest.raises(ValueError, match=message):
+        nonselective_solve(np.eye(2) / 2, SIGMA_Z, 1.0, SIGMA_X, 0.0, t_eval)
+
+
+def test_nonselective_solve_takes_times_in_any_order():
+    # each time is computed from 0, so an unsorted t_eval gives the same bits
+    args = (pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0)), SIGMA_Z, 1.0, 0.5 * SIGMA_X, 0.2)
+    forward = nonselective_solve(*args, [0.25, 0.5, 1.0])
+    assert np.array_equal(nonselective_solve(*args, [1.0, 0.25, 0.5]), forward[[2, 0, 1]])
 
 
 def test_measurement_and_dephasing_average_consistency():
