@@ -6,10 +6,13 @@ Experiments:
   zeno   repeated slightly-rotated projections dragging a state to a target
   rates  Monte Carlo strength rates vs the printed closed forms
 
-Every run writes a CSV (full double precision) plus a plain-text manifest
-sidecar capturing the exact configuration, the package version, wall-clock
-duration and a few summary scalars.  Exit codes: 0 success, 2 config error,
-3 numerical failure (step rejection), 4 I/O error.
+Each experiment returns (header, rows, summary) and writes no file.  main
+times it, then writes the CSV (full double precision) and a plain-text
+manifest sidecar: experiment, package version, every resolved setting (the
+experiment's options in schema order, then seed and threads), duration and
+the summary scalars.  A config file key that names no setting of any
+experiment is refused.  Exit codes: 0 success, 2 config error (nothing is
+written), 3 numerical failure (step rejection), 4 I/O error.
 """
 
 import argparse
@@ -72,23 +75,10 @@ def load_config_file(path):
 
 def cmd_fig1(args):
     theta_grid = np.linspace(0.0, np.pi, args.theta_points)
-    t0 = time.perf_counter()
     rows = theta_sweep(args.p, args.kappa, theta_grid)
-    write_csv(args.out, ("theta", "i_f_p", "n_e_p", "n_e_v"), rows)
     best = max(rows, key=lambda row: row[1])
-    write_manifest(
-        manifest_path(args.out),
-        {
-            "experiment": "fig1",
-            "version": __version__,
-            "p": args.p,
-            "kappa": args.kappa,
-            "theta_points": args.theta_points,
-            "duration_s": time.perf_counter() - t0,
-            "max_i_f_p": best[1],
-            "argmax_theta": best[0],
-        },
-    )
+    summary = {"max_i_f_p": best[1], "argmax_theta": best[0]}
+    return ("theta", "i_f_p", "n_e_p", "n_e_v"), rows, summary
 
 
 def cmd_fig2(args):
@@ -110,40 +100,18 @@ def cmd_fig2(args):
         rho0=pure_density(plus_x),
         target_fn=precessing_plus_x(args.omega),
     )
-    t0 = time.perf_counter()
     rows = theta_experiment(base, theta_grid)
-    write_csv(
-        args.out,
-        ("theta", "purity_mean", "purity_se", "overlap_mean", "overlap_se"),
-        rows,
-    )
-    write_manifest(
-        manifest_path(args.out),
-        {
-            "experiment": "fig2",
-            "version": __version__,
-            "omega": args.omega,
-            "beta": args.beta,
-            "k": args.k,
-            "mu": args.mu,
-            "dt": args.dt,
-            "t_end": args.t_end,
-            "realizations": args.realizations,
-            "theta_points": args.theta_points,
-            "seed": args.seed,
-            "threads": args.threads,
-            "duration_s": time.perf_counter() - t0,
-            "best_theta_by_purity": max(rows, key=lambda r: r[1])[0],
-            "best_theta_by_overlap": max(rows, key=lambda r: r[3])[0],
-        },
-    )
+    summary = {
+        "best_theta_by_purity": max(rows, key=lambda r: r[1])[0],
+        "best_theta_by_overlap": max(rows, key=lambda r: r[3])[0],
+    }
+    return ("theta", "purity_mean", "purity_se", "overlap_mean", "overlap_se"), rows, summary
 
 
 def cmd_zeno(args):
     m_values = [int(v) for v in args.m_list.split(",")]
     psi_start = np.array([1.0, 0.0])
     psi_target = np.array([0.0, 1.0])
-    t0 = time.perf_counter()
     rows = []
     for i, m in enumerate(m_values):
         rng = np.random.Generator(
@@ -153,27 +121,11 @@ def cmd_zeno(args):
         half_width = 1.96 * np.sqrt(max(rate * (1.0 - rate), 1e-12) / args.runs)
         analytic = float(np.cos(np.pi / (2 * m)) ** (2 * m))
         rows.append((m, rate, max(rate - half_width, 0.0), min(rate + half_width, 1.0), analytic))
-    write_csv(
-        args.out,
-        ("M", "empirical_rate", "ci95_low", "ci95_high", "analytic_rate"),
-        rows,
-    )
-    write_manifest(
-        manifest_path(args.out),
-        {
-            "experiment": "zeno",
-            "version": __version__,
-            "m_list": args.m_list,
-            "runs": args.runs,
-            "seed": args.seed,
-            "duration_s": time.perf_counter() - t0,
-        },
-    )
+    return ("M", "empirical_rate", "ci95_low", "ci95_high", "analytic_rate"), rows, {}
 
 
 def cmd_rates(args):
     k_values = [float(v) for v in args.k_list.split(",")]
-    t0 = time.perf_counter()
     rows = []
     ratios_p, ratios_v = [], []
     for i, k in enumerate(k_values):
@@ -185,47 +137,17 @@ def cmd_rates(args):
         if k > 0:
             ratios_p.append(ratio_p)
             ratios_v.append(ratio_v)
-        rows.append(
-            (
-                k,
-                est.rate_p,
-                est.rate_p_se,
-                est.rate_v,
-                est.rate_v_se,
-                printed_p,
-                printed_v,
-                ratio_p,
-                ratio_v,
-            )
-        )
-    write_csv(
-        args.out,
-        (
-            "k",
-            "rate_p_numeric",
-            "rate_p_se",
-            "rate_v_numeric",
-            "rate_v_se",
-            "rate_p_printed",
-            "rate_v_printed",
-            "ratio_p",
-            "ratio_v",
-        ),
-        rows,
-    )
-    entries = {
-        "experiment": "rates",
-        "version": __version__,
-        "k_list": args.k_list,
-        "seed": args.seed,
-        "duration_s": time.perf_counter() - t0,
-    }
+        rows.append((k, est.rate_p, est.rate_p_se, est.rate_v, est.rate_v_se,
+                     printed_p, printed_v, ratio_p, ratio_v))
+    header = ("k", "rate_p_numeric", "rate_p_se", "rate_v_numeric", "rate_v_se",
+              "rate_p_printed", "rate_v_printed", "ratio_p", "ratio_v")
+    summary = {}
     if ratios_p:
-        entries["mean_ratio_p_numeric_over_printed"] = float(np.mean(ratios_p))
-        entries["mean_ratio_v_numeric_over_printed"] = float(np.mean(ratios_v))
-        entries["ito_oracle_rate_p_at_k1"] = float(ito_rate_p(SIGMA_Z, 1.0))
-        entries["ito_oracle_rate_v_at_k1"] = float(ito_rate_v(SIGMA_Z, 1.0))
-    write_manifest(manifest_path(args.out), entries)
+        summary["mean_ratio_p_numeric_over_printed"] = float(np.mean(ratios_p))
+        summary["mean_ratio_v_numeric_over_printed"] = float(np.mean(ratios_v))
+        summary["ito_oracle_rate_p_at_k1"] = float(ito_rate_p(SIGMA_Z, 1.0))
+        summary["ito_oracle_rate_v_at_k1"] = float(ito_rate_v(SIGMA_Z, 1.0))
+    return header, rows, summary
 
 
 # per-experiment option schema: dest -> (type, default); every int option is a
@@ -274,6 +196,11 @@ def build_parser():
 def resolve_args(args):
     """Apply precedence: built-in defaults < config file < explicit flags."""
     config = load_config_file(args.config) if args.config else {}
+    # a key of another experiment is legal, so one file can serve several
+    known = {"seed", "threads", "out"}.union(*_OPTIONS.values())
+    for key in config:
+        if key not in known:
+            raise ValueError(f"{args.config}: unknown key {key!r}")
     schema = dict(_OPTIONS[args.experiment])
     schema.update({"seed": (int, 0), "threads": (int, 1), "out": (str, f"{args.experiment}.csv")})
     for dest, (typ, default) in schema.items():
@@ -296,7 +223,18 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        _COMMANDS[args.experiment](args)
+        t0 = time.perf_counter()
+        header, rows, summary = _COMMANDS[args.experiment](args)
+        duration = time.perf_counter() - t0
+        write_csv(args.out, header, rows)
+        settings = [*_OPTIONS[args.experiment], "seed", "threads"]
+        write_manifest(manifest_path(args.out), {
+            "experiment": args.experiment,
+            "version": __version__,
+            **{dest: getattr(args, dest) for dest in settings},
+            "duration_s": duration,
+            **summary,
+        })
     except StepRejected as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

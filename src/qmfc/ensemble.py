@@ -371,10 +371,9 @@ class _MatrixKernel:
 
 
 def _pauli(a):
-    """(a0, a_vec) with a = a0 I + a_vec.sigma, for a Hermitian 2x2 matrix."""
-    return (a[0, 0] + a[1, 1]).real / 2, np.array(
-        [a[0, 1].real, -a[0, 1].imag, (a[0, 0] - a[1, 1]).real / 2]
-    )
+    """(a0, a_vec) with a = a0 I + a_vec.sigma, for a Hermitian 2x2 matrix (sde._sigma_parts)."""
+    trace, *vec = _sigma_parts(a)
+    return trace / 2, np.array(vec)
 
 
 def _density(r):

@@ -191,6 +191,9 @@ def strength_rate_numeric(
         raise ValueError("k must be non-negative")
     if not 1 <= n_samples <= n_steps:
         raise ValueError("n_samples must lie between 1 and n_steps")
+    if not 2 <= n_batches <= n_traj:  # no empty batch, and two batches for the spread
+        raise ValueError(f"n_batches must lie between 2 and n_traj, got n_batches={n_batches}, "
+                         f"n_traj={n_traj}")
     if k == 0:
         return RateEstimate(0.0, 0.0, 0.0, 0.0)
     if horizon is None:

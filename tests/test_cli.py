@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmfc.cli import (
+    _OPTIONS,
     build_parser,
     format_value,
     load_config_file,
@@ -227,3 +228,52 @@ def test_counts_below_one_are_config_errors(tmp_path):
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         assert not (tmp_path / "x.csv.manifest.txt").exists()
+
+
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta_pionts = 5\nrealisations = 3\n")
+    out = tmp_path / "x.csv"
+    assert main(["--experiment", "fig1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.manifest.txt").exists()
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "theta_pionts" in err
+
+
+def test_config_file_may_hold_another_experiments_keys(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 0.3\ntheta_points = 7\nrealizations = 4\nmu = 5\n")
+    out = tmp_path / "fig1.csv"
+    assert main(["--experiment", "fig1", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows.shape == (7, 4)
+    manifest = read_manifest(tmp_path / "fig1.csv.manifest.txt")
+    assert manifest["p"] == "0.29999999999999999"
+    assert "realizations" not in manifest and "mu" not in manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "fig1", "--theta-points", "5"],
+    ["--experiment", "fig2", "--realizations", "4", "--t-end", "0.002", "--theta-points", "2"],
+    ["--experiment", "zeno", "--m-list", "2,3", "--runs", "10"],
+    ["--experiment", "rates", "--k-list", "0"],
+], ids=lambda argv: argv[1])
+def test_manifest_records_every_resolved_setting(tmp_path, argv):
+    # seed from a config file, threads from a flag, the rest flags or defaults
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 4\n")
+    out = tmp_path / "run.csv"
+    argv = argv + ["--config", str(cfg), "--threads", "2", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = read_manifest(tmp_path / "run.csv.manifest.txt")
+    resolved = vars(resolve_args(build_parser().parse_args(argv)))
+    assert resolved["seed"] == 4 and resolved["threads"] == 2
+    settings = [*_OPTIONS[argv[1]], "seed", "threads"]
+    keys = list(manifest)
+    assert keys[:2] == ["experiment", "version"]
+    assert keys[2:2 + len(settings)] == settings
+    assert keys[2 + len(settings)] == "duration_s"
+    assert {key: manifest[key] for key in settings} == {
+        key: format_value(resolved[key]) for key in settings
+    }

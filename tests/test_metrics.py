@@ -231,6 +231,18 @@ def test_strength_rate_numeric_matches_expansion():
             strength_rate_numeric(SIGMA_Z, 1.0, n_samples=n_samples)
 
 
+@pytest.mark.parametrize("n_traj, n_batches", [(10, 20), (10, 11), (10, 1), (10, 0)])
+def test_strength_rate_numeric_refuses_batch_counts_without_a_spread(n_traj, n_batches):
+    # an empty batch has no mean, and one batch no standard error: both read NaN
+    with pytest.raises(ValueError, match=f"n_batches={n_batches}, n_traj={n_traj}"):
+        strength_rate_numeric(SIGMA_Z, 1.0, n_traj=n_traj, n_batches=n_batches)
+
+
+def test_strength_rate_numeric_takes_one_trajectory_per_batch():
+    est = strength_rate_numeric(SIGMA_Z, 1.0, n_traj=3, n_batches=3, seed=1)
+    assert np.isfinite([est.rate_p, est.rate_p_se, est.rate_v, est.rate_v_se]).all()
+
+
 @pytest.mark.parametrize("n_steps, n_samples, want", [
     (10, 4, [2, 5, 8, 10]),
     (50, 7, [7, 14, 21, 29, 36, 43, 50]),
