@@ -11,7 +11,8 @@ times it, then writes the CSV (full double precision) and a plain-text
 manifest sidecar: experiment, package version, every resolved setting (the
 experiment's options in schema order, then seed and threads), duration and
 the summary scalars.  A config file key that names no setting of any
-experiment is refused.  Exit codes: 0 success, 2 config error (nothing is
+experiment, or that is set twice, is refused, and so is a count below 1
+(--threads included).  Exit codes: 0 success, 2 config error (nothing is
 written), 3 numerical failure (step rejection), 4 I/O error.
 """
 
@@ -59,7 +60,7 @@ def manifest_path(out):
 
 
 def load_config_file(path):
-    """Flat key = value document; '#' starts a comment."""
+    """Flat key = value document; '#' starts a comment.  A key set twice is refused."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -69,7 +70,10 @@ def load_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
-            values[key.replace(".", "_").replace("-", "_")] = raw
+            key = key.replace(".", "_").replace("-", "_")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is set twice")
+            values[key] = raw
     return values
 
 
@@ -151,7 +155,7 @@ def cmd_rates(args):
 
 
 # per-experiment option schema: dest -> (type, default); every int option is a
-# count and must be at least 1
+# count and must be at least 1, as must --threads
 _OPTIONS = {
     "fig1": {"p": (float, 0.1), "kappa": (float, 0.75), "theta_points": (int, 181)},
     "fig2": {
@@ -207,8 +211,9 @@ def resolve_args(args):
         if getattr(args, dest, None) is None:
             raw = config.get(dest)
             setattr(args, dest, typ(raw) if raw is not None else default)
-    for dest, (typ, _default) in _OPTIONS[args.experiment].items():
-        if typ is int and getattr(args, dest) < 1:
+    counts = [dest for dest, (typ, _default) in _OPTIONS[args.experiment].items() if typ is int]
+    for dest in counts + ["threads"]:
+        if getattr(args, dest) < 1:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"{flag} must be at least 1, got {getattr(args, dest)}")
     return args

@@ -25,8 +25,11 @@ counter 0, through one generator whose state is reset to each key in turn,
 which draws the same numbers for about a third of the cost of opening them.
 Results are bit-identical for a given master seed and realization count,
 however many steps of noise are drawn at a time.  A row of a batch wider
-than one depends only on its own stream, on either kernel; a batch of one
-steps plain (N, N) matrices, whose products round differently.
+than one depends only on its own stream, on either kernel.  So does a qubit
+batch of one: the Bloch kernel runs the same operations on its Python floats,
+so a single qubit trajectory is row 0 of a wide batch on the same stream, bit
+for bit.  A matrix-kernel batch of one steps plain (N, N) matrices, whose
+products round differently.
 
 Two kernels run the same step as sde._kraus_step, with the same noise, the
 same feedback branches and the same StepRejected rule.  Both step
@@ -39,15 +42,22 @@ sde._relative_axis: the policy's (theta, phi) axis turned by the rotation by
 Theta about (-sin Phi, cos Phi, 0), for each state's Bloch vector at polar
 angles (Theta, Phi); a state shorter than BASIS_DEGEN_TOL keeps its previous
 (Theta, Phi), and the frame is discontinuous at Theta = pi.  The Bloch
-kernel passes its (3, m) rows; the matrix kernel reads r from rho, as Python
-floats at width one, and measures Q = n.sigma.
+kernel passes its rows; the matrix kernel reads r from rho and measures
+Q = n.sigma.
 
-* qubit batches wider than one (Bloch form; Jacobs and Steck, Contemp.
+* qubit batches of every width (Bloch form; Jacobs and Steck, Contemp.
   Phys. 47, 279 (2006)): each state is a real Bloch vector r,
-  rho = (I + r.sigma) / 2, stored as a (3, m) array with one column per
-  trajectory.  With Q = q.sigma and H = h.sigma the Kraus operator is
-  M = alpha I + (a + ib).sigma, with the real alpha = 1 - beta dt
-  + k (dy~^2 - 2 dt) (q.q), a = sqrt(2k) dy~ q and b = -dt h, and
+  rho = (I + r.sigma) / 2, stored as three rows x, y, z, each a Python float
+  at width one and an (m,) array, one entry per trajectory, otherwise.  The
+  step is written component by component, so both kinds run the same IEEE
+  operations in the same order (math.sqrt rounds as np.sqrt does), and the
+  trigonometry of sde._relative_axis is numpy's on both; a width-one step
+  pays no numpy call overhead on its arithmetic.  States, records and
+  feedback are built from the rows as (m, 2, 2) and (m,) arrays at every
+  width, the feedback Hamiltonian as 2 _density(h) - I.  With Q = q.sigma
+  and H = h.sigma the Kraus operator is M = alpha I + (a + ib).sigma, with
+  the real alpha = 1 - beta dt + k (dy~^2 - 2 dt) (q.q), a = sqrt(2k) dy~ q
+  and b = -dt h, and
 
       M M^+           = (alpha^2 + |a|^2 + |b|^2) I + (2 alpha a + 2 a x b).sigma
       M (r.sigma) M^+ = 2 (alpha a - a x b).r I
@@ -75,10 +85,13 @@ floats at width one, and measures Q = n.sigma.
   Feedback is the first-order rotation -sqrt(mu/2) (s x r)/|s x r| toward
   the target's Bloch vector s, or nothing when the state already points at
   the target; the rare remaining rows (second-order branch) go to
-  feedback.optimal_feedback.
-* N > 2, and batches of one, where the Bloch kernel's fixed cost per step
-  does not pay: (N, N, m) complex arrays, trajectory axis last, through
-  sde._kraus_step.  For qubits this matrix kernel is the Bloch kernel's oracle.
+  feedback.optimal_feedback.  Unless every row takes the first-order
+  rotation, the rule is applied row by row on (3, m) stacks, at width one
+  too, so a rare row is decided from the same numbers at every width.
+* N > 2 at every width: (N, N, m) complex arrays, trajectory axis last,
+  through sde._kraus_step; a batch of one steps its (N, N) matrix.  For
+  qubits this matrix kernel is only the tests' reference for the Bloch
+  kernel (_advance_chunk's kernel=_MatrixKernel).
   Its step-size diagnostic is a per-row lower bound unless the bound could
   reach the StepRejected threshold, so the rejected set and the message are
   those of the exact diagnostic: for qubits (Tr rho - b) / 2 for the bound b
@@ -96,6 +109,7 @@ floats at width one, and measures Q = n.sigma.
   to feedback.optimal_feedback.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,6 +134,7 @@ from .states import check_density_matrix
 
 NOISE_BLOCK = 256  # steps of noise drawn per trajectory at a time
 STAT_BLOCK = 32  # stat slots that run_ensemble reduces across trajectories in one call
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -370,14 +385,9 @@ class _MatrixKernel:
         return self.rho.transpose(2, 0, 1)
 
 
-def _pauli(a):
-    """(a0, a_vec) with a = a0 I + a_vec.sigma, for a Hermitian 2x2 matrix (sde._sigma_parts)."""
-    trace, *vec = _sigma_parts(a)
-    return trace / 2, np.array(vec)
-
-
 def _density(r):
-    """(I + r.sigma) / 2 for a Bloch vector (3,) or a stack (3, m) -> (m, 2, 2)."""
+    """(I + r.sigma) / 2 for rows x, y, z: of Python floats a (2, 2) matrix,
+    of (m,) arrays or a (3, m) stack an (m, 2, 2) stack."""
     x, y, z = r
     rho = np.empty(np.shape(x) + (2, 2), dtype=complex)
     rho[..., 0, 0] = (1.0 + z) / 2
@@ -388,134 +398,152 @@ def _density(r):
 
 
 def _dot(a, b):
-    """a.b summed as a0 b0 + a1 b1 + a2 b2, accumulated in place."""
+    """a.b summed as a0 b0 + a1 b1 + a2 b2, accumulated in place on arrays."""
     out = a[0] * b[0]
     out += a[1] * b[1]
     out += a[2] * b[2]
     return out
 
 
-def _cross(a, b, out):
-    """a x b for (3, m) or (3, 1) stacks, written into the (3, m) array out."""
-    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
-    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
-    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
-    return out
-
-
 class _BlochKernel:
-    """Qubit states as Bloch vectors, shape (3, m); see the module docstring."""
+    """Qubit states as Bloch vectors: three rows x, y, z, each a Python float
+    at width one and an (m,) array otherwise; see the module docstring."""
 
     def __init__(self, cfg, m):
         self.cfg = cfg
-        sme = cfg.sme
-        self.r = np.repeat(2.0 * _pauli(cfg.rho0)[1][:, None], m, axis=1)
+        sme, policy = cfg.sme, cfg.policy
+        self.one = m == 1
+        # math.sqrt rounds as np.sqrt does, at a fraction of its cost on a float
+        self.sqrt = math.sqrt if self.one else np.sqrt
+        r = [2.0 * part for part in _sigma_parts(cfg.rho0)[1:]]
+        self.r = r if self.one else [np.full(m, part) for part in r]
         # the step sees only the sigma parts of H0 and Q (module docstring)
-        h0 = _pauli(sme.h0)[1]
-        self.h0 = h0[:, None]
+        self.h0 = _sigma_parts(sme.h0)[1:]
         self.dy_shift = 0.0  # 4k q0 dt for a fixed observable Q = q0 I + q.sigma
-        # work arrays for the cross products, reused every step
-        self._sxr, self._axb, self._work = np.empty((3, 3, m))
-        policy = cfg.policy
         if policy.mode == "relative_angle":  # as _MatrixKernel
             self.local, self.angles = _local_axis(policy.theta, policy.phi), (0.0, 0.0)
         else:
-            q0, q = _pauli(policy.observable)
-            self.q = q[:, None]
-            self.dy_shift = 4.0 * sme.k * q0 * sme.dt
+            q_trace, *self.q = _sigma_parts(policy.observable)
+            self.dy_shift = 4.0 * sme.k * (q_trace / 2) * sme.dt
+        self.fb_scale = -math.sqrt(cfg.mu / 2)
         # |h| <= |h0| + sqrt(mu/2) on either feedback branch; the Euler state is built
         # only when the bound on |r_E| could reach 1 + 2 tol less a rounding margin
-        self.h_scale = (2.0 * (np.sqrt(_dot(h0, h0)) + np.sqrt(cfg.mu / 2))
+        self.h_scale = (2.0 * (math.sqrt(_dot(self.h0, self.h0)) + math.sqrt(cfg.mu / 2))
                         + 4.0 * sme.dephasing_beta)
         tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
         self.euler_limit = 1.0 + 2.0 * tol - 1e-9
 
     def target(self, psi):
         """(psi, s0, s) with s0 I + s.sigma = |psi><psi|, shared by feedback and overlap."""
-        return (psi,) + _pauli(np.outer(psi, psi.conj()))
+        trace, *s = _sigma_parts(np.outer(psi, psi.conj()))
+        return psi, trace / 2, s
 
     def _feedback(self, target, r_norm):
-        r, mu = self.r, self.cfg.mu
+        x, y, z = r = self.r
         psi, s_trace, s = target
-        sxr = _cross(s[:, None], r, self._sxr)
-        sxr_norm = np.sqrt(_dot(sxr, sxr))
+        sx, sy, sz = s
+        cx, cy, cz = sy * z - sz * y, sz * x - sx * z, sx * y - sy * x  # s x r
+        c_norm = self.sqrt(cx * cx + cy * cy + cz * cz)
         # the matrix rule ||[sigma, rho]||_F > DEGEN_TOL ||rho||_F in Bloch form;
         # rounding is monotone, so the rule at the batch's extremes covers every row
-        r_max = r_norm.max()
-        if np.sqrt(2.0) * sxr_norm.min() > DEGEN_TOL * np.sqrt((1.0 + r_max * r_max) / 2):
-            return sxr * (-np.sqrt(mu / 2) / sxr_norm)
+        low, high = (c_norm, r_norm) if self.one else (c_norm.min(), r_norm.max())
+        if _SQRT2 * low > DEGEN_TOL * self.sqrt((1.0 + high * high) / 2):
+            factor = self.fb_scale / c_norm
+            return cx * factor, cy * factor, cz * factor
+        # the rule row by row, on (3, m) stacks at every width
+        r, sxr = np.reshape(r, (3, -1)), np.reshape((cx, cy, cz), (3, -1))
+        r_norm, c_norm = np.reshape(r_norm, -1), np.reshape(c_norm, -1)
         tau = DEGEN_TOL * np.sqrt((1.0 + r_norm * r_norm) / 2)
-        active = np.sqrt(2.0) * sxr_norm > tau
-        h = np.where(active, sxr * (-np.sqrt(mu / 2) / np.where(active, sxr_norm, 1.0)), 0.0)
+        active = _SQRT2 * c_norm > tau
+        h = np.where(active, sxr * (self.fb_scale / np.where(active, c_norm, 1.0)), 0.0)
         # no-op rows: the target already carries the top eigenvalue (1 + |r|) / 2
         rare = ~active & ((1.0 + r_norm) / 2 - (s_trace + _dot(s, r)) > tau)
         for j in np.nonzero(rare)[0]:
-            h[:, j] = _pauli(optimal_feedback(_density(r[:, j]), psi, mu).hamiltonian)[1]
-        return h
+            decision = optimal_feedback(_density(r[:, j]), psi, self.cfg.mu)
+            h[:, j] = _sigma_parts(decision.hamiltonian)[1:]
+        return h[:, 0].tolist() if self.one else tuple(h)
 
     def step(self, target, dw):
-        cfg, r = self.cfg, self.r
+        cfg, sqrt = self.cfg, self.sqrt
         k, dt, beta = cfg.sme.k, cfg.sme.dt, cfg.sme.dephasing_beta
-        sqrt2k = np.sqrt(2.0 * k)
-        rr = _dot(r, r)
-        r_norm = np.sqrt(rr)
+        if self.one:
+            dw = dw.item()
+        x, y, z = r = self.r
+        sqrt2k = math.sqrt(2.0 * k)
+        rr = x * x + y * y + z * z
+        r_norm = sqrt(rr)
         if cfg.policy.mode == "relative_angle":
-            axis, self.angles = _relative_axis(r, r_norm, self.local, self.angles)
-            q = np.array(axis)
+            (qx, qy, qz), self.angles = _relative_axis(r, r_norm, self.local, self.angles)
+            if self.one:  # numpy's trigonometry returns numpy floats
+                qx, qy, qz = float(qx), float(qy), float(qz)
         else:
-            q = self.q
+            qx, qy, qz = self.q
+        hx, hy, hz = self.h0
         h_fb = self._feedback(target, r_norm) if cfg.mu > 0 else None
-        h = self.h0 if h_fb is None else self.h0 + h_fb
+        if h_fb is not None:
+            hx, hy, hz = hx + h_fb[0], hy + h_fb[1], hz + h_fb[2]
 
-        qr = _dot(q, r)
-        qq = _dot(q, q)
+        qr = qx * x + qy * y + qz * z
+        qq = qx * qx + qy * qy + qz * qz
         # M = alpha I + (a + ib).sigma with a real alpha (module docstring)
-        b = -dt * h
+        bx, by, bz = -dt * hx, -dt * hy, -dt * hz
         dy_tilde = 2.0 * sqrt2k * dt * qr + dw
         c2 = k * (dy_tilde * dy_tilde - 2.0 * dt)
         alpha = (1.0 - beta * dt) + c2 * qq
-        a = (sqrt2k * dy_tilde) * q
-        alpha_a = alpha * a
+        drive = sqrt2k * dy_tilde
+        ax, ay, az = drive * qx, drive * qy, drive * qz
         alpha2 = alpha * alpha
-        axb = _cross(a, b, self._axb)
-        v2 = _dot(a, a) + _dot(b, b)
-        identity_part = (alpha2 + v2) / 2 + _dot(alpha_a - axb, r) + beta * dt
-        sigma_part = np.add(alpha_a, axb, out=alpha_a)
-        sigma_part += ((alpha2 - v2) / 2) * r
-        sigma_part += a * _dot(a, r)
-        sigma_part += b * _dot(b, r)
-        sigma_part -= _cross(alpha * b, r, self._work)
-        sigma_part[:2] -= (beta * dt) * r[:2]
-        sigma_part[2] += (beta * dt) * r[2]
+        v2 = (ax * ax + ay * ay + az * az) + (bx * bx + by * by + bz * bz)
+        ux, uy, uz = alpha * ax, alpha * ay, alpha * az
+        cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx  # a x b
+        identity_part = ((alpha2 + v2) / 2 + ((ux - cx) * x + (uy - cy) * y + (uz - cz) * z)
+                         + beta * dt)
+        shrink = (alpha2 - v2) / 2
+        ar, br = ax * x + ay * y + az * z, bx * x + by * y + bz * z
+        wx, wy, wz = alpha * bx, alpha * by, alpha * bz
+        # alpha a + a x b + shrink r + a (a.r) + b (b.r) - alpha b x r, and the
+        # dephasing channel's beta dt (-x, -y, z)
+        damp = beta * dt
+        sigma_x = ux + cx + shrink * x + ax * ar + bx * br - (wy * z - wz * y) - damp * x
+        sigma_y = uy + cy + shrink * y + ay * ar + by * br - (wz * x - wx * z) - damp * y
+        sigma_z = uz + cz + shrink * z + az * ar + bz * br - (wx * y - wy * x) + damp * z
 
         eps = (2.0 * sqrt2k) * dw
-        bound = _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, self.h_scale).max()
+        bound = _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, self.h_scale)
+        if not self.one:
+            bound = bound.max()
         if bound <= self.euler_limit:
             euler_min = (1.0 - bound) / 2  # a lower bound on every row's diagnostic
         else:
-            drift = 2.0 * _cross(h, r, self._work) + (4.0 * k) * (q * qr - qq * r)
-            drift[:2] -= (4.0 * beta) * r[:2]
-            euler = r + dt * drift + eps * (q - qr * r)
-            euler_min = (1.0 - np.sqrt(_dot(euler, euler))) / 2
-        self.r = np.divide(sigma_part, identity_part, out=sigma_part)
+            # r_E = r + dt (2 h x r + 4k (q (q.r) - (q.q) r) - 4 beta (x, y, 0))
+            #       + eps (q - (q.r) r)
+            c, g = 4.0 * k, 4.0 * beta
+            ex = (x + dt * (2.0 * (hy * z - hz * y) + c * (qx * qr - qq * x) - g * x)
+                  + eps * (qx - qr * x))
+            ey = (y + dt * (2.0 * (hz * x - hx * z) + c * (qy * qr - qq * y) - g * y)
+                  + eps * (qy - qr * y))
+            ez = z + dt * (2.0 * (hx * y - hy * x) + c * (qz * qr - qq * z)) + eps * (qz - qr * z)
+            euler_min = (1.0 - sqrt(ex * ex + ey * ey + ez * ez)) / 2
+        self.r = sigma_x / identity_part, sigma_y / identity_part, sigma_z / identity_part
         self._last = sqrt2k, dy_tilde, h_fb
         return euler_min
 
     def last_step(self):
         """As _MatrixKernel.last_step; dy = sqrt(2k) dy~ + 4k q0 dt."""
         sqrt2k, dy_tilde, h_fb = self._last
-        h_fb = None if h_fb is None else 2.0 * _density(h_fb) - np.eye(2)
-        return sqrt2k * dy_tilde + self.dy_shift, h_fb
+        if h_fb is not None:
+            h_fb = 2.0 * _density(h_fb).reshape(-1, 2, 2) - np.eye(2)
+        return np.atleast_1d(sqrt2k * dy_tilde + self.dy_shift), h_fb
 
     def purity(self):
-        return (1.0 + _dot(self.r, self.r)) / 2
+        return np.atleast_1d((1.0 + _dot(self.r, self.r)) / 2)
 
     def overlap(self, target):
         _, s_trace, s = target
-        return s_trace + _dot(s, self.r)
+        return np.atleast_1d(s_trace + _dot(s, self.r))
 
     def states(self):
-        return _density(self.r)
+        return _density(self.r).reshape(-1, 2, 2)
 
 
 class _TrajectoryStreams:
@@ -564,15 +592,15 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
     increments and feedback of the step that ended there (last_step);
     target_t is the kernel's form of the target at step * dt, or None.  The
     batch moves on when the generator resumes, so copy what is kept first.
-    kernel defaults to _BlochKernel for qubit batches wider than one, whose
-    fixed cost per step pays only on wide batches, and to _MatrixKernel.
+    kernel defaults to _BlochKernel for qubit batches of every width, width
+    one included, and to _MatrixKernel for N > 2.
     """
     sme = cfg.sme
     n_steps = sme.n_steps
     dt = sme.dt
     reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, dt)
     if kernel is None:
-        kernel = _BlochKernel if cfg.rho0.shape == (2, 2) and width > 1 else _MatrixKernel
+        kernel = _BlochKernel if cfg.rho0.shape == (2, 2) else _MatrixKernel
 
     # a stream is opened when its first block is drawn and kept only while
     # blocks remain; its next block of increments continues it exactly.  Only
@@ -607,7 +635,7 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
             rows *= sqrt_dt
         np.copyto(dw_row, dw[row])
         euler_min = batch.step(target_t, dw_row)
-        worst = euler_min.min()
+        worst = euler_min if isinstance(euler_min, float) else euler_min.min()
         if worst < -reject_tol:
             bad = int(np.argmin(euler_min))
             raise StepRejected(

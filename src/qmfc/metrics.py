@@ -187,8 +187,8 @@ def strength_rate_numeric(
     """
     Q = np.asarray(Q, dtype=complex)
     n = Q.shape[0]
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    if not 0 <= k < np.inf:  # written so that NaN fails
+        raise ValueError(f"k must be non-negative and finite, got {k}")
     if not 1 <= n_samples <= n_steps:
         raise ValueError("n_samples must lie between 1 and n_steps")
     if not 2 <= n_batches <= n_traj:  # no empty batch, and two batches for the spread

@@ -175,11 +175,15 @@ def _relative_axis(r, norm, local, angles):
     x, y, z = r
     short = norm < BASIS_DEGEN_TOL
     # norm + short is norm, or norm + 1 where the angles are kept, so nothing
-    # divides by zero; minimum and maximum clip as np.clip does, bit for bit,
-    # at less cost on a float
-    cos_theta = np.minimum(np.maximum(z / (norm + short), -1.0), 1.0)
+    # divides by zero; min and max, or minimum and maximum, clip as np.clip
+    # does, bit for bit
+    cos_theta = z / (norm + short)
+    if isinstance(cos_theta, float):  # Python's own min and max skip numpy's per-call cost
+        cos_theta, kept = min(max(cos_theta, -1.0), 1.0), short
+    else:
+        cos_theta, kept = np.minimum(np.maximum(cos_theta, -1.0), 1.0), np.count_nonzero(short)
     big_theta, big_phi = np.arccos(cos_theta), np.arctan2(y, x)
-    if np.count_nonzero(short):
+    if kept:
         big_theta = np.where(short, angles[0], big_theta)
         big_phi = np.where(short, angles[1], big_phi)
     ct, st = np.cos(big_theta), np.sin(big_theta)

@@ -241,6 +241,36 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     assert str(cfg) in err and "theta_pionts" in err
 
 
+def test_threads_below_one_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for threads in ("0", "-5"):
+        assert main(["--experiment", "fig1", "--theta-points", "3", "--threads", threads,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.manifest.txt").exists()
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+
+
+def test_config_key_set_twice_is_a_config_error(tmp_path, capsys):
+    # theta-points and theta_points name the same key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 0.2\ntheta-points = 5\n# the same key again\ntheta_points = 7\n")
+    out = tmp_path / "x.csv"
+    assert main(["--experiment", "fig1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.manifest.txt").exists()
+    assert f"{cfg}:4: key 'theta_points' is set twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["nan", "inf"])
+def test_non_finite_rate_k_is_a_config_error(tmp_path, capsys, k):
+    out = tmp_path / "x.csv"
+    assert main(["--experiment", "rates", "--k-list", f"1,{k}", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "x.csv.manifest.txt").exists()
+    assert f"k must be non-negative and finite, got {k}" in capsys.readouterr().err
+
+
 def test_config_file_may_hold_another_experiments_keys(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 0.3\ntheta_points = 7\nrealizations = 4\nmu = 5\n")

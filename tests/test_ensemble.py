@@ -410,6 +410,32 @@ def oracle_config(policy, mu, rho0, h0=np.pi * SIGMA_Z + 0.5 * SIGMA_X + 0.3 * n
     )
 
 
+def oracle_cases():
+    """(config, the branches optimal_feedback takes) for the kernel
+    comparisons: both policies, mu = 0 and 10, traced and traceless Q and H0,
+    from oracle_config's equator start, and a -x start whose first step takes
+    the second-order feedback branch."""
+    behind = behind_target()
+    q_fixed = 0.7 * SIGMA_X + 0.3 * SIGMA_Z + 0.2 * np.eye(2)  # Tr Q != 0, Q^2 != I
+    policies = [MeasurementPolicy(mode="relative_angle", theta=theta, phi=0.3)
+                for theta in (0.0, np.pi / 4, np.pi / 2)]
+    policies.append(MeasurementPolicy(mode="fixed_observable", observable=q_fixed))
+    cases = [(oracle_config(policy, mu, behind), set())
+             for policy in policies for mu in (0.0, 10.0)]
+    # antipodal start: the first step takes the second-order feedback branch
+    minus_x = pure_density(np.array([1.0, -1.0]) / np.sqrt(2.0))
+    cases.append((oracle_config(policies[1], 10.0, minus_x), {"second_order"}))
+    # Tr Q = Tr H0 = 0, beside the traced Q and H0 above
+    traceless_h0 = np.pi * SIGMA_Z + 0.5 * SIGMA_X
+    traceless = [oracle_config(MeasurementPolicy(mode="relative_angle", theta=theta, phi=0.3),
+                               10.0, behind, h0=traceless_h0)
+                 for theta in (0.0, np.pi / 2)]
+    traceless.append(oracle_config(
+        MeasurementPolicy(mode="fixed_observable", observable=0.8 * SIGMA_X + 0.6 * SIGMA_Z),
+        0.0, behind, h0=traceless_h0))
+    return cases + [(cfg, set()) for cfg in traceless]
+
+
 def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
     """The qubit Bloch kernel against the matrix kernel on shared noise.
 
@@ -429,28 +455,8 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
         return decision
 
     monkeypatch.setattr(qmfc.ensemble, "optimal_feedback", counted)
-    behind = behind_target()
-    q_fixed = 0.7 * SIGMA_X + 0.3 * SIGMA_Z + 0.2 * np.eye(2)  # Tr Q != 0, Q^2 != I
-    policies = [MeasurementPolicy(mode="relative_angle", theta=theta, phi=0.3)
-                for theta in (0.0, np.pi / 4, np.pi / 2)]
-    policies.append(MeasurementPolicy(mode="fixed_observable", observable=q_fixed))
-    cases = [(oracle_config(policy, mu, behind), set())
-             for policy in policies for mu in (0.0, 10.0)]
-    # antipodal start: the first step takes the second-order feedback branch
-    minus_x = pure_density(np.array([1.0, -1.0]) / np.sqrt(2.0))
-    cases.append((oracle_config(policies[1], 10.0, minus_x), {"second_order"}))
-    # Tr Q = Tr H0 = 0, beside the traced Q and H0 above
-    traceless_h0 = np.pi * SIGMA_Z + 0.5 * SIGMA_X
-    traceless = [oracle_config(MeasurementPolicy(mode="relative_angle", theta=theta, phi=0.3),
-                               10.0, behind, h0=traceless_h0)
-                 for theta in (0.0, np.pi / 2)]
-    traceless.append(oracle_config(
-        MeasurementPolicy(mode="fixed_observable", observable=0.8 * SIGMA_X + 0.6 * SIGMA_Z),
-        0.0, behind, h0=traceless_h0))
-    cases += [(cfg, set()) for cfg in traceless]
-
     checkpoints = range(0, 1001, 10)
-    for cfg, fallback_branches in cases:
+    for cfg, fallback_branches in oracle_cases():
         branches.clear()
         bloch = collect(cfg, 16, streams(cfg, range(16)), checkpoints, kernel=_BlochKernel)
         # the Bloch kernel sends only second-order rows to optimal_feedback
@@ -480,6 +486,32 @@ def test_width_one_trajectory_matches_a_wide_matrix_batch():
         assert np.max(np.abs(one.states - states[0])) <= 1e-12
         assert np.max(np.abs(one.records - records[0, 1:])) <= 1e-12
         assert np.max(np.abs(one.fb_hamiltonians - feedback[0, 1:])) <= 1e-12
+
+
+def test_width_one_trajectory_is_row_zero_of_a_wide_bloch_batch(monkeypatch):
+    """A width-one qubit trajectory, which the Bloch kernel steps on Python
+    floats, is row 0 of a 16-wide Bloch batch on the same stream in every
+    bit: states, records and feedback over 1000 steps, on oracle_cases, and
+    it sends the same rows to optimal_feedback."""
+    branches = []
+    fallback = qmfc.ensemble.optimal_feedback
+
+    def counted(*args):
+        decision = fallback(*args)
+        branches.append(decision.branch)
+        return decision
+
+    monkeypatch.setattr(qmfc.ensemble, "optimal_feedback", counted)
+    for cfg, fallback_branches in oracle_cases():
+        branches.clear()
+        one = run_control_trajectory(cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, cfg.mu,
+                                     trajectory_rng(cfg.master_seed, 0, 0))
+        assert set(branches) == fallback_branches
+        _, _, states, records, feedback = collect(cfg, 16, streams(cfg, range(16)),
+                                                  range(cfg.sme.n_steps + 1), kernel=_BlochKernel)
+        assert one.states.tobytes() == states[0].tobytes()
+        assert one.records.tobytes() == records[0, 1:].tobytes()
+        assert one.fb_hamiltonians.tobytes() == feedback[0, 1:].tobytes()
 
 
 def test_kernels_reject_the_same_step():
@@ -522,7 +554,7 @@ def test_step_size_bound_dominates_euler_state():
     r = unit(m) * r_norm
     # a unit q (the relative_angle policy, and sigma observables) or a fixed Q with a trace
     q_fixed = 0.7 * SIGMA_X + 0.3 * SIGMA_Z + 0.2 * np.eye(2)
-    q = np.where(np.arange(m) % 2 == 0, unit(m), qmfc.ensemble._pauli(q_fixed)[1][:, None])
+    q = np.where(np.arange(m) % 2 == 0, unit(m), np.array(_sigma_parts(q_fixed)[1:])[:, None])
     q_op = np.where((np.arange(m) % 2 == 0)[:, None, None],
                     2.0 * qmfc.ensemble._density(q) - np.eye(2), q_fixed)
     # feedback of norm sqrt(mu / 2), the largest either branch gives
@@ -735,17 +767,17 @@ def test_qubit_bound_dominates_matrix_euler_state():
 def test_width_one_trajectory_rejects_the_exact_step(monkeypatch):
     """A width-one closed-loop trajectory at dt = 0.04 raises StepRejected
     with the message of the exact diagnostic, after steps whose diagnostic
-    the N = 2 bound certified without an Euler state."""
+    the Bloch kernel's bound on |r_E| certified without an Euler state."""
     with pytest.warns(UserWarning):
         sme = SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=0.04, t_end=4.0)
     policy = MeasurementPolicy(mode="relative_angle", theta=np.pi / 4)
-    kraus_step = qmfc.ensemble._kraus_step
-    certified = []
+    tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
+    euler_norm_bound = qmfc.ensemble._euler_norm_bound
+    bounds = []
 
-    def counting(*args, **kwargs):
-        out = kraus_step(*args, **kwargs)
-        certified.append(out[2] != kraus_step(*args, **{**kwargs, "tol": None})[2])
-        return out
+    def recording(*args):
+        bounds.append(euler_norm_bound(*args))
+        return bounds[-1]
 
     def message():
         with pytest.raises(StepRejected) as info:
@@ -753,12 +785,15 @@ def test_width_one_trajectory_rejects_the_exact_step(monkeypatch):
                                    10.0, np.random.default_rng(3))
         return str(info.value)
 
-    monkeypatch.setattr(qmfc.ensemble, "_kraus_step", counting)
+    monkeypatch.setattr(qmfc.ensemble, "_euler_norm_bound", recording)
     gated = message()
     assert gated.startswith("trajectory 0 (master_seed None) at step ")
-    assert any(certified)
-    monkeypatch.setattr(qmfc.ensemble, "_kraus_step",
-                        lambda *args, tol=None, **kwargs: kraus_step(*args, **kwargs))
+    # some steps were certified by the bound alone; the rejected one was not
+    limit = 1.0 + 2.0 * tol - 1e-9
+    assert any(b <= limit for b in bounds)
+    assert bounds[-1] > limit
+    # a bound that never certifies builds the Euler state at every step
+    monkeypatch.setattr(qmfc.ensemble, "_euler_norm_bound", lambda *args: np.inf)
     assert message() == gated
 
 
@@ -974,9 +1009,11 @@ def test_feedback_branches_agree_at_the_degeneracy_threshold():
 
     cfg = small_config(mu=mu)
     for cols in ([0], [1], [2], [3], [0, 1, 2, 3]):
+        # the kernel's rows: Python floats at width one, arrays otherwise
         bloch = _BlochKernel(cfg, len(cols))
-        bloch.r = r[:, cols]
-        h = bloch._feedback(bloch.target(psi), np.sqrt(np.sum(bloch.r ** 2, axis=0)))
+        bloch.r = r[:, cols[0]].tolist() if len(cols) == 1 else list(r[:, cols])
+        r_norm = np.sqrt(np.sum(r[:, cols] ** 2, axis=0))
+        h = bloch._feedback(bloch.target(psi), r_norm[0] if len(cols) == 1 else r_norm)
         assert np.max(np.abs(2.0 * _density(h) - np.eye(2) - want[cols])) < 1e-12
 
 
@@ -1193,29 +1230,30 @@ def digest(*arrays):
 
 # the time averages (purity, se, overlap, se) of an 8-row N = 3 batch as
 # float.hex with the SHA-256 of its states at t_end, and the SHA-256 of
-# (states, records, fb_hamiltonians) of two single trajectories, which step
-# (N, N) matrices without the trajectory axis.  Recorded with numpy 2.4.6 on
-# x86-64.  The trajectories were recorded on the (m, N, N) matrix kernel,
-# before the kernel stored its stacks trajectory-last.  The qutrit entry was
-# re-recorded when sde._matmul stopped switching to np.matmul below 32
-# matrices: it is the first 8 rows of the same ensemble at width 40, which
-# the code before that change gave in every bit.  The relative_angle entry was
-# re-recorded when the width-one kernel began to take its measured axis from
-# sde._relative_axis on the Bloch vector instead of an eigenbasis product: the
-# same axis, rounded differently (states moved by at most 1.1e-15)
+# (states, records, fb_hamiltonians) of two single qubit trajectories.
+# Recorded with numpy 2.4.6 on x86-64.  The qutrit entry was recorded on the
+# (m, N, N) matrix kernel, before the kernel stored its stacks
+# trajectory-last, and re-recorded when sde._matmul stopped switching to
+# np.matmul below 32 matrices: it is the first 8 rows of the same ensemble at
+# width 40, which the code before that change gave in every bit.  The two
+# trajectory entries were re-recorded when width-one qubit batches moved from
+# the matrix kernel's (2, 2) matrices to the Bloch kernel's Python floats,
+# whose rows are those of a wide Bloch batch: over the 200 steps, states moved
+# by at most 1.9e-15, records by 2.8e-17 and feedback Hamiltonians by 4.8e-14
 NARROW_GOLDEN = {
     "qutrit": (("0x1.83877f4e9b96dp-2", "0x1.7d79bc459dae8p-7",
                 "0x1.67e148ed7e692p-2", "0x1.95c19b9d872ecp-5"),
                "83783bddb652adece9ef2b693e9db5d2b52f3823f60a3b011bca480a6ee0bddd"),
-    "relative_angle": "ee3966df609fbd73d9d6f66947cd59bf42ddd16aaf0b6059d15c2711f99cd018",
-    "fixed_observable": "e433eabb83df89c5e692b58c6562ed841b0a681de2a2075eb806a26852784b55",
+    "relative_angle": "333c7b89950bdce40f39d88312063ddc68a29d638360f5c8cac18e7899efd2c1",
+    "fixed_observable": "a3d3fcdf9415fabab4eb75cb00efb8a9f8d2364292bfe16837f503bb4f3883bb",
 }
 
 
 def test_narrow_matrix_rows_are_pinned():
-    """Narrow matrix-kernel batches keep their bits: an 8-row N = 3
-    ensemble, and width-one closed-loop trajectories (beta = 0.4, mu = 10)
-    on the relative_angle policy and on a fixed observable from diag(0.8, 0.2)."""
+    """Narrow batches keep their bits: an 8-row N = 3 ensemble on the matrix
+    kernel, and width-one closed-loop qubit trajectories on the Bloch kernel
+    (beta = 0.4, mu = 10) on the relative_angle policy and on a fixed
+    observable from diag(0.8, 0.2)."""
     cfg = qutrit_config()
     stats = run_ensemble(cfg)
     averages, states_digest = NARROW_GOLDEN["qutrit"]

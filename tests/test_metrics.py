@@ -238,6 +238,12 @@ def test_strength_rate_numeric_refuses_batch_counts_without_a_spread(n_traj, n_b
         strength_rate_numeric(SIGMA_Z, 1.0, n_traj=n_traj, n_batches=n_batches)
 
 
+@pytest.mark.parametrize("k", [-1.0, np.nan, np.inf])
+def test_strength_rate_numeric_refuses_a_k_that_is_negative_or_not_finite(k):
+    with pytest.raises(ValueError, match="k must be non-negative and finite"):
+        strength_rate_numeric(SIGMA_Z, k)
+
+
 def test_strength_rate_numeric_takes_one_trajectory_per_batch():
     est = strength_rate_numeric(SIGMA_Z, 1.0, n_traj=3, n_batches=3, seed=1)
     assert np.isfinite([est.rate_p, est.rate_p_se, est.rate_v, est.rate_v_se]).all()

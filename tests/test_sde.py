@@ -492,6 +492,23 @@ def test_relative_axis_keeps_the_previous_frame_below_the_tolerance(as_array):
     assert np.array_equal(axis, np.repeat(np.array(_local_axis(np.pi / 4, 0.3))[:, None], 2, 1))
 
 
+def test_relative_axis_gives_the_same_bits_on_floats_and_arrays():
+    """One function serves a width-one kernel's Python floats and a wide
+    batch's arrays, with the same bits: random states of every length, states
+    shorter than BASIS_DEGEN_TOL that keep their previous angles, and states
+    on the z axis, at Theta = 0 and pi."""
+    rng = np.random.default_rng(6)
+    r = unit_columns(rng.standard_normal((3, 300))) * rng.uniform(0.0, 1.0, 300)
+    r[:, :20] *= BASIS_DEGEN_TOL
+    r[:, 20:220] = [[0.0], [0.0], [1.0]] * rng.uniform(-1.0, 1.0, 200)
+    angles = rng.uniform(0.0, np.pi, (2, 300))
+    for theta, phi in ((0.0, 0.0), (np.pi / 4, 0.3), (np.pi / 2, 5.0), (np.pi, 1.0)):
+        floats = relative_axis(r, theta, phi, angles, as_array=False)
+        arrays = relative_axis(r, theta, phi, angles, as_array=True)
+        for got, want in zip(floats, arrays):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_closed_loop_holds_pure_target():
     # noiseless, start at the precessing target: feedback keeps overlap at 1
     omega = np.pi
