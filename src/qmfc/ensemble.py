@@ -24,12 +24,12 @@ and keeps it for the next; a run of one block draws each stream once, from
 counter 0, through one generator whose state is reset to each key in turn,
 which draws the same numbers for about a third of the cost of opening them.
 Results are bit-identical for a given master seed and realization count,
-however many steps of noise are drawn at a time.  A row of a batch wider
-than one depends only on its own stream, on either kernel.  So does a qubit
-batch of one: the Bloch kernel runs the same operations on its Python floats,
-so a single qubit trajectory is row 0 of a wide batch on the same stream, bit
-for bit.  A matrix-kernel batch of one steps plain (N, N) matrices, whose
-products round differently.
+however many steps of noise are drawn at a time.  A row of a batch depends
+only on its own stream, whatever the width, on either kernel: the matrix
+kernel steps (N, N, m) stacks at every width, m = 1 included, and the Bloch
+kernel runs the same operations on a width-one batch's Python floats as on a
+wide batch's arrays.  So a single trajectory is row 0 of a wide batch on the
+same stream, bit for bit.
 
 Two kernels run the same step as sde._kraus_step, with the same noise, the
 same feedback branches and the same StepRejected rule.  Both step
@@ -81,7 +81,7 @@ Q = n.sigma.
   r_E is built only when the batch maximum of this bound exceeds 1 + 2 tol
   less 1e-9 for rounding, which never happens at fig2's defaults (largest
   bound about 1.012 against 1.04), so the rejected set and the StepRejected
-  message are those of the matrix kernel, which applies the same rule.
+  message are those of the exact diagnostic, which the matrix kernel computes.
   Feedback is the first-order rotation -sqrt(mu/2) (s x r)/|s x r| toward
   the target's Bloch vector s, or nothing when the state already points at
   the target; the rare remaining rows (second-order branch) go to
@@ -89,18 +89,17 @@ Q = n.sigma.
   rotation, the rule is applied row by row on (3, m) stacks, at width one
   too, so a rare row is decided from the same numbers at every width.
 * N > 2 at every width: (N, N, m) complex arrays, trajectory axis last,
-  through sde._kraus_step; a batch of one steps its (N, N) matrix.  For
-  qubits this matrix kernel is only the tests' reference for the Bloch
-  kernel (_advance_chunk's kernel=_MatrixKernel).
-  Its step-size diagnostic is a per-row lower bound unless the bound could
-  reach the StepRejected threshold, so the rejected set and the message are
-  those of the exact diagnostic: for qubits (Tr rho - b) / 2 for the bound b
-  above, with each row's exact |h|; for N > 2 -c for a certificate
-  c >= ||euler - rho'||_F (Weyl's inequality, sde._weyl_certificate).
-  Neither builds the Euler state, nor runs an eigensolver.  The run's
-  constants (1 - beta dt) I, the centred Q and H0, Q^2 and, for N > 2, the
-  certificate's norm bounds of sde._weyl_certificate are built once per run;
-  the step, which works in place on its own temporaries, only reads them.
+  m = 1 included, through sde._kraus_step.  For qubits this matrix kernel is
+  only the tests' reference for the Bloch kernel (_advance_chunk's
+  kernel=_MatrixKernel), and its step-size diagnostic is exact.  For N > 2
+  the diagnostic is a per-row lower bound, -c for a certificate
+  c >= ||euler - rho'||_F (Weyl's inequality, sde._weyl_certificate), unless
+  the bound could reach the StepRejected threshold, so the rejected set and
+  the message are those of the exact diagnostic; the bound builds no Euler
+  state and runs no eigensolver.  The run's constants (1 - beta dt) I, the
+  centred Q and H0, Q^2 and, for N > 2, the certificate's norm bounds of
+  sde._weyl_certificate are built once per run; the step, which works in
+  place on its own temporaries, only reads them.
   The first-order feedback test ||[sigma, rho]||_F > DEGEN_TOL ||rho||_F
   needs no ||rho||_F when every row's commutator exceeds 2 DEGEN_TOL, since
   ||rho||_F <= 1.  Feedback rows that the test leaves go through one batched
@@ -321,13 +320,8 @@ class _MatrixKernel:
         self.cfg = cfg
         sme, policy = cfg.sme, cfg.policy
         self.rho = np.repeat(cfg.rho0[:, :, None], m, axis=2)
-
-        # the step's per-run constants, lifted as _kraus_step lifts them: a
-        # batch of one steps (N, N) matrices, wider ones (N, N, m) stacks
-        def lift(a):
-            return a if m == 1 else a[..., None]
-
-        self.m0 = (1.0 - sme.dephasing_beta * sme.dt) * lift(np.eye(len(cfg.rho0)))
+        # the step's per-run constants, (N, N, 1) operands that act on every row
+        self.m0 = (1.0 - sme.dephasing_beta * sme.dt) * np.eye(len(cfg.rho0))[..., None]
         # the step sees H0 and a fixed observable centred (module docstring)
         self.h0 = _centred(sme.h0)
         self.q = self.q_sq = self.norms = None
@@ -336,7 +330,7 @@ class _MatrixKernel:
             self.local, self.angles = _local_axis(policy.theta, policy.phi), (0.0, 0.0)
         else:
             self.q = _centred(policy.observable)
-            self.q_sq = _matmul(lift(self.q), lift(self.q))
+            self.q_sq = _matmul(self.q[..., None], self.q[..., None])
             self.dy_shift = 4.0 * sme.k * (np.trace(policy.observable).real / len(self.q)) * sme.dt
         if len(cfg.rho0) > 2:  # the N > 2 certificate's norm bounds (sde._weyl_certificate)
             self.norms = _frobenius(self.h0) + np.sqrt(cfg.mu), _frobenius(self.q)
@@ -348,21 +342,18 @@ class _MatrixKernel:
 
     def step(self, psi, dw):
         cfg, sme, policy = self.cfg, self.cfg.sme, self.cfg.policy
-        # a batch of one steps its (N, N) matrix, without the trajectory axis
-        cut = 0 if self.rho.shape[2] == 1 else slice(None)
         if policy.mode == "relative_angle":  # Q = n.sigma, traceless
-            r = [2.0 * part for part in _sigma_parts(self.rho[..., cut])[1:]]
+            r = [2.0 * part for part in _sigma_parts(self.rho)[1:]]
             (nx, ny, nz), self.angles = _relative_axis(r, np.sqrt(_dot(r, r)), self.local,
                                                        self.angles)
             q_obs = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
         else:
             q_obs = self.q
         h_fb = _feedback_stack(self.rho, psi, cfg.mu) if cfg.mu > 0 else None
-        h = self.h0 if h_fb is None else (self.h0[..., None] + h_fb)[..., cut]
-        rho, exp_q, euler_min = _kraus_step(self.rho[..., cut], q_obs, sme.k, h, sme.dt, dw[cut],
-                                            beta=sme.dephasing_beta, tol=self.reject_tol,
-                                            m0=self.m0, q_sq=self.q_sq, norms=self.norms)
-        self.rho = rho.reshape(self.rho.shape)
+        h = self.h0 if h_fb is None else self.h0[..., None] + h_fb
+        self.rho, exp_q, euler_min = _kraus_step(self.rho, q_obs, sme.k, h, sme.dt, dw,
+                                                 beta=sme.dephasing_beta, tol=self.reject_tol,
+                                                 m0=self.m0, q_sq=self.q_sq, norms=self.norms)
         self._last = exp_q, dw, None if h_fb is None else h_fb.transpose(2, 0, 1)
         return euler_min
 

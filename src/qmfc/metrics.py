@@ -189,6 +189,8 @@ def strength_rate_numeric(
     n = Q.shape[0]
     if not 0 <= k < np.inf:  # written so that NaN fails
         raise ValueError(f"k must be non-negative and finite, got {k}")
+    if horizon is not None and not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not 1 <= n_samples <= n_steps:
         raise ValueError("n_samples must lie between 1 and n_steps")
     if not 2 <= n_batches <= n_traj:  # no empty batch, and two batches for the spread

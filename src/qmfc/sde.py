@@ -22,11 +22,11 @@ far below zero.  That eigenvalue is bounded without building the Euler state,
 which is built, and its exact smallest eigenvalue computed, only when a
 state's bound could reach the rejection threshold:
 
-* N = 2: the Euler state is (Tr rho I + r_E.sigma) / 2 for a Bloch vector
-  r_E whose norm _euler_norm_bound bounds in closed form from the sigma
-  parts of rho, Q and H, so its smallest eigenvalue is at least
-  (Tr rho - bound) / 2 (the Bloch kernel of qmfc.ensemble applies the same
-  bound, with Tr rho = 1);
+* N = 2, on the Bloch kernel of qmfc.ensemble: the Euler state is
+  (I + r_E.sigma) / 2 for a Bloch vector r_E whose norm _euler_norm_bound
+  bounds in closed form, so its smallest eigenvalue is at least
+  (1 - bound) / 2.  The matrix step, the tests' reference for that kernel,
+  computes a qubit's diagnostic exactly;
 * N > 2: rho' is positive semidefinite, so by Weyl's inequality the Euler
   state's smallest eigenvalue is at least -c for any c >= ||euler - rho'||_F.
   _weyl_certificate computes such a c from Q rho, which the step has
@@ -271,25 +271,6 @@ def _sigma_parts(a):
     return a00.real + a11.real, a10.real, a10.imag, (a00.real - a11.real) / 2
 
 
-def _qubit_euler_min(rho, Q, k, H, dt, dW, beta):
-    """A lower bound on the smallest eigenvalue of each qubit Euler state of
-    _kraus_step, built from the sigma parts of rho, Q and H (_sigma_parts)
-    without the Euler state: (Tr rho - b) / 2 for the bound b on |r_E| of
-    _euler_norm_bound, with each state's exact |h|.  Q is ignored when k = 0."""
-    trace, rx, ry, rz = _sigma_parts(rho)
-    rx, ry, rz = 2.0 * rx, 2.0 * ry, 2.0 * rz
-    rr = rx * rx + ry * ry + rz * rz
-    _, hx, hy, hz = _sigma_parts(H)
-    h_scale = 2.0 * np.sqrt(hx * hx + hy * hy + hz * hz) + 4.0 * beta
-    qr = qq = eps = 0.0
-    if k > 0:
-        _, qx, qy, qz = _sigma_parts(Q)
-        qr = qx * rx + qy * ry + qz * rz
-        qq = qx * qx + qy * qy + qz * qz
-        eps = (2.0 * np.sqrt(2.0 * k)) * dW
-    return (trace - _euler_norm_bound(np.sqrt(rr), rr, qr, qq, eps, k, dt, h_scale)) / 2
-
-
 # sz rho sz flips the sign of a qubit's off-diagonal entries
 _SZ_SANDWICH = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -391,17 +372,16 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None, no
     Returns (rho_next, exp_q, euler_min): the next state(s), Tr[Q rho] before
     the step (0 when k = 0), and the step-size diagnostic, the smallest
     eigenvalue of the first-order Euler-Maruyama state from the same rho.
-    Without a rejection tolerance tol it is exact.  With tol it is instead a
-    lower bound for every state whenever the batch's smallest bound clears
-    the rejection threshold -tol by a margin for rounding, so no state can
-    be rejected, and exact otherwise.  Neither bound needs the Euler state,
-    which is built (_euler_state) only for the exact value:
-    for N = 2 the bound is _qubit_euler_min's, with a margin of 5e-10 (the
-    Bloch kernel's 1e-9 on |r_E|); for N > 2 it is -c for the certificate c
-    >= ||euler - rho_next||_F of _weyl_certificate (rho_next is positive
-    semidefinite, so Weyl's inequality applies), with a margin of 1e-9 (also
-    for rho_next's rounding-level negative eigenvalues and the rounding of
-    c's sums of squares).
+    It is exact, from the Euler state (_euler_state), unless N > 2 and a
+    rejection tolerance tol is given.  Then it is instead -c for the
+    certificate c >= ||euler - rho_next||_F of _weyl_certificate (rho_next is
+    positive semidefinite, so Weyl's inequality applies), which needs no
+    Euler state, whenever the batch's smallest -c clears the rejection
+    threshold -tol by a margin of 1e-9, so no state can be rejected; the
+    margin covers rounding, also rho_next's rounding-level negative
+    eigenvalues and that of c's sums of squares.  A qubit's diagnostic is
+    always exact: the matrix step is the tests' reference for the Bloch
+    kernel, which bounds it in closed form (_euler_norm_bound).
     Full-width temporaries are updated in place (out= ufuncs, +=, -=, /=)
     with the operands of every product and sum in the formula's order, so
     each holds the bits a fresh array would, and fewer of them are alive at
@@ -441,13 +421,9 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None, no
         new += np.multiply(2.0 * beta * dt, sz_rho_sz)
     new /= np.einsum("ii...->...", new).real
 
-    if tol is not None:
-        if n == 2:
-            bound, margin = _qubit_euler_min(rho, Q, k, H, dt, dW, beta), 5e-10
-        else:
-            bound = -_weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms)
-            margin = 1e-9
-        if bound.min() >= margin - tol:
+    if tol is not None and n > 2:
+        bound = -_weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms)
+        if bound.min() >= 1e-9 - tol:
             return new, exp_q, bound
     euler = _euler_state(rho, Q, k, H, dt, dW, beta, q_rho, exp_q, sz_rho_sz)
     return new, exp_q, _min_eigenvalue(euler)
@@ -472,8 +448,27 @@ def nonselective_solve(rho0, Q, k, H, beta, t_eval):
     """The outcome-averaged states exp(L t) rho0, each computed from t = 0, at
     the times t_eval, for L rho = -i[H, rho] - k[Q, [Q, rho]] - beta[sz, [sz, rho]]:
     on row-major vec(rho), L = -i C_H - k C_Q^2 - beta C_sz^2, with C_A = A (x) I
-    - I (x) A^T.  Independent reference for trajectory-ensemble consistency checks."""
+    - I (x) A^T.  Independent reference for trajectory-ensemble consistency checks.
+    Q is ignored (and may be None) when k = 0; beta > 0 needs N = 2."""
     rho0 = check_density_matrix(rho0)
+    for name, rate in (("k", k), ("beta", beta)):
+        if not 0 <= rate < np.inf:  # written so that NaN fails
+            raise ValueError(f"{name} must be non-negative and finite, got {rate}")
+    if beta > 0 and rho0.shape != (2, 2):
+        raise ValueError(f"beta > 0 (z-dephasing) needs N = 2, got N = {len(rho0)}")
+
+    def operator(name, a):
+        try:
+            a = check_hermitian(a)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if a.shape != rho0.shape:
+            raise ValueError(f"{name} has shape {a.shape}, rho0 {rho0.shape}")
+        return a
+
+    H = operator("H", H)
+    if k > 0:
+        Q = operator("Q", Q)
     times = np.asarray(t_eval, dtype=float).reshape(-1)
     if times.size == 0:
         raise ValueError("t_eval is empty")
@@ -513,8 +508,9 @@ def run_control_trajectory(
     """
     from .ensemble import EnsembleConfig, _advance_chunk
 
-    if store_every < 1:
-        raise ValueError("store_every must be a positive number of steps")
+    if not isinstance(store_every, (int, np.integer)) or store_every < 1:
+        raise ValueError(f"store_every must be a positive whole number of steps, "
+                         f"got {store_every!r}")
     batch_cfg = EnsembleConfig(
         realizations=1, master_seed=None, sme=cfg, policy=policy, mu=mu, rho0=rho0,
         target_fn=psi_target_fn, stat_stride=cfg.n_steps,

@@ -31,8 +31,6 @@ from qmfc.sde import (
     StepRejected,
     _default_reject_tol,
     _kraus_step,
-    _local_axis,
-    _relative_axis,
     _sigma_parts,
     nonselective_solve,
     run_control_trajectory,
@@ -472,10 +470,10 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
 
 
 def test_width_one_trajectory_matches_a_wide_matrix_batch():
-    """A width-one trajectory, whose matrix kernel reads its frame from Python
-    floats, agrees within 1e-12 with row 0 of a 16-wide _MatrixKernel batch,
-    which reads it from arrays, on the same stream: states, records and
-    feedback over 1000 steps from oracle_config's equator start."""
+    """A width-one qubit trajectory, which the Bloch kernel steps on Python
+    floats, agrees within 1e-12 with row 0 of a 16-wide _MatrixKernel batch
+    on the same stream: states, records and feedback over 1000 steps from
+    oracle_config's equator start."""
     for theta in (0.0, np.pi / 4, np.pi / 2):
         cfg = oracle_config(MeasurementPolicy(mode="relative_angle", theta=theta, phi=0.3),
                             10.0, behind_target())
@@ -512,6 +510,23 @@ def test_width_one_trajectory_is_row_zero_of_a_wide_bloch_batch(monkeypatch):
         assert one.states.tobytes() == states[0].tobytes()
         assert one.records.tobytes() == records[0, 1:].tobytes()
         assert one.fb_hamiltonians.tobytes() == feedback[0, 1:].tobytes()
+
+
+@pytest.mark.parametrize("mu", [0.0, 5.0])
+@pytest.mark.parametrize("n", [3, 4])
+def test_width_one_general_n_trajectory_is_row_zero_of_a_wide_batch(n, mu):
+    """A width-one N > 2 trajectory, which the matrix kernel steps as an
+    (N, N, 1) stack, is row 0 of a 16-wide batch on the same stream in every
+    bit: states, records and feedback over 1000 steps from I/N."""
+    cfg = general_n_config(n)
+    cfg = replace(cfg, mu=mu, sme=replace(cfg.sme, t_end=1.0))
+    one = run_control_trajectory(cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, cfg.mu,
+                                 trajectory_rng(cfg.master_seed, 0, 0))
+    _, _, states, records, feedback = collect(cfg, 16, streams(cfg, range(16)),
+                                              range(cfg.sme.n_steps + 1))
+    assert one.states.tobytes() == states[0].tobytes()
+    assert one.records.tobytes() == records[0, 1:].tobytes()
+    assert one.fb_hamiltonians.tobytes() == feedback[0, 1:].tobytes()
 
 
 def test_kernels_reject_the_same_step():
@@ -713,57 +728,6 @@ def test_run_constant_certificate_bounds_every_step(monkeypatch, n, drift):
     assert min(gaps) >= -1e-12, min(gaps)
 
 
-def test_qubit_bound_dominates_matrix_euler_state():
-    """For N = 2 the matrix kernel's step-size diagnostic may be
-    (Tr rho - b) / 2 for the closed-form bound b on |r_E|
-    (sde._qubit_euler_min), which needs no Euler state: it is at most the
-    Euler state's smallest eigenvalue.  Checked for 2000 seeded near-pure
-    qubit states as a stack and for 200 of them at width one, at each
-    (dt, beta), with increments up to 8 standard deviations; the states are
-    those of the ungated step, and so is the set of rejected rows."""
-    rng = np.random.default_rng(22)
-    m, k, mu = 2000, 2.0, 10.0
-
-    def unit(n):
-        v = rng.standard_normal((n, 3))
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-    def spin(v):  # v.sigma for rows of vectors, (m, 2, 2)
-        return 2.0 * _density(v.T) - np.eye(2)
-
-    psi = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    # (1 - eps) |psi><psi| + eps sigma, eps from 1 down to 1e-15
-    eps = (10.0 ** -rng.uniform(0.0, 15.0, m))[:, None, None]
-    mixed = _density(unit(m).T * rng.uniform(0.0, 1.0, m))
-    rho = (1.0 - eps) * psi[:, :, None] * np.conj(psi)[:, None, :] + eps * mixed
-    # the spin at a random Bloch angle from the state's direction (the
-    # relative_angle policy) on even rows, a fixed Q with a trace on odd ones
-    q_fixed = 0.7 * SIGMA_X + 0.3 * SIGMA_Z + 0.2 * np.eye(2)
-    theta, phi = np.array([(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
-                           for _ in range(m)]).T
-    r = 2.0 * np.array(_sigma_parts(trajectory_last(rho))[1:])
-    axis = _relative_axis(r, np.linalg.norm(r, axis=0), _local_axis(theta, phi), (0.0, 0.0))[0]
-    q = np.where((np.arange(m) % 2 == 0)[:, None, None], spin(np.array(axis).T), q_fixed)
-    # a drift with a trace plus feedback of norm sqrt(mu)
-    h = np.pi * SIGMA_Z + 0.5 * SIGMA_X + 0.3 * np.eye(2) + np.sqrt(mu / 2) * spin(unit(m))
-    stack = trajectory_last(rho), trajectory_last(q), trajectory_last(h)
-    for dt in (1e-4, 1e-2, 0.04):
-        for beta in (0.0, 0.4):
-            tol = _default_reject_tol(k, beta, dt)
-            dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
-            cases = [(*stack, dw)] + [(rho[j], q[j], h[j], dw[j]) for j in range(0, m, 10)]
-            for rho_j, q_j, h_j, dw_j in cases:
-                new, _, exact = _kraus_step(rho_j, q_j, k, h_j, dt, dw_j, beta=beta)
-                gated, _, bound = _kraus_step(rho_j, q_j, k, h_j, dt, dw_j, beta=beta,
-                                              tol=np.inf)
-                assert gated.tobytes() == new.tobytes()
-                # 1e-12 absorbs the rounding of rho, Q and H's Hermitian parts
-                assert np.all(bound <= exact + 1e-12), np.max(bound - exact)
-                diagnostic = _kraus_step(rho_j, q_j, k, h_j, dt, dw_j, beta=beta, tol=tol)[2]
-                assert np.array_equal(diagnostic < -tol, exact < -tol)
-
-
 def test_width_one_trajectory_rejects_the_exact_step(monkeypatch):
     """A width-one closed-loop trajectory at dt = 0.04 raises StepRejected
     with the message of the exact diagnostic, after steps whose diagnostic
@@ -857,9 +821,9 @@ def test_matrix_kernel_keeps_its_per_run_constants():
 @pytest.mark.parametrize("n", [3, 4])
 def test_wide_matrix_rows_do_not_depend_on_the_batch_width(n):
     """Every operation of the trajectory-last kernel runs column by column at
-    any width from 2 on, so the rows of N = 3 and 4 batches of widths 2, 8,
-    31, 32 and 4000 on shared streams are byte-identical to the same rows of
-    a 40-wide batch: purity, overlap, states, records and feedback."""
+    any width, one included, so the rows of N = 3 and 4 batches of widths 1,
+    2, 8, 31, 32 and 4000 on shared streams are byte-identical to the same
+    rows of a 40-wide batch: purity, overlap, states, records and feedback."""
     cfg = replace(general_n_config(n), sme=replace(general_n_config(n).sme, t_end=0.02))
     checkpoints = range(0, cfg.sme.n_steps + 1, cfg.stat_stride)
 
@@ -867,7 +831,7 @@ def test_wide_matrix_rows_do_not_depend_on_the_batch_width(n):
         return collect(cfg, width, streams(cfg, range(width)), checkpoints)
 
     reference = run(40)
-    for width in (2, 8, 31, 32, 4000):
+    for width in (1, 2, 8, 31, 32, 4000):
         rows = min(width, 40)
         for got, want in zip(run(width), reference):
             assert got[:rows].tobytes() == want[:rows].tobytes()

@@ -238,10 +238,18 @@ def test_strength_rate_numeric_refuses_batch_counts_without_a_spread(n_traj, n_b
         strength_rate_numeric(SIGMA_Z, 1.0, n_traj=n_traj, n_batches=n_batches)
 
 
-@pytest.mark.parametrize("k", [-1.0, np.nan, np.inf])
-def test_strength_rate_numeric_refuses_a_k_that_is_negative_or_not_finite(k):
-    with pytest.raises(ValueError, match="k must be non-negative and finite"):
-        strength_rate_numeric(SIGMA_Z, k)
+@pytest.mark.parametrize("k, horizon, message", [
+    pytest.param(k, None, "k must be non-negative and finite", id=str(k))
+    for k in (-1.0, np.nan, np.inf)
+] + [
+    pytest.param(1.0, horizon, f"horizon must be positive and finite, got {horizon}",
+                 id=f"horizon-{horizon}")
+    for horizon in (0.0, -1.0, np.nan, np.inf)
+])
+def test_strength_rate_numeric_refuses_a_k_that_is_negative_or_not_finite(k, horizon, message):
+    # a bad horizon is refused by name, not through the dt it would give
+    with pytest.raises(ValueError, match=message):
+        strength_rate_numeric(SIGMA_Z, k, horizon=horizon)
 
 
 def test_strength_rate_numeric_takes_one_trajectory_per_batch():

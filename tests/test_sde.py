@@ -111,8 +111,9 @@ def test_kraus_step_writes_no_argument(n):
     """The step writes its temporaries in place, but never into what it is
     given: rho, Q, H and the cached m0 and q_sq keep every byte.  Checked at
     width one and on stacks of 2 and 31, with per-row and shared (lifted) Q
-    and H, both where the step-size diagnostic is certified (tol = inf) and
-    where it is exact (no tol, or one that pure states' bound cannot clear)."""
+    and H, both where the step-size diagnostic is certified (tol = inf, for
+    N > 2) and where it is exact (a qubit's, no tol, or one that pure states'
+    bound cannot clear)."""
     rng = np.random.default_rng(40 + n)
     k, dt = 2.0, 1e-2
     beta = 0.4 if n == 2 else 0.0  # z-dephasing is for qubits
@@ -139,8 +140,9 @@ def test_kraus_step_writes_no_argument(n):
                 diagnostic = _kraus_step(rho, q, k, h, dt, dw, beta=beta, tol=tol,
                                          m0=m0, q_sq=q_sq)[2]
                 assert [a.tobytes() for a in given] == before
-                # tol = inf certifies the diagnostic with a bound; the others are exact
-                assert np.array_equal(diagnostic, exact) == (tol != np.inf)
+                # for N > 2, tol = inf certifies the diagnostic with a bound; the
+                # others, and every qubit diagnostic, are exact
+                assert np.array_equal(diagnostic, exact) == (tol != np.inf or n == 2)
 
 
 def test_wide_kraus_step_peaks_below_its_out_of_place_working_set():
@@ -357,6 +359,29 @@ def test_nonselective_solve_refuses_bad_times(t_eval, message):
         nonselective_solve(np.eye(2) / 2, SIGMA_Z, 1.0, SIGMA_X, 0.0, t_eval)
 
 
+@pytest.mark.parametrize("k, beta, H, Q, rho0, message", [
+    (np.nan, 0.0, SIGMA_X, SIGMA_Z, np.eye(2) / 2, "k must be non-negative and finite, got nan"),
+    (-1.0, 0.0, SIGMA_X, SIGMA_Z, np.eye(2) / 2, "k must be non-negative and finite, got -1.0"),
+    (1.0, np.nan, SIGMA_X, SIGMA_Z, np.eye(2) / 2, "beta must be non-negative and finite, got nan"),
+    (1.0, -0.5, SIGMA_X, SIGMA_Z, np.eye(2) / 2, "beta must be non-negative and finite, got -0.5"),
+    (1.0, 0.2, np.eye(3), np.eye(3), np.eye(3) / 3, "beta > 0 .* needs N = 2, got N = 3"),
+    (1.0, 0.0, SIGMA_X + 1j * SIGMA_Z, SIGMA_Z, np.eye(2) / 2, "H: matrix is not Hermitian"),
+    (1.0, 0.0, SIGMA_X, np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2) / 2,
+     "Q: matrix is not Hermitian"),
+    (1.0, 0.0, np.array([[np.inf, 0.0], [0.0, 0.0]]), SIGMA_Z, np.eye(2) / 2,
+     "H: matrix has non-finite entries"),
+    (1.0, 0.0, np.array([[np.nan, 0.0], [0.0, 0.0]]), SIGMA_Z, np.eye(2) / 2,
+     "H: matrix has non-finite entries"),
+    (1.0, 0.0, np.eye(3), SIGMA_Z, np.eye(2) / 2, r"H has shape \(3, 3\), rho0 \(2, 2\)"),
+    (1.0, 0.0, SIGMA_X, np.eye(3), np.eye(2) / 2, r"Q has shape \(3, 3\), rho0 \(2, 2\)"),
+], ids=["k-nan", "k-negative", "beta-nan", "beta-negative", "beta-qutrit", "H-non-hermitian",
+        "Q-non-hermitian", "H-inf", "H-nan", "H-shape", "Q-shape"])
+def test_nonselective_solve_refuses_bad_rates_and_operators(k, beta, H, Q, rho0, message):
+    # each refusal names the argument; none of these was refused before
+    with pytest.raises(ValueError, match=message):
+        nonselective_solve(rho0, Q, k, H, beta, [0.0, 1.0])
+
+
 def test_nonselective_solve_takes_times_in_any_order():
     # each time is computed from 0, so an unsorted t_eval gives the same bits
     args = (pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0)), SIGMA_Z, 1.0, 0.5 * SIGMA_X, 0.2)
@@ -427,8 +452,12 @@ def test_store_every_keeps_every_nth_step():
     # records and feedback belong to the step that ended at each stored time
     assert np.array_equal(every7.records, full.records[6::7])
     assert np.array_equal(every7.fb_hamiltonians, full.fb_hamiltonians[6::7])
-    for store_every in (0, -1):
-        with pytest.raises(ValueError):
+    # a numpy integer is a whole number of steps too
+    every7_np = run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3),
+                                       store_every=np.int64(7))
+    assert np.array_equal(every7_np.states, every7.states)
+    for store_every in (0, -1, 2.5, 3.0):
+        with pytest.raises(ValueError, match="store_every must be a positive whole number"):
             run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3),
                                    store_every=store_every)
 
