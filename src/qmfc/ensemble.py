@@ -6,7 +6,8 @@ Every ensemble is one lockstep batch of all its trajectories on one thread:
 a step's cost is mostly fixed numpy-call overhead, so one wide batch is
 cheapest, and threads would only contend for the GIL.  A single trajectory
 (sde.run_control_trajectory) is a batch of one fed by the caller's
-generator; the rates estimator (metrics.strength_rate_numeric) is an
+generator, which keeps its stored steps as the kernel's rows and builds their
+matrices once, at the end; the rates estimator (metrics.strength_rate_numeric) is an
 open-loop ensemble.  Each ensemble trajectory owns a counter-based random
 stream derived from (master seed, sweep index, trajectory index): the Philox
 stream numpy seeds from SeedSequence(entropy=master seed, spawn_key=(sweep
@@ -52,9 +53,12 @@ Q = n.sigma.
   step is written component by component, so both kinds run the same IEEE
   operations in the same order (math.sqrt rounds as np.sqrt does), and the
   trigonometry of sde._relative_axis is numpy's on both; a width-one step
-  pays no numpy call overhead on its arithmetic.  States, records and
-  feedback are built from the rows as (m, 2, 2) and (m,) arrays at every
-  width, the feedback Hamiltonian as 2 _density(h) - I.  With Q = q.sigma
+  pays no numpy call overhead on its arithmetic.  states() builds (m, 2, 2)
+  matrices from the rows.  A kept step is kept as rows (snapshot: r, dy and
+  the feedback's h), and assemble builds every kept state with one _density
+  call and every feedback Hamiltonian, 2 _density(h) - I, with one more; the
+  matrix kernel's snapshot is a copy of rho and its (N, N, m) feedback.
+  With Q = q.sigma
   and H = h.sigma the Kraus operator is M = alpha I + (a + ib).sigma, with
   the real alpha = 1 - beta dt + k (dy~^2 - 2 dt) (q.q), a = sqrt(2k) dy~ q
   and b = -dt h, and
@@ -336,6 +340,7 @@ class _MatrixKernel:
             self.norms = _frobenius(self.h0) + np.sqrt(cfg.mu), _frobenius(self.q)
         # the step-size diagnostic is bounded unless it could reach -tol
         self.reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
+        self._last = 0.0, 0.0, None  # (Tr[Q rho], dW, H_fb) of the last step; none yet
 
     def target(self, psi):
         return psi
@@ -354,15 +359,28 @@ class _MatrixKernel:
         self.rho, exp_q, euler_min = _kraus_step(self.rho, q_obs, sme.k, h, sme.dt, dw,
                                                  beta=sme.dephasing_beta, tol=self.reject_tol,
                                                  m0=self.m0, q_sq=self.q_sq, norms=self.norms)
-        self._last = exp_q, dw, None if h_fb is None else h_fb.transpose(2, 0, 1)
+        self._last = exp_q, dw, h_fb
         return euler_min
 
-    def last_step(self):
-        """(dy, H_fb) of the last step: record increments, shape (m,), and
-        feedback Hamiltonians, shape (m, N, N), or None when mu = 0."""
+    def snapshot(self):
+        """What a stored step keeps of every row, for assemble: a copy of rho,
+        the last step's record increments dy, shape (m,), and its feedback
+        (N, N, m), or None when mu = 0 (and before the first step)."""
         exp_q, dw, h_fb = self._last
         k, dt = self.cfg.sme.k, self.cfg.sme.dt
-        return 4.0 * k * exp_q * dt + np.sqrt(2.0 * k) * dw + self.dy_shift, h_fb
+        return self.rho.copy(), 4.0 * k * exp_q * dt + np.sqrt(2.0 * k) * dw + self.dy_shift, h_fb
+
+    def assemble(self, kept):
+        """(states, records, feedback) of the snapshots of step 0 and n - 1
+        later steps, shapes (m, n, N, N), (m, n - 1) and (m, n - 1, N, N): the
+        records and feedback of the steps that ended at the later snapshots,
+        the feedback zero when mu = 0."""
+        rho, dy, h_fb = zip(*kept)
+        states = np.moveaxis(np.array(rho), -1, 0)
+        records = np.reshape(dy[1:], (len(kept) - 1, self.rho.shape[2])).T
+        if h_fb[-1] is None:
+            return states, records, np.zeros_like(states[:, 1:])
+        return states, records, np.moveaxis(np.array(h_fb[1:]), -1, 0)
 
     # purity and overlap sum over a C-ordered (m, N, N) copy: rho's memory order changes the sum
     def purity(self):
@@ -423,10 +441,13 @@ class _BlochKernel:
                         + 4.0 * sme.dephasing_beta)
         tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
         self.euler_limit = 1.0 + 2.0 * tol - 1e-9
+        self._last = 0.0, 0.0, None  # (sqrt(2k), dy~, h_fb) of the last step; none yet
 
     def target(self, psi):
-        """(psi, s0, s) with s0 I + s.sigma = |psi><psi|, shared by feedback and overlap."""
-        trace, *s = _sigma_parts(np.outer(psi, psi.conj()))
+        """(psi, s0, s) with s0 I + s.sigma = |psi><psi|, shared by feedback and overlap.
+        |psi><psi| is np.outer's own multiply, so its bits; Python's complex
+        arithmetic would be cheaper, but rounds some entries differently."""
+        trace, *s = _sigma_parts(np.multiply(psi[:, None], psi.conj()))
         return psi, trace / 2, s
 
     def _feedback(self, target, r_norm):
@@ -519,12 +540,23 @@ class _BlochKernel:
         self._last = sqrt2k, dy_tilde, h_fb
         return euler_min
 
-    def last_step(self):
-        """As _MatrixKernel.last_step; dy = sqrt(2k) dy~ + 4k q0 dt."""
+    def snapshot(self):
+        """As _MatrixKernel.snapshot, as rows: r, dy = sqrt(2k) dy~ + 4k q0 dt
+        and the feedback's h.  A step replaces these rows and never writes them."""
         sqrt2k, dy_tilde, h_fb = self._last
-        if h_fb is not None:
-            h_fb = 2.0 * _density(h_fb).reshape(-1, 2, 2) - np.eye(2)
-        return np.atleast_1d(sqrt2k * dy_tilde + self.dy_shift), h_fb
+        return self.r, sqrt2k * dy_tilde + self.dy_shift, h_fb
+
+    def assemble(self, kept):
+        """As _MatrixKernel.assemble: one _density call builds every state, and
+        one more every feedback Hamiltonian, as 2 _density(h) - I."""
+        r, dy, h_fb = zip(*kept)
+        n, m = len(kept), np.size(self.r[0])
+        states = _density(np.reshape(r, (n, 3, m)).transpose(1, 2, 0))
+        records = np.reshape(dy[1:], (n - 1, m)).T
+        if h_fb[-1] is None:
+            return states, records, np.zeros_like(states[:, 1:])
+        return states, records, 2.0 * _density(np.reshape(h_fb[1:], (n - 1, 3, m))
+                                               .transpose(1, 2, 0)) - np.eye(2)
 
     def purity(self):
         return np.atleast_1d((1.0 + _dot(self.r, self.r)) / 2)
@@ -580,7 +612,8 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
     A generator: yields (step, batch, target_t) at step 0 and after each of
     the n_steps steps.  batch is the kernel holding the states after `step`
     steps (states, purity, overlap) and, from step 1 on, the record
-    increments and feedback of the step that ended there (last_step);
+    increments and feedback of the step that ended there (snapshot, whose
+    snapshots assemble builds into arrays);
     target_t is the kernel's form of the target at step * dt, or None.  The
     batch moves on when the generator resumes, so copy what is kept first.
     kernel defaults to _BlochKernel for qubit batches of every width, width

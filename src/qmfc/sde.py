@@ -92,6 +92,14 @@ def _centred(a):
     return out
 
 
+def _checked(name, check, a):
+    """check(a), its ValueError's message prefixed by the argument's name."""
+    try:
+        return check(a)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SmeConfig:
     k: float                 # measurement constant [1/time]
@@ -111,7 +119,7 @@ class SmeConfig:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if _on_step_grid(self.t_end, self.dt) is None:
             raise ValueError(f"t_end {self.t_end} is not a whole number of steps of dt {self.dt}")
-        h0 = check_hermitian(np.asarray(self.h0, dtype=complex))
+        h0 = _checked("h0", check_hermitian, np.asarray(self.h0, dtype=complex))
         object.__setattr__(self, "h0", h0)
         # H0's trace shifts every energy alike and moves no state
         scale = max(self.k, self.dephasing_beta, float(np.linalg.norm(_centred(h0), 2)))
@@ -147,9 +155,9 @@ class MeasurementPolicy:
         if self.mode == "fixed_observable":
             if self.observable is None:
                 raise ValueError("fixed_observable mode requires an observable")
-            object.__setattr__(
-                self, "observable", check_hermitian(np.asarray(self.observable, dtype=complex))
-            )
+            observable = np.asarray(self.observable, dtype=complex)
+            object.__setattr__(self, "observable",
+                               _checked("observable", check_hermitian, observable))
         else:
             if not 0.0 <= self.theta <= np.pi:
                 raise ValueError("theta must lie in [0, pi]")
@@ -450,7 +458,7 @@ def nonselective_solve(rho0, Q, k, H, beta, t_eval):
     on row-major vec(rho), L = -i C_H - k C_Q^2 - beta C_sz^2, with C_A = A (x) I
     - I (x) A^T.  Independent reference for trajectory-ensemble consistency checks.
     Q is ignored (and may be None) when k = 0; beta > 0 needs N = 2."""
-    rho0 = check_density_matrix(rho0)
+    rho0 = _checked("rho0", check_density_matrix, rho0)
     for name, rate in (("k", k), ("beta", beta)):
         if not 0 <= rate < np.inf:  # written so that NaN fails
             raise ValueError(f"{name} must be non-negative and finite, got {rate}")
@@ -458,10 +466,7 @@ def nonselective_solve(rho0, Q, k, H, beta, t_eval):
         raise ValueError(f"beta > 0 (z-dephasing) needs N = 2, got N = {len(rho0)}")
 
     def operator(name, a):
-        try:
-            a = check_hermitian(a)
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
+        a = _checked(name, check_hermitian, a)
         if a.shape != rho0.shape:
             raise ValueError(f"{name} has shape {a.shape}, rho0 {rho0.shape}")
         return a
@@ -504,7 +509,10 @@ def run_control_trajectory(
     optimal feedback Hamiltonian toward the current target (skipped when
     mu = 0), then advance the conditioned state one measurement step under
     H0 + H_fb.  The driver yields the batch after every step; every store_every
-    steps its state, and the step's dy and H_fb (zero when mu = 0), are kept.
+    steps its state, and the step's dy and H_fb (zero when mu = 0), are kept
+    as the kernel's rows (a qubit's Bloch vector and feedback vector as
+    floats), and the matrices are built once, at the end (the kernel's
+    snapshot and assemble).
     """
     from .ensemble import EnsembleConfig, _advance_chunk
 
@@ -515,21 +523,13 @@ def run_control_trajectory(
         realizations=1, master_seed=None, sme=cfg, policy=policy, mu=mu, rho0=rho0,
         target_fn=psi_target_fn, stat_stride=cfg.n_steps,
     )
-    steps = np.arange(0, cfg.n_steps + 1, store_every)
-    states = np.empty((len(steps),) + batch_cfg.rho0.shape, dtype=complex)
-    records = np.zeros(len(steps) - 1)
-    fb_hams = np.zeros_like(states[1:])
+    kept = []
     for step, batch, _ in _advance_chunk(batch_cfg, 1, [rng]):
-        slot, off = divmod(step, store_every)
-        if off == 0:
-            states[slot] = batch.states()[0]
-            if slot > 0:
-                dy, h_fb = batch.last_step()
-                records[slot - 1] = dy[0]
-                if h_fb is not None:
-                    fb_hams[slot - 1] = h_fb[0]
-    return TrajectoryResult(times=steps * cfg.dt, states=states, records=records,
-                            fb_hamiltonians=fb_hams)
+        if step % store_every == 0:
+            kept.append(batch.snapshot())
+    states, records, fb_hams = (out[0] for out in batch.assemble(kept))
+    return TrajectoryResult(times=np.arange(0, cfg.n_steps + 1, store_every) * cfg.dt,
+                            states=states, records=records, fb_hamiltonians=fb_hams)
 
 
 def _zeno_branch(psi_start, psi_target, n_measurements):

@@ -114,27 +114,28 @@ def collect(cfg, width, gens, checkpoint_steps=None, kernel=None):
     checkpoint_steps is given; then they hold, per trajectory and
     checkpoint, the state, shape (width, n_cp, N, N), and the record
     increment dy and feedback Hamiltonian of the step that ended there (zero
-    at step 0, and for the feedback when mu = 0)."""
+    at step 0, and for the feedback when mu = 0).  checkpoint_steps must
+    rise from 0; they are kept and built as run_control_trajectory keeps
+    and builds its stored steps (the kernels' snapshot and assemble)."""
     stride = cfg.stat_stride
-    n = cfg.rho0.shape[0]
     pur = np.empty((width, cfg.sme.n_steps // stride + 1))
     ovl = np.empty_like(pur)
-    checkpoints = [] if checkpoint_steps is None else list(checkpoint_steps)
-    states = records = feedback = None
-    if checkpoint_steps is not None:
-        states = np.empty((width, len(checkpoints), n, n), dtype=complex)
-        records = np.zeros((width, len(checkpoints)))
-        feedback = np.zeros_like(states)
+    checkpoints = set() if checkpoint_steps is None else set(checkpoint_steps)
+    assert checkpoint_steps is None or list(checkpoint_steps) == sorted(checkpoints)
+    assert checkpoint_steps is None or 0 in checkpoints
+    kept = []
     for step, batch, target_t in _advance_chunk(cfg, width, gens, kernel=kernel):
         if step % stride == 0:
             pur[:, step // stride] = batch.purity()
             ovl[:, step // stride] = np.nan if target_t is None else batch.overlap(target_t)
-        for slot in (i for i, s in enumerate(checkpoints) if s == step):
-            states[:, slot] = batch.states()
-            if step > 0:
-                records[:, slot], h_fb = batch.last_step()
-                if h_fb is not None:
-                    feedback[:, slot] = h_fb
+        if step in checkpoints:
+            kept.append(batch.snapshot())
+    if checkpoint_steps is None:
+        return pur, ovl, None, None, None
+    states, records, feedback = batch.assemble(kept)
+    # step 0 ended no step: its record and feedback are zero
+    records = np.concatenate([np.zeros((width, 1)), records], axis=1)
+    feedback = np.concatenate([np.zeros_like(states[:, :1]), feedback], axis=1)
     return pur, ovl, states, records, feedback
 
 
@@ -510,6 +511,34 @@ def test_width_one_trajectory_is_row_zero_of_a_wide_bloch_batch(monkeypatch):
         assert one.states.tobytes() == states[0].tobytes()
         assert one.records.tobytes() == records[0, 1:].tobytes()
         assert one.fb_hamiltonians.tobytes() == feedback[0, 1:].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["relative_angle", "fixed_observable"])
+def test_width_one_trajectory_builds_its_matrices_once(monkeypatch, mode):
+    """A width-one qubit trajectory with feedback keeps its stored steps as
+    rows and builds its states and feedback Hamiltonians at the end: the
+    number of _density calls does not grow with the number of steps."""
+    calls = []
+    density = qmfc.ensemble._density
+
+    def counted(r):
+        calls.append(np.shape(r))
+        return density(r)
+
+    monkeypatch.setattr(qmfc.ensemble, "_density", counted)
+    policy = (MeasurementPolicy(mode="relative_angle", theta=np.pi / 4) if mode == "relative_angle"
+              else MeasurementPolicy(mode="fixed_observable", observable=SIGMA_X))
+    counts = []
+    for n_steps in (200, 2000):
+        sme = SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=1e-4,
+                        t_end=n_steps * 1e-4)
+        calls.clear()
+        res = run_control_trajectory(sme, policy, plus_x_density(), precessing_plus_x(np.pi),
+                                     10.0, np.random.default_rng(5))
+        assert res.states.shape == (n_steps + 1, 2, 2)
+        assert np.any(res.fb_hamiltonians)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2, counts
 
 
 @pytest.mark.parametrize("mu", [0.0, 5.0])

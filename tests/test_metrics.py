@@ -252,6 +252,18 @@ def test_strength_rate_numeric_refuses_a_k_that_is_negative_or_not_finite(k, hor
         strength_rate_numeric(SIGMA_Z, k, horizon=horizon)
 
 
+@pytest.mark.parametrize("count", ["n_traj", "n_batches", "n_steps", "n_samples"])
+def test_strength_rate_numeric_refuses_non_integer_counts(count):
+    # each count is refused by name, as a whole number; a numpy integer is one
+    for value in (10.5, 4.0):
+        with pytest.raises(ValueError, match=f"{count} must be a whole number, got {value!r}"):
+            strength_rate_numeric(SIGMA_Z, 1.0, **{count: value})
+    whole = {"n_traj": 6, "n_batches": 3, "n_steps": 4, "n_samples": 2}
+    plain = strength_rate_numeric(SIGMA_Z, 1.0, seed=2, **whole)
+    est = strength_rate_numeric(SIGMA_Z, 1.0, seed=2, **{**whole, count: np.int64(whole[count])})
+    assert est == plain
+
+
 def test_strength_rate_numeric_takes_one_trajectory_per_batch():
     est = strength_rate_numeric(SIGMA_Z, 1.0, n_traj=3, n_batches=3, seed=1)
     assert np.isfinite([est.rate_p, est.rate_p_se, est.rate_v, est.rate_v_se]).all()

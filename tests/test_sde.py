@@ -382,6 +382,19 @@ def test_nonselective_solve_refuses_bad_rates_and_operators(k, beta, H, Q, rho0,
         nonselective_solve(rho0, Q, k, H, beta, [0.0, 1.0])
 
 
+NOT_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: SmeConfig(k=1.0, h0=NOT_HERMITIAN, dt=1e-3, t_end=0.1), "h0"),
+    (lambda: MeasurementPolicy(mode="fixed_observable", observable=NOT_HERMITIAN), "observable"),
+    (lambda: nonselective_solve(NOT_HERMITIAN, SIGMA_Z, 1.0, SIGMA_X, 0.0, [0.0]), "rho0"),
+], ids=["h0", "observable", "rho0"])
+def test_non_hermitian_arguments_are_refused_by_name(build, name):
+    with pytest.raises(ValueError, match=f"^{name}: matrix is not Hermitian"):
+        build()
+
+
 def test_nonselective_solve_takes_times_in_any_order():
     # each time is computed from 0, so an unsorted t_eval gives the same bits
     args = (pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0)), SIGMA_Z, 1.0, 0.5 * SIGMA_X, 0.2)
