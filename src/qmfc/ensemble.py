@@ -32,19 +32,17 @@ kernel runs the same operations on a width-one batch's Python floats as on a
 wide batch's arrays.  So a single trajectory is row 0 of a wide batch on the
 same stream, bit for bit.
 
-Two kernels run the same step as sde._kraus_step, with the same noise, the
-same feedback branches and the same StepRejected rule.  Both step
-Q - (Tr Q / N) I and H0 - (Tr H0 / N) I, built once per run (relative_angle
-observables have zero trace already): the conditioned master equation sees
-no more of Q and H, so Q + cI and H0 + cI move no state beyond the rounding
-of the shift, and the record dy gets its 4k (Tr Q / N) dt added back.
-Both take the relative_angle policy's measured axis n from the one function
-sde._relative_axis: the policy's (theta, phi) axis turned by the rotation by
-Theta about (-sin Phi, cos Phi, 0), for each state's Bloch vector at polar
-angles (Theta, Phi); a state shorter than BASIS_DEGEN_TOL keeps its previous
-(Theta, Phi), and the frame is discontinuous at Theta = pi.  The Bloch
-kernel passes its rows; the matrix kernel reads r from rho and measures
-Q = n.sigma.
+Two kernels run the Kraus-map step of qmfc.sde, one per kind of system,
+with the same noise, the same feedback branches and the same StepRejected
+rule.  Both step Q - (Tr Q / N) I and H0 - (Tr H0 / N) I, built once per run
+(relative_angle observables have zero trace already): the conditioned master
+equation sees no more of Q and H, so Q + cI and H0 + cI move no state beyond
+the rounding of the shift, and the record dy gets its 4k (Tr Q / N) dt added
+back.  The relative_angle policy's measured axis n is sde._relative_axis of
+each state's Bloch vector: the policy's (theta, phi) axis turned by the
+rotation by Theta about (-sin Phi, cos Phi, 0), for the Bloch vector at
+polar angles (Theta, Phi); a state shorter than BASIS_DEGEN_TOL keeps its
+previous (Theta, Phi), and the frame is discontinuous at Theta = pi.
 
 * qubit batches of every width (Bloch form; Jacobs and Steck, Contemp.
   Phys. 47, 279 (2006)): each state is a real Bloch vector r,
@@ -85,7 +83,7 @@ Q = n.sigma.
   r_E is built only when the batch maximum of this bound exceeds 1 + 2 tol
   less 1e-9 for rounding, which never happens at fig2's defaults (largest
   bound about 1.012 against 1.04), so the rejected set and the StepRejected
-  message are those of the exact diagnostic, which the matrix kernel computes.
+  message are those of the exact diagnostic.
   Feedback is the first-order rotation -sqrt(mu/2) (s x r)/|s x r| toward
   the target's Bloch vector s, or nothing when the state already points at
   the target; the rare remaining rows (second-order branch) go to
@@ -93,17 +91,15 @@ Q = n.sigma.
   rotation, the rule is applied row by row on (3, m) stacks, at width one
   too, so a rare row is decided from the same numbers at every width.
 * N > 2 at every width: (N, N, m) complex arrays, trajectory axis last,
-  m = 1 included, through sde._kraus_step.  For qubits this matrix kernel is
-  only the tests' reference for the Bloch kernel (_advance_chunk's
-  kernel=_MatrixKernel), and its step-size diagnostic is exact.  For N > 2
-  the diagnostic is a per-row lower bound, -c for a certificate
-  c >= ||euler - rho'||_F (Weyl's inequality, sde._weyl_certificate), unless
-  the bound could reach the StepRejected threshold, so the rejected set and
-  the message are those of the exact diagnostic; the bound builds no Euler
-  state and runs no eigensolver.  The run's constants (1 - beta dt) I, the
-  centred Q and H0, Q^2 and, for N > 2, the certificate's norm bounds of
-  sde._weyl_certificate are built once per run; the step, which works in
-  place on its own temporaries, only reads them.
+  m = 1 included, through sde._kraus_step, on a fixed observable with no
+  dephasing (EnsembleConfig).  The step-size diagnostic is a per-row lower
+  bound, -c for a certificate c >= ||euler - rho'||_F (Weyl's inequality,
+  sde._weyl_certificate), unless the bound could reach the StepRejected
+  threshold, so the rejected set and the message are those of the exact
+  diagnostic; the bound builds no Euler state and runs no eigensolver.  The
+  run's constants, the centred Q and H0, Q^2 and the certificate's norm
+  bounds, are built once per run as (N, N, 1) operands; the step, which
+  works in place on its own temporaries, only reads them.
   The first-order feedback test ||[sigma, rho]||_F > DEGEN_TOL ||rho||_F
   needs no ||rho||_F when every row's commutator exceeds 2 DEGEN_TOL, since
   ||rho||_F <= 1.  Feedback rows that the test leaves go through one batched
@@ -318,26 +314,21 @@ def _feedback_stack(rho, psi, mu):
 
 
 class _MatrixKernel:
-    """States as an (N, N, m) complex array, trajectory last; states() is its (m, N, N) view."""
+    """N > 2 states as an (N, N, m) complex array, trajectory last, measured
+    on a fixed observable; states() is its (m, N, N) view."""
 
     def __init__(self, cfg, m):
         self.cfg = cfg
-        sme, policy = cfg.sme, cfg.policy
+        sme, observable = cfg.sme, cfg.policy.observable
         self.rho = np.repeat(cfg.rho0[:, :, None], m, axis=2)
-        # the step's per-run constants, (N, N, 1) operands that act on every row
-        self.m0 = (1.0 - sme.dephasing_beta * sme.dt) * np.eye(len(cfg.rho0))[..., None]
-        # the step sees H0 and a fixed observable centred (module docstring)
-        self.h0 = _centred(sme.h0)
-        self.q = self.q_sq = self.norms = None
-        self.dy_shift = 0.0
-        if policy.mode == "relative_angle":  # every row's frame starts as the lab frame
-            self.local, self.angles = _local_axis(policy.theta, policy.phi), (0.0, 0.0)
-        else:
-            self.q = _centred(policy.observable)
-            self.q_sq = _matmul(self.q[..., None], self.q[..., None])
-            self.dy_shift = 4.0 * sme.k * (np.trace(policy.observable).real / len(self.q)) * sme.dt
-        if len(cfg.rho0) > 2:  # the N > 2 certificate's norm bounds (sde._weyl_certificate)
-            self.norms = _frobenius(self.h0) + np.sqrt(cfg.mu), _frobenius(self.q)
+        # the step's per-run constants, (N, N, 1) operands that act on every row:
+        # H0 and Q centred (module docstring), Q^2 and the certificate's norm
+        # bounds (sde._weyl_certificate)
+        self.h0 = _centred(sme.h0)[..., None]
+        self.q = _centred(observable)[..., None]
+        self.q_sq = _matmul(self.q, self.q)
+        self.norms = _frobenius(self.h0) + np.sqrt(cfg.mu), _frobenius(self.q)
+        self.dy_shift = 4.0 * sme.k * (np.trace(observable).real / len(self.q)) * sme.dt
         # the step-size diagnostic is bounded unless it could reach -tol
         self.reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
         self._last = 0.0, 0.0, None  # (Tr[Q rho], dW, H_fb) of the last step; none yet
@@ -346,19 +337,12 @@ class _MatrixKernel:
         return psi
 
     def step(self, psi, dw):
-        cfg, sme, policy = self.cfg, self.cfg.sme, self.cfg.policy
-        if policy.mode == "relative_angle":  # Q = n.sigma, traceless
-            r = [2.0 * part for part in _sigma_parts(self.rho)[1:]]
-            (nx, ny, nz), self.angles = _relative_axis(r, np.sqrt(_dot(r, r)), self.local,
-                                                       self.angles)
-            q_obs = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
-        else:
-            q_obs = self.q
+        cfg, sme = self.cfg, self.cfg.sme
         h_fb = _feedback_stack(self.rho, psi, cfg.mu) if cfg.mu > 0 else None
-        h = self.h0 if h_fb is None else self.h0[..., None] + h_fb
-        self.rho, exp_q, euler_min = _kraus_step(self.rho, q_obs, sme.k, h, sme.dt, dw,
-                                                 beta=sme.dephasing_beta, tol=self.reject_tol,
-                                                 m0=self.m0, q_sq=self.q_sq, norms=self.norms)
+        h = self.h0 if h_fb is None else self.h0 + h_fb
+        self.rho, exp_q, euler_min = _kraus_step(self.rho, self.q, sme.k, h, sme.dt, dw,
+                                                 tol=self.reject_tol, q_sq=self.q_sq,
+                                                 norms=self.norms)
         self._last = exp_q, dw, h_fb
         return euler_min
 
@@ -429,7 +413,7 @@ class _BlochKernel:
         # the step sees only the sigma parts of H0 and Q (module docstring)
         self.h0 = _sigma_parts(sme.h0)[1:]
         self.dy_shift = 0.0  # 4k q0 dt for a fixed observable Q = q0 I + q.sigma
-        if policy.mode == "relative_angle":  # as _MatrixKernel
+        if policy.mode == "relative_angle":  # every row's frame starts as the lab frame
             self.local, self.angles = _local_axis(policy.theta, policy.phi), (0.0, 0.0)
         else:
             q_trace, *self.q = _sigma_parts(policy.observable)

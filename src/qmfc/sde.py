@@ -16,31 +16,33 @@ channel and sqrt(2 beta) sz the unread dephasing channel,
 
 which agrees with the equation above to first order, keeps the Milstein
 correction, and maps a density matrix to a density matrix for any dt, so no
-eigenvalue clip is needed.  A step is still rejected (dt too large) when the
+eigenvalue clip is needed.  Every qubit runs on the Bloch kernel of
+qmfc.ensemble, which steps this map in closed form, with dephasing and the
+relative_angle policy (both defined for qubits only, EnsembleConfig);
+_kraus_step steps (N, N, m) stacks of larger systems, with no dephasing and
+a fixed observable.  A step is still rejected (dt too large) when the
 first-order Euler-Maruyama state from the same rho would have an eigenvalue
 far below zero.  That eigenvalue is bounded without building the Euler state,
 which is built, and its exact smallest eigenvalue computed, only when a
 state's bound could reach the rejection threshold:
 
-* N = 2, on the Bloch kernel of qmfc.ensemble: the Euler state is
-  (I + r_E.sigma) / 2 for a Bloch vector r_E whose norm _euler_norm_bound
-  bounds in closed form, so its smallest eigenvalue is at least
-  (1 - bound) / 2.  The matrix step, the tests' reference for that kernel,
-  computes a qubit's diagnostic exactly;
-* N > 2: rho' is positive semidefinite, so by Weyl's inequality the Euler
-  state's smallest eigenvalue is at least -c for any c >= ||euler - rho'||_F.
-  _weyl_certificate computes such a c from Q rho, which the step has
-  anyway: the difference's noise part exactly, and its two drift
-  commutators, which are O(dt) against a threshold of O(sqrt(dt)), by a
-  norm bound in ||H_0||_F and ||Q_0||_F, the norms of their traceless parts,
-  which a caller that steps many times passes as constants of its run.
+* N = 2, on the Bloch kernel: the Euler state is (I + r_E.sigma) / 2 for a
+  Bloch vector r_E whose norm _euler_norm_bound bounds in closed form, so
+  its smallest eigenvalue is at least (1 - bound) / 2;
+* N > 2, in _kraus_step: rho' is positive semidefinite, so by Weyl's
+  inequality the Euler state's smallest eigenvalue is at least -c for any
+  c >= ||euler - rho'||_F.  _weyl_certificate computes such a c from Q rho,
+  which the step has anyway: the difference's noise part exactly, and its
+  two drift commutators, which are O(dt) against a threshold of O(sqrt(dt)),
+  by a norm bound in ||H_0||_F and ||Q_0||_F, the norms of their traceless
+  parts, which a caller that steps many times passes as constants of its run.
 
 The closed loop measures, on a qubit, the spin along a fixed Bloch angle
 (theta, phi) from the state's own direction and applies the optimal
 constrained feedback Hamiltonian recomputed every step.  With r/|r| at polar
 angles (Theta, Phi), the measured axis is (sin theta cos phi, sin theta
 sin phi, cos theta) turned by the rotation by Theta about (-sin Phi, cos Phi,
-0), which takes e_z to r/|r| (_relative_axis, for both kernels).  Below
+0), which takes e_z to r/|r| (_relative_axis).  Below
 |r| = BASIS_DEGEN_TOL the state has no direction, and the previous (Theta,
 Phi) are kept.  The frame is discontinuous at Theta = pi, where its rotation
 axis turns with Phi.  Trajectories are stepped by the batch driver in
@@ -231,28 +233,17 @@ def _dagger(a):
 
 
 def _matmul(a, b):
-    """a @ b for two N x N matrices, or for trajectory-last stacks (N, N, m)
-    of them, where an (N, N, 1) operand acts on every matrix of the other.  A
-    stack is a sum of N outer products in j order, each a ufunc over the
-    contiguous m axis, so every column is computed alone, whatever the width.
-    The terms are accumulated in place (out += term, the same additions in
-    the same order) through one work array; a and b are only read."""
-    if a.ndim == 2:
-        return a @ b
+    """a @ b for trajectory-last stacks (N, N, m) of N x N matrices, where an
+    (N, N, 1) operand acts on every matrix of the other: a sum of N outer
+    products in j order, each a ufunc over the contiguous m axis, so every
+    column is computed alone, whatever the width.  The terms are accumulated
+    in place (out += term, the same additions in the same order) through one
+    work array; a and b are only read."""
     out = a[:, :1] * b[:1]
     term = np.empty_like(out)
     for j in range(1, a.shape[0]):
         out += np.multiply(a[:, j:j + 1], b[j:j + 1], out=term)
     return out
-
-
-def _min_eigenvalue(a):
-    """Smallest eigenvalue of a Hermitian matrix or stack (lower triangle read)."""
-    if a.shape[0] != 2:
-        return np.linalg.eigvalsh(a.transpose(2, 0, 1) if a.ndim == 3 else a)[..., 0]
-    d00, d11 = a[0, 0].real, a[1, 1].real
-    gap = np.sqrt(((d00 - d11) / 2) ** 2 + np.abs(a[1, 0]) ** 2)
-    return (d00 + d11) / 2 - gap
 
 
 def _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, h_scale):
@@ -272,15 +263,10 @@ def _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, h_scale):
 
 
 def _sigma_parts(a):
-    """(a00 + a11, x, y, z) for a qubit operator a = a0 I + (x, y, z).sigma,
-    read from the lower triangle, as _min_eigenvalue reads it: of a (2, 2)
-    matrix as Python floats, of a (2, 2, m) stack as (m,) arrays."""
-    (a00, _), (a10, a11) = a.tolist() if a.ndim == 2 else a
+    """(a00 + a11, x, y, z) as Python floats for a (2, 2) qubit operator
+    a = a0 I + (x, y, z).sigma, read from the lower triangle."""
+    (a00, _), (a10, a11) = a.tolist()
     return a00.real + a11.real, a10.real, a10.imag, (a00.real - a11.real) / 2
-
-
-# sz rho sz flips the sign of a qubit's off-diagonal entries
-_SZ_SANDWICH = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _traceless_norm(a):
@@ -299,7 +285,7 @@ def _frobenius(a):
 
 
 def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms=None):
-    """An upper bound c on ||E - new||_F for each state of an N > 2 step of
+    """An upper bound c on ||E - new||_F for each state of a step of
     _kraus_step, where E is its first-order Euler-Maruyama state and new its
     Kraus state, built without E.
 
@@ -345,10 +331,10 @@ def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms=None):
     return _frobenius(a) + drift
 
 
-def _euler_state(rho, Q, k, H, dt, dW, beta, q_rho, exp_q, sz_rho_sz):
+def _euler_state(rho, Q, k, H, dt, dW, q_rho, exp_q):
     """The first-order Euler-Maruyama state rho + g + g^+ of a _kraus_step
-    from rho, with its q_rho = Q rho, exp_q = Tr[Q rho] and, when beta > 0,
-    sz rho sz; Q and H lifted as rho.  Its temporaries work in place."""
+    from rho, with its q_rho = Q rho and exp_q = Tr[Q rho].  Its temporaries
+    work in place."""
     g = _matmul(H, rho)
     np.multiply(-1j * dt, g, out=g)
     if k > 0:
@@ -357,39 +343,35 @@ def _euler_state(rho, Q, k, H, dt, dW, beta, q_rho, exp_q, sz_rho_sz):
         g -= np.multiply(k * dt, work, out=work)
         np.subtract(q_rho, np.multiply(exp_q, rho, out=work), out=work)
         g += np.multiply(np.sqrt(2.0 * k) * dW, work, out=work)
-    if beta > 0:
-        work = sz_rho_sz - rho
-        g += np.multiply(beta * dt, work, out=work)
     euler = rho + g
     euler += _dagger(g)
     return euler
 
 
-def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None, norms=None):
-    """One Kraus-map step of the conditioned evolution (see the module docstring).
+def _kraus_step(rho, Q, k, H, dt, dW, tol=None, q_sq=None, norms=None):
+    """One Kraus-map step of the conditioned evolution (see the module
+    docstring), with no dephasing.
 
-    rho is (N, N) or a stack (N, N, m), trajectory axis last; H and Q (ignored
-    when k = 0) are like rho or (N, N); dW is a scalar or one increment per
-    state.  beta > 0 (z-dephasing) needs N = 2, which EnsembleConfig enforces.
-    The step moves at O(dt^1.5) with the traces of Q and H, which the
-    evolution does not see, so the ensemble's kernels pass both _centred.
-    m0 = (1 - beta dt) I and q_sq = Q^2, lifted like rho, may be passed by a
-    caller that steps many times with the same beta dt and Q; they must be
-    computed as here.  Such a caller may also pass the N > 2 certificate's
-    norm bounds (see _weyl_certificate), constant for its run.
-    Returns (rho_next, exp_q, euler_min): the next state(s), Tr[Q rho] before
+    rho is a stack (N, N, m) of density matrices, trajectory axis last (a
+    single state is an (N, N, 1) stack); H and Q (ignored when k = 0) are
+    like rho or (N, N, 1), which acts on every state; dW is a scalar or one
+    increment per state.  The step moves at O(dt^1.5) with the traces of Q
+    and H, which the evolution does not see, so the ensemble's matrix kernel
+    passes both _centred.  q_sq = Q^2, lifted like Q, may be passed by a
+    caller that steps many times with the same Q; it must be computed as
+    here.  Such a caller may also pass the certificate's norm bounds (see
+    _weyl_certificate), constant for its run.
+    Returns (rho_next, exp_q, euler_min): the next states, Tr[Q rho] before
     the step (0 when k = 0), and the step-size diagnostic, the smallest
     eigenvalue of the first-order Euler-Maruyama state from the same rho.
-    It is exact, from the Euler state (_euler_state), unless N > 2 and a
-    rejection tolerance tol is given.  Then it is instead -c for the
-    certificate c >= ||euler - rho_next||_F of _weyl_certificate (rho_next is
-    positive semidefinite, so Weyl's inequality applies), which needs no
-    Euler state, whenever the batch's smallest -c clears the rejection
-    threshold -tol by a margin of 1e-9, so no state can be rejected; the
-    margin covers rounding, also rho_next's rounding-level negative
-    eigenvalues and that of c's sums of squares.  A qubit's diagnostic is
-    always exact: the matrix step is the tests' reference for the Bloch
-    kernel, which bounds it in closed form (_euler_norm_bound).
+    It is exact, from the Euler state (_euler_state), unless a rejection
+    tolerance tol is given.  Then it is instead -c for the certificate
+    c >= ||euler - rho_next||_F of _weyl_certificate (rho_next is positive
+    semidefinite, so Weyl's inequality applies), which needs no Euler state,
+    whenever the batch's smallest -c clears the rejection threshold -tol by
+    a margin of 1e-9, so no state can be rejected; the margin covers
+    rounding, also rho_next's rounding-level negative eigenvalues and that
+    of c's sums of squares.
     Full-width temporaries are updated in place (out= ufuncs, +=, -=, /=)
     with the operands of every product and sum in the formula's order, so
     each holds the bits a fresh array would, and fewer of them are alive at
@@ -397,25 +379,16 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None, no
     array a later stage still reads (rho, and Q rho for the diagnostic).
     """
     rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0]
-
-    def lift(a):  # an (N, N) operand of a stack acts on every trajectory
-        return a[..., None] if a.ndim < rho.ndim else a
-
-    H = lift(np.asarray(H, dtype=complex))
+    H = np.asarray(H, dtype=complex)
     exp_q = np.zeros(rho.shape[2:])
-    q_rho = sz_rho_sz = None
+    q_rho = None
     if k > 0:
-        Q = lift(np.asarray(Q, dtype=complex))
+        Q = np.asarray(Q, dtype=complex)
         sqrt2k = np.sqrt(2.0 * k)
         q_rho = _matmul(Q, rho)
         exp_q = np.einsum("ii...->...", q_rho).real
-    if beta > 0:
-        sz_rho_sz = lift(_SZ_SANDWICH) * rho
 
-    if m0 is None:
-        m0 = (1.0 - beta * dt) * lift(np.eye(n))
-    m_op = m0 - 1j * dt * H
+    m_op = np.eye(len(rho))[..., None] - 1j * dt * H
     if k > 0:
         if q_sq is None:
             q_sq = _matmul(Q, Q)
@@ -425,16 +398,14 @@ def _kraus_step(rho, Q, k, H, dt, dW, beta=0.0, tol=None, m0=None, q_sq=None, no
         m_op += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
     new = _matmul(_matmul(m_op, rho), _dagger(m_op))
     m_op = None  # dead: freed before the diagnostic's temporaries
-    if beta > 0:
-        new += np.multiply(2.0 * beta * dt, sz_rho_sz)
     new /= np.einsum("ii...->...", new).real
 
-    if tol is not None and n > 2:
+    if tol is not None:
         bound = -_weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms)
         if bound.min() >= 1e-9 - tol:
             return new, exp_q, bound
-    euler = _euler_state(rho, Q, k, H, dt, dW, beta, q_rho, exp_q, sz_rho_sz)
-    return new, exp_q, _min_eigenvalue(euler)
+    euler = _euler_state(rho, Q, k, H, dt, dW, q_rho, exp_q)
+    return new, exp_q, np.linalg.eigvalsh(euler.transpose(2, 0, 1))[:, 0]
 
 
 def _expm(a):
@@ -507,12 +478,12 @@ def run_control_trajectory(
 
     Per step: pick the measured observable from the policy, compute the
     optimal feedback Hamiltonian toward the current target (skipped when
-    mu = 0), then advance the conditioned state one measurement step under
-    H0 + H_fb.  The driver yields the batch after every step; every store_every
-    steps its state, and the step's dy and H_fb (zero when mu = 0), are kept
-    as the kernel's rows (a qubit's Bloch vector and feedback vector as
-    floats), and the matrices are built once, at the end (the kernel's
-    snapshot and assemble).
+    mu = 0, which builds no target), then advance the conditioned state one
+    measurement step under H0 + H_fb.  The driver yields the batch after
+    every step; every store_every steps its state, and the step's dy and
+    H_fb (zero when mu = 0), are kept as the kernel's rows (a qubit's Bloch
+    vector and feedback vector as floats), and the matrices are built once,
+    at the end (the kernel's snapshot and assemble).
     """
     from .ensemble import EnsembleConfig, _advance_chunk
 
@@ -521,7 +492,7 @@ def run_control_trajectory(
                          f"got {store_every!r}")
     batch_cfg = EnsembleConfig(
         realizations=1, master_seed=None, sme=cfg, policy=policy, mu=mu, rho0=rho0,
-        target_fn=psi_target_fn, stat_stride=cfg.n_steps,
+        target_fn=psi_target_fn if mu > 0 else None, stat_stride=cfg.n_steps,
     )
     kept = []
     for step, batch, _ in _advance_chunk(batch_cfg, 1, [rng]):

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import qmfc.ensemble
+from matrix_reference import MatrixReference
+from matrix_reference import euler_state as longhand_euler_state
 from qmfc.ensemble import (
     EnsembleConfig,
     _advance_chunk,
@@ -436,7 +438,8 @@ def oracle_cases():
 
 
 def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
-    """The qubit Bloch kernel against the matrix kernel on shared noise.
+    """The qubit Bloch kernel against the longhand matrix reference
+    (tests/matrix_reference.py) on shared noise.
 
     Agreement to 1e-12 can hold only away from the closed loop's
     discontinuities, where any two roundings part: the relative_angle axis
@@ -460,7 +463,7 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
         bloch = collect(cfg, 16, streams(cfg, range(16)), checkpoints, kernel=_BlochKernel)
         # the Bloch kernel sends only second-order rows to optimal_feedback
         assert set(branches) == fallback_branches
-        matrix = collect(cfg, 16, streams(cfg, range(16)), checkpoints, kernel=_MatrixKernel)
+        matrix = collect(cfg, 16, streams(cfg, range(16)), checkpoints, kernel=MatrixReference)
         # purity, overlap, states and record increments
         for got, want in zip(bloch[:4], matrix[:4]):
             assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -472,16 +475,17 @@ def test_bloch_kernel_matches_matrix_kernel(monkeypatch):
 
 def test_width_one_trajectory_matches_a_wide_matrix_batch():
     """A width-one qubit trajectory, which the Bloch kernel steps on Python
-    floats, agrees within 1e-12 with row 0 of a 16-wide _MatrixKernel batch
-    on the same stream: states, records and feedback over 1000 steps from
-    oracle_config's equator start."""
+    floats, agrees within 1e-12 with row 0 of a 16-wide batch of the longhand
+    matrix reference on the same stream: states, records and feedback over
+    1000 steps from oracle_config's equator start."""
     for theta in (0.0, np.pi / 4, np.pi / 2):
         cfg = oracle_config(MeasurementPolicy(mode="relative_angle", theta=theta, phi=0.3),
                             10.0, behind_target())
         one = run_control_trajectory(cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, cfg.mu,
                                      trajectory_rng(cfg.master_seed, 0, 0))
         _, _, states, records, feedback = collect(cfg, 16, streams(cfg, range(16)),
-                                                  range(cfg.sme.n_steps + 1), kernel=_MatrixKernel)
+                                                  range(cfg.sme.n_steps + 1),
+                                                  kernel=MatrixReference)
         assert np.max(np.abs(one.states - states[0])) <= 1e-12
         assert np.max(np.abs(one.records - records[0, 1:])) <= 1e-12
         assert np.max(np.abs(one.fb_hamiltonians - feedback[0, 1:])) <= 1e-12
@@ -541,6 +545,33 @@ def test_width_one_trajectory_builds_its_matrices_once(monkeypatch, mode):
     assert counts[0] == counts[1] <= 2, counts
 
 
+@pytest.mark.parametrize("mode", ["relative_angle", "fixed_observable"])
+def test_open_loop_trajectory_builds_no_target(mode):
+    """At mu = 0 nothing reads the target, so a width-one qubit trajectory
+    never calls psi_target_fn (it called it once per stored step, 201 times
+    over 200 steps).  Its states, records and feedback are, in every bit,
+    those of a batch of one that builds the target at every step."""
+    calls = []
+    target_fn = precessing_plus_x(np.pi)
+
+    def counted(t):
+        calls.append(t)
+        return target_fn(t)
+
+    policy = (MeasurementPolicy(mode="relative_angle", theta=np.pi / 4) if mode == "relative_angle"
+              else MeasurementPolicy(mode="fixed_observable", observable=SIGMA_X))
+    cfg = small_config(realizations=1, policy=policy, mu=0.0, target_fn=counted)
+    one = run_control_trajectory(cfg.sme, policy, cfg.rho0, counted, 0.0,
+                                 trajectory_rng(cfg.master_seed, 0, 0))
+    assert calls == []
+    _, _, states, records, feedback = collect(cfg, 1, streams(cfg, [0]),
+                                              range(cfg.sme.n_steps + 1))
+    assert len(calls) == cfg.sme.n_steps + 1
+    assert one.states.tobytes() == states[0].tobytes()
+    assert one.records.tobytes() == records[0, 1:].tobytes()
+    assert one.fb_hamiltonians.tobytes() == feedback[0, 1:].tobytes()
+
+
 @pytest.mark.parametrize("mu", [0.0, 5.0])
 @pytest.mark.parametrize("n", [3, 4])
 def test_width_one_general_n_trajectory_is_row_zero_of_a_wide_batch(n, mu):
@@ -567,7 +598,7 @@ def test_kernels_reject_the_same_step():
                 stat_stride=1,
             )
         messages = []
-        for kernel in (_BlochKernel, _MatrixKernel):
+        for kernel in (_BlochKernel, MatrixReference):
             with pytest.raises(StepRejected) as info:
                 collect(cfg, 8, streams(cfg, range(8)), kernel=kernel)
             messages.append(str(info.value))
@@ -580,8 +611,9 @@ def test_step_size_bound_dominates_euler_state():
 
     The Bloch kernel builds r_E only when the batch maximum of the bound could
     reach the StepRejected threshold, so the bound must hold for every column:
-    here against the matrix kernel's first-order eigenvalue, lambda_min =
-    (1 - |r_E|) / 2, over 6000 seeded columns at each of four (dt, beta).
+    here against the smallest eigenvalue lambda_min = (1 - |r_E|) / 2 of the
+    longhand Euler state of tests/matrix_reference.py, over 6000 seeded
+    columns at each of four (dt, beta).
     """
     rng = np.random.default_rng(20)
     m = 6000
@@ -614,8 +646,8 @@ def test_step_size_bound_dominates_euler_state():
             h_scale = _BlochKernel(cfg, 1).h_scale
             # increments up to 8 standard deviations
             dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
-            _, _, lam_min = _kraus_step(trajectory_last(rho), trajectory_last(q_op), k,
-                                        trajectory_last(h_op), dt, dw, beta=beta)
+            euler = longhand_euler_state(rho, q_op, h_op, k, beta, dt, dw)
+            lam_min = np.linalg.eigvalsh(euler)[:, 0]
             exact = 1.0 - 2.0 * lam_min
             rr = qmfc.ensemble._dot(r, r)
             bound = _euler_norm_bound(np.sqrt(rr), rr, qmfc.ensemble._dot(q, r),
@@ -744,7 +776,7 @@ def test_run_constant_certificate_bounds_every_step(monkeypatch, n, drift):
     def checked(rho, new, q, k, h, dt, dw, q_rho, exp_q, *constants):
         assert constants and constants[0] is not None  # the kernel's run constants
         c = certificate(rho, new, q, k, h, dt, dw, q_rho, exp_q, *constants)
-        euler = euler_state(rho, q, k, h, dt, dw, 0.0, q_rho, exp_q, None)
+        euler = euler_state(rho, q, k, h, dt, dw, q_rho, exp_q)
         gaps.append(np.min(c - np.linalg.norm(euler - new, axis=(0, 1))))
         return c
 
@@ -831,20 +863,18 @@ def test_general_n_batch_rejects_the_exact_step(monkeypatch):
 
 def test_matrix_kernel_keeps_its_per_run_constants():
     """The in-place step never writes the constants a _MatrixKernel passes
-    it every step: after 50 steps, the lifted (1 - beta dt) I and a fixed
-    observable's Q^2 keep every byte, at width one and on a stack of 31 rows,
-    on a fixed observable and on the relative_angle policy."""
-    cases = [(qutrit_config(), ("m0", "q_sq")), (small_config(), ("m0",))]
-    for cfg, cached in cases:
-        for m in (1, 31):
-            batch = _MatrixKernel(cfg, m)
-            constants = {name: getattr(batch, name) for name in cached}
-            before = {name: a.tobytes() for name, a in constants.items()}
-            rng = np.random.default_rng(m)
-            for step in range(50):
-                dw = rng.normal(0.0, np.sqrt(cfg.sme.dt), m)
-                batch.step(cfg.target_fn(step * cfg.sme.dt), dw)
-            assert {name: a.tobytes() for name, a in constants.items()} == before
+    it every step: after 50 steps, the fixed observable's Q^2 keeps every
+    byte, at width one and on a stack of 31 rows."""
+    cfg = qutrit_config()
+    for m in (1, 31):
+        batch = _MatrixKernel(cfg, m)
+        q_sq = batch.q_sq
+        before = q_sq.tobytes()
+        rng = np.random.default_rng(m)
+        for step in range(50):
+            dw = rng.normal(0.0, np.sqrt(cfg.sme.dt), m)
+            batch.step(cfg.target_fn(step * cfg.sme.dt), dw)
+        assert q_sq.tobytes() == before
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -950,13 +980,14 @@ def test_feedback_stack_shortcut_keeps_every_row_bit():
 
 
 def seeded(kernel, r):
-    """kernel, started from the Bloch vectors r (3, m) instead of cfg.rho0."""
+    """kernel, the Bloch kernel or the matrix reference, started from the
+    Bloch vectors r (3, m) instead of cfg.rho0."""
     def make(cfg, m):
         batch = kernel(cfg, m)
         if kernel is _BlochKernel:
             batch.r = r.copy()
         else:
-            batch.rho = trajectory_last(qmfc.ensemble._density(r))
+            batch.rho = qmfc.ensemble._density(r)
         return batch
     return make
 
@@ -973,7 +1004,7 @@ def test_bloch_kernel_matches_matrix_kernel_at_the_centre():
         cfg = oracle_config(MeasurementPolicy(mode="relative_angle", theta=np.pi / 4, phi=0.3),
                             mu, np.eye(2) / 2)
         runs = [collect(cfg, 16, streams(cfg, range(16)), range(6), kernel=seeded(kernel, r))
-                for kernel in (_BlochKernel, _MatrixKernel)]
+                for kernel in (_BlochKernel, MatrixReference)]
         for got, want in zip(runs[0][2:4], runs[1][2:4]):
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -1015,7 +1046,8 @@ def test_one_bad_column_rejects_a_wide_batch():
 
     63 columns sit on eigenstates of the measured sigma_z, where r_E = r; one
     starts on the equator, where k dt = 4 throws r_E far outside the ball.
-    Both kernels name that trajectory in the same message.
+    The Bloch kernel and the longhand matrix reference name that trajectory
+    in the same message.
     """
     bad = 41
     with pytest.warns(UserWarning):
@@ -1030,7 +1062,7 @@ def test_one_bad_column_rejects_a_wide_batch():
     r[2] = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
     r[:, bad] = (1.0, 0.0, 0.0)
     messages = []
-    for kernel in (_BlochKernel, _MatrixKernel):
+    for kernel in (_BlochKernel, MatrixReference):
         with pytest.raises(StepRejected) as info:
             collect(cfg, 64, streams(cfg, range(64)), kernel=seeded(kernel, r))
         messages.append(str(info.value))
@@ -1299,8 +1331,8 @@ def dyadic_config(n, q_shift=0.0, h0_shift=0.0):
     )
 
 
-@pytest.mark.parametrize("n, kernel", [(2, _BlochKernel), (2, _MatrixKernel),
-                                       (3, _MatrixKernel), (4, _MatrixKernel)])
+@pytest.mark.parametrize("n, kernel", [(2, _BlochKernel), (3, _MatrixKernel),
+                                       (4, _MatrixKernel)])
 def test_identity_shifts_leave_every_state_bit(n, kernel):
     """The conditioned master equation sees Q only through Q - Tr[Q rho] and
     H0 only through commutators, so on shared noise Q + cI and H0 + cI give

@@ -1,7 +1,8 @@
 """Every name a qmfc module imports is used in it, every private top-level
 function or class is used somewhere in the package, and no module imports
 scipy: a parse of each module with ast, in place of a linter.  A fresh
-interpreter also runs every experiment without loading scipy."""
+interpreter also runs every experiment without loading scipy.  The tests'
+qubit references import none of the engine's step code."""
 
 import ast
 import os
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qmfc"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qmfc"
 
 
 def imported_names(tree):
@@ -53,6 +55,20 @@ def test_every_private_definition_is_used(path):
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
               and package[node.name] == references(node)[node.name]]
     assert not unused, f"{path.name} defines private names the package never uses: {unused}"
+
+
+# the engine's step and its kernels: an oracle that calls them restates them
+ENGINE_STEP = {"_kraus_step", "_euler_state", "_weyl_certificate", "_matmul", "_BlochKernel",
+               "_MatrixKernel"}
+
+
+@pytest.mark.parametrize("name", ["matrix_reference.py", "bloch_reference.py"])
+def test_qubit_references_share_no_step_code(name):
+    tree = ast.parse((TESTS / name).read_text(), filename=name)
+    imported = {alias.name.split(".")[-1] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    shared = sorted((imported | set(references(tree))) & ENGINE_STEP)
+    assert not shared, f"{name} uses the engine's step code: {shared}"
 
 
 def imported_modules(tree):

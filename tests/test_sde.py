@@ -4,6 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from matrix_reference import euler_state as longhand_euler_state
+from matrix_reference import rouchon_ralph_step
+from qmfc.ensemble import EnsembleConfig, _BlochKernel
 from qmfc.sde import (
     BASIS_DEGEN_TOL,
     MeasurementPolicy,
@@ -80,10 +83,24 @@ def test_measurement_policy_validation():
     MeasurementPolicy(mode="fixed_observable", observable=SIGMA_Z)
 
 
-def sme_step(rho, q, k, h, dt, dw, beta=0.0):
-    # one step of the SME's Kraus map and its record dy = 4k<Q>dt + sqrt(2k)dW
-    new, exp_q, _ = _kraus_step(rho, q, k, h, dt, dw, beta=beta)
-    return new, 4.0 * k * exp_q * dt + np.sqrt(2.0 * k) * dw
+def sme_step(rho, q, k, h, dt, dw):
+    # one step of the SME's Kraus map on a state lifted to an (N, N, 1)
+    # stack, and its record dy = 4k<Q>dt + sqrt(2k)dW
+    rho, q, h = (None if a is None else np.asarray(a, dtype=complex)[..., None]
+                 for a in (rho, q, h))
+    new, exp_q, _ = _kraus_step(rho, q, k, h, dt, dw)
+    return new[..., 0], 4.0 * k * exp_q[0] * dt + np.sqrt(2.0 * k) * dw
+
+
+def bloch_kernel(m, rho0, observable, k, h0, beta, dt, mu=0.0, psi=None):
+    """A _BlochKernel of width m from rho0, measuring a fixed observable, and
+    with feedback toward psi when mu > 0."""
+    cfg = EnsembleConfig(
+        realizations=m, master_seed=None,
+        sme=SmeConfig(k=k, h0=h0, dephasing_beta=beta, dt=dt, t_end=dt),
+        policy=MeasurementPolicy(mode="fixed_observable", observable=observable),
+        mu=mu, rho0=rho0, target_fn=None if psi is None else (lambda t: psi), stat_stride=1)
+    return _BlochKernel(cfg, m)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -109,40 +126,61 @@ def test_matmul_matches_numpy_on_trajectory_last_stacks(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_kraus_step_writes_no_argument(n):
     """The step writes its temporaries in place, but never into what it is
-    given: rho, Q, H and the cached m0 and q_sq keep every byte.  Checked at
-    width one and on stacks of 2 and 31, with per-row and shared (lifted) Q
-    and H, both where the step-size diagnostic is certified (tol = inf, for
-    N > 2) and where it is exact (a qubit's, no tol, or one that pure states'
-    bound cannot clear)."""
+    given: rho, Q, H and the cached q_sq keep every byte.  Checked at width
+    one and on stacks of 2 and 31, with per-row and shared (N, N, 1) Q and
+    H, both where the step-size diagnostic is certified (tol = inf) and
+    where it is exact (no tol, or one that pure states' bound cannot clear).
+    Qubits step on the Bloch kernel instead, which must leave its previous
+    rows and the increments as they were, with a diagnostic at most the
+    exact one of the longhand Euler state (tests/matrix_reference.py)."""
     rng = np.random.default_rng(40 + n)
     k, dt = 2.0, 1e-2
-    beta = 0.4 if n == 2 else 0.0  # z-dephasing is for qubits
 
     def hermitian(shape):
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return (g + np.conj(np.swapaxes(g, 0, 1))) / 2
 
-    for m in (None, 2, 31):
-        shape = (n, n) if m is None else (n, n, m)
+    for m in (1, 2, 31):
+        shape = (n, n, m)
         psi = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
         rho = psi[:, None] * np.conj(psi)[None, :]  # pure: the Euler state dips below 0
         rho /= np.einsum("ii...->...", rho).real
-        dw = rng.normal(0.0, np.sqrt(dt), () if m is None else m)
+        dw = rng.normal(0.0, np.sqrt(dt), m)
+        if n == 2:
+            bloch_writes_no_argument(hermitian, np.moveaxis(rho, -1, 0), k, dt, dw)
+            continue
         for per_row in (True, False):
-            q, h = (hermitian(shape if per_row else (n, n)) for _ in range(2))
-            lifted_q = q if q.ndim == rho.ndim else q[..., None]
-            m0 = (1.0 - beta * dt) * np.eye(n)[(...,) if m is None else (..., None)]
-            q_sq = _matmul(lifted_q, lifted_q)
-            exact = _kraus_step(rho, q, k, h, dt, dw, beta=beta)[2]
+            q, h = (hermitian(shape if per_row else (n, n, 1)) for _ in range(2))
+            q_sq = _matmul(q, q)
+            exact = _kraus_step(rho, q, k, h, dt, dw)[2]
             for tol in (None, np.inf, 1e-12):
-                given = (rho, q, h, m0, q_sq)
+                given = (rho, q, h, q_sq)
                 before = [a.tobytes() for a in given]
-                diagnostic = _kraus_step(rho, q, k, h, dt, dw, beta=beta, tol=tol,
-                                         m0=m0, q_sq=q_sq)[2]
+                diagnostic = _kraus_step(rho, q, k, h, dt, dw, tol=tol, q_sq=q_sq)[2]
                 assert [a.tobytes() for a in given] == before
-                # for N > 2, tol = inf certifies the diagnostic with a bound; the
-                # others, and every qubit diagnostic, are exact
-                assert np.array_equal(diagnostic, exact) == (tol != np.inf or n == 2)
+                # tol = inf certifies the diagnostic with a bound; the others are exact
+                assert np.array_equal(diagnostic, exact) == (tol != np.inf)
+
+
+def bloch_writes_no_argument(hermitian, rho, k, dt, dw):
+    """One Bloch-kernel step from the pure states rho (m, 2, 2), with
+    z-dephasing and feedback: see test_kraus_step_writes_no_argument."""
+    m, beta, mu, target = len(rho), 0.4, 10.0, np.array([1.0, 1j]) / np.sqrt(2.0)
+    q, h0 = hermitian((2, 2)), hermitian((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a random H0 at dt = 1e-2 is coarse
+        batch = bloch_kernel(m, np.eye(2) / 2, q, k, h0, beta, dt, mu, target)
+    r = np.array([2.0 * rho[:, 1, 0].real, 2.0 * rho[:, 1, 0].imag,
+                  (rho[:, 0, 0] - rho[:, 1, 1]).real])
+    batch.r = r[:, 0].tolist() if m == 1 else list(r.copy())
+    given = [a for a in batch.r if isinstance(a, np.ndarray)] + [dw]
+    before = [a.tobytes() for a in given]
+    diagnostic = batch.step(batch.target(target), dw)
+    assert [a.tobytes() for a in given] == before
+    h_fb = np.reshape(batch.snapshot()[2], (3, m))
+    h = h0 + np.einsum("am,aij->mij", h_fb, [SIGMA_X, SIGMA_Y, SIGMA_Z])
+    exact = np.linalg.eigvalsh(longhand_euler_state(rho, q, h, k, beta, dt, dw))[:, 0]
+    assert np.all(diagnostic <= exact + 1e-12), np.max(diagnostic - exact)
 
 
 def test_wide_kraus_step_peaks_below_its_out_of_place_working_set():
@@ -153,7 +191,7 @@ def test_wide_kraus_step_peaks_below_its_out_of_place_working_set():
     keep more temporaries alive at once."""
     n, m, k, dt = 4, 4000, 1.0, 1e-3
     rho = np.repeat(np.eye(n, dtype=complex)[:, :, None] / n, m, axis=2)
-    args = (rho, np.diag(np.linspace(1.0, -1.0, n)), k, np.zeros((n, n)), dt,
+    args = (rho, np.diag(np.linspace(1.0, -1.0, n))[..., None], k, np.zeros((n, n, 1)), dt,
             np.random.default_rng(41).normal(0.0, np.sqrt(dt), m))
     tol = _default_reject_tol(k, 0.0, dt)
     _kraus_step(*args, tol=tol)
@@ -187,24 +225,6 @@ def test_sme_step_eigenstate_is_fixed_point():
         assert dy == pytest.approx(4e-3 + np.sqrt(2.0) * dw)
 
 
-def rouchon_ralph_step(rho, h, measured, unread, dt, dw):
-    # Kraus-map filter of Rouchon & Ralph, PRA 91, 012118 (2015), for one
-    # measured channel L at unit efficiency and unread channels D_j:
-    #   dy_L = Tr[(L + L^+) rho] dt + dW
-    #   M    = I + (-iH - 1/2 sum_all L^+ L) dt + L dy_L + 1/2 L^2 (dy_L^2 - dt)
-    #   rho' = (M rho M^+ + sum_j D_j rho D_j^+ dt) / Tr[...]
-    lind = measured.conj().T @ measured + sum(d.conj().T @ d for d in unread)
-    dy_l = np.trace((measured + measured.conj().T) @ rho).real * dt + dw
-    m = (
-        np.eye(rho.shape[0])
-        + (-1j * h - 0.5 * lind) * dt
-        + measured * dy_l
-        + 0.5 * (measured @ measured) * (dy_l ** 2 - dt)
-    )
-    out = m @ rho @ m.conj().T + sum(d @ rho @ d.conj().T for d in unread) * dt
-    return out / np.trace(out).real, dy_l
-
-
 def test_sme_step_matches_explicit_formula():
     # one step against the Kraus-map filter evaluated longhand, with the
     # measured channel L = sqrt(2k) Q and unread dephasing sqrt(2 beta) sz
@@ -218,13 +238,16 @@ def test_sme_step_matches_explicit_formula():
     # the record is the channel's record in the SME's units
     assert dy == pytest.approx(np.sqrt(2 * k) * dy_l)
 
+    # z-dephasing is for qubits, which step on the Bloch kernel
     beta = 0.4
     rho = np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]])
     q = SIGMA_X
     expected, dy_l = rouchon_ralph_step(
         rho, h, np.sqrt(2 * k) * q, [np.sqrt(2 * beta) * SIGMA_Z], dt, dw
     )
-    new, dy = sme_step(rho, q, k, h, dt, dw, beta=beta)
+    batch = bloch_kernel(1, rho, q, k, h, beta, dt)
+    batch.step(None, np.array([dw]))
+    new, dy = batch.states()[0], batch.snapshot()[1]
     assert np.max(np.abs(new - expected)) < 1e-14
     assert dy == pytest.approx(np.sqrt(2 * k) * dy_l)
 
@@ -233,8 +256,9 @@ def test_sme_step_rejects_blowup():
     # a huge noise increment on a non-eigenstate state leaves the manifold:
     # the first-order state lies past the rejection threshold
     rho = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    _, _, euler_min = _kraus_step(rho, SIGMA_Z, 1.0, np.zeros((2, 2)), 0.5, 5.0)
-    assert euler_min < -_default_reject_tol(1.0, 0.0, 0.5)
+    _, _, euler_min = _kraus_step(rho[..., None], SIGMA_Z[..., None], 1.0,
+                                  np.zeros((2, 2, 1)), 0.5, 5.0)
+    assert euler_min[0] < -_default_reject_tol(1.0, 0.0, 0.5)
     # and a trajectory that meets such a step stops with StepRejected: a
     # transverse measurement keeps the state off Q's eigenstates, and at
     # this dt a noise draw beyond about 2.3 sigma rejects the step (seed 3
