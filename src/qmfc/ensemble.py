@@ -99,7 +99,14 @@ previous (Theta, Phi), and the frame is discontinuous at Theta = pi.
   diagnostic; the bound builds no Euler state and runs no eigensolver.  The
   run's constants, the centred Q and H0, Q^2 and the certificate's norm
   bounds, are built once per run as (N, N, 1) operands; the step, which
-  works in place on its own temporaries, only reads them.
+  works in place on its own temporaries, only reads them.  A Q whose
+  off-diagonal entries are all exactly zero is kept as its diagonal (N, 1),
+  with Q^2, and so is H0 when it is diagonal too and mu = 0 (no feedback
+  adds to it): the step then scales rows where it would multiply matrices,
+  and with both diagonal, as in every strength_rate_numeric run (the QND
+  case of Jacobs and Steck), it runs no matrix product at all.  The entries
+  it skips are products with exact zeros, so every state keeps its value
+  (sde._kraus_step).
   The first-order feedback test ||[sigma, rho]||_F > DEGEN_TOL ||rho||_F
   needs no ||rho||_F when every row's commutator exceeds 2 DEGEN_TOL, since
   ||rho||_F <= 1.  Feedback rows that the test leaves go through one batched
@@ -120,6 +127,7 @@ from .sde import (
     StepRejected,
     _centred,
     _default_reject_tol,
+    _diagonal,
     _euler_norm_bound,
     _frobenius,
     _kraus_step,
@@ -148,6 +156,11 @@ class EnsembleConfig:
     stat_stride: int = 10        # store statistics every this many steps
 
     def __post_init__(self):
+        for name in ("realizations", "stat_stride"):
+            count = getattr(self, name)
+            # a bool is an int to Python, but counts nothing
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be a whole number, got {count!r}")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
         if self.stat_stride < 1 or self.sme.n_steps % self.stat_stride != 0:
@@ -328,6 +341,14 @@ class _MatrixKernel:
         self.q = _centred(observable)[..., None]
         self.q_sq = _matmul(self.q, self.q)
         self.norms = _frobenius(self.h0) + np.sqrt(cfg.mu), _frobenius(self.q)
+        # a diagonal Q, and with it an H0 that no feedback adds to, step as
+        # their diagonals (N, 1), skipping their zeros (sde._kraus_step)
+        q_diagonal = _diagonal(self.q)
+        if q_diagonal is not None:
+            self.q, self.q_sq = q_diagonal, _diagonal(self.q_sq)
+            h_diagonal = _diagonal(self.h0)
+            if cfg.mu == 0 and h_diagonal is not None:
+                self.h0 = h_diagonal
         self.dy_shift = 4.0 * sme.k * (np.trace(observable).real / len(self.q)) * sme.dt
         # the step-size diagnostic is bounded unless it could reach -tol
         self.reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
@@ -341,8 +362,7 @@ class _MatrixKernel:
         h_fb = _feedback_stack(self.rho, psi, cfg.mu) if cfg.mu > 0 else None
         h = self.h0 if h_fb is None else self.h0 + h_fb
         self.rho, exp_q, euler_min = _kraus_step(self.rho, self.q, sme.k, h, sme.dt, dw,
-                                                 tol=self.reject_tol, q_sq=self.q_sq,
-                                                 norms=self.norms)
+                                                 self.q_sq, self.norms, tol=self.reject_tol)
         self._last = exp_q, dw, h_fb
         return euler_min
 

@@ -20,11 +20,16 @@ eigenvalue clip is needed.  Every qubit runs on the Bloch kernel of
 qmfc.ensemble, which steps this map in closed form, with dephasing and the
 relative_angle policy (both defined for qubits only, EnsembleConfig);
 _kraus_step steps (N, N, m) stacks of larger systems, with no dephasing and
-a fixed observable.  A step is still rejected (dt too large) when the
-first-order Euler-Maruyama state from the same rho would have an eigenvalue
-far below zero.  That eigenvalue is bounded without building the Euler state,
-which is built, and its exact smallest eigenvalue computed, only when a
-state's bound could reach the rejection threshold:
+a fixed observable.  A diagonal Q, alone or with a diagonal H, may be given
+by its diagonal: the step then skips the products with its zeros, Q rho
+being a row scaling and, with H diagonal too, M rho M^+ the elementwise
+(M_i rho_il) conj(M_l), and keeps every value, since each term it skips is
+a product with an exact zero (see _kraus_step).  A step is still rejected
+(dt too large) when the first-order Euler-Maruyama state from the same rho
+would have an eigenvalue far below zero.  That eigenvalue is bounded
+without building the Euler state, which is built, and its exact smallest
+eigenvalue computed, only when a state's bound could reach the rejection
+threshold:
 
 * N = 2, on the Bloch kernel: the Euler state is (I + r_E.sigma) / 2 for a
   Bloch vector r_E whose norm _euler_norm_bound bounds in closed form, so
@@ -246,6 +251,23 @@ def _matmul(a, b):
     return out
 
 
+def _apply(a, b):
+    """a @ b for a trajectory-last stack b (N, N, m) and an operator a like it
+    (_matmul), or given by its diagonal (N, 1) or (N, m): then the row
+    scaling a_i b_il, the one term of _matmul's sum that no zero of a
+    multiplies, so every entry has _matmul's value (only the sign of an
+    exactly zero entry can differ)."""
+    return a[:, None] * b if a.ndim == 2 else _matmul(a, b)
+
+
+def _diagonal(a):
+    """The diagonal (N, 1) of an (N, N, 1) operator whose off-diagonal
+    entries are all exactly zero, or None for any other."""
+    if np.any(a[~np.eye(len(a), dtype=bool)]):
+        return None
+    return np.einsum("ii...->i...", a).copy()
+
+
 def _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, h_scale):
     """Upper bound on |r_E|, the first-order Euler-Maruyama Bloch vector.
 
@@ -269,12 +291,6 @@ def _sigma_parts(a):
     return a00.real + a11.real, a10.real, a10.imag, (a00.real - a11.real) / 2
 
 
-def _traceless_norm(a):
-    """||a - (Tr a / N) I||_F of an (N, N) matrix, or of each matrix of an
-    (N, N, m) stack."""
-    return _frobenius(_centred(a))
-
-
 def _frobenius(a):
     """||a||_F of an (N, N) matrix, or of each matrix of an (N, N, m) stack,
     as one sum of squares over a real view of its N^2 entries."""
@@ -284,7 +300,7 @@ def _frobenius(a):
     return np.sqrt(sums[0::2] + sums[1::2]).reshape(a.shape[2:])
 
 
-def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms=None):
+def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms):
     """An upper bound c on ||E - new||_F for each state of a step of
     _kraus_step, where E is its first-order Euler-Maruyama state and new its
     Kraus state, built without E.
@@ -301,19 +317,16 @@ def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms=None):
         ||D||_F <= 2 dt ||H_0||_F + 2 k dt ||Q_0||_F ||[Q, rho]||_F,
 
     where [Q, rho] = q_rho - q_rho^+.  c = ||A||_F + that bound.  norms =
-    (h, q) are upper bounds on every state's ||H_0||_F and ||Q_0||_F; a
-    caller that steps a whole run passes them once (_kraus_step), and
-    without them they are computed here from H and Q.  Since ||X_0||_F <=
-    ||X||_F, the ensemble's matrix kernel passes ||Q||_F and, for per-row
-    feedback H = H0 + H_fb with Tr[H_fb^2] = mu or 0, ||H0||_F + sqrt(mu)
-    of its centred Q and H0.
+    (h, q) are upper bounds on every state's ||H_0||_F and ||Q_0||_F,
+    constant for a whole run (_kraus_step), so Q and H enter c only through
+    them and q_rho.  Since ||X_0||_F <= ||X||_F, the ensemble's matrix
+    kernel passes ||Q||_F and, for per-row feedback H = H0 + H_fb with
+    Tr[H_fb^2] = mu or 0, ||H0||_F + sqrt(mu) of its centred Q and H0.
     Both Frobenius norms are sums of squares over real views (_frobenius):
     c only decides whether the exact diagnostic runs, and the margin of
-    _kraus_step covers its rounding.  Q, q_rho and exp_q are ignored when
-    k = 0.
+    _kraus_step covers its rounding.  q_rho, exp_q and norms' q are ignored
+    when k = 0.
     """
-    if norms is None:
-        norms = _traceless_norm(H), None if k == 0 else _traceless_norm(Q)
     h_norm, q_norm = norms
     drift = (2.0 * dt) * h_norm
     if k == 0:
@@ -333,13 +346,13 @@ def _weyl_certificate(rho, new, Q, k, H, dt, dW, q_rho, exp_q, norms=None):
 
 def _euler_state(rho, Q, k, H, dt, dW, q_rho, exp_q):
     """The first-order Euler-Maruyama state rho + g + g^+ of a _kraus_step
-    from rho, with its q_rho = Q rho and exp_q = Tr[Q rho].  Its temporaries
-    work in place."""
-    g = _matmul(H, rho)
+    from rho, with its q_rho = Q rho and exp_q = Tr[Q rho], for Q and H in
+    either of the step's forms.  Its temporaries work in place."""
+    g = _apply(H, rho)
     np.multiply(-1j * dt, g, out=g)
     if k > 0:
         work = _dagger(q_rho)
-        work = _matmul(Q, np.subtract(q_rho, work, out=work))
+        work = _apply(Q, np.subtract(q_rho, work, out=work))
         g -= np.multiply(k * dt, work, out=work)
         np.subtract(q_rho, np.multiply(exp_q, rho, out=work), out=work)
         g += np.multiply(np.sqrt(2.0 * k) * dW, work, out=work)
@@ -348,7 +361,7 @@ def _euler_state(rho, Q, k, H, dt, dW, q_rho, exp_q):
     return euler
 
 
-def _kraus_step(rho, Q, k, H, dt, dW, tol=None, q_sq=None, norms=None):
+def _kraus_step(rho, Q, k, H, dt, dW, q_sq, norms, tol=None):
     """One Kraus-map step of the conditioned evolution (see the module
     docstring), with no dephasing.
 
@@ -357,10 +370,22 @@ def _kraus_step(rho, Q, k, H, dt, dW, tol=None, q_sq=None, norms=None):
     like rho or (N, N, 1), which acts on every state; dW is a scalar or one
     increment per state.  The step moves at O(dt^1.5) with the traces of Q
     and H, which the evolution does not see, so the ensemble's matrix kernel
-    passes both _centred.  q_sq = Q^2, lifted like Q, may be passed by a
-    caller that steps many times with the same Q; it must be computed as
-    here.  Such a caller may also pass the certificate's norm bounds (see
-    _weyl_certificate), constant for its run.
+    passes both _centred.  q_sq = Q^2, lifted like Q, is computed once by a
+    caller that steps many times with the same Q, as _matmul(Q, Q); norms
+    are the certificate's norm bounds (see _weyl_certificate), constant for
+    its run.
+    A diagonal operator may be given by its diagonal, (N, 1) or (N, m), and
+    q_sq with it: Q alone, or Q and H together (H alone only when k = 0).
+    The step then skips the products with their off-diagonal zeros.  With Q
+    diagonal, Q rho is the row scaling q_i rho_il (_apply), and only the
+    diagonal of M receives the drive sqrt(2k) dy~ q_i + k (dy~^2 - 2 dt)
+    q_i^2.  With Q and H diagonal (a QND measurement with no drift
+    coupling its levels, as strength_rate_numeric steps), so is M, and the
+    update is (M_i rho_il) conj(M_l), with no matrix product.  Every term
+    that the matrix path adds besides these is a product with an exact zero,
+    so it is +0 or -0, and adding it leaves a nonzero sum as it was: each
+    entry has the matrix path's value, in the same order of operations, and
+    only the sign of an entry that is exactly zero can differ.
     Returns (rho_next, exp_q, euler_min): the next states, Tr[Q rho] before
     the step (0 when k = 0), and the step-size diagnostic, the smallest
     eigenvalue of the first-order Euler-Maruyama state from the same rho.
@@ -385,18 +410,28 @@ def _kraus_step(rho, Q, k, H, dt, dW, tol=None, q_sq=None, norms=None):
     if k > 0:
         Q = np.asarray(Q, dtype=complex)
         sqrt2k = np.sqrt(2.0 * k)
-        q_rho = _matmul(Q, rho)
+        q_rho = _apply(Q, rho)
         exp_q = np.einsum("ii...->...", q_rho).real
 
-    m_op = np.eye(len(rho))[..., None] - 1j * dt * H
+    diagonal = H.ndim == 2  # M is diagonal
+    m_op = (1.0 if diagonal else np.eye(len(rho))[..., None]) - 1j * dt * H
     if k > 0:
-        if q_sq is None:
-            q_sq = _matmul(Q, Q)
         dy_tilde = 2.0 * sqrt2k * dt * exp_q + dW
         drive = (sqrt2k * dy_tilde) * Q
-        m_op = np.add(m_op, drive, out=drive)
-        m_op += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
-    new = _matmul(_matmul(m_op, rho), _dagger(m_op))
+        if Q.ndim == H.ndim:
+            m_op = np.add(m_op, drive, out=drive)
+            m_op += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
+        else:  # a diagonal Q under a full H: only M's diagonal is driven
+            if m_op.shape != rho.shape:  # a shared H: every state gets its own M
+                m_op = np.repeat(m_op, rho.shape[2], axis=2)
+            m_diag = np.einsum("ii...->i...", m_op)  # a view, written in place
+            m_diag += drive
+            m_diag += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
+    if diagonal:
+        new = m_op[:, None] * rho
+        new *= m_op.conj()
+    else:
+        new = _matmul(_matmul(m_op, rho), _dagger(m_op))
     m_op = None  # dead: freed before the diagnostic's temporaries
     new /= np.einsum("ii...->...", new).real
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -31,8 +32,11 @@ from qmfc.sde import (
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
+    _centred,
     _default_reject_tol,
+    _frobenius,
     _kraus_step,
+    _matmul,
     _sigma_parts,
     nonselective_solve,
     run_control_trajectory,
@@ -104,6 +108,13 @@ def trajectory_last(stack):
     return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
 
 
+def step_constants(q, h):
+    """The run constants a _MatrixKernel passes _kraus_step, for per-row Q and
+    H stacks: q_sq = Q^2 and the norms (||H_0||_F, ||Q_0||_F) of each row's
+    traceless parts."""
+    return _matmul(q, q), (_frobenius(_centred(h)), _frobenius(_centred(q)))
+
+
 def streams(cfg, indices):
     """The per-trajectory streams of sweep 0 for the given trajectory indices."""
     return (trajectory_rng(cfg.master_seed, 0, j) for j in indices)
@@ -170,6 +181,22 @@ def test_config_refuses_non_finite_mu():
     for mu in (np.nan, np.inf):
         with pytest.raises(ValueError, match="mu"):
             small_config(mu=mu)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("realizations", 2.5), ("realizations", 8.0), ("realizations", True),
+    ("stat_stride", 2.0), ("stat_stride", 10.5), ("stat_stride", True),
+])
+def test_config_refuses_counts_that_are_not_whole_numbers(field, value):
+    # each count is refused by name at construction, not late in run_ensemble
+    # by the numpy call it reaches; a numpy integer is a whole number
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be a whole number, "
+                                                   f"got {value!r}")):
+        small_config(**{field: value})
+    plain = run_ensemble(small_config(realizations=2))
+    numpy_counts = run_ensemble(small_config(realizations=np.int64(2), stat_stride=np.int32(10)))
+    for name in vars(plain):
+        assert np.array_equal(getattr(numpy_counts, name), getattr(plain, name)), name
 
 
 def test_trajectory_rng_streams_are_independent_and_stable():
@@ -687,8 +714,9 @@ def test_weyl_bound_dominates_general_n_euler_state():
         rho, q, h = trajectory_last(rho), trajectory_last(q), trajectory_last(h)
         for dt in (1e-4, 1e-3, 1e-2):
             dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
-            new, _, exact = _kraus_step(rho, q, k, h, dt, dw)
-            gated, _, bound = _kraus_step(rho, q, k, h, dt, dw, tol=np.inf)
+            constants = step_constants(q, h)
+            new, _, exact = _kraus_step(rho, q, k, h, dt, dw, *constants)
+            gated, _, bound = _kraus_step(rho, q, k, h, dt, dw, *constants, tol=np.inf)
             assert np.array_equal(gated, new)
             # 1e-12 absorbs the eigensolver's rounding and rho''s
             assert np.all(bound <= exact + 1e-12), np.max(bound - exact)
@@ -725,8 +753,9 @@ def test_weyl_certificate_bounds_the_euler_distance():
             q, h = hermitian(n, rows), 2.0 * hermitian(n, rows)
             for dt in (1e-4, 1e-3, 1e-2):
                 dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
-                new, _, minus_c = _kraus_step(trajectory_last(rho), trajectory_last(q), k,
-                                              trajectory_last(h), dt, dw, tol=np.inf)
+                q_last, h_last = trajectory_last(q), trajectory_last(h)
+                new, _, minus_c = _kraus_step(trajectory_last(rho), q_last, k, h_last, dt, dw,
+                                              *step_constants(q_last, h_last), tol=np.inf)
                 new = np.moveaxis(new, -1, 0)
                 q_rho = q @ rho
                 exp_q = np.einsum("mii->m", q_rho).real[:, None, None]

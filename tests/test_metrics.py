@@ -395,6 +395,34 @@ def test_strength_rate_numeric_is_bit_equal_under_identity_shift():
         assert bits(2.0) == bits(0.0)
 
 
+# (rate_v, rate_v_se, rate_p, rate_p_se) of strength_rate_numeric for a
+# diagonal Q at N = 3 and 4 (n_traj = 400), as float.hex, recorded with numpy
+# 2.4.6 on x86-64 while every N > 2 step still formed Q rho, M rho and
+# (M rho) M^+ as matrix products.  The last Q is not dyadic, so its centring
+# rounds
+RATES_N_GOLDEN = {
+    "qutrit": (([1.0, 0.0, -1.0], 28),
+               ("0x1.2fa40e059a096p+1", "0x1.436085f924cb4p-3",
+                "0x1.11b4bc1f1b012p+2", "0x1.23d923345427ap-2")),
+    "ququart": (([1.5, 0.5, -0.5, -1.5], 29),
+                ("0x1.2374fd56aab9fp+1", "0x1.08dfe16ace7b7p-3",
+                 "0x1.ed747311be262p+1", "0x1.c213dcee9e555p-3")),
+    "qutrit_uneven": (([0.3, -1.1, 0.7], 30),
+                      ("0x1.0977eb9f4b254p+1", "0x1.ef0dafec74311p-4",
+                       "0x1.dc9bd4fc379ebp+1", "0x1.bcb8a7db46720p-3")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATES_N_GOLDEN))
+def test_general_n_rates_are_pinned(case):
+    """N = 3 and 4 rate estimates keep their bits: any change to the matrix
+    kernel's open-loop steps from I/N shows here."""
+    (diagonal, seed), want = RATES_N_GOLDEN[case]
+    est = strength_rate_numeric(np.diag(diagonal).astype(complex), 1.0, n_traj=400, seed=seed)
+    got = (est.rate_v, est.rate_v_se, est.rate_p, est.rate_p_se)
+    assert tuple(float(x).hex() for x in got) == want
+
+
 def test_rank_one_projective_on_pure_state_gives_full_information():
     rep = disturbance(kappa_povm(KappaMeasurement(1.0)), pure_density([1.0, 0.0]))
     assert rep.i_f_p == pytest.approx(1.0)

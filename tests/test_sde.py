@@ -6,13 +6,18 @@ import pytest
 
 from matrix_reference import euler_state as longhand_euler_state
 from matrix_reference import rouchon_ralph_step
-from qmfc.ensemble import EnsembleConfig, _BlochKernel
+import qmfc.sde
+from qmfc.ensemble import EnsembleConfig, _BlochKernel, _MatrixKernel
+from qmfc.metrics import strength_rate_numeric
 from qmfc.sde import (
     BASIS_DEGEN_TOL,
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
+    _centred,
     _default_reject_tol,
+    _diagonal,
+    _frobenius,
     _kraus_step,
     _local_axis,
     _matmul,
@@ -83,12 +88,21 @@ def test_measurement_policy_validation():
     MeasurementPolicy(mode="fixed_observable", observable=SIGMA_Z)
 
 
+def step_constants(q, h):
+    """The run constants a _MatrixKernel passes _kraus_step, for Q and H as
+    (N, N, m) or (N, N, 1) stacks: q_sq = Q^2 and the norms (||H_0||_F,
+    ||Q_0||_F) of their traceless parts, per row; q may be None when k = 0."""
+    if q is None:
+        return None, (_frobenius(_centred(h)), None)
+    return _matmul(q, q), (_frobenius(_centred(h)), _frobenius(_centred(q)))
+
+
 def sme_step(rho, q, k, h, dt, dw):
     # one step of the SME's Kraus map on a state lifted to an (N, N, 1)
     # stack, and its record dy = 4k<Q>dt + sqrt(2k)dW
     rho, q, h = (None if a is None else np.asarray(a, dtype=complex)[..., None]
                  for a in (rho, q, h))
-    new, exp_q, _ = _kraus_step(rho, q, k, h, dt, dw)
+    new, exp_q, _ = _kraus_step(rho, q, k, h, dt, dw, *step_constants(q, h))
     return new[..., 0], 4.0 * k * exp_q[0] * dt + np.sqrt(2.0 * k) * dw
 
 
@@ -151,12 +165,12 @@ def test_kraus_step_writes_no_argument(n):
             continue
         for per_row in (True, False):
             q, h = (hermitian(shape if per_row else (n, n, 1)) for _ in range(2))
-            q_sq = _matmul(q, q)
-            exact = _kraus_step(rho, q, k, h, dt, dw)[2]
+            q_sq, norms = step_constants(q, h)
+            exact = _kraus_step(rho, q, k, h, dt, dw, q_sq, norms)[2]
             for tol in (None, np.inf, 1e-12):
-                given = (rho, q, h, q_sq)
+                given = (rho, q, h, q_sq, *norms)
                 before = [a.tobytes() for a in given]
-                diagnostic = _kraus_step(rho, q, k, h, dt, dw, tol=tol, q_sq=q_sq)[2]
+                diagnostic = _kraus_step(rho, q, k, h, dt, dw, q_sq, norms, tol=tol)[2]
                 assert [a.tobytes() for a in given] == before
                 # tol = inf certifies the diagnostic with a bound; the others are exact
                 assert np.array_equal(diagnostic, exact) == (tol != np.inf)
@@ -183,25 +197,91 @@ def bloch_writes_no_argument(hermitian, rho, k, dt, dw):
     assert np.all(diagnostic <= exact + 1e-12), np.max(diagnostic - exact)
 
 
+def matrix_kernel(m, observable, k, h0, dt, mu=0.0, psi=None):
+    """A _MatrixKernel of width m from I/N, measuring a fixed observable, and
+    with feedback toward psi when mu > 0."""
+    n = len(observable)
+    cfg = EnsembleConfig(
+        realizations=m, master_seed=None, sme=SmeConfig(k=k, h0=h0, dt=dt, t_end=dt),
+        policy=MeasurementPolicy(mode="fixed_observable", observable=observable),
+        mu=mu, rho0=np.eye(n, dtype=complex) / n,
+        target_fn=None if psi is None else (lambda t: psi), stat_stride=1)
+    return _MatrixKernel(cfg, m)
+
+
 def test_wide_kraus_step_peaks_below_its_out_of_place_working_set():
-    """One N = 4 step at width 4000 (a fixed diagonal Q, H = 0 and the
-    rejection tolerance, as strength_rate_numeric steps) peaks under
-    tracemalloc at no more than 8.1 arrays the size of rho, the peak of the
-    step when every temporary was a fresh array: working in place must not
-    keep more temporaries alive at once."""
+    """One N = 4 step at width 4000, with H = 0 and the constants and
+    rejection tolerance of its _MatrixKernel, peaks under tracemalloc at no
+    more than 8.1 arrays the size of rho, the peak of the step when every
+    temporary was a fresh array: working in place must not keep more
+    temporaries alive at once.  Checked on a diagonal Q, which steps
+    elementwise as strength_rate_numeric does, and on the same Q rotated,
+    which steps through _matmul."""
     n, m, k, dt = 4, 4000, 1.0, 1e-3
-    rho = np.repeat(np.eye(n, dtype=complex)[:, :, None] / n, m, axis=2)
-    args = (rho, np.diag(np.linspace(1.0, -1.0, n))[..., None], k, np.zeros((n, n, 1)), dt,
-            np.random.default_rng(41).normal(0.0, np.sqrt(dt), m))
-    tol = _default_reject_tol(k, 0.0, dt)
-    _kraus_step(*args, tol=tol)
-    tracemalloc.start()
-    try:
-        _kraus_step(*args, tol=tol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8.1 * rho.nbytes, peak / rho.nbytes
+    diagonal = np.diag(np.linspace(1.0, -1.0, n))
+    u = np.linalg.qr(np.random.default_rng(42).standard_normal((n, n)))[0]
+    dw = np.random.default_rng(41).normal(0.0, np.sqrt(dt), m)
+    for observable, elementwise in ((diagonal, True), (u @ diagonal @ u.T, False)):
+        batch = matrix_kernel(m, observable, k, np.zeros((n, n)), dt)
+        assert (batch.q.ndim == 2) == elementwise
+        args = (batch.rho, batch.q, k, batch.h0, dt, dw, batch.q_sq, batch.norms)
+        _kraus_step(*args, tol=batch.reject_tol)
+        tracemalloc.start()
+        try:
+            _kraus_step(*args, tol=batch.reject_tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.1 * batch.rho.nbytes, (elementwise, peak / batch.rho.nbytes)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_diagonal_operands_step_as_the_matmul_path(n):
+    """A diagonal Q given by its diagonal, as a _MatrixKernel passes it,
+    steps elementwise (sde._kraus_step), and so does M when H is diagonal
+    too.  The states, Tr[Q rho] and the step-size diagnostic equal
+    (np.array_equal) those of the same step with every operand given as a
+    matrix, which runs _matmul.  Checked at widths 1, 2 and 31, on mixed
+    states, with a shared diagonal H, given by its diagonal, and with a full
+    per-row H, for the certified (tol = inf) and the exact (no tol)
+    diagnostic; neither step writes what it is given."""
+    rng = np.random.default_rng(60 + n)
+    k, dt = 2.0, 1e-2
+    q = np.diag(rng.standard_normal(n)).astype(complex)[..., None]
+    q_sq = _matmul(q, q)
+    for m in (1, 2, 31):
+        g = rng.standard_normal((n, n, m)) + 1j * rng.standard_normal((n, n, m))
+        rho = np.einsum("ijm,kjm->ikm", g, g.conj())
+        rho /= np.einsum("ii...->...", rho).real
+        dw = rng.normal(0.0, np.sqrt(dt), m)
+        shared = np.diag(rng.standard_normal(n)).astype(complex)[..., None]
+        per_row = g + g.conj().swapaxes(0, 1)
+        for h, h_given in ((shared, _diagonal(shared)), (per_row, per_row)):
+            norms = step_constants(q, h)[1]
+            for tol in (np.inf, None):
+                given = (rho, _diagonal(q), h_given, _diagonal(q_sq))
+                before = [a.tobytes() for a in given]
+                want = _kraus_step(rho, q, k, h, dt, dw, q_sq, norms, tol=tol)
+                got = _kraus_step(rho, given[1], k, h_given, dt, dw, given[3], norms, tol=tol)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                assert [a.tobytes() for a in given] == before
+
+
+def test_strength_rate_numeric_steps_a_diagonal_q_with_no_matrix_product(monkeypatch):
+    """strength_rate_numeric measures from I/N with H = 0, so with a
+    diagonal Q the Kraus operator M is diagonal too, and an N = 4 step calls
+    _matmul zero times.  The same Q rotated takes its three per step: Q rho,
+    M rho and (M rho) M^+."""
+    calls = []
+    matmul = qmfc.sde._matmul
+    monkeypatch.setattr(qmfc.sde, "_matmul", lambda a, b: calls.append(1) or matmul(a, b))
+    diagonal = np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex)
+    u = np.linalg.qr(np.random.default_rng(43).standard_normal((4, 4)))[0]
+    n_steps = 10
+    for q, per_step in ((diagonal, 0), (u @ diagonal @ u.T, 3)):
+        calls.clear()
+        strength_rate_numeric(q, 1.0, n_traj=40, n_batches=4, n_steps=n_steps, n_samples=2)
+        assert len(calls) == per_step * n_steps
 
 
 def test_sme_step_free_evolution():
@@ -256,8 +336,8 @@ def test_sme_step_rejects_blowup():
     # a huge noise increment on a non-eigenstate state leaves the manifold:
     # the first-order state lies past the rejection threshold
     rho = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    _, _, euler_min = _kraus_step(rho[..., None], SIGMA_Z[..., None], 1.0,
-                                  np.zeros((2, 2, 1)), 0.5, 5.0)
+    q, h = SIGMA_Z[..., None], np.zeros((2, 2, 1))
+    _, _, euler_min = _kraus_step(rho[..., None], q, 1.0, h, 0.5, 5.0, *step_constants(q, h))
     assert euler_min[0] < -_default_reject_tol(1.0, 0.0, 0.5)
     # and a trajectory that meets such a step stops with StepRejected: a
     # transverse measurement keeps the state off Q's eigenstates, and at
