@@ -106,7 +106,13 @@ previous (Theta, Phi), and the frame is discontinuous at Theta = pi.
   and with both diagonal, as in every strength_rate_numeric run (the QND
   case of Jacobs and Steck), it runs no matrix product at all.  The entries
   it skips are products with exact zeros, so every state keeps its value
-  (sde._kraus_step).
+  (sde._kraus_step).  With both diagonal, a rho0 whose off-diagonal entries
+  are all exactly zero (I/N, as strength_rate_numeric starts) stays
+  diagonal, so the kernel holds only the populations, an (N, m) stack, and
+  the step updates N numbers per trajectory instead of N^2.  A snapshot
+  copies the populations; states(), and through it purity() and
+  overlap(), and assemble() build the (N, N, m) matrices from them
+  (sde._embed), so every reader sees the values the matrices would hold.
   The first-order feedback test ||[sigma, rho]||_F > DEGEN_TOL ||rho||_F
   needs no ||rho||_F when every row's commutator exceeds 2 DEGEN_TOL, since
   ||rho||_F <= 1.  Feedback rows that the test leaves go through one batched
@@ -128,6 +134,7 @@ from .sde import (
     _centred,
     _default_reject_tol,
     _diagonal,
+    _embed,
     _euler_norm_bound,
     _frobenius,
     _kraus_step,
@@ -327,13 +334,14 @@ def _feedback_stack(rho, psi, mu):
 
 
 class _MatrixKernel:
-    """N > 2 states as an (N, N, m) complex array, trajectory last, measured
-    on a fixed observable; states() is its (m, N, N) view."""
+    """N > 2 states as an (N, N, m) complex array, trajectory last, or, on a
+    diagonal run, as their populations (N, m), measured on a fixed
+    observable; states() gives them as (m, N, N) matrices."""
 
     def __init__(self, cfg, m):
         self.cfg = cfg
         sme, observable = cfg.sme, cfg.policy.observable
-        self.rho = np.repeat(cfg.rho0[:, :, None], m, axis=2)
+        rho0 = cfg.rho0[:, :, None]
         # the step's per-run constants, (N, N, 1) operands that act on every row:
         # H0 and Q centred (module docstring), Q^2 and the certificate's norm
         # bounds (sde._weyl_certificate)
@@ -349,6 +357,11 @@ class _MatrixKernel:
             h_diagonal = _diagonal(self.h0)
             if cfg.mu == 0 and h_diagonal is not None:
                 self.h0 = h_diagonal
+                # a diagonal state stays diagonal: it steps as its populations
+                populations = _diagonal(rho0)
+                if populations is not None:
+                    rho0 = populations
+        self.rho = np.repeat(rho0, m, axis=-1)
         self.dy_shift = 4.0 * sme.k * (np.trace(observable).real / len(self.q)) * sme.dt
         # the step-size diagnostic is bounded unless it could reach -tol
         self.reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
@@ -380,8 +393,10 @@ class _MatrixKernel:
         records and feedback of the steps that ended at the later snapshots,
         the feedback zero when mu = 0."""
         rho, dy, h_fb = zip(*kept)
+        if self.rho.ndim == 2:  # populations
+            rho = [_embed(p) for p in rho]
         states = np.moveaxis(np.array(rho), -1, 0)
-        records = np.reshape(dy[1:], (len(kept) - 1, self.rho.shape[2])).T
+        records = np.reshape(dy[1:], (len(kept) - 1, self.rho.shape[-1])).T
         if h_fb[-1] is None:
             return states, records, np.zeros_like(states[:, 1:])
         return states, records, np.moveaxis(np.array(h_fb[1:]), -1, 0)
@@ -395,7 +410,8 @@ class _MatrixKernel:
         return np.einsum("i,mij,j->m", psi.conj(), np.ascontiguousarray(self.states()), psi).real
 
     def states(self):
-        return self.rho.transpose(2, 0, 1)
+        rho = _embed(self.rho) if self.rho.ndim == 2 else self.rho
+        return rho.transpose(2, 0, 1)
 
 
 def _density(r):

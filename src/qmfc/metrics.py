@@ -189,7 +189,8 @@ def strength_rate_numeric(
     n = Q.shape[0]
     for name, count in (("n_traj", n_traj), ("n_batches", n_batches), ("n_steps", n_steps),
                         ("n_samples", n_samples)):
-        if not isinstance(count, (int, np.integer)):
+        # a bool is an int to Python, but counts nothing (as in EnsembleConfig)
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
             raise ValueError(f"{name} must be a whole number, got {count!r}")
     if not 0 <= k < np.inf:  # written so that NaN fails
         raise ValueError(f"k must be non-negative and finite, got {k}")

@@ -34,6 +34,7 @@ from qmfc.sde import (
     StepRejected,
     _centred,
     _default_reject_tol,
+    _embed,
     _frobenius,
     _kraus_step,
     _matmul,
@@ -798,17 +799,24 @@ def test_run_constant_certificate_bounds_every_step(monkeypatch, n, drift):
     the exact ||E - rho'||_F, E from sde._euler_state, at every step of
     general_n_config's feedback ensembles (mu = 5): with the drift H0 + 2I,
     whose trace the bound must not count, and with H0 = 0, where the
-    feedback is all of H."""
+    feedback is all of H.  The certificate reads no Q or H: the Euler state
+    takes them from the step that called it."""
+    kraus_step = qmfc.ensemble._kraus_step
     certificate, euler_state = qmfc.sde._weyl_certificate, qmfc.sde._euler_state
-    gaps = []
+    operands, gaps = {}, []
 
-    def checked(rho, new, q, k, h, dt, dw, q_rho, exp_q, *constants):
-        assert constants and constants[0] is not None  # the kernel's run constants
-        c = certificate(rho, new, q, k, h, dt, dw, q_rho, exp_q, *constants)
-        euler = euler_state(rho, q, k, h, dt, dw, q_rho, exp_q)
+    def stepping(rho, q, k, h, *args, **kwargs):
+        operands.update(q=q, h=h)
+        return kraus_step(rho, q, k, h, *args, **kwargs)
+
+    def checked(rho, new, k, dt, dw, q_rho, exp_q, norms):
+        assert norms[0] is not None  # the kernel's run constants
+        c = certificate(rho, new, k, dt, dw, q_rho, exp_q, norms)
+        euler = euler_state(rho, operands["q"], k, operands["h"], dt, dw, q_rho, exp_q)
         gaps.append(np.min(c - np.linalg.norm(euler - new, axis=(0, 1))))
         return c
 
+    monkeypatch.setattr(qmfc.ensemble, "_kraus_step", stepping)
     monkeypatch.setattr(qmfc.sde, "_weyl_certificate", checked)
     cfg = general_n_config(n)
     h0 = cfg.sme.h0 + 2.0 * np.eye(n) if drift == "shifted" else np.zeros((n, n))
@@ -884,6 +892,95 @@ def test_general_n_batch_rejects_the_exact_step(monkeypatch):
 
     gated = message()
     assert gated.startswith(f"trajectory {bad} (master_seed 5) at step 0:")
+    kraus_step = qmfc.ensemble._kraus_step
+    monkeypatch.setattr(qmfc.ensemble, "_kraus_step",
+                        lambda *args, tol=None, **kwargs: kraus_step(*args, **kwargs))
+    assert message() == gated
+
+
+class MatrixStates(_MatrixKernel):
+    """The matrix kernel holding its states as (N, N, m) matrices even where
+    it would hold their populations (N, m): the same states, with their
+    zero off-diagonal entries."""
+
+    def __init__(self, cfg, m):
+        super().__init__(cfg, m)
+        if self.rho.ndim == 2:
+            self.rho = _embed(self.rho)
+
+
+def diagonal_config(n, **overrides):
+    """An N = 3 or 4 run that steps populations: a diagonal Q with a trace,
+    a diagonal H0 (so M is complex), a diagonal mixed rho0 and no feedback,
+    with the overlap read toward the last basis state."""
+    target = np.zeros(n, dtype=complex)
+    target[-1] = 1.0
+    defaults = dict(
+        realizations=8,
+        master_seed=17,
+        sme=SmeConfig(k=1.0, h0=np.diag(np.linspace(0.5, -0.2, n)), dt=1e-3, t_end=0.05),
+        policy=MeasurementPolicy(mode="fixed_observable",
+                                 observable=np.diag(np.linspace(1.0, -1.0, n) + 0.3)),
+        mu=0.0,
+        rho0=np.diag(np.arange(n, 0, -1) / (n * (n + 1) / 2)),
+        target_fn=lambda t: target,
+        stat_stride=5,
+    )
+    defaults.update(overrides)
+    return EnsembleConfig(**defaults)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_populations_run_as_the_matrices(monkeypatch, n):
+    """A diagonal run steps populations (N, m), and everything its callers
+    read equals (np.array_equal) the same run on (N, N, m) matrices, the
+    MatrixStates kernel passed through kernel=: purity, overlap, states,
+    records and feedback of a batch, and run_ensemble's statistics,
+    ensemble_states and a width-one run_control_trajectory."""
+    cfg = diagonal_config(n)
+    assert _MatrixKernel(cfg, 8).rho.shape == (n, 8)
+    assert MatrixStates(cfg, 8).rho.shape == (n, n, 8)
+    checkpoints = range(0, cfg.sme.n_steps + 1, cfg.stat_stride)
+    got = collect(cfg, 8, streams(cfg, range(8)), checkpoints)
+    want = collect(cfg, 8, streams(cfg, range(8)), checkpoints, kernel=MatrixStates)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def public_calls():
+        traj = run_control_trajectory(cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, 0.0,
+                                      trajectory_rng(cfg.master_seed, 0, 0), store_every=5)
+        return (vars(run_ensemble(cfg)), ensemble_states(cfg, [0.0, 0.02, cfg.sme.t_end]),
+                vars(traj))
+
+    populations = public_calls()
+    # run_ensemble, ensemble_states and run_control_trajectory take no kernel
+    monkeypatch.setattr(qmfc.ensemble, "_MatrixKernel", MatrixStates)
+    matrices = public_calls()
+    stats, states, traj = populations
+    assert all(np.array_equal(stats[name], matrices[0][name]) for name in stats)
+    assert np.array_equal(states, matrices[1])
+    assert all(np.array_equal(traj[name], matrices[2][name]) for name in traj)
+
+
+def test_population_batch_rejects_the_exact_step(monkeypatch):
+    """A 40-row N = 3 batch of populations from I/3 at k dt = 4 raises
+    StepRejected with the message of the exact diagnostic: that of the same
+    batch stepped with no rejection tolerance, and of the same states as
+    (N, N, m) matrices."""
+    width = 40
+    with pytest.warns(UserWarning):
+        cfg = qutrit_config(realizations=width,
+                            sme=SmeConfig(k=2.0, h0=np.zeros((3, 3)), dt=2.0, t_end=4.0),
+                            mu=0.0, target_fn=None, stat_stride=1)
+    assert _MatrixKernel(cfg, width).rho.shape == (3, width)
+
+    def message(kernel=None):
+        with pytest.raises(StepRejected) as info:
+            collect(cfg, width, streams(cfg, range(width)), kernel=kernel)
+        return str(info.value)
+
+    gated = message()
+    assert gated.startswith("trajectory ") and " (master_seed 5) at step 0:" in gated
+    assert message(MatrixStates) == gated
     kraus_step = qmfc.ensemble._kraus_step
     monkeypatch.setattr(qmfc.ensemble, "_kraus_step",
                         lambda *args, tol=None, **kwargs: kraus_step(*args, **kwargs))

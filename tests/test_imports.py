@@ -58,8 +58,8 @@ def test_every_private_definition_is_used(path):
 
 
 # the engine's step and its kernels: an oracle that calls them restates them
-ENGINE_STEP = {"_kraus_step", "_euler_state", "_weyl_certificate", "_matmul", "_BlochKernel",
-               "_MatrixKernel"}
+ENGINE_STEP = {"_kraus_step", "_euler_state", "_weyl_certificate", "_matmul", "_trace", "_embed",
+               "_BlochKernel", "_MatrixKernel"}
 
 
 @pytest.mark.parametrize("name", ["matrix_reference.py", "bloch_reference.py"])

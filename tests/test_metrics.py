@@ -254,8 +254,9 @@ def test_strength_rate_numeric_refuses_a_k_that_is_negative_or_not_finite(k, hor
 
 @pytest.mark.parametrize("count", ["n_traj", "n_batches", "n_steps", "n_samples"])
 def test_strength_rate_numeric_refuses_non_integer_counts(count):
-    # each count is refused by name, as a whole number; a numpy integer is one
-    for value in (10.5, 4.0):
+    # each count is refused by name, as a whole number; a numpy integer is
+    # one, and a bool is not
+    for value in (10.5, 4.0, True):
         with pytest.raises(ValueError, match=f"{count} must be a whole number, got {value!r}"):
             strength_rate_numeric(SIGMA_Z, 1.0, **{count: value})
     whole = {"n_traj": 6, "n_batches": 3, "n_steps": 4, "n_samples": 2}
