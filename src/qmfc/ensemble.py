@@ -151,6 +151,11 @@ STAT_BLOCK = 32  # stat slots that run_ensemble reduces across trajectories in o
 _SQRT2 = math.sqrt(2.0)
 
 
+def _whole_number(x):
+    """True for an int or a numpy integer: a bool is an int to Python, but counts nothing."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     realizations: int
@@ -165,8 +170,7 @@ class EnsembleConfig:
     def __post_init__(self):
         for name in ("realizations", "stat_stride"):
             count = getattr(self, name)
-            # a bool is an int to Python, but counts nothing
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            if not _whole_number(count):
                 raise ValueError(f"{name} must be a whole number, got {count!r}")
         if self.realizations < 1:
             raise ValueError("need at least one realization")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import check_density_matrix, eig_hermitian, ket, pure_density
+from .states import _phase_fix, check_density_matrix, eig_hermitian, ket, pure_density
 
 # the commutator ||[sigma, rho]||_F, and the gap between rho's top eigenvalue
 # and the target's, count as zero below DEGEN_TOL ||rho||_F; every kernel's
@@ -53,14 +53,14 @@ def first_order_gain(H, rho, psi_target):
     return float((-1j * np.vdot(psi, comm @ psi)).real)
 
 
-def second_order_gain(H, rho, psi_target, tol=1e-6):
+def second_order_gain(H, rho, psi_target):
     """Coefficient of dt^2 when the target is an eigenvector of rho:
     sum_n (lambda_n - lambda_T) |<n|H|target>|^2."""
     H = np.asarray(H, dtype=complex)
     rho = check_density_matrix(rho)
     psi = ket(psi_target)
     lam_t = float(np.vdot(psi, rho @ psi).real)
-    if np.linalg.norm(rho @ psi - lam_t * psi) > tol:
+    if np.linalg.norm(rho @ psi - lam_t * psi) > 1e-6:
         raise ValueError("target is not an eigenvector of rho; second-order form invalid")
     h_psi = H @ psi
     return float(np.vdot(h_psi, (rho @ h_psi) - lam_t * h_psi).real)
@@ -80,8 +80,8 @@ def optimal_feedback(rho, psi_target, mu) -> FeedbackDecision:
     """
     rho = check_density_matrix(rho)
     psi = ket(psi_target)
-    if mu < 0:
-        raise ValueError("feedback strength must be non-negative")
+    if not 0 <= mu < np.inf:  # written so that NaN fails
+        raise ValueError(f"mu must be non-negative and finite, got {mu}")
     n = rho.shape[0]
     tau_degen = DEGEN_TOL * np.linalg.norm(rho)
 
@@ -103,17 +103,14 @@ def optimal_feedback(rho, psi_target, mu) -> FeedbackDecision:
         return FeedbackDecision("first_order", (h + h.conj().T) / 2, a, b, comm_norm)
 
     vals, vecs = eig_hermitian(rho)
-    top = vecs[:, 0]
-    lam_t = b  # target is an eigenvector here, so its eigenvalue is b
-    if vals[0] - lam_t <= tau_degen:
+    if vals[0] - b <= tau_degen:  # the target is an eigenvector here, of eigenvalue b
         return FeedbackDecision("no_op", np.zeros((n, n), dtype=complex), a, b, comm_norm)
 
     # orthogonalize the dominant eigenvector against the target so H is
     # Hermitian with Tr[H^2] = mu exactly; canonicalize the target's global
     # phase so the same physical target always yields the same H
-    nz = np.nonzero(np.abs(psi) > 1e-12)[0][0]
-    psi_c = psi * (psi[nz].conjugate() / abs(psi[nz]))
-    top = top - np.vdot(psi_c, top) * psi_c
+    psi_c = _phase_fix(psi[:, None])[:, 0]
+    top = vecs[:, 0] - np.vdot(psi_c, vecs[:, 0]) * psi_c
     top /= np.linalg.norm(top)
     h = np.sqrt(mu / 2.0) * (np.outer(top, psi_c.conj()) + np.outer(psi_c, top.conj()))
     return FeedbackDecision("second_order", h, a, b, comm_norm)

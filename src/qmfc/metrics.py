@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, _advance_chunk, _trajectory_streams
+from .ensemble import EnsembleConfig, _advance_chunk, _trajectory_streams, _whole_number
 from .sde import MeasurementPolicy, SmeConfig
-from .states import check_density_matrix, overlap, purity, von_neumann_entropy
+from .states import _spectral_entropy, check_density_matrix, overlap, purity, von_neumann_entropy
 from .povm import (
     EPS_PROB,
     MeasurementOperatorSet,
@@ -154,14 +154,14 @@ def theta_sweep(p, kappa, theta_grid):
     return list(zip(theta.tolist(), i_f_p.tolist(), n_e_p.tolist(), n_e_v.tolist()))
 
 
-def fidelity_bound_check(mset: MeasurementOperatorSet, rho, psi_target, slack=1e-12):
+def fidelity_bound_check(mset: MeasurementOperatorSet, rho, psi_target):
     """True iff the outcome-averaged overlap with the target respects the
     largest-eigenvalue bound.  Only meaningful for pure (all-PSD) sets."""
     if mset.kind not in ("pure", "projective"):
         raise ValueError("bound applies to pure measurements only")
     rho = _validated(mset, rho)
     lam_max = float(np.linalg.eigvalsh(rho).max())
-    return overlap(_averaged(_sandwich(mset._stack, rho)), psi_target) <= lam_max + slack
+    return overlap(_averaged(_sandwich(mset._stack, rho)), psi_target) <= lam_max + 1e-12
 
 
 def strength_rate_numeric(
@@ -189,8 +189,7 @@ def strength_rate_numeric(
     n = Q.shape[0]
     for name, count in (("n_traj", n_traj), ("n_batches", n_batches), ("n_steps", n_steps),
                         ("n_samples", n_samples)):
-        # a bool is an int to Python, but counts nothing (as in EnsembleConfig)
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        if not _whole_number(count):
             raise ValueError(f"{name} must be a whole number, got {count!r}")
     if not 0 <= k < np.inf:  # written so that NaN fails
         raise ValueError(f"k must be non-negative and finite, got {k}")
@@ -225,13 +224,10 @@ def strength_rate_numeric(
             lam[:, slot[step]] = np.linalg.eigvalsh(batch.states())
     lam = lam.T  # (N, n_samples, n_traj)
     pur = (lam**2).sum(axis=0)
-    # 0 ln 0 = 0 below 1e-15, as in states.von_neumann_entropy
-    lam = np.where(lam > 1e-15, lam, 1.0)
-    ent = -(lam * np.log(lam)).sum(axis=0)
+    ent = _spectral_entropy(lam, axis=0)
 
-    batches = np.array_split(np.arange(n_traj), n_batches)
     slopes_v, slopes_p = [], []
-    for idx in batches:
+    for idx in np.array_split(np.arange(n_traj), n_batches):
         u_v = ent[:, idx].mean(axis=1)
         u_p = 1.0 - pur[:, idx].mean(axis=1)
         s_v = 1.0 / u_v - 1.0 / np.log(n)
@@ -240,12 +236,11 @@ def strength_rate_numeric(
         slopes_p.append(np.sum(t * s_p) / np.sum(t * t))
     slopes_v = np.array(slopes_v)
     slopes_p = np.array(slopes_p)
-    nb = len(batches)
     return RateEstimate(
         rate_v=float(slopes_v.mean()),
-        rate_v_se=float(slopes_v.std(ddof=1) / np.sqrt(nb)),
+        rate_v_se=float(slopes_v.std(ddof=1) / np.sqrt(n_batches)),
         rate_p=float(slopes_p.mean()),
-        rate_p_se=float(slopes_p.std(ddof=1) / np.sqrt(nb)),
+        rate_p_se=float(slopes_p.std(ddof=1) / np.sqrt(n_batches)),
     )
 
 

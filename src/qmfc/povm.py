@@ -169,12 +169,12 @@ def _kappa_stack(kappa, theta, phi=0.0):
     return u[:, None] @ om @ _dagger(u)[:, None]
 
 
-def default_alpha_grid(Q, k, dt, center=0.0, n_points=2048):
-    """Record-outcome grid: +-6 sigma of the outcome distribution plus the
-    spectral radius of Q, centered on the expected record value."""
+def default_alpha_grid(Q, k, dt):
+    """Record-outcome grid of 2048 points centred on 0: +-6 sigma of the
+    outcome distribution plus the spectral radius of Q."""
     radius = np.max(np.abs(np.linalg.eigvalsh(Q)))
     half_width = 6.0 / np.sqrt(2.0 * k * dt) + radius
-    return np.linspace(center - half_width, center + half_width, n_points)
+    return np.linspace(-half_width, half_width, 2048)
 
 
 def gaussian_weak_povm(Q, k, dt, alpha_grid=None) -> MeasurementOperatorSet:
@@ -186,8 +186,8 @@ def gaussian_weak_povm(Q, k, dt, alpha_grid=None) -> MeasurementOperatorSet:
     too narrow for completeness to hold.
     """
     Q = check_hermitian(Q)
-    if k <= 0 or dt <= 0:
-        raise ValueError("k and dt must be positive")
+    if not (0 < k < np.inf and 0 < dt < np.inf):  # written so that NaN fails
+        raise ValueError(f"k and dt must be positive and finite, got {k} and {dt}")
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(Q, k, dt)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
@@ -223,8 +223,8 @@ def poisson_povm(Q, k, dt) -> MeasurementOperatorSet:
     which is O((k dt)^2), must stay below tolerance.
     """
     Q = check_hermitian(Q)
-    if k <= 0 or dt <= 0:
-        raise ValueError("k and dt must be positive")
+    if not (0 < k < np.inf and 0 < dt < np.inf):  # written so that NaN fails
+        raise ValueError(f"k and dt must be positive and finite, got {k} and {dt}")
     dim = Q.shape[0]
     om0 = np.eye(dim, dtype=complex) - 0.5 * k * dt * (Q @ Q)
     if np.linalg.eigvalsh(om0).min() < -TOL_PSD:

@@ -568,9 +568,9 @@ def run_control_trajectory(
     vector and feedback vector as floats), and the matrices are built once,
     at the end (the kernel's snapshot and assemble).
     """
-    from .ensemble import EnsembleConfig, _advance_chunk
+    from .ensemble import EnsembleConfig, _advance_chunk, _whole_number
 
-    if not isinstance(store_every, (int, np.integer)) or store_every < 1:
+    if not _whole_number(store_every) or store_every < 1:
         raise ValueError(f"store_every must be a positive whole number of steps, "
                          f"got {store_every!r}")
     batch_cfg = EnsembleConfig(

@@ -29,42 +29,42 @@ def check_square(A):
     return A
 
 
-def check_hermitian(A, tol=TOL_HERM):
+def check_hermitian(A):
     A = check_square(A)
     dev = np.max(np.abs(A - A.conj().T))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {tol:.1e})")
+    if dev > TOL_HERM:
+        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e} > {TOL_HERM:.1e})")
     return A
 
 
-def check_density_matrix(rho, tol_herm=TOL_HERM, tol_trace=TOL_TRACE, tol_psd=TOL_PSD):
+def check_density_matrix(rho):
     """Validate rho as a density matrix; returns it unchanged on success."""
-    rho = check_hermitian(rho, tol_herm)
+    rho = check_hermitian(rho)
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > tol_trace:
-        raise ValueError(f"trace {tr!r} deviates from 1 beyond {tol_trace:.1e}")
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise ValueError(f"trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
     lam_min = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if lam_min < -tol_psd:
-        raise ValueError(f"negative eigenvalue {lam_min:.3e} below -{tol_psd:.1e}")
+    if lam_min < -TOL_PSD:
+        raise ValueError(f"negative eigenvalue {lam_min:.3e} below -{TOL_PSD:.1e}")
     return rho
 
 
-def check_unitary(U, tol=TOL_UNITARY):
+def check_unitary(U):
     U = check_square(U)
     dev = np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0])))
-    if dev > tol:
-        raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > {tol:.1e})")
+    if dev > TOL_UNITARY:
+        raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > {TOL_UNITARY:.1e})")
     return U
 
 
-def ket(vec, tol=TOL_TRACE):
+def ket(vec):
     """Validate and return a normalized pure-state vector."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(v)):
         raise ValueError("state vector has non-finite entries")
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"state vector norm {n!r} deviates from 1 beyond {tol:.1e}")
+    if abs(n - 1.0) > TOL_TRACE:
+        raise ValueError(f"state vector norm {n!r} deviates from 1 beyond {TOL_TRACE:.1e}")
     return v
 
 
@@ -85,7 +85,7 @@ def _phase_fix(vecs):
     return vecs
 
 
-def eig_hermitian(A, tol=TOL_HERM):
+def eig_hermitian(A):
     """Eigendecomposition of a Hermitian matrix with deterministic ordering.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
@@ -93,7 +93,7 @@ def eig_hermitian(A, tol=TOL_HERM):
     the lexicographic order of the phase-fixed eigenvector entries, so the
     output is reproducible for reproducible inputs.
     """
-    A = check_hermitian(A, tol)
+    A = check_hermitian(A)
     vals, vecs = np.linalg.eigh((A + A.conj().T) / 2)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], _phase_fix(vecs[:, order])
@@ -115,9 +115,9 @@ def eig_hermitian(A, tol=TOL_HERM):
     return vals, vecs
 
 
-def expm_skew(H, t, tol=TOL_HERM):
+def expm_skew(H, t):
     """exp(-i H t) for Hermitian H, exactly unitary by construction."""
-    H = check_hermitian(H, tol)
+    H = check_hermitian(H)
     if not np.isfinite(t):
         raise ValueError("time must be finite")
     vals, vecs = np.linalg.eigh((H + H.conj().T) / 2)
@@ -140,12 +140,16 @@ def purity(rho):
     return _per_matrix(np.einsum("...ij,...ji->...", rho, rho).real)
 
 
+def _spectral_entropy(lam, axis):
+    """-sum lam ln lam over an axis of eigenvalues, with 0 ln 0 = 0 below 1e-15."""
+    lam = np.where(lam > 1e-15, lam, 1.0)
+    return -(lam * np.log(lam)).sum(axis=axis)
+
+
 def von_neumann_entropy(rho):
     """-Tr[rho ln rho] in nats, with 0 ln 0 = 0 below 1e-15; one per matrix of a stack."""
     rho = np.asarray(rho)
-    lam = np.linalg.eigvalsh((rho + _dagger(rho)) / 2)
-    lam = np.where(lam > 1e-15, lam, 1.0)
-    return _per_matrix(-(lam * np.log(lam)).sum(axis=-1))
+    return _per_matrix(_spectral_entropy(np.linalg.eigvalsh((rho + _dagger(rho)) / 2), -1))
 
 
 def overlap(rho, psi):
@@ -168,7 +172,7 @@ def trace_distance(rho, sigma):
     return float(0.5 * np.abs(lam).sum())
 
 
-def majorizes(lam, mu, tol=TOL_TRACE):
+def majorizes(lam, mu):
     """True iff lam majorizes mu (descending partial sums of lam dominate).
 
     Both vectors must have the same length and sum to 1 within tolerance.
@@ -178,7 +182,7 @@ def majorizes(lam, mu, tol=TOL_TRACE):
     if lam.shape != mu.shape:
         raise ValueError("vectors must have the same length")
     for v in (lam, mu):
-        if abs(v.sum() - 1.0) > max(tol, 1e-10 * v.size):
+        if abs(v.sum() - 1.0) > max(TOL_TRACE, 1e-10 * v.size):
             raise ValueError(f"vector sums to {v.sum()!r}, not 1")
     a = np.cumsum(np.sort(lam)[::-1])
     b = np.cumsum(np.sort(mu)[::-1])

@@ -119,6 +119,14 @@ def test_no_op_branches():
         optimal_feedback(rho, np.array([0.0, 1.0]), -1.0)
 
 
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0])
+def test_optimal_feedback_refuses_bad_mu_by_name(mu):
+    # rho and the target do not commute, so a NaN mu would reach the first-order branch
+    rho = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
+    with pytest.raises(ValueError, match=f"mu must be non-negative and finite, got {mu}"):
+        optimal_feedback(rho, np.array([1.0, 0.0]), mu)
+
+
 def test_first_order_optimal_among_random_hamiltonians():
     rng = np.random.default_rng(31)
     mu = 1.0

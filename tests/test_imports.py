@@ -1,8 +1,9 @@
 """Every name a qmfc module imports is used in it, every private top-level
-function or class is used somewhere in the package, and no module imports
-scipy: a parse of each module with ast, in place of a linter.  A fresh
-interpreter also runs every experiment without loading scipy.  The tests'
-qubit references import none of the engine's step code."""
+function or class is used somewhere in the package, every parameter default
+is overridden by some call, and no module imports scipy: a parse of each
+module with ast, in place of a linter.  A fresh interpreter also runs every
+experiment without loading scipy.  The tests' qubit references import none
+of the engine's step code."""
 
 import ast
 import os
@@ -55,6 +56,37 @@ def test_every_private_definition_is_used(path):
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
               and package[node.name] == references(node)[node.name]]
     assert not unused, f"{path.name} defines private names the package never uses: {unused}"
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, position) of every parameter with a default in a
+    top-level function of the tree; a keyword-only one has position None."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            args = node.args.posonlyargs + node.args.args
+            for i in range(len(args) - len(node.args.defaults), len(args)):
+                yield node.name, args[i].arg, i
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def test_every_default_parameter_is_set_somewhere():
+    # a default that no call overrides is a knob that does nothing: the
+    # value belongs in the function, or in a module constant
+    calls = [node for root in (SRC, TESTS, SRC.parent.parent / "perfbench")
+             for p in root.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Call)]
+    passed = set()
+    for call in calls:
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        positional = [a for a in call.args if not isinstance(a, ast.Starred)]
+        passed.update((name, i) for i in range(len(positional)))
+        passed.update((name, kw.arg) for kw in call.keywords)
+    unset = [f"{path.name}: {fn}({param})" for path in sorted(SRC.glob("*.py"))
+             for fn, param, i in defaulted_parameters(ast.parse(path.read_text()))
+             if (fn, param) not in passed and (fn, i) not in passed]
+    assert not unset, f"parameters no call sets: {unset}"
 
 
 # the engine's step and its kernels: an oracle that calls them restates them

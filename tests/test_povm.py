@@ -290,6 +290,15 @@ def test_poisson_povm():
         poisson_povm(SIGMA_Z, 1.0, 10.0)  # no-jump operator goes negative
 
 
+@pytest.mark.parametrize("build", [gaussian_weak_povm, poisson_povm])
+@pytest.mark.parametrize("k, dt", [(np.nan, 0.01), (np.inf, 0.01), (-1.0, 0.01), (1.0, np.nan),
+                                   (1.0, np.inf), (1.0, 0.0)])
+def test_weak_builders_refuse_bad_k_and_dt_by_name(build, k, dt):
+    # NaN passes k <= 0; it must not reach the operators as a non-finite entry
+    with pytest.raises(ValueError, match=f"k and dt must be positive and finite, got {k} and {dt}"):
+        build(SIGMA_Z, k, dt)
+
+
 def test_polar_split():
     rng = np.random.default_rng(13)
     for n in (2, 3, 5):

@@ -665,7 +665,7 @@ def test_store_every_keeps_every_nth_step():
     every7_np = run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3),
                                        store_every=np.int64(7))
     assert np.array_equal(every7_np.states, every7.states)
-    for store_every in (0, -1, 2.5, 3.0):
+    for store_every in (0, -1, 2.5, 3.0, True):
         with pytest.raises(ValueError, match="store_every must be a positive whole number"):
             run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3),
                                    store_every=store_every)
