@@ -7,8 +7,7 @@ a step's cost is mostly fixed numpy-call overhead, so one wide batch is
 cheapest, and threads would only contend for the GIL.  A single trajectory
 (sde.run_control_trajectory) is a batch of one fed by the caller's
 generator, which keeps its stored steps as the kernel's rows and builds their
-matrices once, at the end; the rates estimator (metrics.strength_rate_numeric) is an
-open-loop ensemble.  Each ensemble trajectory owns a counter-based random
+matrices once, at the end.  Each ensemble trajectory owns a counter-based random
 stream derived from (master seed, sweep index, trajectory index): the Philox
 stream numpy seeds from SeedSequence(entropy=master seed, spawn_key=(sweep
 index, trajectory index)).  A Philox stream is a key and a counter, so an
@@ -101,18 +100,9 @@ previous (Theta, Phi), and the frame is discontinuous at Theta = pi.
   bounds, are built once per run as (N, N, 1) operands; the step, which
   works in place on its own temporaries, only reads them.  A Q whose
   off-diagonal entries are all exactly zero is kept as its diagonal (N, 1),
-  with Q^2, and so is H0 when it is diagonal too and mu = 0 (no feedback
-  adds to it): the step then scales rows where it would multiply matrices,
-  and with both diagonal, as in every strength_rate_numeric run (the QND
-  case of Jacobs and Steck), it runs no matrix product at all.  The entries
-  it skips are products with exact zeros, so every state keeps its value
-  (sde._kraus_step).  With both diagonal, a rho0 whose off-diagonal entries
-  are all exactly zero (I/N, as strength_rate_numeric starts) stays
-  diagonal, so the kernel holds only the populations, an (N, m) stack, and
-  the step updates N numbers per trajectory instead of N^2.  A snapshot
-  copies the populations; states(), and through it purity() and
-  overlap(), and assemble() build the (N, N, m) matrices from them
-  (sde._embed), so every reader sees the values the matrices would hold.
+  with Q^2: the step then scales rows where it would multiply by Q.  The
+  entries it skips are products with exact zeros, so every state keeps its
+  value (sde._kraus_step).
   The first-order feedback test ||[sigma, rho]||_F > DEGEN_TOL ||rho||_F
   needs no ||rho||_F when every row's commutator exceeds 2 DEGEN_TOL, since
   ||rho||_F <= 1.  Feedback rows that the test leaves go through one batched
@@ -134,7 +124,6 @@ from .sde import (
     _centred,
     _default_reject_tol,
     _diagonal,
-    _embed,
     _euler_norm_bound,
     _frobenius,
     _kraus_step,
@@ -338,14 +327,13 @@ def _feedback_stack(rho, psi, mu):
 
 
 class _MatrixKernel:
-    """N > 2 states as an (N, N, m) complex array, trajectory last, or, on a
-    diagonal run, as their populations (N, m), measured on a fixed
-    observable; states() gives them as (m, N, N) matrices."""
+    """N > 2 states as an (N, N, m) complex array, trajectory last, measured
+    on a fixed observable; states() is its (m, N, N) view."""
 
     def __init__(self, cfg, m):
         self.cfg = cfg
         sme, observable = cfg.sme, cfg.policy.observable
-        rho0 = cfg.rho0[:, :, None]
+        self.rho = np.repeat(cfg.rho0[:, :, None], m, axis=2)
         # the step's per-run constants, (N, N, 1) operands that act on every row:
         # H0 and Q centred (module docstring), Q^2 and the certificate's norm
         # bounds (sde._weyl_certificate)
@@ -353,19 +341,10 @@ class _MatrixKernel:
         self.q = _centred(observable)[..., None]
         self.q_sq = _matmul(self.q, self.q)
         self.norms = _frobenius(self.h0) + np.sqrt(cfg.mu), _frobenius(self.q)
-        # a diagonal Q, and with it an H0 that no feedback adds to, step as
-        # their diagonals (N, 1), skipping their zeros (sde._kraus_step)
+        # a diagonal Q steps as its diagonal (N, 1), skipping its zeros (sde._kraus_step)
         q_diagonal = _diagonal(self.q)
         if q_diagonal is not None:
             self.q, self.q_sq = q_diagonal, _diagonal(self.q_sq)
-            h_diagonal = _diagonal(self.h0)
-            if cfg.mu == 0 and h_diagonal is not None:
-                self.h0 = h_diagonal
-                # a diagonal state stays diagonal: it steps as its populations
-                populations = _diagonal(rho0)
-                if populations is not None:
-                    rho0 = populations
-        self.rho = np.repeat(rho0, m, axis=-1)
         self.dy_shift = 4.0 * sme.k * (np.trace(observable).real / len(self.q)) * sme.dt
         # the step-size diagnostic is bounded unless it could reach -tol
         self.reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
@@ -397,10 +376,8 @@ class _MatrixKernel:
         records and feedback of the steps that ended at the later snapshots,
         the feedback zero when mu = 0."""
         rho, dy, h_fb = zip(*kept)
-        if self.rho.ndim == 2:  # populations
-            rho = [_embed(p) for p in rho]
         states = np.moveaxis(np.array(rho), -1, 0)
-        records = np.reshape(dy[1:], (len(kept) - 1, self.rho.shape[-1])).T
+        records = np.reshape(dy[1:], (len(kept) - 1, self.rho.shape[2])).T
         if h_fb[-1] is None:
             return states, records, np.zeros_like(states[:, 1:])
         return states, records, np.moveaxis(np.array(h_fb[1:]), -1, 0)
@@ -414,8 +391,7 @@ class _MatrixKernel:
         return np.einsum("i,mij,j->m", psi.conj(), np.ascontiguousarray(self.states()), psi).real
 
     def states(self):
-        rho = _embed(self.rho) if self.rho.ndim == 2 else self.rho
-        return rho.transpose(2, 0, 1)
+        return self.rho.transpose(2, 0, 1)
 
 
 def _density(r):

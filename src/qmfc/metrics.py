@@ -16,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, _advance_chunk, _trajectory_streams, _whole_number
-from .sde import MeasurementPolicy, SmeConfig
-from .states import _spectral_entropy, check_density_matrix, overlap, purity, von_neumann_entropy
+from .ensemble import _whole_number
+from .sde import _checked
+from .states import (
+    _spectral_entropy,
+    check_density_matrix,
+    check_hermitian,
+    overlap,
+    purity,
+    von_neumann_entropy,
+)
 from .povm import (
     EPS_PROB,
     MeasurementOperatorSet,
@@ -176,16 +183,26 @@ def strength_rate_numeric(
 ) -> RateEstimate:
     """Monte Carlo estimate of d s_v/dt and d s_p/dt at rho = I/N.
 
-    Runs an ensemble of open-loop diffusive measurement trajectories of Q
-    (one lockstep batch, the streams ensemble_states draws for `seed`) from
-    the maximally mixed state over a short horizon, keeps the eigenvalues of
-    the conditional states at n_samples times, after round(j n_steps /
-    n_samples) steps for j = 1, ..., n_samples, evaluates the two
-    uncertainties on them, and fits the strength-vs-time slope through the
-    origin.  Standard errors come from batching the trajectories.  The
-    horizon defaults to 0.005/k so estimates scale exactly linearly in k.
+    Samples n_traj conditioned states of continuous measurement of Q from the
+    maximally mixed state, with H = 0 and no feedback, at n_samples times
+    round(j n_steps / n_samples) dt, dt = horizon / n_steps, for j = 1, ...,
+    n_samples, evaluates the two uncertainties on them, and fits the
+    strength-vs-time slope through the origin (_fitted_rates).  Standard
+    errors come from batching the trajectories.  The horizon defaults to
+    0.005/k so estimates scale exactly linearly in k.
+
+    The measurement is then QND, so the states are exact functions of the
+    record and nothing is stepped (the QND case of Jacobs and Steck, Contemp.
+    Phys. 47, 279 (2006)).  With q_j the eigenvalues of Q, centred as the
+    kernels centre Q, each trajectory draws its level i, uniform on
+    0, ..., N - 1, and the Wiener process W at the sample times; its record
+    is Y(t) = 2 sqrt(2k) q_i t + W(t), and its populations in Q's eigenbasis
+    are proportional to exp(2 sqrt(2k) q_j Y - 4k q_j^2 t), normalised after
+    a log-sum-exp shift.  Every number comes from one Philox stream keyed on
+    seed: the n_traj levels, then an (n_samples, n_traj) block of standard
+    normals.
     """
-    Q = np.asarray(Q, dtype=complex)
+    Q = _checked("Q", check_hermitian, np.asarray(Q, dtype=complex))
     n = Q.shape[0]
     for name, count in (("n_traj", n_traj), ("n_batches", n_batches), ("n_steps", n_steps),
                         ("n_samples", n_samples)):
@@ -205,29 +222,36 @@ def strength_rate_numeric(
     if horizon is None:
         horizon = 0.005 / k
     dt = horizon / n_steps
-    sample_steps = [round(j * n_steps / n_samples) for j in range(1, n_samples + 1)]
-    slot = {step: i for i, step in enumerate(sample_steps)}
-    cfg = EnsembleConfig(
-        realizations=n_traj,
-        master_seed=seed,
-        sme=SmeConfig(k=k, h0=np.zeros((n, n)), dt=dt, t_end=horizon),
-        policy=MeasurementPolicy(mode="fixed_observable", observable=Q),
-        mu=0.0,
-        rho0=np.eye(n, dtype=complex) / n,
-        target_fn=None,
-        stat_stride=n_steps,
-    )
-    t = np.array(sample_steps) * dt
-    lam = np.empty((n_traj, n_samples, n))
-    for step, batch, _ in _advance_chunk(cfg, n_traj, _trajectory_streams(cfg, 0)):
-        if step in slot:
-            lam[:, slot[step]] = np.linalg.eigvalsh(batch.states())
-    lam = lam.T  # (N, n_samples, n_traj)
+    t = np.array([round(j * n_steps / n_samples) for j in range(1, n_samples + 1)]) * dt
+    q = np.linalg.eigvalsh(Q)
+    q -= q.mean()
+    rng = np.random.Generator(np.random.Philox(seed))
+    level = rng.integers(n, size=n_traj)
+    w = rng.standard_normal((n_samples, n_traj))
+    w *= np.sqrt(np.diff(t, prepend=0.0))[:, None]
+    np.cumsum(w, axis=0, out=w)
+    gain = 2.0 * np.sqrt(2.0 * k)
+    record = gain * q[level] * t[:, None] + w  # (n_samples, n_traj)
+    q = q[:, None, None]
+    log_p = gain * q * record - (4.0 * k) * q**2 * t[:, None]  # (N, n_samples, n_traj)
+    log_p -= log_p.max(axis=0)
+    p = np.exp(log_p)
+    p /= p.sum(axis=0)
+    return _fitted_rates(p, t, n_batches)
+
+
+def _fitted_rates(lam, t, n_batches):
+    """The RateEstimate of conditioned states from I/N read at the times t:
+    lam (N, n_samples, n_traj) holds their eigenvalues.  The trajectories are
+    split into n_batches batches; each batch's mean entropy and impurity at
+    each time give its strengths s_v and s_p, and a least-squares line
+    through the origin their slopes.  The rates are the slopes' means over
+    the batches, with their standard errors."""
+    n = lam.shape[0]
     pur = (lam**2).sum(axis=0)
     ent = _spectral_entropy(lam, axis=0)
-
     slopes_v, slopes_p = [], []
-    for idx in np.array_split(np.arange(n_traj), n_batches):
+    for idx in np.array_split(np.arange(lam.shape[2]), n_batches):
         u_v = ent[:, idx].mean(axis=1)
         u_p = 1.0 - pur[:, idx].mean(axis=1)
         s_v = 1.0 / u_v - 1.0 / np.log(n)

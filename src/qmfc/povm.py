@@ -193,7 +193,15 @@ def gaussian_weak_povm(Q, k, dt, alpha_grid=None) -> MeasurementOperatorSet:
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if alpha_grid.size < 2:
         raise ValueError("alpha grid needs at least two points")
+    bad = np.flatnonzero(~np.isfinite(alpha_grid))
+    if bad.size:
+        raise ValueError(f"alpha grid point {bad[0]} is {alpha_grid[bad[0]]}, not finite")
     d_alpha = np.diff(alpha_grid)
+    bad = np.flatnonzero(d_alpha <= 0)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"alpha grid must increase: point {i + 1} ({alpha_grid[i + 1]}) "
+                         f"is not above point {i} ({alpha_grid[i]})")
     if np.max(np.abs(d_alpha - d_alpha[0])) > 1e-9 * abs(d_alpha[0]):
         raise ValueError("alpha grid must be uniform")
     d_alpha = d_alpha[0]

@@ -20,20 +20,14 @@ eigenvalue clip is needed.  Every qubit runs on the Bloch kernel of
 qmfc.ensemble, which steps this map in closed form, with dephasing and the
 relative_angle policy (both defined for qubits only, EnsembleConfig);
 _kraus_step steps (N, N, m) stacks of larger systems, with no dephasing and
-a fixed observable.  A diagonal Q, alone or with a diagonal H, may be given
-by its diagonal: the step then skips the products with its zeros, Q rho
-being a row scaling and, with H diagonal too, M rho M^+ the elementwise
-(M_i rho_il) conj(M_l), and keeps every value, since each term it skips is
-a product with an exact zero (see _kraus_step).  Under a diagonal Q and H a
-diagonal state stays diagonal, since each next off-diagonal entry is
-(M_i rho_il) conj(M_l) with rho_il an exact zero, so such a state may be
-given by its diagonal, an (N, m) stack of populations: the step is then
-elementwise throughout, on N numbers per state instead of N^2, with the
-same values.  A step is still rejected (dt too large) when the first-order
-Euler-Maruyama state from the same rho would have an eigenvalue far below
-zero.  That eigenvalue is bounded without building the Euler state, which
-is built, and its exact smallest eigenvalue computed, only when a state's
-bound could reach the rejection threshold:
+a fixed observable.  A diagonal Q may be given by its diagonal: the step
+then skips the products with its zeros, Q rho being a row scaling, and
+keeps every value, since each term it skips is a product with an exact zero
+(see _kraus_step).  A step is still rejected (dt too large) when the
+first-order Euler-Maruyama state from the same rho would have an eigenvalue
+far below zero.  That eigenvalue is bounded without building the Euler
+state, which is built, and its exact smallest eigenvalue computed, only
+when a state's bound could reach the rejection threshold:
 
 * N = 2, on the Bloch kernel: the Euler state is (I + r_E.sigma) / 2 for a
   Bloch vector r_E whose norm _euler_norm_bound bounds in closed form, so
@@ -238,9 +232,8 @@ def _default_reject_tol(k, beta, dt):
 
 
 def _dagger(a):
-    """The conjugate transpose of each matrix of an (N, N, m) stack, or of
-    each diagonal matrix of a population stack (N, m), which is its conjugate."""
-    return a.conj() if a.ndim == 2 else a.conj().swapaxes(0, 1)
+    """The conjugate transpose of each matrix of an (N, N, m) stack."""
+    return a.conj().swapaxes(0, 1)
 
 
 def _matmul(a, b):
@@ -262,31 +255,8 @@ def _apply(a, b):
     (_matmul), or given by its diagonal (N, 1) or (N, m): then the row
     scaling a_i b_il, the one term of _matmul's sum that no zero of a
     multiplies, so every entry has _matmul's value (only the sign of an
-    exactly zero entry can differ).  For a population stack b (N, m), the
-    diagonals of diagonal matrices, a must be a diagonal: a_i b_i."""
-    if b.ndim == 2:
-        return a * b
+    exactly zero entry can differ)."""
     return a[:, None] * b if a.ndim == 2 else _matmul(a, b)
-
-
-def _trace(a):
-    """Tr a for each matrix of an (N, N, m) stack, or for each diagonal
-    matrix of a population stack (N, m): its entries added in index order,
-    as einsum adds a stack's diagonal, so both forms give the same bits."""
-    if a.ndim == 3:
-        return np.einsum("ii...->...", a)
-    out = a[0] + a[1]
-    for row in a[2:]:
-        out += row
-    return out
-
-
-def _embed(p):
-    """The (N, N, m) stack of diagonal matrices whose diagonals are the
-    populations p (N, m); every off-diagonal entry is +0."""
-    out = np.zeros(p.shape[:1] + p.shape, dtype=complex)
-    np.einsum("ii...->i...", out)[...] = p
-    return out
 
 
 def _diagonal(a):
@@ -321,12 +291,9 @@ def _sigma_parts(a):
 
 
 def _frobenius(a):
-    """||a||_F of each matrix of an (N, N, m) stack, or of each diagonal
-    matrix of a population stack (N, m), as one sum of squares over a real
-    view of its entries.  The sum adds them in index order, so the N^2 - N
-    off-diagonal +0 squares of a diagonal matrix leave it as it is on the
-    diagonal alone: both forms give the same bits."""
-    parts = np.ascontiguousarray(a).reshape(-1, a.shape[-1]).view(np.float64)  # (Re, Im) pairs
+    """||a||_F of each matrix of an (N, N, m) stack, as one sum of squares
+    over a real view of its N^2 entries."""
+    parts = np.ascontiguousarray(a).reshape(-1, a.shape[2]).view(np.float64)  # (Re, Im) pairs
     sums = np.einsum("ij,ij->j", parts, parts)
     return np.sqrt(sums[0::2] + sums[1::2])
 
@@ -356,9 +323,7 @@ def _weyl_certificate(rho, new, k, dt, dW, q_rho, exp_q, norms):
     Both Frobenius norms are sums of squares over real views (_frobenius):
     c only decides whether the exact diagnostic runs, and the margin of
     _kraus_step covers its rounding.  q_rho, exp_q and norms' q are ignored
-    when k = 0.  For states given by their diagonals, every off-diagonal
-    entry of A and [Q, rho] is an exact zero, so the certificate is taken on
-    the diagonals alone (_dagger, _frobenius), with the same bits.
+    when k = 0.
     """
     h_norm, q_norm = norms
     drift = (2.0 * dt) * h_norm
@@ -379,9 +344,9 @@ def _weyl_certificate(rho, new, k, dt, dW, q_rho, exp_q, norms):
 
 def _euler_state(rho, Q, k, H, dt, dW, q_rho, exp_q):
     """The first-order Euler-Maruyama state rho + g + g^+ of a _kraus_step
-    from rho, with its q_rho = Q rho and exp_q = Tr[Q rho], for Q and H in
-    either of the step's forms.  Its temporaries work in place."""
-    g = _apply(H, rho)
+    from rho, with its q_rho = Q rho and exp_q = Tr[Q rho], for Q in either
+    of the step's forms.  Its temporaries work in place."""
+    g = _matmul(H, rho)
     np.multiply(-1j * dt, g, out=g)
     if k > 0:
         work = _dagger(q_rho)
@@ -407,27 +372,14 @@ def _kraus_step(rho, Q, k, H, dt, dW, q_sq, norms, tol=None):
     caller that steps many times with the same Q, as _matmul(Q, Q); norms
     are the certificate's norm bounds (see _weyl_certificate), constant for
     its run.
-    A diagonal operator may be given by its diagonal, (N, 1) or (N, m), and
-    q_sq with it: Q alone, or Q and H together (H alone only when k = 0).
-    The step then skips the products with their off-diagonal zeros.  With Q
-    diagonal, Q rho is the row scaling q_i rho_il (_apply), and only the
-    diagonal of M receives the drive sqrt(2k) dy~ q_i + k (dy~^2 - 2 dt)
-    q_i^2.  With Q and H diagonal (a QND measurement with no drift
-    coupling its levels, as strength_rate_numeric steps), so is M, and the
-    update is (M_i rho_il) conj(M_l), with no matrix product.  Every term
-    that the matrix path adds besides these is a product with an exact zero,
-    so it is +0 or -0, and adding it leaves a nonzero sum as it was: each
-    entry has the matrix path's value, in the same order of operations, and
-    only the sign of an entry that is exactly zero can differ.
-    With Q and H given by their diagonals, rho may be too: an (N, m) stack
-    of populations, each state the diagonal of a density matrix whose
-    off-diagonal entries are exact zeros, as they stay under a diagonal M.
-    The step is then elementwise on the populations p: Q rho is q_i p_i,
-    Tr[Q rho] its sum over i, and the next state (M_i p_i) conj(M_i)
-    divided by its summed trace (_trace, which adds in the order einsum adds
-    a diagonal), and the certificate is taken on the diagonals.  So every
-    value is that of the same step from the states as (N, N, m) matrices,
-    and the next states are returned as populations.
+    A diagonal Q may be given by its diagonal, (N, 1) or (N, m), and q_sq
+    with it.  The step then skips the products with its off-diagonal zeros:
+    Q rho is the row scaling q_i rho_il (_apply), and only the diagonal of M
+    receives the drive sqrt(2k) dy~ q_i + k (dy~^2 - 2 dt) q_i^2.  Every
+    term that the matrix path adds besides these is a product with an exact
+    zero, so it is +0 or -0, and adding it leaves a nonzero sum as it was:
+    each entry has the matrix path's value, in the same order of operations,
+    and only the sign of an entry that is exactly zero can differ.
     Returns (rho_next, exp_q, euler_min): the next states, Tr[Q rho] before
     the step (0 when k = 0), and the step-size diagnostic, the smallest
     eigenvalue of the first-order Euler-Maruyama state from the same rho.
@@ -444,49 +396,38 @@ def _kraus_step(rho, Q, k, H, dt, dW, q_sq, norms, tol=None):
     each holds the bits a fresh array would, and fewer of them are alive at
     once than in an out-of-place step.  No argument is written, and no
     array a later stage still reads (rho, and Q rho for the diagnostic).
-    From populations, the exact diagnostic builds the (N, N, m) matrices
-    (_embed) and their Euler state as from matrices, so the rejected set is
-    the same.
     """
     rho = np.asarray(rho, dtype=complex)
     H = np.asarray(H, dtype=complex)
-    exp_q = np.zeros(rho.shape[-1:])
+    exp_q = np.zeros(rho.shape[2:])
     q_rho = None
     if k > 0:
         Q = np.asarray(Q, dtype=complex)
         sqrt2k = np.sqrt(2.0 * k)
         q_rho = _apply(Q, rho)
-        exp_q = _trace(q_rho).real
+        exp_q = np.einsum("ii...->...", q_rho).real
 
-    diagonal = H.ndim == 2  # M is diagonal
-    m_op = (1.0 if diagonal else np.eye(len(rho))[..., None]) - 1j * dt * H
+    m_op = np.eye(len(rho))[..., None] - 1j * dt * H
     if k > 0:
         dy_tilde = 2.0 * sqrt2k * dt * exp_q + dW
         drive = (sqrt2k * dy_tilde) * Q
-        if Q.ndim == H.ndim:
+        if Q.ndim == 3:
             m_op = np.add(m_op, drive, out=drive)
             m_op += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
-        else:  # a diagonal Q under a full H: only M's diagonal is driven
+        else:  # a diagonal Q: only M's diagonal is driven
             if m_op.shape != rho.shape:  # a shared H: every state gets its own M
                 m_op = np.repeat(m_op, rho.shape[2], axis=2)
             m_diag = np.einsum("ii...->i...", m_op)  # a view, written in place
             m_diag += drive
             m_diag += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
-    new = _apply(m_op, rho)
-    if diagonal:  # M is read no more: conjugated in place
-        new *= np.conjugate(m_op, out=m_op)
-    else:
-        new = _matmul(new, _dagger(m_op))
+    new = _matmul(_matmul(m_op, rho), _dagger(m_op))
     m_op = drive = m_diag = None  # M and its aliases, dead: freed before the diagnostic
-    new /= _trace(new).real
+    new /= np.einsum("ii...->...", new).real
 
     if tol is not None:
         bound = -_weyl_certificate(rho, new, k, dt, dW, q_rho, exp_q, norms)
         if bound.min() >= 1e-9 - tol:
             return new, exp_q, bound
-    if rho.ndim == 2:  # the exact diagnostic reads the matrices
-        rho = _embed(rho)
-        q_rho = _apply(Q, rho) if k > 0 else None
     euler = _euler_state(rho, Q, k, H, dt, dW, q_rho, exp_q)
     return new, exp_q, np.linalg.eigvalsh(euler.transpose(2, 0, 1))[:, 0]
 

@@ -34,7 +34,6 @@ from qmfc.sde import (
     StepRejected,
     _centred,
     _default_reject_tol,
-    _embed,
     _frobenius,
     _kraus_step,
     _matmul,
@@ -892,95 +891,6 @@ def test_general_n_batch_rejects_the_exact_step(monkeypatch):
 
     gated = message()
     assert gated.startswith(f"trajectory {bad} (master_seed 5) at step 0:")
-    kraus_step = qmfc.ensemble._kraus_step
-    monkeypatch.setattr(qmfc.ensemble, "_kraus_step",
-                        lambda *args, tol=None, **kwargs: kraus_step(*args, **kwargs))
-    assert message() == gated
-
-
-class MatrixStates(_MatrixKernel):
-    """The matrix kernel holding its states as (N, N, m) matrices even where
-    it would hold their populations (N, m): the same states, with their
-    zero off-diagonal entries."""
-
-    def __init__(self, cfg, m):
-        super().__init__(cfg, m)
-        if self.rho.ndim == 2:
-            self.rho = _embed(self.rho)
-
-
-def diagonal_config(n, **overrides):
-    """An N = 3 or 4 run that steps populations: a diagonal Q with a trace,
-    a diagonal H0 (so M is complex), a diagonal mixed rho0 and no feedback,
-    with the overlap read toward the last basis state."""
-    target = np.zeros(n, dtype=complex)
-    target[-1] = 1.0
-    defaults = dict(
-        realizations=8,
-        master_seed=17,
-        sme=SmeConfig(k=1.0, h0=np.diag(np.linspace(0.5, -0.2, n)), dt=1e-3, t_end=0.05),
-        policy=MeasurementPolicy(mode="fixed_observable",
-                                 observable=np.diag(np.linspace(1.0, -1.0, n) + 0.3)),
-        mu=0.0,
-        rho0=np.diag(np.arange(n, 0, -1) / (n * (n + 1) / 2)),
-        target_fn=lambda t: target,
-        stat_stride=5,
-    )
-    defaults.update(overrides)
-    return EnsembleConfig(**defaults)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_populations_run_as_the_matrices(monkeypatch, n):
-    """A diagonal run steps populations (N, m), and everything its callers
-    read equals (np.array_equal) the same run on (N, N, m) matrices, the
-    MatrixStates kernel passed through kernel=: purity, overlap, states,
-    records and feedback of a batch, and run_ensemble's statistics,
-    ensemble_states and a width-one run_control_trajectory."""
-    cfg = diagonal_config(n)
-    assert _MatrixKernel(cfg, 8).rho.shape == (n, 8)
-    assert MatrixStates(cfg, 8).rho.shape == (n, n, 8)
-    checkpoints = range(0, cfg.sme.n_steps + 1, cfg.stat_stride)
-    got = collect(cfg, 8, streams(cfg, range(8)), checkpoints)
-    want = collect(cfg, 8, streams(cfg, range(8)), checkpoints, kernel=MatrixStates)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-    def public_calls():
-        traj = run_control_trajectory(cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, 0.0,
-                                      trajectory_rng(cfg.master_seed, 0, 0), store_every=5)
-        return (vars(run_ensemble(cfg)), ensemble_states(cfg, [0.0, 0.02, cfg.sme.t_end]),
-                vars(traj))
-
-    populations = public_calls()
-    # run_ensemble, ensemble_states and run_control_trajectory take no kernel
-    monkeypatch.setattr(qmfc.ensemble, "_MatrixKernel", MatrixStates)
-    matrices = public_calls()
-    stats, states, traj = populations
-    assert all(np.array_equal(stats[name], matrices[0][name]) for name in stats)
-    assert np.array_equal(states, matrices[1])
-    assert all(np.array_equal(traj[name], matrices[2][name]) for name in traj)
-
-
-def test_population_batch_rejects_the_exact_step(monkeypatch):
-    """A 40-row N = 3 batch of populations from I/3 at k dt = 4 raises
-    StepRejected with the message of the exact diagnostic: that of the same
-    batch stepped with no rejection tolerance, and of the same states as
-    (N, N, m) matrices."""
-    width = 40
-    with pytest.warns(UserWarning):
-        cfg = qutrit_config(realizations=width,
-                            sme=SmeConfig(k=2.0, h0=np.zeros((3, 3)), dt=2.0, t_end=4.0),
-                            mu=0.0, target_fn=None, stat_stride=1)
-    assert _MatrixKernel(cfg, width).rho.shape == (3, width)
-
-    def message(kernel=None):
-        with pytest.raises(StepRejected) as info:
-            collect(cfg, width, streams(cfg, range(width)), kernel=kernel)
-        return str(info.value)
-
-    gated = message()
-    assert gated.startswith("trajectory ") and " (master_seed 5) at step 0:" in gated
-    assert message(MatrixStates) == gated
     kraus_step = qmfc.ensemble._kraus_step
     monkeypatch.setattr(qmfc.ensemble, "_kraus_step",
                         lambda *args, tol=None, **kwargs: kraus_step(*args, **kwargs))

@@ -4,7 +4,8 @@ measurement-family functionals of povm and metrics.
 The values were recorded on the code before zeno ran as one batch and before
 MeasurementOperatorSet kept its operators as one stack, and passed there.
 Both changes keep every bit, so these values never move.  The rates digest
-was recorded before the experiments returned their rows to one harness.
+was re-recorded when the rates estimator began sampling its states in
+closed form (RATES_SHA256).
 """
 
 import hashlib
@@ -22,8 +23,10 @@ ZENO_SHA256 = {
     2: "fcbee0599c02efd4e307862ca494528e03edb5dd91b416557e1f3d4f44fbc87c",
 }
 FIG1_SHA256 = "2639b10a7cea105c22eaa1dc0a35a708d2796693e8c00f6055b2f93d65bf8162"
-# --experiment rates --k-list 0,1 --seed 0
-RATES_SHA256 = "b999cce7833ea4f96a7636b4f681c94304108dc6b4208a6054273777b573264c"
+# --experiment rates --k-list 0,1 --seed 0, re-recorded when
+# strength_rate_numeric began sampling the closed-form QND states from one
+# Philox stream instead of stepping the ensemble's per-trajectory streams
+RATES_SHA256 = "c81e4bbaf50d0827f2d0a62aff6f3db8a7edd0c69e220d6563f41430895631e0"
 
 # float.hex of strength (u_v, u_p, s_v, s_p), disturbance (n_e_v, n_e_p,
 # i_f_p), uncertainty_v, uncertainty_p, and the SHA-256 of the float.hex of

@@ -90,8 +90,8 @@ def test_every_default_parameter_is_set_somewhere():
 
 
 # the engine's step and its kernels: an oracle that calls them restates them
-ENGINE_STEP = {"_kraus_step", "_euler_state", "_weyl_certificate", "_matmul", "_trace", "_embed",
-               "_BlochKernel", "_MatrixKernel"}
+ENGINE_STEP = {"_kraus_step", "_euler_state", "_weyl_certificate", "_matmul", "_BlochKernel",
+               "_MatrixKernel"}
 
 
 @pytest.mark.parametrize("name", ["matrix_reference.py", "bloch_reference.py"])
@@ -101,6 +101,24 @@ def test_qubit_references_share_no_step_code(name):
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     shared = sorted((imported | set(references(tree))) & ENGINE_STEP)
     assert not shared, f"{name} uses the engine's step code: {shared}"
+
+
+def test_rates_sampler_shares_no_step_code():
+    # strength_rate_numeric samples the closed form, so test_metrics can check
+    # the engine against it: neither it nor any metrics function it calls may
+    # reach the engine's step or its stepping loops
+    tree = ast.parse((SRC / "metrics.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["strength_rate_numeric"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for n in references(functions[name]) if n in functions]
+    assert "_fitted_rates" in reached
+    used = set().union(*(references(functions[name]) for name in reached))
+    shared = sorted(used & (ENGINE_STEP | {"_advance_chunk", "ensemble_states", "run_ensemble"}))
+    assert not shared, f"strength_rate_numeric uses the engine's step code: {shared}"
 
 
 def imported_modules(tree):

@@ -6,7 +6,9 @@ import pytest
 
 import qmfc.metrics
 import qmfc.povm
+from qmfc.ensemble import EnsembleConfig, ensemble_states
 from qmfc.metrics import (
+    _fitted_rates,
     disturbance,
     fidelity_bound_check,
     ito_rate_p,
@@ -19,6 +21,7 @@ from qmfc.metrics import (
     uncertainty_p,
     uncertainty_v,
 )
+from qmfc.sde import MeasurementPolicy, SmeConfig
 from qmfc.povm import (
     EPS_PROB,
     KappaMeasurement,
@@ -276,27 +279,17 @@ def test_strength_rate_numeric_takes_one_trajectory_per_batch():
     (50, 5, [10, 20, 30, 40, 50]),
 ])
 def test_strength_rate_numeric_samples_n_samples_times(monkeypatch, n_steps, n_samples, want):
-    # the slope is fitted through the states read at exactly n_samples steps,
-    # round(j n_steps / n_samples) for j = 1..n_samples, the last at n_steps
-    read = []
-    driver = qmfc.metrics._advance_chunk
-
-    class Reads:
-        def __init__(self, batch, step):
-            self.batch, self.step = batch, step
-
-        def states(self):
-            read.append(self.step)
-            return self.batch.states()
-
-    def spy(*args, **kwargs):
-        for step, batch, target_t in driver(*args, **kwargs):
-            yield step, Reads(batch, step), target_t
-
-    monkeypatch.setattr(qmfc.metrics, "_advance_chunk", spy)
+    # the slope is fitted through the states at exactly n_samples times,
+    # round(j n_steps / n_samples) dt for j = 1..n_samples, the last at the
+    # horizon 0.005/k
+    times = []
+    fit = qmfc.metrics._fitted_rates
+    monkeypatch.setattr(qmfc.metrics, "_fitted_rates",
+                        lambda lam, t, n_batches: times.append(t) or fit(lam, t, n_batches))
     est = strength_rate_numeric(SIGMA_Z, 1.0, n_traj=80, n_batches=4, n_steps=n_steps,
                                 n_samples=n_samples, seed=2)
-    assert read == want
+    assert len(times) == 1
+    assert np.array_equal(times[0], np.array(want) * (0.005 / n_steps))
     assert np.isfinite([est.rate_p, est.rate_v]).all()
 
 
@@ -396,11 +389,29 @@ def test_strength_rate_numeric_is_bit_equal_under_identity_shift():
         assert bits(2.0) == bits(0.0)
 
 
-# (rate_v, rate_v_se, rate_p, rate_p_se) of strength_rate_numeric for a
-# diagonal Q at N = 3 and 4 (n_traj = 400), as float.hex, recorded with numpy
-# 2.4.6 on x86-64 while every N > 2 step still formed Q rho, M rho and
-# (M rho) M^+ as matrix products.  The last Q is not dyadic, so its centring
-# rounds
+def engine_rates(Q, k, n_traj, seed):
+    """strength_rate_numeric's estimate at its defaults (20 batches, 50 steps,
+    5 samples), with the states taken from the engine instead of the closed
+    form: the open-loop ensemble of Q from I/N with H = 0, on the streams
+    ensemble_states draws for seed, read at the sample times."""
+    n, n_steps, horizon = len(Q), 50, 0.005 / k
+    dt = horizon / n_steps
+    t = np.array([10, 20, 30, 40, 50]) * dt
+    cfg = EnsembleConfig(
+        realizations=n_traj, master_seed=seed,
+        sme=SmeConfig(k=k, h0=np.zeros((n, n)), dt=dt, t_end=horizon),
+        policy=MeasurementPolicy(mode="fixed_observable", observable=Q),
+        mu=0.0, rho0=np.eye(n, dtype=complex) / n, target_fn=None, stat_stride=n_steps)
+    lam = np.linalg.eigvalsh(ensemble_states(cfg, t))  # (n_traj, n_samples, N)
+    return _fitted_rates(lam.T, t, 20)
+
+
+# (rate_v, rate_v_se, rate_p, rate_p_se) of the engine's open-loop ensemble
+# (engine_rates) for a diagonal Q at N = 3 and 4 (n_traj = 400), as
+# float.hex, recorded with numpy 2.4.6 on x86-64 while strength_rate_numeric
+# stepped that ensemble itself and every N > 2 step still formed Q rho,
+# M rho and (M rho) M^+ as matrix products.  The last Q is not dyadic, so
+# its centring rounds
 RATES_N_GOLDEN = {
     "qutrit": (([1.0, 0.0, -1.0], 28),
                ("0x1.2fa40e059a096p+1", "0x1.436085f924cb4p-3",
@@ -416,12 +427,29 @@ RATES_N_GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(RATES_N_GOLDEN))
 def test_general_n_rates_are_pinned(case):
-    """N = 3 and 4 rate estimates keep their bits: any change to the matrix
-    kernel's open-loop steps from I/N shows here."""
+    """N = 3 and 4 rate estimates through the engine keep their bits: any
+    change to the matrix kernel's open-loop steps from I/N shows here."""
     (diagonal, seed), want = RATES_N_GOLDEN[case]
-    est = strength_rate_numeric(np.diag(diagonal).astype(complex), 1.0, n_traj=400, seed=seed)
+    est = engine_rates(np.diag(diagonal).astype(complex), 1.0, 400, seed)
     got = (est.rate_v, est.rate_v_se, est.rate_p, est.rate_p_se)
     assert tuple(float(x).hex() for x in got) == want
+
+
+def test_strength_rate_numeric_agrees_with_the_engine():
+    """The closed-form sampler and the engine's stepped ensemble (engine_rates)
+    estimate the same rates: at N = 2, 3 and 4, 4000 trajectories each, both
+    rates agree within 4 combined standard errors.  The N = 4 observable is
+    a rotated diagonal, so the engine steps it as a full matrix."""
+    u = np.linalg.qr(np.random.default_rng(31).standard_normal((4, 4)))[0]
+    observables = [SIGMA_Z, np.diag([1.0, 0.0, -1.0]).astype(complex),
+                   u @ np.diag([1.5, 0.5, -0.5, -1.5]) @ u.T]
+    for seed, q in enumerate(observables, 40):
+        sampled = strength_rate_numeric(q, 1.0, seed=seed)
+        stepped = engine_rates(q, 1.0, 4000, seed)
+        for rate in ("rate_v", "rate_p"):
+            a, b = getattr(sampled, rate), getattr(stepped, rate)
+            se = math.hypot(getattr(sampled, rate + "_se"), getattr(stepped, rate + "_se"))
+            assert abs(a - b) < 4.0 * se, (len(q), rate, a, b, se)
 
 
 def test_rank_one_projective_on_pure_state_gives_full_information():

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,24 @@ def test_gaussian_weak_povm_rejects_bad_grids():
     grid = default_alpha_grid(SIGMA_Z, 1.0, 0.01)
     assert grid.size == 2048
     assert grid[-1] > 6.0 / np.sqrt(0.02)
+
+
+@pytest.mark.parametrize("grid, message", [
+    pytest.param(np.where(np.arange(321) == 5, np.nan, np.linspace(-8, 8, 321)),
+                 "alpha grid point 5 is nan, not finite", id="nan"),
+    pytest.param(np.append(np.linspace(-8, 8, 321), np.inf),
+                 "alpha grid point 321 is inf, not finite", id="inf"),
+    pytest.param(np.linspace(8, -8, 321),
+                 r"alpha grid must increase: point 1 \(7.95\) is not above point 0 \(8.0\)",
+                 id="descending"),
+    pytest.param(np.zeros(321), r"point 1 \(0.0\) is not above point 0 \(0.0\)", id="constant"),
+])
+def test_gaussian_weak_povm_names_a_grid_that_is_not_finite_and_increasing(grid, message):
+    # refused by name before any arithmetic on the grid, which would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            gaussian_weak_povm(SIGMA_Z, 1.0, 0.01, alpha_grid=grid)
 
 
 def test_gaussian_weak_povm_strong_limit_sharpens():

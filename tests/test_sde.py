@@ -6,10 +6,7 @@ import pytest
 
 from matrix_reference import euler_state as longhand_euler_state
 from matrix_reference import rouchon_ralph_step
-import qmfc.ensemble
-import qmfc.sde
-from qmfc.ensemble import EnsembleConfig, _BlochKernel, _MatrixKernel, run_ensemble
-from qmfc.metrics import strength_rate_numeric
+from qmfc.ensemble import EnsembleConfig, _BlochKernel, _MatrixKernel
 from qmfc.sde import (
     BASIS_DEGEN_TOL,
     MeasurementPolicy,
@@ -18,7 +15,6 @@ from qmfc.sde import (
     _centred,
     _default_reject_tol,
     _diagonal,
-    _embed,
     _frobenius,
     _kraus_step,
     _local_axis,
@@ -216,31 +212,15 @@ def test_wide_kraus_step_peaks_below_its_out_of_place_working_set():
     rejection tolerance of its _MatrixKernel, peaks under tracemalloc at no
     more than 8.1 arrays the size of rho, the peak of the step when every
     temporary was a fresh array: working in place must not keep more
-    temporaries alive at once.  Checked from I/N as (N, N, m) matrices on a
-    diagonal Q, which steps elementwise, and on the same Q rotated, which
-    steps through _matmul.
-
-    From I/N the kernel of the diagonal Q holds populations (N, m).  Their
-    step peaks at no more than 5.6 arrays the size of the populations,
-    counted where the certificate scales rho by a real row: the four
-    full-width arrays alive then (Q rho, the next states and the
-    certificate's two work arrays), 3/4 of one in (m,) rows (Tr[Q rho], a
-    complex row, 1/4; dy~, the drift bound, sqrt(2k) dW and the scaling
-    row, real, 1/8 each) and numpy's iterator buffers for broadcasting a
-    real row into a complex stack, 8192 elements, under 0.8 of one here."""
+    temporaries alive at once.  Checked from I/N on a diagonal Q, which
+    scales rows, and on the same Q rotated, which steps through _matmul."""
     n, m, k, dt = 4, 4000, 1.0, 1e-3
     diagonal = np.diag(np.linspace(1.0, -1.0, n))
     u = np.linalg.qr(np.random.default_rng(42).standard_normal((n, n)))[0]
     dw = np.random.default_rng(41).normal(0.0, np.sqrt(dt), m)
-    matrices = np.repeat((np.eye(n, dtype=complex) / n)[..., None], m, axis=2)
-    # (observable, state, bound): None steps the kernel's own populations
-    cases = [(diagonal, matrices, 8.1), (u @ diagonal @ u.T, matrices, 8.1),
-             (diagonal, None, 5.6)]
-    for observable, rho, bound in cases:
+    rho = np.repeat((np.eye(n, dtype=complex) / n)[..., None], m, axis=2)
+    for observable in (diagonal, u @ diagonal @ u.T):
         batch = matrix_kernel(m, observable, k, np.zeros((n, n)), dt)
-        if rho is None:
-            rho = batch.rho
-            assert rho.shape == (n, m)
         args = (rho, batch.q, k, batch.h0, dt, dw, batch.q_sq, batch.norms)
         _kraus_step(*args, tol=batch.reject_tol)
         tracemalloc.start()
@@ -249,19 +229,18 @@ def test_wide_kraus_step_peaks_below_its_out_of_place_working_set():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * rho.nbytes, (rho.shape, batch.q.ndim, peak / rho.nbytes)
+        assert peak <= 8.1 * rho.nbytes, (batch.q.ndim, peak / rho.nbytes)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_diagonal_operands_step_as_the_matmul_path(n):
     """A diagonal Q given by its diagonal, as a _MatrixKernel passes it,
-    steps elementwise (sde._kraus_step), and so does M when H is diagonal
-    too.  The states, Tr[Q rho] and the step-size diagnostic equal
-    (np.array_equal) those of the same step with every operand given as a
-    matrix, which runs _matmul.  Checked at widths 1, 2 and 31, on mixed
-    states, with a shared diagonal H, given by its diagonal, and with a full
-    per-row H, for the certified (tol = inf) and the exact (no tol)
-    diagnostic; neither step writes what it is given."""
+    scales rows (sde._kraus_step).  The states, Tr[Q rho] and the step-size
+    diagnostic equal (np.array_equal) those of the same step with Q given as
+    a matrix, which runs _matmul.  Checked at widths 1, 2 and 31, on mixed
+    states, with a shared diagonal H and with a full per-row H, for the
+    certified (tol = inf) and the exact (no tol) diagnostic; neither step
+    writes what it is given."""
     rng = np.random.default_rng(60 + n)
     k, dt = 2.0, 1e-2
     q = np.diag(rng.standard_normal(n)).astype(complex)[..., None]
@@ -273,107 +252,15 @@ def test_diagonal_operands_step_as_the_matmul_path(n):
         dw = rng.normal(0.0, np.sqrt(dt), m)
         shared = np.diag(rng.standard_normal(n)).astype(complex)[..., None]
         per_row = g + g.conj().swapaxes(0, 1)
-        for h, h_given in ((shared, _diagonal(shared)), (per_row, per_row)):
+        for h in (shared, per_row):
             norms = step_constants(q, h)[1]
             for tol in (np.inf, None):
-                given = (rho, _diagonal(q), h_given, _diagonal(q_sq))
+                given = (rho, _diagonal(q), h, _diagonal(q_sq))
                 before = [a.tobytes() for a in given]
                 want = _kraus_step(rho, q, k, h, dt, dw, q_sq, norms, tol=tol)
-                got = _kraus_step(rho, given[1], k, h_given, dt, dw, given[3], norms, tol=tol)
+                got = _kraus_step(rho, given[1], k, h, dt, dw, given[3], norms, tol=tol)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
                 assert [a.tobytes() for a in given] == before
-
-
-def test_strength_rate_numeric_steps_a_diagonal_q_with_no_matrix_product(monkeypatch):
-    """strength_rate_numeric measures from I/N with H = 0, so with a
-    diagonal Q the Kraus operator M is diagonal too, and an N = 4 step calls
-    _matmul zero times.  The same Q rotated takes its three per step: Q rho,
-    M rho and (M rho) M^+."""
-    calls = []
-    matmul = qmfc.sde._matmul
-    monkeypatch.setattr(qmfc.sde, "_matmul", lambda a, b: calls.append(1) or matmul(a, b))
-    diagonal = np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex)
-    u = np.linalg.qr(np.random.default_rng(43).standard_normal((4, 4)))[0]
-    n_steps = 10
-    for q, per_step in ((diagonal, 0), (u @ diagonal @ u.T, 3)):
-        calls.clear()
-        strength_rate_numeric(q, 1.0, n_traj=40, n_batches=4, n_steps=n_steps, n_samples=2)
-        assert len(calls) == per_step * n_steps
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_populations_step_as_the_matrices(n):
-    """States given by their diagonals (N, m) step as the same states given
-    as (N, N, m) matrices with zero off-diagonal entries (sde._embed), under
-    a diagonal Q and H given by their diagonals: the next states, Tr[Q rho]
-    and the step-size diagnostic, certified (tol = inf) and exact (no tol),
-    are np.array_equal.  Checked at widths 1, 2 and 31 with H = 0, with a
-    diagonal H0 that makes M complex, and with k = 0; the step writes
-    nothing it is given and returns populations."""
-    rng = np.random.default_rng(70 + n)
-    dt = 1e-2
-    q = np.diag(rng.standard_normal(n)).astype(complex)[..., None]
-    q_sq = _matmul(q, q)
-    h0 = np.diag(rng.standard_normal(n)).astype(complex)[..., None]
-    for m in (1, 2, 31):
-        p = rng.uniform(0.05, 1.0, (n, m)).astype(complex)
-        p /= p.sum(axis=0)
-        dw = rng.normal(0.0, np.sqrt(dt), m)
-        for k, h in ((2.0, np.zeros_like(h0)), (2.0, h0), (0.0, h0)):
-            norms = step_constants(q, h)[1]
-            for tol in (np.inf, None):
-                given = (p, _diagonal(q), _diagonal(h), _diagonal(q_sq))
-                before = [a.tobytes() for a in given]
-                want = _kraus_step(_embed(p), given[1], k, given[2], dt, dw, given[3], norms,
-                                   tol=tol)
-                got = _kraus_step(p, given[1], k, given[2], dt, dw, given[3], norms, tol=tol)
-                assert [a.tobytes() for a in given] == before
-                assert got[0].shape == (n, m)
-                assert np.array_equal(_embed(got[0]), want[0])
-                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
-
-
-def test_only_a_diagonal_run_steps_populations(monkeypatch):
-    """An N = 4 strength_rate_numeric run (a diagonal Q, H = 0, from I/N)
-    steps (N, m) populations, and so does an ensemble with a diagonal Q and
-    H0 from a diagonal rho0 with no feedback.  The same ensemble keeps
-    (N, N, m) matrices under a rotated Q, from a rho0 with an off-diagonal
-    entry, under a full H0, or with feedback (mu > 0), and so does
-    strength_rate_numeric under a rotated Q."""
-    shapes = []
-    kraus_step = qmfc.ensemble._kraus_step
-    monkeypatch.setattr(qmfc.ensemble, "_kraus_step",
-                        lambda rho, *args, **kwargs: shapes.append(rho.shape)
-                        or kraus_step(rho, *args, **kwargs))
-    n, m = 4, 6
-    diagonal = np.diag([1.5, 0.5, -0.5, -1.5]).astype(complex)
-    u = np.linalg.qr(np.random.default_rng(43).standard_normal((n, n)))[0]
-    rotated = u @ diagonal @ u.T
-    for q, shape in ((diagonal, (n, m)), (rotated, (n, n, m))):
-        shapes.clear()
-        strength_rate_numeric(q, 1.0, n_traj=m, n_batches=2, n_steps=4, n_samples=2)
-        assert shapes and set(shapes) == {shape}
-
-    target = np.zeros(n, dtype=complex)
-    target[-1] = 1.0
-    off_diagonal = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    off_diagonal[0, 1] = off_diagonal[1, 0] = 0.05
-    full_h0 = np.diag([0.5, 0.25, -0.25, -0.5]).astype(complex)
-    full_h0[1, 2] = full_h0[2, 1] = 0.5
-    base = dict(observable=diagonal, rho0=np.diag([0.4, 0.3, 0.2, 0.1]),
-                h0=np.diag([0.5, 0.25, -0.25, -0.5]), mu=0.0)
-    for change, shape in (({}, (n, m)), ({"observable": rotated}, (n, n, m)),
-                          ({"rho0": off_diagonal}, (n, n, m)), ({"h0": full_h0}, (n, n, m)),
-                          ({"mu": 5.0}, (n, n, m))):
-        case = {**base, **change}
-        cfg = EnsembleConfig(
-            realizations=m, master_seed=3,
-            sme=SmeConfig(k=1.0, h0=case["h0"], dt=1e-3, t_end=4e-3),
-            policy=MeasurementPolicy(mode="fixed_observable", observable=case["observable"]),
-            mu=case["mu"], rho0=case["rho0"], target_fn=lambda t: target, stat_stride=1)
-        shapes.clear()
-        run_ensemble(cfg)
-        assert shapes and set(shapes) == {shape}, change
 
 
 def test_sme_step_free_evolution():
