@@ -13,7 +13,8 @@ experiment's options in schema order, then seed and threads), duration and
 the summary scalars.  A config file key that names no setting of any
 experiment, or that is set twice, is refused, and so is a count below 1
 (--threads included).  Exit codes: 0 success, 2 config error (nothing is
-written), 3 numerical failure (step rejection), 4 I/O error.
+written), 3 step size too large (StepRejected: the run is refused before
+any step, and nothing is written), 4 I/O error.
 """
 
 import argparse
@@ -241,7 +242,7 @@ def main(argv=None):
             **summary,
         })
     except StepRejected as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"refused: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

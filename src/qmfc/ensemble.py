@@ -31,17 +31,19 @@ kernel runs the same operations on a width-one batch's Python floats as on a
 wide batch's arrays.  So a single trajectory is row 0 of a wide batch on the
 same stream, bit for bit.
 
-Two kernels run the Kraus-map step of qmfc.sde, one per kind of system,
-with the same noise, the same feedback branches and the same StepRejected
-rule.  Both step Q - (Tr Q / N) I and H0 - (Tr H0 / N) I, built once per run
-(relative_angle observables have zero trace already): the conditioned master
-equation sees no more of Q and H, so Q + cI and H0 + cI move no state beyond
-the rounding of the shift, and the record dy gets its 4k (Tr Q / N) dt added
-back.  The relative_angle policy's measured axis n is sde._relative_axis of
-each state's Bloch vector: the policy's (theta, phi) axis turned by the
-rotation by Theta about (-sin Phi, cos Phi, 0), for the Bloch vector at
-polar angles (Theta, Phi); a state shorter than BASIS_DEGEN_TOL keeps its
-previous (Theta, Phi), and the frame is discontinuous at Theta = pi.
+Two kernels run the Kraus-map step of qmfc.sde, one per kind of system, with
+the same noise and the same feedback branches; a run whose step sizes are
+too large is refused when its EnsembleConfig is built (StepRejected, see
+qmfc.sde), so neither kernel checks a step.  Both step Q - (Tr Q / N) I and
+H0 - (Tr H0 / N) I, built once per run (relative_angle observables have zero
+trace already): the conditioned master equation sees no more of Q and H, so
+Q + cI and H0 + cI move no state beyond the rounding of the shift, and the
+record dy gets its 4k (Tr Q / N) dt added back.  The relative_angle policy's
+measured axis n is sde._relative_axis of each state's Bloch vector: the
+policy's (theta, phi) axis turned by the rotation by Theta about (-sin Phi,
+cos Phi, 0), for the Bloch vector at polar angles (Theta, Phi); a state
+shorter than BASIS_DEGEN_TOL keeps its previous (Theta, Phi), and the frame
+is discontinuous at Theta = pi.
 
 * qubit batches of every width (Bloch form; Jacobs and Steck, Contemp.
   Phys. 47, 279 (2006)): each state is a real Bloch vector r,
@@ -68,21 +70,6 @@ previous (Theta, Phi), and the frame is discontinuous at Theta = pi.
   while the dephasing channel adds 2 beta dt sz rho sz
   = beta dt (I + (-r_x, -r_y, r_z).sigma).  The next r is the sigma part of
   the sum over its I part.
-  The step-size diagnostic is (1 - |r_E|) / 2 for the first-order
-  Euler-Maruyama state r_E; a step is rejected when it is below -tol, that
-  is when |r_E| > 1 + 2 tol.  With eps = 2 sqrt(2k) dW,
-  c_r = 1 - 4k dt (q.q) - eps (q.r) and c_q = 4k dt (q.r) + eps,
-
-      |r_E| <= sqrt(c_r^2 |r|^2 + 2 c_r c_q (q.r) + c_q^2 (q.q))
-               + dt (2 (|g| + sqrt(mu/2)) + 4 beta) |r|
-
-  for H0's sigma part g (sde._euler_norm_bound: the first term is the
-  exact norm of c_r r + c_q q, the second bounds the rotation and
-  dephasing, since feedback rows of either branch have |h_fb| <= sqrt(mu/2)).
-  r_E is built only when the batch maximum of this bound exceeds 1 + 2 tol
-  less 1e-9 for rounding, which never happens at fig2's defaults (largest
-  bound about 1.012 against 1.04), so the rejected set and the StepRejected
-  message are those of the exact diagnostic.
   Feedback is the first-order rotation -sqrt(mu/2) (s x r)/|s x r| toward
   the target's Bloch vector s, or nothing when the state already points at
   the target; the rare remaining rows (second-order branch) go to
@@ -91,13 +78,8 @@ previous (Theta, Phi), and the frame is discontinuous at Theta = pi.
   too, so a rare row is decided from the same numbers at every width.
 * N > 2 at every width: (N, N, m) complex arrays, trajectory axis last,
   m = 1 included, through sde._kraus_step, on a fixed observable with no
-  dephasing (EnsembleConfig).  The step-size diagnostic is a per-row lower
-  bound, -c for a certificate c >= ||euler - rho'||_F (Weyl's inequality,
-  sde._weyl_certificate), unless the bound could reach the StepRejected
-  threshold, so the rejected set and the message are those of the exact
-  diagnostic; the bound builds no Euler state and runs no eigensolver.  The
-  run's constants, the centred Q and H0, Q^2 and the certificate's norm
-  bounds, are built once per run as (N, N, 1) operands; the step, which
+  dephasing (EnsembleConfig).  The run's constants, the centred Q and H0
+  and Q^2, are built once per run as (N, N, 1) operands; the step, which
   works in place on its own temporaries, only reads them.  A Q whose
   off-diagonal entries are all exactly zero is kept as its diagonal (N, 1),
   with Q^2: the step then scales rows where it would multiply by Q.  The
@@ -118,20 +100,19 @@ import numpy as np
 
 from .feedback import DEGEN_TOL, optimal_feedback
 from .sde import (
+    STEP_SIZE_LIMIT,
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
     _centred,
-    _default_reject_tol,
     _diagonal,
-    _euler_norm_bound,
-    _frobenius,
     _kraus_step,
     _local_axis,
     _matmul,
     _on_step_grid,
     _relative_axis,
     _sigma_parts,
+    _traceless_norm,
 )
 from .states import check_density_matrix
 
@@ -180,6 +161,17 @@ class EnsembleConfig:
             raise ValueError("relative_angle policy is defined for qubits")
         if self.sme.dephasing_beta > 0 and shape != (2, 2):
             raise ValueError("dephasing term is defined for qubit configurations")
+        # the run's step sizes, decided once, before any step (sde module docstring)
+        sme = self.sme
+        q_norm = (_traceless_norm(self.policy.observable)
+                  if self.policy.mode == "fixed_observable" else 1.0)
+        h_norm = _traceless_norm(sme.h0) + math.sqrt(self.mu)
+        for name, size in (("2k dt ||Q_0||^2", 2.0 * sme.k * sme.dt * q_norm ** 2),
+                           ("dt (||H0_0|| + sqrt(mu))", sme.dt * h_norm),
+                           ("beta dt", sme.dephasing_beta * sme.dt)):
+            if size > STEP_SIZE_LIMIT:
+                raise StepRejected(f"step size {name} = {size:.3g} exceeds {STEP_SIZE_LIMIT:g}; "
+                                   f"reduce dt")
 
 
 @dataclass
@@ -335,19 +327,15 @@ class _MatrixKernel:
         sme, observable = cfg.sme, cfg.policy.observable
         self.rho = np.repeat(cfg.rho0[:, :, None], m, axis=2)
         # the step's per-run constants, (N, N, 1) operands that act on every row:
-        # H0 and Q centred (module docstring), Q^2 and the certificate's norm
-        # bounds (sde._weyl_certificate)
+        # H0 and Q centred (module docstring), and Q^2
         self.h0 = _centred(sme.h0)[..., None]
         self.q = _centred(observable)[..., None]
         self.q_sq = _matmul(self.q, self.q)
-        self.norms = _frobenius(self.h0) + np.sqrt(cfg.mu), _frobenius(self.q)
         # a diagonal Q steps as its diagonal (N, 1), skipping its zeros (sde._kraus_step)
         q_diagonal = _diagonal(self.q)
         if q_diagonal is not None:
             self.q, self.q_sq = q_diagonal, _diagonal(self.q_sq)
         self.dy_shift = 4.0 * sme.k * (np.trace(observable).real / len(self.q)) * sme.dt
-        # the step-size diagnostic is bounded unless it could reach -tol
-        self.reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
         self._last = 0.0, 0.0, None  # (Tr[Q rho], dW, H_fb) of the last step; none yet
 
     def target(self, psi):
@@ -357,10 +345,8 @@ class _MatrixKernel:
         cfg, sme = self.cfg, self.cfg.sme
         h_fb = _feedback_stack(self.rho, psi, cfg.mu) if cfg.mu > 0 else None
         h = self.h0 if h_fb is None else self.h0 + h_fb
-        self.rho, exp_q, euler_min = _kraus_step(self.rho, self.q, sme.k, h, sme.dt, dw,
-                                                 self.q_sq, self.norms, tol=self.reject_tol)
+        self.rho, exp_q = _kraus_step(self.rho, self.q, sme.k, h, sme.dt, dw, self.q_sq)
         self._last = exp_q, dw, h_fb
-        return euler_min
 
     def snapshot(self):
         """What a stored step keeps of every row, for assemble: a copy of rho,
@@ -435,12 +421,6 @@ class _BlochKernel:
             q_trace, *self.q = _sigma_parts(policy.observable)
             self.dy_shift = 4.0 * sme.k * (q_trace / 2) * sme.dt
         self.fb_scale = -math.sqrt(cfg.mu / 2)
-        # |h| <= |h0| + sqrt(mu/2) on either feedback branch; the Euler state is built
-        # only when the bound on |r_E| could reach 1 + 2 tol less a rounding margin
-        self.h_scale = (2.0 * (math.sqrt(_dot(self.h0, self.h0)) + math.sqrt(cfg.mu / 2))
-                        + 4.0 * sme.dephasing_beta)
-        tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
-        self.euler_limit = 1.0 + 2.0 * tol - 1e-9
         self._last = 0.0, 0.0, None  # (sqrt(2k), dy~, h_fb) of the last step; none yet
 
     def target(self, psi):
@@ -482,8 +462,7 @@ class _BlochKernel:
             dw = dw.item()
         x, y, z = r = self.r
         sqrt2k = math.sqrt(2.0 * k)
-        rr = x * x + y * y + z * z
-        r_norm = sqrt(rr)
+        r_norm = sqrt(x * x + y * y + z * z)
         if cfg.policy.mode == "relative_angle":
             (qx, qy, qz), self.angles = _relative_axis(r, r_norm, self.local, self.angles)
             if self.one:  # numpy's trigonometry returns numpy floats
@@ -520,25 +499,8 @@ class _BlochKernel:
         sigma_y = uy + cy + shrink * y + ay * ar + by * br - (wz * x - wx * z) - damp * y
         sigma_z = uz + cz + shrink * z + az * ar + bz * br - (wx * y - wy * x) + damp * z
 
-        eps = (2.0 * sqrt2k) * dw
-        bound = _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, self.h_scale)
-        if not self.one:
-            bound = bound.max()
-        if bound <= self.euler_limit:
-            euler_min = (1.0 - bound) / 2  # a lower bound on every row's diagnostic
-        else:
-            # r_E = r + dt (2 h x r + 4k (q (q.r) - (q.q) r) - 4 beta (x, y, 0))
-            #       + eps (q - (q.r) r)
-            c, g = 4.0 * k, 4.0 * beta
-            ex = (x + dt * (2.0 * (hy * z - hz * y) + c * (qx * qr - qq * x) - g * x)
-                  + eps * (qx - qr * x))
-            ey = (y + dt * (2.0 * (hz * x - hx * z) + c * (qy * qr - qq * y) - g * y)
-                  + eps * (qy - qr * y))
-            ez = z + dt * (2.0 * (hx * y - hy * x) + c * (qz * qr - qq * z)) + eps * (qz - qr * z)
-            euler_min = (1.0 - sqrt(ex * ex + ey * ey + ez * ez)) / 2
         self.r = sigma_x / identity_part, sigma_y / identity_part, sigma_z / identity_part
         self._last = sqrt2k, dy_tilde, h_fb
-        return euler_min
 
     def snapshot(self):
         """As _MatrixKernel.snapshot, as rows: r, dy = sqrt(2k) dy~ + 4k q0 dt
@@ -622,7 +584,6 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
     sme = cfg.sme
     n_steps = sme.n_steps
     dt = sme.dt
-    reject_tol = _default_reject_tol(sme.k, sme.dephasing_beta, dt)
     if kernel is None:
         kernel = _BlochKernel if cfg.rho0.shape == (2, 2) else _MatrixKernel
 
@@ -658,14 +619,7 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
             streams = kept
             rows *= sqrt_dt
         np.copyto(dw_row, dw[row])
-        euler_min = batch.step(target_t, dw_row)
-        worst = euler_min if isinstance(euler_min, float) else euler_min.min()
-        if worst < -reject_tol:
-            bad = int(np.argmin(euler_min))
-            raise StepRejected(
-                f"trajectory {bad} (master_seed {cfg.master_seed}) at step {step}: "
-                f"first-order eigenvalue {worst:.3e} below -{reject_tol:.1e}; reduce dt"
-            )
+        batch.step(target_t, dw_row)
         target_t = target((step + 1) * dt)
         yield step + 1, batch, target_t
 

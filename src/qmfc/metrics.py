@@ -204,6 +204,8 @@ def strength_rate_numeric(
     """
     Q = _checked("Q", check_hermitian, np.asarray(Q, dtype=complex))
     n = Q.shape[0]
+    if n < 2:  # both strengths divide by ln N or N - 1
+        raise ValueError(f"Q must be at least 2 x 2, got {n} x {n}")
     for name, count in (("n_traj", n_traj), ("n_batches", n_batches), ("n_steps", n_steps),
                         ("n_samples", n_samples)):
         if not _whole_number(count):

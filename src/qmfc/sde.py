@@ -23,22 +23,19 @@ _kraus_step steps (N, N, m) stacks of larger systems, with no dephasing and
 a fixed observable.  A diagonal Q may be given by its diagonal: the step
 then skips the products with its zeros, Q rho being a row scaling, and
 keeps every value, since each term it skips is a product with an exact zero
-(see _kraus_step).  A step is still rejected (dt too large) when the
-first-order Euler-Maruyama state from the same rho would have an eigenvalue
-far below zero.  That eigenvalue is bounded without building the Euler
-state, which is built, and its exact smallest eigenvalue computed, only
-when a state's bound could reach the rejection threshold:
+(see _kraus_step).
 
-* N = 2, on the Bloch kernel: the Euler state is (I + r_E.sigma) / 2 for a
-  Bloch vector r_E whose norm _euler_norm_bound bounds in closed form, so
-  its smallest eigenvalue is at least (1 - bound) / 2;
-* N > 2, in _kraus_step: rho' is positive semidefinite, so by Weyl's
-  inequality the Euler state's smallest eigenvalue is at least -c for any
-  c >= ||euler - rho'||_F.  _weyl_certificate computes such a c from Q rho,
-  which the step has anyway: the difference's noise part exactly, and its
-  two drift commutators, which are O(dt) against a threshold of O(sqrt(dt)),
-  by a norm bound in ||H_0||_F and ||Q_0||_F, the norms of their traceless
-  parts, which a caller that steps many times passes as constants of its run.
+Since the map stays physical at any dt, a step size is a matter of accuracy,
+and it is decided once per run, before any step, from what bounds the
+generator's rates: the measurement k, the feedback strength mu (Tr H_fb^2 =
+mu, so ||H_fb|| <= sqrt(mu)) and the dephasing beta.  EnsembleConfig, which
+every run builds, refuses with StepRejected a run in which any of
+
+    2k dt ||Q_0||^2,   dt (||H0_0|| + sqrt(mu)),   beta dt
+
+exceeds STEP_SIZE_LIMIT, with X_0 = X - (Tr X / N) I and ||.|| the largest
+singular value (||Q_0|| = 1 under relative_angle).  SmeConfig warns at the
+same limit of dt max(k, beta, ||H0_0||).
 
 The closed loop measures, on a qubit, the spin along a fixed Bloch angle
 (theta, phi) from the state's own direction and applies the optimal
@@ -72,9 +69,15 @@ from .states import SIGMA_Z, check_density_matrix, check_hermitian, ket, overlap
 # the relative_angle frame then keeps its previous angles (_relative_axis)
 BASIS_DEGEN_TOL = 1e-12
 
+# the largest step size a run is admitted at, in each of the measures
+# EnsembleConfig reads (module docstring); SmeConfig warns past it
+STEP_SIZE_LIMIT = 0.05
+
 
 class StepRejected(RuntimeError):
-    """Raised when dt is too large: the first-order step lands far off the physical manifold."""
+    """Raised when a run's step sizes exceed STEP_SIZE_LIMIT (module
+    docstring): the run is refused when its EnsembleConfig is built, before
+    any step."""
 
 
 def _on_step_grid(t, dt):
@@ -95,6 +98,11 @@ def _centred(a):
     if np.any(shift):
         out[np.diag_indices(len(out))] -= shift
     return out
+
+
+def _traceless_norm(a):
+    """||a - (Tr a / N) I||, the largest singular value of a's traceless part."""
+    return float(np.linalg.norm(_centred(a), 2))
 
 
 def _checked(name, check, a):
@@ -127,10 +135,10 @@ class SmeConfig:
         h0 = _checked("h0", check_hermitian, np.asarray(self.h0, dtype=complex))
         object.__setattr__(self, "h0", h0)
         # H0's trace shifts every energy alike and moves no state
-        scale = max(self.k, self.dephasing_beta, float(np.linalg.norm(_centred(h0), 2)))
-        if self.dt * scale > 0.05:
+        scale = max(self.k, self.dephasing_beta, _traceless_norm(h0))
+        if self.dt * scale > STEP_SIZE_LIMIT:
             warnings.warn(
-                f"dt * max(k, beta, ||H0_0||) = {self.dt * scale:.3g} > 0.05; "
+                f"dt * max(k, beta, ||H0_0||) = {self.dt * scale:.3g} > {STEP_SIZE_LIMIT:g}; "
                 f"integration error may be significant",
                 stacklevel=2,
             )
@@ -225,12 +233,6 @@ class TrajectoryResult:
         )
 
 
-def _default_reject_tol(k, beta, dt):
-    # Euler-Maruyama leaves the manifold by O(sqrt(dt)) near pure states;
-    # anything much beyond that signals a genuinely unstable step size
-    return np.sqrt(2.0 * max(k, beta, 1.0) * dt)
-
-
 def _dagger(a):
     """The conjugate transpose of each matrix of an (N, N, m) stack."""
     return a.conj().swapaxes(0, 1)
@@ -267,22 +269,6 @@ def _diagonal(a):
     return np.einsum("ii...->i...", a).copy()
 
 
-def _euler_norm_bound(r_norm, rr, qr, qq, eps, k, dt, h_scale):
-    """Upper bound on |r_E|, the first-order Euler-Maruyama Bloch vector.
-
-    r_E = c_r r + c_q q + dt (2 h x r - 4 beta (r_x, r_y, 0)) with
-    eps = 2 sqrt(2k) dW, c_r = 1 - 4k dt (q.q) - eps (q.r) and
-    c_q = 4k dt (q.r) + eps, where Q = q0 I + q.sigma and H = h0 I + h.sigma;
-    the first two terms' norm is exact, and the dt term is at most
-    dt h_scale |r| for any h_scale >= 2 |h| + 4 beta.  rr = r.r and
-    r_norm = |r|; every argument is a scalar or an (m,) array.
-    """
-    c_r = 1.0 - (4.0 * k * dt) * qq - eps * qr
-    c_q = (4.0 * k * dt) * qr + eps
-    return (np.sqrt(c_r * c_r * rr + 2.0 * c_r * c_q * qr + c_q * c_q * qq)
-            + (dt * h_scale) * r_norm)
-
-
 def _sigma_parts(a):
     """(a00 + a11, x, y, z) as Python floats for a (2, 2) qubit operator
     a = a0 I + (x, y, z).sigma, read from the lower triangle."""
@@ -290,76 +276,7 @@ def _sigma_parts(a):
     return a00.real + a11.real, a10.real, a10.imag, (a00.real - a11.real) / 2
 
 
-def _frobenius(a):
-    """||a||_F of each matrix of an (N, N, m) stack, as one sum of squares
-    over a real view of its N^2 entries."""
-    parts = np.ascontiguousarray(a).reshape(-1, a.shape[2]).view(np.float64)  # (Re, Im) pairs
-    sums = np.einsum("ij,ij->j", parts, parts)
-    return np.sqrt(sums[0::2] + sums[1::2])
-
-
-def _weyl_certificate(rho, new, k, dt, dW, q_rho, exp_q, norms):
-    """An upper bound c on ||E - new||_F for each state of a step of
-    _kraus_step, where E is its first-order Euler-Maruyama state and new its
-    Kraus state, built without E.
-
-    E - new = A + D, with the noise part
-
-        A = rho - new + sqrt(2k) dW (Q rho + rho Q - 2 Tr[Q rho] rho),
-
-    computed from q_rho = Q rho, and the drift D = -i dt [H, rho]
-    - k dt [Q, [Q, rho]], which is O(dt) and only bounded: with
-    X_0 = X - (Tr X / N) I, ||[X, Y]||_F <= 2 ||X_0||_F ||Y||_F and
-    ||rho||_F <= 1 for a density matrix, so
-
-        ||D||_F <= 2 dt ||H_0||_F + 2 k dt ||Q_0||_F ||[Q, rho]||_F,
-
-    where [Q, rho] = q_rho - q_rho^+.  c = ||A||_F + that bound.  norms =
-    (h, q) are upper bounds on every state's ||H_0||_F and ||Q_0||_F,
-    constant for a whole run (_kraus_step), so Q and H enter c only through
-    them and q_rho.  Since ||X_0||_F <= ||X||_F, the ensemble's matrix
-    kernel passes ||Q||_F and, for per-row feedback H = H0 + H_fb with
-    Tr[H_fb^2] = mu or 0, ||H0||_F + sqrt(mu) of its centred Q and H0.
-    Both Frobenius norms are sums of squares over real views (_frobenius):
-    c only decides whether the exact diagnostic runs, and the margin of
-    _kraus_step covers its rounding.  q_rho, exp_q and norms' q are ignored
-    when k = 0.
-    """
-    h_norm, q_norm = norms
-    drift = (2.0 * dt) * h_norm
-    if k == 0:
-        return _frobenius(rho - new) + drift
-    work = _dagger(q_rho)
-    a = np.subtract(q_rho, work)  # [Q, rho]
-    drift = drift + (2.0 * k * dt) * q_norm * _frobenius(a)
-    noise = np.sqrt(2.0 * k) * dW
-    work += q_rho
-    work *= noise
-    # rho - 2 sqrt(2k) dW Tr[Q rho] rho as one product, then A in place
-    np.multiply(1.0 - 2.0 * noise * exp_q, rho, out=a)
-    a -= new
-    a += work
-    return _frobenius(a) + drift
-
-
-def _euler_state(rho, Q, k, H, dt, dW, q_rho, exp_q):
-    """The first-order Euler-Maruyama state rho + g + g^+ of a _kraus_step
-    from rho, with its q_rho = Q rho and exp_q = Tr[Q rho], for Q in either
-    of the step's forms.  Its temporaries work in place."""
-    g = _matmul(H, rho)
-    np.multiply(-1j * dt, g, out=g)
-    if k > 0:
-        work = _dagger(q_rho)
-        work = _apply(Q, np.subtract(q_rho, work, out=work))
-        g -= np.multiply(k * dt, work, out=work)
-        np.subtract(q_rho, np.multiply(exp_q, rho, out=work), out=work)
-        g += np.multiply(np.sqrt(2.0 * k) * dW, work, out=work)
-    euler = rho + g
-    euler += _dagger(g)
-    return euler
-
-
-def _kraus_step(rho, Q, k, H, dt, dW, q_sq, norms, tol=None):
+def _kraus_step(rho, Q, k, H, dt, dW, q_sq):
     """One Kraus-map step of the conditioned evolution (see the module
     docstring), with no dephasing.
 
@@ -369,9 +286,7 @@ def _kraus_step(rho, Q, k, H, dt, dW, q_sq, norms, tol=None):
     increment per state.  The step moves at O(dt^1.5) with the traces of Q
     and H, which the evolution does not see, so the ensemble's matrix kernel
     passes both _centred.  q_sq = Q^2, lifted like Q, is computed once by a
-    caller that steps many times with the same Q, as _matmul(Q, Q); norms
-    are the certificate's norm bounds (see _weyl_certificate), constant for
-    its run.
+    caller that steps many times with the same Q, as _matmul(Q, Q).
     A diagonal Q may be given by its diagonal, (N, 1) or (N, m), and q_sq
     with it.  The step then skips the products with its off-diagonal zeros:
     Q rho is the row scaling q_i rho_il (_apply), and only the diagonal of M
@@ -380,35 +295,22 @@ def _kraus_step(rho, Q, k, H, dt, dW, q_sq, norms, tol=None):
     zero, so it is +0 or -0, and adding it leaves a nonzero sum as it was:
     each entry has the matrix path's value, in the same order of operations,
     and only the sign of an entry that is exactly zero can differ.
-    Returns (rho_next, exp_q, euler_min): the next states, Tr[Q rho] before
-    the step (0 when k = 0), and the step-size diagnostic, the smallest
-    eigenvalue of the first-order Euler-Maruyama state from the same rho.
-    It is exact, from the Euler state (_euler_state), unless a rejection
-    tolerance tol is given.  Then it is instead -c for the certificate
-    c >= ||euler - rho_next||_F of _weyl_certificate (rho_next is positive
-    semidefinite, so Weyl's inequality applies), which needs no Euler state,
-    whenever the batch's smallest -c clears the rejection threshold -tol by
-    a margin of 1e-9, so no state can be rejected; the margin covers
-    rounding, also rho_next's rounding-level negative eigenvalues and that
-    of c's sums of squares.
-    Full-width temporaries are updated in place (out= ufuncs, +=, -=, /=)
-    with the operands of every product and sum in the formula's order, so
-    each holds the bits a fresh array would, and fewer of them are alive at
-    once than in an out-of-place step.  No argument is written, and no
-    array a later stage still reads (rho, and Q rho for the diagnostic).
+    Returns (rho_next, exp_q): the next states and Tr[Q rho] before the step
+    (0 when k = 0).
+    Full-width temporaries are updated in place (out= ufuncs, +=, /=) with
+    the operands of every product and sum in the formula's order, so each
+    holds the bits a fresh array would, and fewer of them are alive at once
+    than in an out-of-place step.  No argument is written.
     """
     rho = np.asarray(rho, dtype=complex)
     H = np.asarray(H, dtype=complex)
-    exp_q = np.zeros(rho.shape[2:])
-    q_rho = None
-    if k > 0:
+    m_op = np.eye(len(rho))[..., None] - 1j * dt * H
+    if k == 0:
+        exp_q = np.zeros(rho.shape[2:])
+    else:
         Q = np.asarray(Q, dtype=complex)
         sqrt2k = np.sqrt(2.0 * k)
-        q_rho = _apply(Q, rho)
-        exp_q = np.einsum("ii...->...", q_rho).real
-
-    m_op = np.eye(len(rho))[..., None] - 1j * dt * H
-    if k > 0:
+        exp_q = np.einsum("ii...->...", _apply(Q, rho)).real
         dy_tilde = 2.0 * sqrt2k * dt * exp_q + dW
         drive = (sqrt2k * dy_tilde) * Q
         if Q.ndim == 3:
@@ -421,15 +323,8 @@ def _kraus_step(rho, Q, k, H, dt, dW, q_sq, norms, tol=None):
             m_diag += drive
             m_diag += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
     new = _matmul(_matmul(m_op, rho), _dagger(m_op))
-    m_op = drive = m_diag = None  # M and its aliases, dead: freed before the diagnostic
     new /= np.einsum("ii...->...", new).real
-
-    if tol is not None:
-        bound = -_weyl_certificate(rho, new, k, dt, dW, q_rho, exp_q, norms)
-        if bound.min() >= 1e-9 - tol:
-            return new, exp_q, bound
-    euler = _euler_state(rho, Q, k, H, dt, dW, q_rho, exp_q)
-    return new, exp_q, np.linalg.eigvalsh(euler.transpose(2, 0, 1))[:, 0]
+    return new, exp_q
 
 
 def _expm(a):

@@ -4,14 +4,9 @@
 `MatrixReference` is a kernel that `qmfc.ensemble._advance_chunk(kernel=...)`
 accepts.  It holds an ensemble as an (m, 2, 2) stack of density matrices and
 steps it on the same noise as the engine, each step written out with
-`np.matmul` from its textbook formula:
-
-* the Kraus-map filter of Rouchon and Ralph, PRA 91, 012118 (2015), with the
-  measured channel L = sqrt(2k) Q and the unread dephasing channel
-  sqrt(2 beta) sz (`rouchon_ralph_step`);
-* the step-size diagnostic, the smallest eigenvalue (`np.linalg.eigvalsh`) of
-  the first-order Euler-Maruyama state built from the conditioned master
-  equation (`euler_state`).
+`np.matmul` from its textbook formula: the Kraus-map filter of Rouchon and
+Ralph, PRA 91, 012118 (2015), with the measured channel L = sqrt(2k) Q and
+the unread dephasing channel sqrt(2 beta) sz (`rouchon_ralph_step`).
 
 It calls the engine only for what the closed loop defines rather than how it
 steps: the relative_angle policy's axis (`qmfc.sde._relative_axis` and
@@ -41,10 +36,6 @@ def trace(a):
     return np.trace(a, axis1=-2, axis2=-1)[..., None, None]
 
 
-def comm(a, b):
-    return a @ b - b @ a
-
-
 def per_state(dw):
     """dw, a scalar or one increment per state, shaped to scale the matrices."""
     return np.reshape(dw, np.shape(dw) + (1, 1))
@@ -67,20 +58,6 @@ def rouchon_ralph_step(rho, h, measured, unread, dt, dw):
     out = m @ rho @ dagger(m) + sum(d @ rho @ dagger(d) for d in unread) * dt
     dy_l = dy_l.reshape(np.shape(dw))
     return out / trace(out).real, dy_l
-
-
-def euler_state(rho, q, h, k, beta, dt, dw):
-    """The first-order Euler-Maruyama state of the conditioned master equation,
-
-        rho + dt (-i[H, rho] - k[Q, [Q, rho]] - beta[sz, [sz, rho]])
-            + sqrt(2k) dW (Q rho + rho Q - 2 Tr[Q rho] rho),
-
-    for an (m, 2, 2) stack rho, with q and h per state or shared and dw (m,)."""
-    q_rho = q @ rho
-    drift = (-1j * comm(h, rho) - k * comm(q, comm(q, rho))
-             - beta * comm(SIGMA_Z, comm(SIGMA_Z, rho)))
-    noise = q_rho + rho @ q - 2.0 * trace(q_rho).real * rho
-    return rho + dt * drift + np.sqrt(2.0 * k) * per_state(dw) * noise
 
 
 def centred(a):
@@ -121,11 +98,9 @@ class MatrixReference:
         if cfg.mu > 0:
             h_fb = np.moveaxis(_feedback_stack(np.moveaxis(self.rho, 0, -1), psi, cfg.mu), -1, 0)
         h = self.h0 if h_fb is None else self.h0 + h_fb
-        euler = euler_state(self.rho, q, h, k, beta, dt, dw)
         unread = [np.sqrt(2.0 * beta) * SIGMA_Z] if beta > 0 else []
         self.rho, dy_l = rouchon_ralph_step(self.rho, h, np.sqrt(2.0 * k) * q, unread, dt, dw)
         self.last = np.sqrt(2.0 * k) * dy_l + self.dy_shift, h_fb
-        return np.linalg.eigvalsh(euler)[:, 0]
 
     def snapshot(self):
         """A copy of every state, the last step's record increments dy and its

@@ -166,13 +166,14 @@ def test_exit_codes(tmp_path):
     assert main(["--experiment", "fig2", "--out", str(out), "--mu", "-1"]) == 2
     # i/o error: unwritable output location
     assert main(["--experiment", "fig1", "--out", str(tmp_path / "no" / "dir.csv")]) == 4
-    # numerical failure: absurd step size in the stochastic integrator
+    # step size refused: 2k dt = 0.08 is past the limit, so no step is taken
     with pytest.warns(UserWarning):
         code = main([
             "--experiment", "fig2", "--out", str(out), "--realizations", "2",
             "--dt", "0.04", "--t-end", "4.0", "--theta-points", "2", "--k", "1",
         ])
     assert code == 3
+    assert not out.exists()
 
 
 def test_manifest_path():

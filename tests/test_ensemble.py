@@ -1,7 +1,6 @@
 import hashlib
 import re
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +8,11 @@ import pytest
 
 import qmfc.ensemble
 from matrix_reference import MatrixReference
-from matrix_reference import euler_state as longhand_euler_state
 from qmfc.ensemble import (
     EnsembleConfig,
     _advance_chunk,
     _BlochKernel,
     _density,
-    _euler_norm_bound,
     _feedback_stack,
     _MatrixKernel,
     _philox_keys,
@@ -27,17 +24,13 @@ from qmfc.ensemble import (
     theta_experiment,
     trajectory_rng,
 )
+from qmfc.cli import _OPTIONS
 from qmfc.feedback import DEGEN_TOL, optimal_feedback
 from qmfc.sde import (
+    STEP_SIZE_LIMIT,
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
-    _centred,
-    _default_reject_tol,
-    _frobenius,
-    _kraus_step,
-    _matmul,
-    _sigma_parts,
     nonselective_solve,
     run_control_trajectory,
 )
@@ -106,13 +99,6 @@ def general_n_config(n):
 def trajectory_last(stack):
     """A stack of matrices (m, N, N) in the matrix kernel's layout, (N, N, m)."""
     return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
-
-
-def step_constants(q, h):
-    """The run constants a _MatrixKernel passes _kraus_step, for per-row Q and
-    H stacks: q_sq = Q^2 and the norms (||H_0||_F, ||Q_0||_F) of each row's
-    traceless parts."""
-    return _matmul(q, q), (_frobenius(_centred(h)), _frobenius(_centred(q)))
 
 
 def streams(cfg, indices):
@@ -197,6 +183,86 @@ def test_config_refuses_counts_that_are_not_whole_numbers(field, value):
     numpy_counts = run_ensemble(small_config(realizations=np.int64(2), stat_stride=np.int32(10)))
     for name in vars(plain):
         assert np.array_equal(getattr(numpy_counts, name), getattr(plain, name)), name
+
+
+def step_size_case(size, factor):
+    """EnsembleConfig arguments whose step size `size` (sde module docstring)
+    is factor times STEP_SIZE_LIMIT, the other two a fifth of it or less."""
+    dt, limit = 0.01, STEP_SIZE_LIMIT
+    sigma_z = MeasurementPolicy(mode="fixed_observable", observable=SIGMA_Z)
+    if size == "2k dt ||Q_0||^2":  # N = 3 with Q_0 = diag(1, 0, -1): Tr Q = 15 is not counted
+        sme = SmeConfig(k=factor * limit / (2 * dt), h0=np.zeros((3, 3)), dt=dt, t_end=dt)
+        policy = MeasurementPolicy(mode="fixed_observable", observable=np.diag([6.0, 5.0, 4.0]))
+        return dict(sme=sme, policy=policy, rho0=np.eye(3) / 3, target_fn=None, mu=0.0)
+    if size == "dt (||H0_0|| + sqrt(mu))":  # ||H0_0|| = 0.6, and the feedback makes the rest
+        sme = SmeConfig(k=0.5, h0=0.6 * SIGMA_Z + 3.0 * np.eye(2), dt=dt, t_end=dt)
+        return dict(sme=sme, policy=sigma_z, rho0=np.eye(2) / 2,
+                    mu=(factor * limit / dt - 0.6) ** 2,
+                    target_fn=lambda t: np.array([1.0, 0.0], dtype=complex))
+    sme = SmeConfig(k=0.5, h0=np.zeros((2, 2)), dephasing_beta=factor * limit / dt, dt=dt, t_end=dt)
+    return dict(sme=sme, policy=sigma_z, rho0=np.eye(2) / 2, target_fn=None, mu=0.0)
+
+
+class UnusedStream:
+    """A stand-in for a generator that fails if anything draws from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the refused run used its stream ({name})")
+
+
+@pytest.mark.filterwarnings("ignore:dt \\* max:UserWarning")  # SmeConfig's warning past beta dt
+@pytest.mark.parametrize("size", ["2k dt ||Q_0||^2", "dt (||H0_0|| + sqrt(mu))", "beta dt"])
+def test_step_sizes_past_the_limit_are_refused_before_any_step(size):
+    """A run whose step size exceeds STEP_SIZE_LIMIT by 0.1% on any one of
+    the three measures is refused with StepRejected, naming that measure,
+    when its EnsembleConfig is built: a single trajectory, which builds one,
+    draws nothing.  The same run 0.1% under the limit is admitted and runs."""
+    under = EnsembleConfig(realizations=2, master_seed=0, stat_stride=1,
+                           **step_size_case(size, 1.0 - 1e-3))
+    assert np.all(np.isfinite(run_ensemble(under).purity_mean))
+    over = step_size_case(size, 1.0 + 1e-3)
+    message = re.escape(f"step size {size} = ")
+    with pytest.raises(StepRejected, match=message):
+        EnsembleConfig(realizations=2, master_seed=0, stat_stride=1, **over)
+    with pytest.raises(StepRejected, match=message):
+        run_control_trajectory(over["sme"], over["policy"], over["rho0"], over["target_fn"],
+                               over["mu"], UnusedStream())
+
+
+@pytest.mark.filterwarnings("error")
+def test_step_size_rule_admits_the_shipped_runs():
+    """The step-size rule admits, with no warning, fig2 at the CLI's defaults
+    and at twice their dt (acceptance 10's companion run), and the general-N
+    benchmark's physics: Q = diag(1.5, 0.5, -0.5, -1.5), ||H0|| = 1, mu = 5,
+    k = 1 and dt = 1e-3."""
+    fig2 = {name: default for name, (_, default) in _OPTIONS["fig2"].items()}
+    for dt in (fig2["dt"], 2.0 * fig2["dt"]):
+        sme = SmeConfig(k=fig2["k"], h0=fig2["omega"] * SIGMA_Z, dephasing_beta=fig2["beta"],
+                        dt=dt, t_end=fig2["t_end"])
+        small_config(sme=sme, mu=fig2["mu"], target_fn=precessing_plus_x(fig2["omega"]))
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h0 = (g + g.conj().T) / 2
+    target = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+    EnsembleConfig(
+        realizations=300, master_seed=0,
+        sme=SmeConfig(k=1.0, h0=h0 / np.linalg.norm(h0, 2), dt=1e-3, t_end=0.1),
+        policy=MeasurementPolicy(mode="fixed_observable",
+                                 observable=np.diag(np.linspace(1.0, -1.0, 4) * 1.5)),
+        mu=5.0, rho0=np.eye(4) / 4, target_fn=lambda t: target)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fig2_physics_at_a_coarse_dt_runs_at_every_width(seed):
+    """Fig2's physics at dt = 2e-3 and theta = pi/2 (step sizes 8e-3,
+    1.26e-2 and 8e-4) runs to t_end = 0.1 at R = 10 and at R = 1000: a
+    run's step size is decided once, from k, mu, beta and dt, so no rare
+    noise draw in a wide batch stops it."""
+    sme = SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=2e-3, t_end=0.1)
+    policy = MeasurementPolicy(mode="relative_angle", theta=np.pi / 2)
+    for r in (10, 1000):
+        stats = run_ensemble(small_config(realizations=r, master_seed=seed, sme=sme, policy=policy))
+        assert np.all(np.isfinite(stats.purity_mean)) and np.all(stats.purity_mean <= 1.0 + 1e-12)
 
 
 def test_trajectory_rng_streams_are_independent_and_stable():
@@ -616,287 +682,6 @@ def test_width_one_general_n_trajectory_is_row_zero_of_a_wide_batch(n, mu):
     assert one.fb_hamiltonians.tobytes() == feedback[0, 1:].tobytes()
 
 
-def test_kernels_reject_the_same_step():
-    for theta in (0.0, np.pi / 4):
-        with pytest.warns(UserWarning):
-            cfg = small_config(
-                sme=SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=0.04, t_end=4.0),
-                policy=MeasurementPolicy(mode="relative_angle", theta=theta),
-                stat_stride=1,
-            )
-        messages = []
-        for kernel in (_BlochKernel, MatrixReference):
-            with pytest.raises(StepRejected) as info:
-                collect(cfg, 8, streams(cfg, range(8)), kernel=kernel)
-            messages.append(str(info.value))
-        # the message names the trajectory and the step
-        assert messages[0] == messages[1]
-
-
-def test_step_size_bound_dominates_euler_state():
-    """_euler_norm_bound is at least |r_E| for the first-order Euler state.
-
-    The Bloch kernel builds r_E only when the batch maximum of the bound could
-    reach the StepRejected threshold, so the bound must hold for every column:
-    here against the smallest eigenvalue lambda_min = (1 - |r_E|) / 2 of the
-    longhand Euler state of tests/matrix_reference.py, over 6000 seeded
-    columns at each of four (dt, beta).
-    """
-    rng = np.random.default_rng(20)
-    m = 6000
-    h0 = np.pi * SIGMA_Z + 0.5 * SIGMA_X + 0.3 * np.eye(2)
-    k, mu = 2.0, 10.0
-
-    def unit(n):
-        v = rng.standard_normal((3, n))
-        return v / np.sqrt(qmfc.ensemble._dot(v, v))
-
-    # |r| from 0 to 1 - 1e-15, most of them close to the pure states
-    r_norm = np.concatenate([[0.0, 1.0 - 1e-15], rng.uniform(0.0, 1.0, m // 4),
-                             1.0 - 10.0 ** -rng.uniform(0.0, 15.0, m - 2 - m // 4)])
-    r = unit(m) * r_norm
-    # a unit q (the relative_angle policy, and sigma observables) or a fixed Q with a trace
-    q_fixed = 0.7 * SIGMA_X + 0.3 * SIGMA_Z + 0.2 * np.eye(2)
-    q = np.where(np.arange(m) % 2 == 0, unit(m), np.array(_sigma_parts(q_fixed)[1:])[:, None])
-    q_op = np.where((np.arange(m) % 2 == 0)[:, None, None],
-                    2.0 * qmfc.ensemble._density(q) - np.eye(2), q_fixed)
-    # feedback of norm sqrt(mu / 2), the largest either branch gives
-    h_fb = unit(m) * np.sqrt(mu / 2)
-    h_op = h0 + 2.0 * qmfc.ensemble._density(h_fb) - np.eye(2)
-    rho = qmfc.ensemble._density(r)
-    for dt in (1e-4, 0.04):
-        for beta in (0.0, 0.4):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # dt = 0.04 is coarse
-                cfg = small_config(sme=SmeConfig(k=k, h0=h0, dephasing_beta=beta, dt=dt,
-                                                 t_end=10 * dt), mu=mu)
-            h_scale = _BlochKernel(cfg, 1).h_scale
-            # increments up to 8 standard deviations
-            dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
-            euler = longhand_euler_state(rho, q_op, h_op, k, beta, dt, dw)
-            lam_min = np.linalg.eigvalsh(euler)[:, 0]
-            exact = 1.0 - 2.0 * lam_min
-            rr = qmfc.ensemble._dot(r, r)
-            bound = _euler_norm_bound(np.sqrt(rr), rr, qmfc.ensemble._dot(q, r),
-                                      qmfc.ensemble._dot(q, q), 2.0 * np.sqrt(2.0 * k) * dw,
-                                      k, dt, h_scale)
-            # 1e-12 absorbs the eigensolver's rounding where the bound is tight (r = 0)
-            assert np.all(bound >= exact - 1e-12), np.max(exact - bound)
-
-
-def test_weyl_bound_dominates_general_n_euler_state():
-    """For N > 2 the matrix kernel's step-size diagnostic may be the bound
-    -c, for the certificate c >= ||euler - rho'||_F of sde._weyl_certificate,
-    which needs no Euler state: rho' is positive semidefinite, so by Weyl's
-    inequality the bound is at most the Euler state's smallest eigenvalue.
-    Checked against the exact eigenvalue for 2000 seeded near-pure N = 3 and
-    4 states at each dt, with increments up to 8 standard deviations."""
-    rng = np.random.default_rng(21)
-    m, k = 2000, 2.0
-
-    def hermitian(n):
-        g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
-        h = (g + np.conj(np.swapaxes(g, 1, 2))) / 2
-        return h / np.linalg.norm(h, axis=(1, 2), keepdims=True)
-
-    for n in (3, 4):
-        psi = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
-        mixed = g @ np.conj(np.swapaxes(g, 1, 2))
-        mixed /= np.einsum("mii->m", mixed).real[:, None, None]
-        # (1 - eps) |psi><psi| + eps sigma, eps from 1 down to 1e-15
-        eps = (10.0 ** -rng.uniform(0.0, 15.0, m))[:, None, None]
-        rho = (1.0 - eps) * psi[:, :, None] * np.conj(psi)[:, None, :] + eps * mixed
-        q = hermitian(n)
-        # a drift and a feedback Hamiltonian of norm sqrt(mu) = sqrt(5)
-        h = hermitian(n) + np.sqrt(5.0) * hermitian(n)
-        rho, q, h = trajectory_last(rho), trajectory_last(q), trajectory_last(h)
-        for dt in (1e-4, 1e-3, 1e-2):
-            dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
-            constants = step_constants(q, h)
-            new, _, exact = _kraus_step(rho, q, k, h, dt, dw, *constants)
-            gated, _, bound = _kraus_step(rho, q, k, h, dt, dw, *constants, tol=np.inf)
-            assert np.array_equal(gated, new)
-            # 1e-12 absorbs the eigensolver's rounding and rho''s
-            assert np.all(bound <= exact + 1e-12), np.max(bound - exact)
-
-
-def test_weyl_certificate_bounds_the_euler_distance():
-    """The N > 2 certificate c of sde._weyl_certificate is at least the
-    Frobenius distance from the Kraus state to the Euler state, here written
-    out from the SME, and exceeds it by at most twice its bound on the drift
-    part, since its noise part is exact.  Checked for 500 seeded near-pure
-    N = 3 and 4 states with per-row and shared Q and H, with and without the
-    measurement, at each dt, with increments up to 8 standard deviations."""
-    rng = np.random.default_rng(23)
-    m = 500
-
-    def hermitian(n, rows):
-        g = rng.standard_normal((rows, n, n)) + 1j * rng.standard_normal((rows, n, n))
-        return (g + np.conj(np.swapaxes(g, 1, 2))) / 2
-
-    def traceless_norm(a):
-        n = a.shape[-1]
-        trace = np.einsum("...ii->...", a)
-        return np.linalg.norm(a - trace[..., None, None] / n * np.eye(n), axis=(-2, -1))
-
-    for n in (3, 4):
-        psi = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        g = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
-        mixed = g @ np.conj(np.swapaxes(g, 1, 2))
-        mixed /= np.einsum("mii->m", mixed).real[:, None, None]
-        eps = (10.0 ** -rng.uniform(0.0, 15.0, m))[:, None, None]
-        rho = (1.0 - eps) * psi[:, :, None] * np.conj(psi)[:, None, :] + eps * mixed
-        for rows, k in ((m, 2.0), (1, 2.0), (m, 0.0)):
-            q, h = hermitian(n, rows), 2.0 * hermitian(n, rows)
-            for dt in (1e-4, 1e-3, 1e-2):
-                dw = rng.uniform(-8.0, 8.0, m) * np.sqrt(dt)
-                q_last, h_last = trajectory_last(q), trajectory_last(h)
-                new, _, minus_c = _kraus_step(trajectory_last(rho), q_last, k, h_last, dt, dw,
-                                              *step_constants(q_last, h_last), tol=np.inf)
-                new = np.moveaxis(new, -1, 0)
-                q_rho = q @ rho
-                exp_q = np.einsum("mii->m", q_rho).real[:, None, None]
-                comm = q_rho - rho @ q
-                euler = (rho - 1j * dt * (h @ rho - rho @ h) - k * dt * (q @ comm - comm @ q)
-                         + np.sqrt(2.0 * k) * dw[:, None, None]
-                         * (q_rho + rho @ q - 2.0 * exp_q * rho))
-                dist = np.linalg.norm(euler - new, axis=(1, 2))
-                drift_bound = 2.0 * dt * (traceless_norm(h) + k * traceless_norm(q)
-                                          * np.linalg.norm(comm, axis=(1, 2)))
-                assert np.all(-minus_c >= dist - 1e-12), np.max(dist + minus_c)
-                assert np.all(-minus_c <= dist + 2.0 * drift_bound + 1e-12)
-
-
-@pytest.mark.parametrize("mu", [0.0, 5.0])
-@pytest.mark.parametrize("n", [3, 4])
-def test_general_n_steps_build_no_euler_state(monkeypatch, n, mu):
-    """On general_n_config's N = 3 and 4 ensembles, open loop and with
-    feedback, sde._weyl_certificate clears the StepRejected threshold at
-    every step, so no step builds the Euler state."""
-    built, certified = [], []
-    euler_state, certificate = qmfc.sde._euler_state, qmfc.sde._weyl_certificate
-
-    def spy(calls, fn):
-        return lambda *args: calls.append(1) or fn(*args)
-
-    monkeypatch.setattr(qmfc.sde, "_euler_state", spy(built, euler_state))
-    monkeypatch.setattr(qmfc.sde, "_weyl_certificate", spy(certified, certificate))
-    cfg = replace(general_n_config(n), mu=mu)
-    run_ensemble(cfg)
-    assert len(certified) == cfg.sme.n_steps
-    assert built == []
-
-
-@pytest.mark.parametrize("drift", ["shifted", "zero"])
-@pytest.mark.parametrize("n", [3, 4])
-def test_run_constant_certificate_bounds_every_step(monkeypatch, n, drift):
-    """The certificate a _MatrixKernel builds from its run constants, ||Q_0||_F
-    and the bound ||H0_0||_F + sqrt(mu) on every row's ||H_0||_F, is at least
-    the exact ||E - rho'||_F, E from sde._euler_state, at every step of
-    general_n_config's feedback ensembles (mu = 5): with the drift H0 + 2I,
-    whose trace the bound must not count, and with H0 = 0, where the
-    feedback is all of H.  The certificate reads no Q or H: the Euler state
-    takes them from the step that called it."""
-    kraus_step = qmfc.ensemble._kraus_step
-    certificate, euler_state = qmfc.sde._weyl_certificate, qmfc.sde._euler_state
-    operands, gaps = {}, []
-
-    def stepping(rho, q, k, h, *args, **kwargs):
-        operands.update(q=q, h=h)
-        return kraus_step(rho, q, k, h, *args, **kwargs)
-
-    def checked(rho, new, k, dt, dw, q_rho, exp_q, norms):
-        assert norms[0] is not None  # the kernel's run constants
-        c = certificate(rho, new, k, dt, dw, q_rho, exp_q, norms)
-        euler = euler_state(rho, operands["q"], k, operands["h"], dt, dw, q_rho, exp_q)
-        gaps.append(np.min(c - np.linalg.norm(euler - new, axis=(0, 1))))
-        return c
-
-    monkeypatch.setattr(qmfc.ensemble, "_kraus_step", stepping)
-    monkeypatch.setattr(qmfc.sde, "_weyl_certificate", checked)
-    cfg = general_n_config(n)
-    h0 = cfg.sme.h0 + 2.0 * np.eye(n) if drift == "shifted" else np.zeros((n, n))
-    cfg = replace(cfg, sme=replace(cfg.sme, h0=h0))
-    run_ensemble(cfg)
-    assert len(gaps) == cfg.sme.n_steps
-    assert min(gaps) >= -1e-12, min(gaps)
-
-
-def test_width_one_trajectory_rejects_the_exact_step(monkeypatch):
-    """A width-one closed-loop trajectory at dt = 0.04 raises StepRejected
-    with the message of the exact diagnostic, after steps whose diagnostic
-    the Bloch kernel's bound on |r_E| certified without an Euler state."""
-    with pytest.warns(UserWarning):
-        sme = SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=0.04, t_end=4.0)
-    policy = MeasurementPolicy(mode="relative_angle", theta=np.pi / 4)
-    tol = _default_reject_tol(sme.k, sme.dephasing_beta, sme.dt)
-    euler_norm_bound = qmfc.ensemble._euler_norm_bound
-    bounds = []
-
-    def recording(*args):
-        bounds.append(euler_norm_bound(*args))
-        return bounds[-1]
-
-    def message():
-        with pytest.raises(StepRejected) as info:
-            run_control_trajectory(sme, policy, plus_x_density(), precessing_plus_x(np.pi),
-                                   10.0, np.random.default_rng(3))
-        return str(info.value)
-
-    monkeypatch.setattr(qmfc.ensemble, "_euler_norm_bound", recording)
-    gated = message()
-    assert gated.startswith("trajectory 0 (master_seed None) at step ")
-    # some steps were certified by the bound alone; the rejected one was not
-    limit = 1.0 + 2.0 * tol - 1e-9
-    assert any(b <= limit for b in bounds)
-    assert bounds[-1] > limit
-    # a bound that never certifies builds the Euler state at every step
-    monkeypatch.setattr(qmfc.ensemble, "_euler_norm_bound", lambda *args: np.inf)
-    assert message() == gated
-
-
-def test_general_n_batch_rejects_the_exact_step(monkeypatch):
-    """A step is rejected when one row of a 40-row N = 3 batch leaves the
-    physical states.
-
-    39 rows sit on eigenstates of the measured Q, where the Euler state is
-    rho; one starts on a superposition, where k dt = 4 throws it far below
-    zero.  The message names that row and step, and is the one the exact
-    diagnostic gives."""
-    bad, width = 37, 40
-    with pytest.warns(UserWarning):
-        cfg = qutrit_config(
-            realizations=width,
-            sme=SmeConfig(k=2.0, h0=np.zeros((3, 3)), dt=2.0, t_end=4.0),
-            mu=0.0,
-            target_fn=None,
-            stat_stride=1,
-        )
-    rho = np.zeros((width, 3, 3), dtype=complex)
-    rho[np.arange(width), np.arange(width) % 3, np.arange(width) % 3] = 1.0
-    rho[bad] = pure_density(np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0))
-
-    def make(cfg, m):
-        batch = _MatrixKernel(cfg, m)
-        batch.rho = trajectory_last(rho)
-        return batch
-
-    def message():
-        with pytest.raises(StepRejected) as info:
-            collect(cfg, width, streams(cfg, range(width)), kernel=make)
-        return str(info.value)
-
-    gated = message()
-    assert gated.startswith(f"trajectory {bad} (master_seed 5) at step 0:")
-    kraus_step = qmfc.ensemble._kraus_step
-    monkeypatch.setattr(qmfc.ensemble, "_kraus_step",
-                        lambda *args, tol=None, **kwargs: kraus_step(*args, **kwargs))
-    assert message() == gated
-
-
 def test_matrix_kernel_keeps_its_per_run_constants():
     """The in-place step never writes the constants a _MatrixKernel passes
     it every step: after 50 steps, the fixed observable's Q^2 keeps every
@@ -1075,35 +860,6 @@ def test_feedback_branches_agree_at_the_degeneracy_threshold():
         r_norm = np.sqrt(np.sum(r[:, cols] ** 2, axis=0))
         h = bloch._feedback(bloch.target(psi), r_norm[0] if len(cols) == 1 else r_norm)
         assert np.max(np.abs(2.0 * _density(h) - np.eye(2) - want[cols])) < 1e-12
-
-
-def test_one_bad_column_rejects_a_wide_batch():
-    """A step is rejected when a single column of 64 leaves the Bloch ball.
-
-    63 columns sit on eigenstates of the measured sigma_z, where r_E = r; one
-    starts on the equator, where k dt = 4 throws r_E far outside the ball.
-    The Bloch kernel and the longhand matrix reference name that trajectory
-    in the same message.
-    """
-    bad = 41
-    with pytest.warns(UserWarning):
-        cfg = small_config(
-            realizations=64,
-            sme=SmeConfig(k=2.0, h0=np.zeros((2, 2)), dt=2.0, t_end=2.0),
-            policy=MeasurementPolicy(mode="fixed_observable", observable=SIGMA_Z),
-            mu=0.0,
-            stat_stride=1,
-        )
-    r = np.zeros((3, 64))
-    r[2] = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
-    r[:, bad] = (1.0, 0.0, 0.0)
-    messages = []
-    for kernel in (_BlochKernel, MatrixReference):
-        with pytest.raises(StepRejected) as info:
-            collect(cfg, 64, streams(cfg, range(64)), kernel=seeded(kernel, r))
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-    assert messages[0].startswith(f"trajectory {bad} (master_seed 123) at step 0:")
 
 
 def test_rerun_is_bit_identical():

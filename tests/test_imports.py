@@ -90,8 +90,7 @@ def test_every_default_parameter_is_set_somewhere():
 
 
 # the engine's step and its kernels: an oracle that calls them restates them
-ENGINE_STEP = {"_kraus_step", "_euler_state", "_weyl_certificate", "_matmul", "_BlochKernel",
-               "_MatrixKernel"}
+ENGINE_STEP = {"_kraus_step", "_matmul", "_BlochKernel", "_MatrixKernel"}
 
 
 @pytest.mark.parametrize("name", ["matrix_reference.py", "bloch_reference.py"])

@@ -241,18 +241,20 @@ def test_strength_rate_numeric_refuses_batch_counts_without_a_spread(n_traj, n_b
         strength_rate_numeric(SIGMA_Z, 1.0, n_traj=n_traj, n_batches=n_batches)
 
 
-@pytest.mark.parametrize("k, horizon, message", [
-    pytest.param(k, None, "k must be non-negative and finite", id=str(k))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q, k, horizon, message", [
+    pytest.param(SIGMA_Z, k, None, "k must be non-negative and finite", id=str(k))
     for k in (-1.0, np.nan, np.inf)
 ] + [
-    pytest.param(1.0, horizon, f"horizon must be positive and finite, got {horizon}",
+    pytest.param(SIGMA_Z, 1.0, horizon, f"horizon must be positive and finite, got {horizon}",
                  id=f"horizon-{horizon}")
     for horizon in (0.0, -1.0, np.nan, np.inf)
-])
-def test_strength_rate_numeric_refuses_a_k_that_is_negative_or_not_finite(k, horizon, message):
-    # a bad horizon is refused by name, not through the dt it would give
+] + [pytest.param(np.eye(1), 1.0, None, "Q must be at least 2 x 2, got 1 x 1", id="N-1")])
+def test_strength_rate_numeric_refuses_a_k_that_is_negative_or_not_finite(q, k, horizon, message):
+    # a bad horizon is refused by name, not through the dt it would give, and
+    # a 1 x 1 Q, which has no strength (ln N = N - 1 = 0), before any draw
     with pytest.raises(ValueError, match=message):
-        strength_rate_numeric(SIGMA_Z, k, horizon=horizon)
+        strength_rate_numeric(q, k, horizon=horizon)
 
 
 @pytest.mark.parametrize("count", ["n_traj", "n_batches", "n_steps", "n_samples"])

@@ -4,18 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from matrix_reference import euler_state as longhand_euler_state
 from matrix_reference import rouchon_ralph_step
 from qmfc.ensemble import EnsembleConfig, _BlochKernel, _MatrixKernel
 from qmfc.sde import (
     BASIS_DEGEN_TOL,
     MeasurementPolicy,
     SmeConfig,
-    StepRejected,
-    _centred,
-    _default_reject_tol,
     _diagonal,
-    _frobenius,
     _kraus_step,
     _local_axis,
     _matmul,
@@ -86,13 +81,10 @@ def test_measurement_policy_validation():
     MeasurementPolicy(mode="fixed_observable", observable=SIGMA_Z)
 
 
-def step_constants(q, h):
-    """The run constants a _MatrixKernel passes _kraus_step, for Q and H as
-    (N, N, m) or (N, N, 1) stacks: q_sq = Q^2 and the norms (||H_0||_F,
-    ||Q_0||_F) of their traceless parts, per row; q may be None when k = 0."""
-    if q is None:
-        return None, (_frobenius(_centred(h)), None)
-    return _matmul(q, q), (_frobenius(_centred(h)), _frobenius(_centred(q)))
+def step_constants(q):
+    """The run constant a _MatrixKernel passes _kraus_step, for Q as an
+    (N, N, m) or (N, N, 1) stack: q_sq = Q^2; None when q is (k = 0)."""
+    return None if q is None else _matmul(q, q)
 
 
 def sme_step(rho, q, k, h, dt, dw):
@@ -100,7 +92,7 @@ def sme_step(rho, q, k, h, dt, dw):
     # stack, and its record dy = 4k<Q>dt + sqrt(2k)dW
     rho, q, h = (None if a is None else np.asarray(a, dtype=complex)[..., None]
                  for a in (rho, q, h))
-    new, exp_q, _ = _kraus_step(rho, q, k, h, dt, dw, *step_constants(q, h))
+    new, exp_q = _kraus_step(rho, q, k, h, dt, dw, step_constants(q))
     return new[..., 0], 4.0 * k * exp_q[0] * dt + np.sqrt(2.0 * k) * dw
 
 
@@ -138,13 +130,10 @@ def test_matmul_matches_numpy_on_trajectory_last_stacks(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_kraus_step_writes_no_argument(n):
     """The step writes its temporaries in place, but never into what it is
-    given: rho, Q, H and the cached q_sq keep every byte.  Checked at width
-    one and on stacks of 2 and 31, with per-row and shared (N, N, 1) Q and
-    H, both where the step-size diagnostic is certified (tol = inf) and
-    where it is exact (no tol, or one that pure states' bound cannot clear).
-    Qubits step on the Bloch kernel instead, which must leave its previous
-    rows and the increments as they were, with a diagnostic at most the
-    exact one of the longhand Euler state (tests/matrix_reference.py)."""
+    given: rho, Q, H and the cached q_sq keep every byte.  Checked from pure
+    states at width one and on stacks of 2 and 31, with per-row and shared
+    (N, N, 1) Q and H.  Qubits step on the Bloch kernel instead, which must
+    leave its previous rows and the increments as they were."""
     rng = np.random.default_rng(40 + n)
     k, dt = 2.0, 1e-2
 
@@ -155,7 +144,7 @@ def test_kraus_step_writes_no_argument(n):
     for m in (1, 2, 31):
         shape = (n, n, m)
         psi = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
-        rho = psi[:, None] * np.conj(psi)[None, :]  # pure: the Euler state dips below 0
+        rho = psi[:, None] * np.conj(psi)[None, :]
         rho /= np.einsum("ii...->...", rho).real
         dw = rng.normal(0.0, np.sqrt(dt), m)
         if n == 2:
@@ -163,15 +152,10 @@ def test_kraus_step_writes_no_argument(n):
             continue
         for per_row in (True, False):
             q, h = (hermitian(shape if per_row else (n, n, 1)) for _ in range(2))
-            q_sq, norms = step_constants(q, h)
-            exact = _kraus_step(rho, q, k, h, dt, dw, q_sq, norms)[2]
-            for tol in (None, np.inf, 1e-12):
-                given = (rho, q, h, q_sq, *norms)
-                before = [a.tobytes() for a in given]
-                diagnostic = _kraus_step(rho, q, k, h, dt, dw, q_sq, norms, tol=tol)[2]
-                assert [a.tobytes() for a in given] == before
-                # tol = inf certifies the diagnostic with a bound; the others are exact
-                assert np.array_equal(diagnostic, exact) == (tol != np.inf)
+            given = (rho, q, h, step_constants(q), dw)
+            before = [a.tobytes() for a in given]
+            _kraus_step(rho, q, k, h, dt, dw, given[3])
+            assert [a.tobytes() for a in given] == before
 
 
 def bloch_writes_no_argument(hermitian, rho, k, dt, dw):
@@ -187,12 +171,8 @@ def bloch_writes_no_argument(hermitian, rho, k, dt, dw):
     batch.r = r[:, 0].tolist() if m == 1 else list(r.copy())
     given = [a for a in batch.r if isinstance(a, np.ndarray)] + [dw]
     before = [a.tobytes() for a in given]
-    diagnostic = batch.step(batch.target(target), dw)
+    batch.step(batch.target(target), dw)
     assert [a.tobytes() for a in given] == before
-    h_fb = np.reshape(batch.snapshot()[2], (3, m))
-    h = h0 + np.einsum("am,aij->mij", h_fb, [SIGMA_X, SIGMA_Y, SIGMA_Z])
-    exact = np.linalg.eigvalsh(longhand_euler_state(rho, q, h, k, beta, dt, dw))[:, 0]
-    assert np.all(diagnostic <= exact + 1e-12), np.max(diagnostic - exact)
 
 
 def matrix_kernel(m, observable, k, h0, dt, mu=0.0, psi=None):
@@ -208,11 +188,10 @@ def matrix_kernel(m, observable, k, h0, dt, mu=0.0, psi=None):
 
 
 def test_wide_kraus_step_peaks_below_its_out_of_place_working_set():
-    """One N = 4 step at width 4000, with H = 0 and the constants and
-    rejection tolerance of its _MatrixKernel, peaks under tracemalloc at no
-    more than 8.1 arrays the size of rho, the peak of the step when every
-    temporary was a fresh array: working in place must not keep more
-    temporaries alive at once.  Checked from I/N on a diagonal Q, which
+    """One N = 4 step at width 4000, with H = 0 and the constants of its
+    _MatrixKernel, peaks under tracemalloc at no more than 8.1 arrays the
+    size of rho, the peak of the step when every temporary was a fresh
+    array: working in place must not keep more temporaries alive at once.  Checked from I/N on a diagonal Q, which
     scales rows, and on the same Q rotated, which steps through _matmul."""
     n, m, k, dt = 4, 4000, 1.0, 1e-3
     diagonal = np.diag(np.linspace(1.0, -1.0, n))
@@ -221,11 +200,11 @@ def test_wide_kraus_step_peaks_below_its_out_of_place_working_set():
     rho = np.repeat((np.eye(n, dtype=complex) / n)[..., None], m, axis=2)
     for observable in (diagonal, u @ diagonal @ u.T):
         batch = matrix_kernel(m, observable, k, np.zeros((n, n)), dt)
-        args = (rho, batch.q, k, batch.h0, dt, dw, batch.q_sq, batch.norms)
-        _kraus_step(*args, tol=batch.reject_tol)
+        args = (rho, batch.q, k, batch.h0, dt, dw, batch.q_sq)
+        _kraus_step(*args)
         tracemalloc.start()
         try:
-            _kraus_step(*args, tol=batch.reject_tol)
+            _kraus_step(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,12 +214,11 @@ def test_wide_kraus_step_peaks_below_its_out_of_place_working_set():
 @pytest.mark.parametrize("n", [3, 4])
 def test_diagonal_operands_step_as_the_matmul_path(n):
     """A diagonal Q given by its diagonal, as a _MatrixKernel passes it,
-    scales rows (sde._kraus_step).  The states, Tr[Q rho] and the step-size
-    diagnostic equal (np.array_equal) those of the same step with Q given as
-    a matrix, which runs _matmul.  Checked at widths 1, 2 and 31, on mixed
-    states, with a shared diagonal H and with a full per-row H, for the
-    certified (tol = inf) and the exact (no tol) diagnostic; neither step
-    writes what it is given."""
+    scales rows (sde._kraus_step).  The states and Tr[Q rho] equal
+    (np.array_equal) those of the same step with Q given as a matrix, which
+    runs _matmul.  Checked at widths 1, 2 and 31, on mixed states, with a
+    shared diagonal H and with a full per-row H; neither step writes what it
+    is given."""
     rng = np.random.default_rng(60 + n)
     k, dt = 2.0, 1e-2
     q = np.diag(rng.standard_normal(n)).astype(complex)[..., None]
@@ -253,14 +231,12 @@ def test_diagonal_operands_step_as_the_matmul_path(n):
         shared = np.diag(rng.standard_normal(n)).astype(complex)[..., None]
         per_row = g + g.conj().swapaxes(0, 1)
         for h in (shared, per_row):
-            norms = step_constants(q, h)[1]
-            for tol in (np.inf, None):
-                given = (rho, _diagonal(q), h, _diagonal(q_sq))
-                before = [a.tobytes() for a in given]
-                want = _kraus_step(rho, q, k, h, dt, dw, q_sq, norms, tol=tol)
-                got = _kraus_step(rho, given[1], k, h, dt, dw, given[3], norms, tol=tol)
-                assert all(np.array_equal(a, b) for a, b in zip(got, want))
-                assert [a.tobytes() for a in given] == before
+            given = (rho, _diagonal(q), h, _diagonal(q_sq))
+            before = [a.tobytes() for a in given]
+            want = _kraus_step(rho, q, k, h, dt, dw, q_sq)
+            got = _kraus_step(rho, given[1], k, h, dt, dw, given[3])
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert [a.tobytes() for a in given] == before
 
 
 def test_sme_step_free_evolution():
@@ -309,23 +285,6 @@ def test_sme_step_matches_explicit_formula():
     new, dy = batch.states()[0], batch.snapshot()[1]
     assert np.max(np.abs(new - expected)) < 1e-14
     assert dy == pytest.approx(np.sqrt(2 * k) * dy_l)
-
-
-def test_sme_step_rejects_blowup():
-    # a huge noise increment on a non-eigenstate state leaves the manifold:
-    # the first-order state lies past the rejection threshold
-    rho = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    q, h = SIGMA_Z[..., None], np.zeros((2, 2, 1))
-    _, _, euler_min = _kraus_step(rho[..., None], q, 1.0, h, 0.5, 5.0, *step_constants(q, h))
-    assert euler_min[0] < -_default_reject_tol(1.0, 0.0, 0.5)
-    # and a trajectory that meets such a step stops with StepRejected: a
-    # transverse measurement keeps the state off Q's eigenstates, and at
-    # this dt a noise draw beyond about 2.3 sigma rejects the step (seed 3
-    # draws one at the second step)
-    cfg = SmeConfig(k=2.0, h0=np.zeros((2, 2)), dt=0.0125, t_end=0.25)
-    policy = MeasurementPolicy(mode="relative_angle", theta=np.pi / 2)
-    with pytest.raises(StepRejected, match="at step 1:"):
-        run_control_trajectory(cfg, policy, rho, None, 0.0, np.random.default_rng(3))
 
 
 def test_nonselective_solve_dephasing_closed_form():
