@@ -105,6 +105,7 @@ from .sde import (
     SmeConfig,
     StepRejected,
     _centred,
+    _checked,
     _diagonal,
     _kraus_step,
     _local_axis,
@@ -114,7 +115,7 @@ from .sde import (
     _sigma_parts,
     _traceless_norm,
 )
-from .states import check_density_matrix
+from .states import check_density_matrix, ket
 
 NOISE_BLOCK = 256  # steps of noise drawn per trajectory at a time
 STAT_BLOCK = 32  # stat slots that run_ensemble reduces across trajectories in one call
@@ -144,6 +145,11 @@ class EnsembleConfig:
                 raise ValueError(f"{name} must be a whole number, got {count!r}")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
+        # None is for a batch fed by its caller's generators (run_control_trajectory);
+        # _trajectory_streams refuses it, since its streams would key on OS entropy
+        seed = self.master_seed
+        if seed is not None and not (_whole_number(seed) and seed >= 0):
+            raise ValueError(f"master_seed must be a non-negative whole number, got {seed!r}")
         if self.stat_stride < 1 or self.sme.n_steps % self.stat_stride != 0:
             raise ValueError("stat_stride must divide the number of steps")
         if not 0 <= self.mu < np.inf or (self.mu > 0 and self.target_fn is None):
@@ -561,6 +567,8 @@ class _TrajectoryStreams:
 
 def _trajectory_streams(cfg, sweep_index):
     """The ensemble's per-trajectory streams; see _TrajectoryStreams."""
+    if cfg.master_seed is None:
+        raise ValueError("master_seed is None: an ensemble's streams are keyed on a seed")
     return _TrajectoryStreams(
         _philox_keys(cfg.master_seed, sweep_index, np.arange(cfg.realizations)))
 
@@ -576,8 +584,10 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
     steps (states, purity, overlap) and, from step 1 on, the record
     increments and feedback of the step that ended there (snapshot, whose
     snapshots assemble builds into arrays);
-    target_t is the kernel's form of the target at step * dt, or None.  The
-    batch moves on when the generator resumes, so copy what is kept first.
+    target_t is the kernel's form of the target at step * dt, or None; the
+    target at t = 0 is refused by name, before any step, unless it is a
+    normalised finite vector of the state's dimension.  The batch moves on
+    when the generator resumes, so copy what is kept first.
     kernel defaults to _BlochKernel for qubit batches of every width, width
     one included, and to _MatrixKernel for N > 2.
     """
@@ -602,7 +612,14 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
     def target(t):
         return batch.target(cfg.target_fn(t)) if cfg.target_fn is not None else None
 
-    target_t = target(0.0)
+    target_t = None
+    if cfg.target_fn is not None:
+        psi = cfg.target_fn(0.0)
+        _checked("target_fn(0)", ket, psi)
+        if np.shape(psi) != cfg.rho0.shape[:1]:
+            raise ValueError(f"target_fn(0) has shape {np.shape(psi)}, "
+                             f"the state's dimension is {len(cfg.rho0)}")
+        target_t = batch.target(psi)
     yield 0, batch, target_t
 
     for step in range(n_steps):
@@ -665,12 +682,13 @@ def run_ensemble(cfg: EnsembleConfig, sweep_index=0) -> EnsembleStats:
         realizations=r)
 
 
-def ensemble_states(cfg: EnsembleConfig, checkpoint_times, sweep_index=0):
+def ensemble_states(cfg: EnsembleConfig, checkpoint_times):
     """Per-trajectory conditioned states at the requested times.
 
     Returns an array of shape (realizations, n_checkpoints, N, N) using the
-    same random streams as run_ensemble, so the conditional ensemble average
-    can be compared entrywise against the outcome-averaged master equation.
+    same random streams as run_ensemble at sweep index 0, so the conditional
+    ensemble average can be compared entrywise against the outcome-averaged
+    master equation.
     """
     steps = []
     for t in checkpoint_times:
@@ -680,7 +698,7 @@ def ensemble_states(cfg: EnsembleConfig, checkpoint_times, sweep_index=0):
         steps.append(step)
 
     states = np.empty((cfg.realizations, len(steps)) + cfg.rho0.shape, dtype=complex)
-    driver = _advance_chunk(cfg, cfg.realizations, _trajectory_streams(cfg, sweep_index))
+    driver = _advance_chunk(cfg, cfg.realizations, _trajectory_streams(cfg, 0))
     for step, batch, _ in driver:
         slots = [i for i, s in enumerate(steps) if s == step]
         if slots:

@@ -171,25 +171,22 @@ def fidelity_bound_check(mset: MeasurementOperatorSet, rho, psi_target):
     return overlap(_averaged(_sandwich(mset._stack, rho)), psi_target) <= lam_max + 1e-12
 
 
-def strength_rate_numeric(
-    Q,
-    k,
-    n_traj=4000,
-    n_batches=20,
-    horizon=None,
-    n_steps=50,
-    n_samples=5,
-    seed=0,
-) -> RateEstimate:
+# strength_rate_numeric reads its states at RATE_SAMPLES times up to the
+# horizon RATE_HORIZON / k, so its estimates scale exactly linearly in k
+RATE_HORIZON = 0.005
+RATE_SAMPLES = 5
+
+
+def strength_rate_numeric(Q, k, n_traj=4000, n_batches=20, n_steps=50, seed=0) -> RateEstimate:
     """Monte Carlo estimate of d s_v/dt and d s_p/dt at rho = I/N.
 
     Samples n_traj conditioned states of continuous measurement of Q from the
-    maximally mixed state, with H = 0 and no feedback, at n_samples times
-    round(j n_steps / n_samples) dt, dt = horizon / n_steps, for j = 1, ...,
-    n_samples, evaluates the two uncertainties on them, and fits the
-    strength-vs-time slope through the origin (_fitted_rates).  Standard
-    errors come from batching the trajectories.  The horizon defaults to
-    0.005/k so estimates scale exactly linearly in k.
+    maximally mixed state, with H = 0 and no feedback, at the RATE_SAMPLES
+    times round(j n_steps / RATE_SAMPLES) dt, dt = RATE_HORIZON / (k n_steps),
+    for j = 1, ..., RATE_SAMPLES (n_steps >= RATE_SAMPLES), evaluates the two
+    uncertainties on them, and fits the strength-vs-time slope through the
+    origin (_fitted_rates).  Standard errors come from batching the
+    trajectories.
 
     The measurement is then QND, so the states are exact functions of the
     record and nothing is stepped (the QND case of Jacobs and Steck, Contemp.
@@ -199,43 +196,38 @@ def strength_rate_numeric(
     is Y(t) = 2 sqrt(2k) q_i t + W(t), and its populations in Q's eigenbasis
     are proportional to exp(2 sqrt(2k) q_j Y - 4k q_j^2 t), normalised after
     a log-sum-exp shift.  Every number comes from one Philox stream keyed on
-    seed: the n_traj levels, then an (n_samples, n_traj) block of standard
-    normals.
+    seed: the n_traj levels, then an (RATE_SAMPLES, n_traj) block of
+    standard normals.
     """
     Q = _checked("Q", check_hermitian, np.asarray(Q, dtype=complex))
     n = Q.shape[0]
     if n < 2:  # both strengths divide by ln N or N - 1
         raise ValueError(f"Q must be at least 2 x 2, got {n} x {n}")
-    for name, count in (("n_traj", n_traj), ("n_batches", n_batches), ("n_steps", n_steps),
-                        ("n_samples", n_samples)):
+    for name, count in (("n_traj", n_traj), ("n_batches", n_batches), ("n_steps", n_steps)):
         if not _whole_number(count):
             raise ValueError(f"{name} must be a whole number, got {count!r}")
     if not 0 <= k < np.inf:  # written so that NaN fails
         raise ValueError(f"k must be non-negative and finite, got {k}")
-    if horizon is not None and not 0 < horizon < np.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if not 1 <= n_samples <= n_steps:
-        raise ValueError("n_samples must lie between 1 and n_steps")
+    if n_steps < RATE_SAMPLES:
+        raise ValueError(f"n_steps must be at least {RATE_SAMPLES}, got {n_steps}")
     if not 2 <= n_batches <= n_traj:  # no empty batch, and two batches for the spread
         raise ValueError(f"n_batches must lie between 2 and n_traj, got n_batches={n_batches}, "
                          f"n_traj={n_traj}")
     if k == 0:
         return RateEstimate(0.0, 0.0, 0.0, 0.0)
-    if horizon is None:
-        horizon = 0.005 / k
-    dt = horizon / n_steps
-    t = np.array([round(j * n_steps / n_samples) for j in range(1, n_samples + 1)]) * dt
+    dt = RATE_HORIZON / k / n_steps
+    t = np.array([round(j * n_steps / RATE_SAMPLES) for j in range(1, RATE_SAMPLES + 1)]) * dt
     q = np.linalg.eigvalsh(Q)
     q -= q.mean()
     rng = np.random.Generator(np.random.Philox(seed))
     level = rng.integers(n, size=n_traj)
-    w = rng.standard_normal((n_samples, n_traj))
+    w = rng.standard_normal((RATE_SAMPLES, n_traj))
     w *= np.sqrt(np.diff(t, prepend=0.0))[:, None]
     np.cumsum(w, axis=0, out=w)
     gain = 2.0 * np.sqrt(2.0 * k)
-    record = gain * q[level] * t[:, None] + w  # (n_samples, n_traj)
+    record = gain * q[level] * t[:, None] + w  # (RATE_SAMPLES, n_traj)
     q = q[:, None, None]
-    log_p = gain * q * record - (4.0 * k) * q**2 * t[:, None]  # (N, n_samples, n_traj)
+    log_p = gain * q * record - (4.0 * k) * q**2 * t[:, None]  # (N, RATE_SAMPLES, n_traj)
     log_p -= log_p.max(axis=0)
     p = np.exp(log_p)
     p /= p.sum(axis=0)
@@ -244,7 +236,7 @@ def strength_rate_numeric(
 
 def _fitted_rates(lam, t, n_batches):
     """The RateEstimate of conditioned states from I/N read at the times t:
-    lam (N, n_samples, n_traj) holds their eigenvalues.  The trajectories are
+    lam (N, len(t), n_traj) holds their eigenvalues.  The trajectories are
     split into n_batches batches; each batch's mean entropy and impurity at
     each time give its strengths s_v and s_p, and a least-squares line
     through the origin their slopes.  The rates are the slopes' means over

@@ -34,8 +34,7 @@ every run builds, refuses with StepRejected a run in which any of
     2k dt ||Q_0||^2,   dt (||H0_0|| + sqrt(mu)),   beta dt
 
 exceeds STEP_SIZE_LIMIT, with X_0 = X - (Tr X / N) I and ||.|| the largest
-singular value (||Q_0|| = 1 under relative_angle).  SmeConfig warns at the
-same limit of dt max(k, beta, ||H0_0||).
+singular value (||Q_0|| = 1 under relative_angle).
 
 The closed loop measures, on a qubit, the spin along a fixed Bloch angle
 (theta, phi) from the state's own direction and applies the optimal
@@ -57,7 +56,6 @@ decides a whole batch of runs from blocks of draws, consuming exactly the
 uniforms that successive inverse_zeno_run calls would, in the same order.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +68,7 @@ from .states import SIGMA_Z, check_density_matrix, check_hermitian, ket, overlap
 BASIS_DEGEN_TOL = 1e-12
 
 # the largest step size a run is admitted at, in each of the measures
-# EnsembleConfig reads (module docstring); SmeConfig warns past it
+# EnsembleConfig reads (module docstring)
 STEP_SIZE_LIMIT = 0.05
 
 
@@ -134,14 +132,6 @@ class SmeConfig:
             raise ValueError(f"t_end {self.t_end} is not a whole number of steps of dt {self.dt}")
         h0 = _checked("h0", check_hermitian, np.asarray(self.h0, dtype=complex))
         object.__setattr__(self, "h0", h0)
-        # H0's trace shifts every energy alike and moves no state
-        scale = max(self.k, self.dephasing_beta, _traceless_norm(h0))
-        if self.dt * scale > STEP_SIZE_LIMIT:
-            warnings.warn(
-                f"dt * max(k, beta, ||H0_0||) = {self.dt * scale:.3g} > {STEP_SIZE_LIMIT:g}; "
-                f"integration error may be significant",
-                stacklevel=2,
-            )
 
     @property
     def n_steps(self):
@@ -281,11 +271,11 @@ def _kraus_step(rho, Q, k, H, dt, dW, q_sq):
     docstring), with no dephasing.
 
     rho is a stack (N, N, m) of density matrices, trajectory axis last (a
-    single state is an (N, N, 1) stack); H and Q (ignored when k = 0) are
-    like rho or (N, N, 1), which acts on every state; dW is a scalar or one
-    increment per state.  The step moves at O(dt^1.5) with the traces of Q
-    and H, which the evolution does not see, so the ensemble's matrix kernel
-    passes both _centred.  q_sq = Q^2, lifted like Q, is computed once by a
+    single state is an (N, N, 1) stack); H and Q are like rho or (N, N, 1),
+    which acts on every state; dW is a scalar or one increment per state.
+    The step moves at O(dt^1.5) with the traces of Q and H, which the
+    evolution does not see, so the ensemble's matrix kernel passes both
+    _centred.  q_sq = Q^2, lifted like Q, is computed once by a
     caller that steps many times with the same Q, as _matmul(Q, Q).
     A diagonal Q may be given by its diagonal, (N, 1) or (N, m), and q_sq
     with it.  The step then skips the products with its off-diagonal zeros:
@@ -295,8 +285,9 @@ def _kraus_step(rho, Q, k, H, dt, dW, q_sq):
     zero, so it is +0 or -0, and adding it leaves a nonzero sum as it was:
     each entry has the matrix path's value, in the same order of operations,
     and only the sign of an entry that is exactly zero can differ.
-    Returns (rho_next, exp_q): the next states and Tr[Q rho] before the step
-    (0 when k = 0).
+    Returns (rho_next, exp_q): the next states and Tr[Q rho] before the step.
+    At k = 0 the drive and the Milstein term are exact zeros, so M is
+    I - iH dt with the signs of its zero entries at most changed.
     Full-width temporaries are updated in place (out= ufuncs, +=, /=) with
     the operands of every product and sum in the formula's order, so each
     holds the bits a fresh array would, and fewer of them are alive at once
@@ -304,24 +295,21 @@ def _kraus_step(rho, Q, k, H, dt, dW, q_sq):
     """
     rho = np.asarray(rho, dtype=complex)
     H = np.asarray(H, dtype=complex)
+    Q = np.asarray(Q, dtype=complex)
     m_op = np.eye(len(rho))[..., None] - 1j * dt * H
-    if k == 0:
-        exp_q = np.zeros(rho.shape[2:])
-    else:
-        Q = np.asarray(Q, dtype=complex)
-        sqrt2k = np.sqrt(2.0 * k)
-        exp_q = np.einsum("ii...->...", _apply(Q, rho)).real
-        dy_tilde = 2.0 * sqrt2k * dt * exp_q + dW
-        drive = (sqrt2k * dy_tilde) * Q
-        if Q.ndim == 3:
-            m_op = np.add(m_op, drive, out=drive)
-            m_op += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
-        else:  # a diagonal Q: only M's diagonal is driven
-            if m_op.shape != rho.shape:  # a shared H: every state gets its own M
-                m_op = np.repeat(m_op, rho.shape[2], axis=2)
-            m_diag = np.einsum("ii...->i...", m_op)  # a view, written in place
-            m_diag += drive
-            m_diag += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
+    sqrt2k = np.sqrt(2.0 * k)
+    exp_q = np.einsum("ii...->...", _apply(Q, rho)).real
+    dy_tilde = 2.0 * sqrt2k * dt * exp_q + dW
+    drive = (sqrt2k * dy_tilde) * Q
+    if Q.ndim == 3:
+        m_op = np.add(m_op, drive, out=drive)
+        m_op += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
+    else:  # a diagonal Q: only M's diagonal is driven
+        if m_op.shape != rho.shape:  # a shared H: every state gets its own M
+            m_op = np.repeat(m_op, rho.shape[2], axis=2)
+        m_diag = np.einsum("ii...->i...", m_op)  # a view, written in place
+        m_diag += drive
+        m_diag += k * (dy_tilde ** 2 - 2.0 * dt) * q_sq
     new = _matmul(_matmul(m_op, rho), _dagger(m_op))
     new /= np.einsum("ii...->...", new).real
     return new, exp_q
@@ -390,7 +378,6 @@ def run_control_trajectory(
     psi_target_fn,
     mu,
     rng,
-    store_every=1,
 ) -> TrajectoryResult:
     """One closed-loop realization: a lockstep batch of one trajectory that
     draws its noise from rng (see ensemble._advance_chunk).
@@ -399,26 +386,22 @@ def run_control_trajectory(
     optimal feedback Hamiltonian toward the current target (skipped when
     mu = 0, which builds no target), then advance the conditioned state one
     measurement step under H0 + H_fb.  The driver yields the batch after
-    every step; every store_every steps its state, and the step's dy and
-    H_fb (zero when mu = 0), are kept as the kernel's rows (a qubit's Bloch
+    every step; every state, with the dy and H_fb (zero when mu = 0) of the
+    step that ended there, is kept as the kernel's rows (a qubit's Bloch
     vector and feedback vector as floats), and the matrices are built once,
     at the end (the kernel's snapshot and assemble).
     """
-    from .ensemble import EnsembleConfig, _advance_chunk, _whole_number
+    from .ensemble import EnsembleConfig, _advance_chunk
 
-    if not _whole_number(store_every) or store_every < 1:
-        raise ValueError(f"store_every must be a positive whole number of steps, "
-                         f"got {store_every!r}")
     batch_cfg = EnsembleConfig(
         realizations=1, master_seed=None, sme=cfg, policy=policy, mu=mu, rho0=rho0,
         target_fn=psi_target_fn if mu > 0 else None, stat_stride=cfg.n_steps,
     )
     kept = []
-    for step, batch, _ in _advance_chunk(batch_cfg, 1, [rng]):
-        if step % store_every == 0:
-            kept.append(batch.snapshot())
+    for _, batch, _ in _advance_chunk(batch_cfg, 1, [rng]):
+        kept.append(batch.snapshot())
     states, records, fb_hams = (out[0] for out in batch.assemble(kept))
-    return TrajectoryResult(times=np.arange(0, cfg.n_steps + 1, store_every) * cfg.dt,
+    return TrajectoryResult(times=np.arange(cfg.n_steps + 1) * cfg.dt,
                             states=states, records=records, fb_hamiltonians=fb_hams)
 
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,38 @@ from qmfc.cli import (
     manifest_path,
     resolve_args,
 )
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_usage():
+    """{experiment: {flag: default}} as the usage block under README's
+    "## Command line" heading lists them, in its order, as strings."""
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    usage = {}
+    for entry in re.split(r"^qmfc ", block, flags=re.M)[1:]:
+        words = entry.replace("[", " ").replace("]", " ").split()
+        assert words[0] == "--experiment", entry
+        usage[words[1]] = dict(zip(words[2::2], words[3::2]))
+    return usage
+
+
+def test_readme_usage_lists_every_option_with_its_default():
+    # each experiment lists exactly its options, in schema order (the
+    # manifest's order, which README refers to), each with its default;
+    # omega is printed to 6 figures
+    usage = readme_usage()
+    assert list(usage) == list(_OPTIONS)
+    for experiment, options in _OPTIONS.items():
+        flags = {"--" + dest.replace("_", "-"): spec for dest, spec in options.items()}
+        assert list(usage[experiment]) == list(flags), experiment
+        for flag, (typ, default) in flags.items():
+            listed = typ(usage[experiment][flag])
+            if flag == "--omega":
+                assert listed == pytest.approx(default, rel=0, abs=1e-5)
+            else:
+                assert listed == default, (experiment, flag)
 
 
 def read_csv(path):
@@ -167,11 +202,10 @@ def test_exit_codes(tmp_path):
     # i/o error: unwritable output location
     assert main(["--experiment", "fig1", "--out", str(tmp_path / "no" / "dir.csv")]) == 4
     # step size refused: 2k dt = 0.08 is past the limit, so no step is taken
-    with pytest.warns(UserWarning):
-        code = main([
-            "--experiment", "fig2", "--out", str(out), "--realizations", "2",
-            "--dt", "0.04", "--t-end", "4.0", "--theta-points", "2", "--k", "1",
-        ])
+    code = main([
+        "--experiment", "fig2", "--out", str(out), "--realizations", "2",
+        "--dt", "0.04", "--t-end", "4.0", "--theta-points", "2", "--k", "1",
+    ])
     assert code == 3
     assert not out.exists()
 

@@ -185,6 +185,54 @@ def test_config_refuses_counts_that_are_not_whole_numbers(field, value):
         assert np.array_equal(getattr(numpy_counts, name), getattr(plain, name)), name
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3"])
+def test_config_refuses_a_seed_that_is_not_a_non_negative_whole_number(seed):
+    # refused by name when the config is built: True would run as seed 1,
+    # and numpy would refuse the rest only at the first stream it derives
+    with pytest.raises(ValueError, match=re.escape(
+            f"master_seed must be a non-negative whole number, got {seed!r}")):
+        small_config(master_seed=seed)
+
+
+def test_an_ensemble_without_a_seed_is_refused_before_any_step():
+    # master_seed=None is for a batch fed by its caller's generators
+    # (run_control_trajectory); an ensemble would key its streams on OS
+    # entropy, so that no two runs agree.  A numpy integer is a seed
+    cfg = small_config(realizations=2, master_seed=None)
+    for run in (run_ensemble, lambda cfg: ensemble_states(cfg, [0.0])):
+        with pytest.raises(ValueError, match="master_seed is None"):
+            run(cfg)
+    plain = run_ensemble(small_config(realizations=2, master_seed=7))
+    numpy_seed = run_ensemble(small_config(realizations=2, master_seed=np.int64(7)))
+    for name in vars(plain):
+        assert np.array_equal(getattr(numpy_seed, name), getattr(plain, name)), name
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: small_config(target_fn=lambda t: np.array([2.0, 0.0])),
+                 "norm .*2.0.* deviates from 1", id="qubit-norm-2"),
+    pytest.param(lambda: qutrit_config(target_fn=lambda t: np.array([0.0, 0.0, 2.0])),
+                 "norm .*2.0.* deviates from 1", id="qutrit-norm-2"),
+    pytest.param(lambda: small_config(target_fn=lambda t: np.array([np.nan, 0.0])),
+                 "non-finite entries", id="qubit-nan"),
+    pytest.param(lambda: small_config(target_fn=lambda t: np.array([1.0, 0.0, 0.0])),
+                 re.escape("shape (3,), the state's dimension is 2"), id="qubit-length-3"),
+    pytest.param(lambda: qutrit_config(target_fn=lambda t: np.array([1.0, 0.0])),
+                 re.escape("shape (2,), the state's dimension is 3"), id="qutrit-length-2"),
+])
+def test_a_bad_target_is_refused_by_name_before_any_step(make, message):
+    """A target that is not a normalised finite vector of the state's
+    dimension is refused, naming target_fn(0), before any step.  Unchecked,
+    a norm-2 target ran to time-averaged overlaps above 1, a NaN target to
+    NaN overlaps, and a wrong length failed inside the kernel's arithmetic."""
+    cfg = make()
+    with pytest.raises(ValueError, match=r"target_fn\(0\).*" + message):
+        run_ensemble(cfg)
+    with pytest.raises(ValueError, match=r"target_fn\(0\).*" + message):
+        run_control_trajectory(cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, cfg.mu,
+                               UnusedStream())
+
+
 def step_size_case(size, factor):
     """EnsembleConfig arguments whose step size `size` (sde module docstring)
     is factor times STEP_SIZE_LIMIT, the other two a fifth of it or less."""
@@ -210,7 +258,6 @@ class UnusedStream:
         raise AssertionError(f"the refused run used its stream ({name})")
 
 
-@pytest.mark.filterwarnings("ignore:dt \\* max:UserWarning")  # SmeConfig's warning past beta dt
 @pytest.mark.parametrize("size", ["2k dt ||Q_0||^2", "dt (||H0_0|| + sqrt(mu))", "beta dt"])
 def test_step_sizes_past_the_limit_are_refused_before_any_step(size):
     """A run whose step size exceeds STEP_SIZE_LIMIT by 0.1% on any one of
@@ -401,10 +448,13 @@ def test_ensemble_rows_match_numpy_seeded_streams(monkeypatch, make):
         return advance(cfg, width, gens, kernel)
 
     monkeypatch.setattr(qmfc.ensemble, "_advance_chunk", recording)
+    # run_ensemble on the sweep index it is given, ensemble_states on index 0
     run_ensemble(cfg, sweep_index=3)
-    ensemble_states(cfg, np.array(checkpoints) * cfg.sme.dt, sweep_index=3)
-    want = [collect(cfg, cfg.realizations, numpy_streams(cfg, 3), checkpoints)
-            for _ in range(2)]
+    ensemble_states(cfg, np.array(checkpoints) * cfg.sme.dt)
+    with pytest.raises(TypeError, match="sweep_index"):
+        ensemble_states(cfg, [0.0], sweep_index=3)
+    want = [collect(cfg, cfg.realizations, numpy_streams(cfg, index), checkpoints)
+            for index in (3, 0)]
     assert len(outputs) == 2
     for got_rows, want_rows in zip(outputs, want):
         for got, expected in zip(got_rows, want_rows):
@@ -450,16 +500,15 @@ def test_single_realization_matches_scalar_engine():
     for cfg, atol in ((closed_loop, 1e-8), (open_loop, 1e-12)):
         stats = run_ensemble(cfg)
         rng = trajectory_rng(cfg.master_seed, 0, 0)
-        res = run_control_trajectory(
-            cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, cfg.mu, rng,
-            store_every=cfg.stat_stride,
-        )
-        assert np.allclose(stats.purity_mean, res.purities, rtol=0, atol=atol)
-        assert np.allclose(stats.overlap_mean, res.overlaps(cfg.target_fn), rtol=0, atol=atol)
+        res = run_control_trajectory(cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, cfg.mu, rng)
+        stored = slice(None, None, cfg.stat_stride)
+        assert np.allclose(stats.purity_mean, res.purities[stored], rtol=0, atol=atol)
+        assert np.allclose(stats.overlap_mean, res.overlaps(cfg.target_fn)[stored],
+                           rtol=0, atol=atol)
         assert np.isnan(stats.purity_se).all()
         assert np.isnan(stats.time_avg_purity_se)
     states = ensemble_states(open_loop, stats.times)
-    assert np.max(np.abs(states[0] - res.states)) < 1e-12
+    assert np.max(np.abs(states[0] - res.states[stored])) < 1e-12
 
 
 def test_chunking_does_not_change_rows():

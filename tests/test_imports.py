@@ -1,9 +1,10 @@
 """Every name a qmfc module imports is used in it, every private top-level
 function or class is used somewhere in the package, every parameter default
-is overridden by some call, and no module imports scipy: a parse of each
-module with ast, in place of a linter.  A fresh interpreter also runs every
-experiment without loading scipy.  The tests' qubit references import none
-of the engine's step code."""
+is overridden by some call in the package or perfbench (bar three named
+ones), and no module imports scipy: a parse of each module with ast, in
+place of a linter.  A fresh interpreter also runs every experiment without
+loading scipy.  The tests' qubit references import none of the engine's
+step code."""
 
 import ast
 import os
@@ -71,10 +72,22 @@ def defaulted_parameters(tree):
                     yield node.name, arg.arg, None
 
 
+# defaults that no shipped call sets, each kept for a reason of its own
+DEFAULTS_NO_SHIPPED_CALL_SETS = {
+    # the seam through which tests swap in a spy, a seeded or a reference kernel
+    ("_advance_chunk", "kernel"),
+    # perfbench's tracer binds it by name to count a rates run's work
+    ("strength_rate_numeric", "n_steps"),
+    # the coarse-grid refusal names it as the remedy
+    ("gaussian_weak_povm", "alpha_grid"),
+}
+
+
 def test_every_default_parameter_is_set_somewhere():
-    # a default that no call overrides is a knob that does nothing: the
-    # value belongs in the function, or in a module constant
-    calls = [node for root in (SRC, TESTS, SRC.parent.parent / "perfbench")
+    # a default that no shipped call (the package or perfbench) overrides is
+    # a knob that does nothing, or that only tests turn: the value belongs in
+    # the function, or in a module constant
+    calls = [node for root in (SRC, SRC.parent.parent / "perfbench")
              for p in root.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))
              if isinstance(node, ast.Call)]
     passed = set()
@@ -83,10 +96,12 @@ def test_every_default_parameter_is_set_somewhere():
         positional = [a for a in call.args if not isinstance(a, ast.Starred)]
         passed.update((name, i) for i in range(len(positional)))
         passed.update((name, kw.arg) for kw in call.keywords)
-    unset = [f"{path.name}: {fn}({param})" for path in sorted(SRC.glob("*.py"))
+    unset = {(fn, param) for path in sorted(SRC.glob("*.py"))
              for fn, param, i in defaulted_parameters(ast.parse(path.read_text()))
-             if (fn, param) not in passed and (fn, i) not in passed]
-    assert not unset, f"parameters no call sets: {unset}"
+             if (fn, param) not in passed and (fn, i) not in passed}
+    assert unset == DEFAULTS_NO_SHIPPED_CALL_SETS, (
+        f"set by no shipped call, not allowed: {sorted(unset - DEFAULTS_NO_SHIPPED_CALL_SETS)}; "
+        f"allowed, but now set: {sorted(DEFAULTS_NO_SHIPPED_CALL_SETS - unset)}")
 
 
 # the engine's step and its kernels: an oracle that calls them restates them

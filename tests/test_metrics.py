@@ -229,9 +229,13 @@ def test_strength_rate_numeric_matches_expansion():
     assert zero.rate_p == 0.0 and zero.rate_v == 0.0
     with pytest.raises(ValueError):
         strength_rate_numeric(SIGMA_Z, -1.0)
-    for n_samples in (0, 51):  # more samples than the 50 steps
-        with pytest.raises(ValueError):
-            strength_rate_numeric(SIGMA_Z, 1.0, n_samples=n_samples)
+    for n_steps in (0, 4):  # fewer steps than the five sample times
+        with pytest.raises(ValueError, match=f"n_steps must be at least 5, got {n_steps}"):
+            strength_rate_numeric(SIGMA_Z, 1.0, n_steps=n_steps)
+    # the horizon and the number of samples are module constants
+    for name in ("horizon", "n_samples"):
+        with pytest.raises(TypeError, match=name):
+            strength_rate_numeric(SIGMA_Z, 1.0, **{name: 5})
 
 
 @pytest.mark.parametrize("n_traj, n_batches", [(10, 20), (10, 11), (10, 1), (10, 0)])
@@ -242,29 +246,25 @@ def test_strength_rate_numeric_refuses_batch_counts_without_a_spread(n_traj, n_b
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("q, k, horizon, message", [
-    pytest.param(SIGMA_Z, k, None, "k must be non-negative and finite", id=str(k))
+@pytest.mark.parametrize("q, k, message", [
+    pytest.param(SIGMA_Z, k, "k must be non-negative and finite", id=str(k))
     for k in (-1.0, np.nan, np.inf)
-] + [
-    pytest.param(SIGMA_Z, 1.0, horizon, f"horizon must be positive and finite, got {horizon}",
-                 id=f"horizon-{horizon}")
-    for horizon in (0.0, -1.0, np.nan, np.inf)
-] + [pytest.param(np.eye(1), 1.0, None, "Q must be at least 2 x 2, got 1 x 1", id="N-1")])
-def test_strength_rate_numeric_refuses_a_k_that_is_negative_or_not_finite(q, k, horizon, message):
-    # a bad horizon is refused by name, not through the dt it would give, and
-    # a 1 x 1 Q, which has no strength (ln N = N - 1 = 0), before any draw
+] + [pytest.param(np.eye(1), 1.0, "Q must be at least 2 x 2, got 1 x 1", id="N-1")])
+def test_strength_rate_numeric_refuses_a_k_that_is_negative_or_not_finite(q, k, message):
+    # a bad k is refused by name, not through the dt it would give, and a
+    # 1 x 1 Q, which has no strength (ln N = N - 1 = 0), before any draw
     with pytest.raises(ValueError, match=message):
-        strength_rate_numeric(q, k, horizon=horizon)
+        strength_rate_numeric(q, k)
 
 
-@pytest.mark.parametrize("count", ["n_traj", "n_batches", "n_steps", "n_samples"])
+@pytest.mark.parametrize("count", ["n_traj", "n_batches", "n_steps"])
 def test_strength_rate_numeric_refuses_non_integer_counts(count):
     # each count is refused by name, as a whole number; a numpy integer is
     # one, and a bool is not
     for value in (10.5, 4.0, True):
         with pytest.raises(ValueError, match=f"{count} must be a whole number, got {value!r}"):
             strength_rate_numeric(SIGMA_Z, 1.0, **{count: value})
-    whole = {"n_traj": 6, "n_batches": 3, "n_steps": 4, "n_samples": 2}
+    whole = {"n_traj": 6, "n_batches": 3, "n_steps": 5}
     plain = strength_rate_numeric(SIGMA_Z, 1.0, seed=2, **whole)
     est = strength_rate_numeric(SIGMA_Z, 1.0, seed=2, **{**whole, count: np.int64(whole[count])})
     assert est == plain
@@ -275,21 +275,19 @@ def test_strength_rate_numeric_takes_one_trajectory_per_batch():
     assert np.isfinite([est.rate_p, est.rate_p_se, est.rate_v, est.rate_v_se]).all()
 
 
-@pytest.mark.parametrize("n_steps, n_samples, want", [
-    (10, 4, [2, 5, 8, 10]),
-    (50, 7, [7, 14, 21, 29, 36, 43, 50]),
-    (50, 5, [10, 20, 30, 40, 50]),
+@pytest.mark.parametrize("n_steps, want", [
+    (5, [1, 2, 3, 4, 5]),
+    (7, [1, 3, 4, 6, 7]),
+    (50, [10, 20, 30, 40, 50]),
 ])
-def test_strength_rate_numeric_samples_n_samples_times(monkeypatch, n_steps, n_samples, want):
-    # the slope is fitted through the states at exactly n_samples times,
-    # round(j n_steps / n_samples) dt for j = 1..n_samples, the last at the
-    # horizon 0.005/k
+def test_strength_rate_numeric_samples_five_times(monkeypatch, n_steps, want):
+    # the slope is fitted through the states at exactly five times,
+    # round(j n_steps / 5) dt for j = 1..5, the last at the horizon 0.005/k
     times = []
     fit = qmfc.metrics._fitted_rates
     monkeypatch.setattr(qmfc.metrics, "_fitted_rates",
                         lambda lam, t, n_batches: times.append(t) or fit(lam, t, n_batches))
-    est = strength_rate_numeric(SIGMA_Z, 1.0, n_traj=80, n_batches=4, n_steps=n_steps,
-                                n_samples=n_samples, seed=2)
+    est = strength_rate_numeric(SIGMA_Z, 1.0, n_traj=80, n_batches=4, n_steps=n_steps, seed=2)
     assert len(times) == 1
     assert np.array_equal(times[0], np.array(want) * (0.005 / n_steps))
     assert np.isfinite([est.rate_p, est.rate_v]).all()
@@ -396,7 +394,7 @@ def engine_rates(Q, k, n_traj, seed):
     5 samples), with the states taken from the engine instead of the closed
     form: the open-loop ensemble of Q from I/N with H = 0, on the streams
     ensemble_states draws for seed, read at the sample times."""
-    n, n_steps, horizon = len(Q), 50, 0.005 / k
+    n, n_steps, horizon = len(Q), 50, qmfc.metrics.RATE_HORIZON / k
     dt = horizon / n_steps
     t = np.array([10, 20, 30, 40, 50]) * dt
     cfg = EnsembleConfig(

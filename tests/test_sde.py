@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -38,21 +37,8 @@ def test_sme_config_validation():
         SmeConfig(k=1.0, h0=np.zeros((2, 2)), dt=0.0)
     with pytest.raises(ValueError):
         SmeConfig(k=1.0, h0=np.zeros((2, 2)), t_end=-1.0)
-    with pytest.warns(UserWarning):
-        SmeConfig(k=100.0, h0=np.zeros((2, 2)), dt=1e-3)
     cfg = SmeConfig(k=1.0, h0=np.zeros((2, 2)), dt=1e-3, t_end=0.5)
     assert cfg.n_steps == 500
-
-
-def test_step_size_warning_reads_only_the_traceless_part_of_h0():
-    # 1000 I shifts every energy alike and moves no state; 1000 sz at
-    # dt = 1e-4 turns by 0.1 rad per step
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        SmeConfig(k=0.0, h0=1000.0 * np.eye(2), dt=1e-4)
-        SmeConfig(k=0.0, h0=1000.0 * np.eye(3) + np.diag([0.5, 0.0, -0.5]), dt=1e-4)
-    with pytest.warns(UserWarning, match="0.1 > 0.05"):
-        SmeConfig(k=0.0, h0=1000.0 * SIGMA_Z, dt=1e-4)
 
 
 def test_sme_config_refuses_a_t_end_off_the_step_grid():
@@ -83,15 +69,14 @@ def test_measurement_policy_validation():
 
 def step_constants(q):
     """The run constant a _MatrixKernel passes _kraus_step, for Q as an
-    (N, N, m) or (N, N, 1) stack: q_sq = Q^2; None when q is (k = 0)."""
-    return None if q is None else _matmul(q, q)
+    (N, N, m) or (N, N, 1) stack: q_sq = Q^2."""
+    return _matmul(q, q)
 
 
 def sme_step(rho, q, k, h, dt, dw):
     # one step of the SME's Kraus map on a state lifted to an (N, N, 1)
     # stack, and its record dy = 4k<Q>dt + sqrt(2k)dW
-    rho, q, h = (None if a is None else np.asarray(a, dtype=complex)[..., None]
-                 for a in (rho, q, h))
+    rho, q, h = (np.asarray(a, dtype=complex)[..., None] for a in (rho, q, h))
     new, exp_q = _kraus_step(rho, q, k, h, dt, dw, step_constants(q))
     return new[..., 0], 4.0 * k * exp_q[0] * dt + np.sqrt(2.0 * k) * dw
 
@@ -163,9 +148,7 @@ def bloch_writes_no_argument(hermitian, rho, k, dt, dw):
     z-dephasing and feedback: see test_kraus_step_writes_no_argument."""
     m, beta, mu, target = len(rho), 0.4, 10.0, np.array([1.0, 1j]) / np.sqrt(2.0)
     q, h0 = hermitian((2, 2)), hermitian((2, 2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # a random H0 at dt = 1e-2 is coarse
-        batch = bloch_kernel(m, np.eye(2) / 2, q, k, h0, beta, dt, mu, target)
+    batch = bloch_kernel(m, np.eye(2) / 2, q, k, h0, beta, dt, mu, target)
     r = np.array([2.0 * rho[:, 1, 0].real, 2.0 * rho[:, 1, 0].imag,
                   (rho[:, 0, 0] - rho[:, 1, 1]).real])
     batch.r = r[:, 0].tolist() if m == 1 else list(r.copy())
@@ -240,11 +223,18 @@ def test_diagonal_operands_step_as_the_matmul_path(n):
 
 
 def test_sme_step_free_evolution():
-    # k = 0: a pure Hamiltonian step, <Q> reads 0 and so does the record
+    # k = 0: the general step is a pure Hamiltonian step, M = I - iH dt,
+    # whatever Q and the noise, and the record reads 0
     rho = pure_density([1.0, 0.0])
-    new, dy = sme_step(rho, None, 0.0, 0.5 * SIGMA_X, 1e-4, 0.0)
-    assert dy == 0.0
-    check_density_matrix(new)
+    h, dt = 0.5 * SIGMA_X, 1e-4
+    m_op = np.eye(2) - 1j * dt * h
+    want = m_op @ rho @ m_op.conj().T
+    want /= np.trace(want).real
+    for q, dw in ((SIGMA_Z, 0.0), (0.6 * SIGMA_X + 0.8 * SIGMA_Y, 0.3)):
+        new, dy = sme_step(rho, q, 0.0, h, dt, dw)
+        assert dy == 0.0
+        check_density_matrix(new)
+        assert np.allclose(new, want, rtol=0, atol=1e-15)
     # one Euler step of precession under sx rotates z toward y
     assert new[0, 0].real < 1.0
     assert abs(new[0, 1].imag) > 0
@@ -453,8 +443,7 @@ def test_measurement_and_dephasing_average_consistency():
     n_traj = 400
     finals = np.empty((n_traj, 2, 2), dtype=complex)
     for i in range(n_traj):
-        res = run_control_trajectory(cfg, policy, rho0, None, 0.0, rng, store_every=250)
-        finals[i] = res.states[-1]
+        finals[i] = run_control_trajectory(cfg, policy, rho0, None, 0.0, rng).states[-1]
     ref = nonselective_solve(rho0, SIGMA_Z, 1.0, 0.5 * SIGMA_X, 0.2, [0.25])[0]
     mean = finals.mean(axis=0)
     se = finals.std(axis=0, ddof=1) / np.sqrt(n_traj)
@@ -492,29 +481,21 @@ def test_trajectory_reproducibility():
     assert np.all((ovl >= -1e-9) & (ovl <= 1 + 1e-9))
 
 
-def test_store_every_keeps_every_nth_step():
-    # 7 does not divide the 200 steps, so the last 4 steps run unstored
+def test_trajectory_keeps_every_step():
+    # the state at t = 0 and after each of the 200 steps, with the record and
+    # feedback of each step; there is no thinning argument (slice with [::n])
     cfg = SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=1e-4, t_end=0.02)
     policy = MeasurementPolicy(mode="relative_angle", theta=np.pi / 4)
     rho0 = pure_density(np.array([1.0, 1.0]) / np.sqrt(2.0))
     target = lambda t: np.array([np.exp(-1j * np.pi * t), np.exp(1j * np.pi * t)]) / np.sqrt(2.0)
-    full = run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3))
-    every7 = run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3),
-                                    store_every=7)
-    assert cfg.n_steps == 200 and len(every7.times) == 29
-    assert np.array_equal(every7.times, full.times[::7])
-    assert np.array_equal(every7.states, full.states[::7])
-    # records and feedback belong to the step that ended at each stored time
-    assert np.array_equal(every7.records, full.records[6::7])
-    assert np.array_equal(every7.fb_hamiltonians, full.fb_hamiltonians[6::7])
-    # a numpy integer is a whole number of steps too
-    every7_np = run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3),
-                                       store_every=np.int64(7))
-    assert np.array_equal(every7_np.states, every7.states)
-    for store_every in (0, -1, 2.5, 3.0, True):
-        with pytest.raises(ValueError, match="store_every must be a positive whole number"):
-            run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3),
-                                   store_every=store_every)
+    res = run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3))
+    assert cfg.n_steps == 200
+    assert np.array_equal(res.times, np.arange(201) * cfg.dt)
+    assert res.states.shape == (201, 2, 2) and np.allclose(res.states[0], rho0, rtol=0, atol=1e-15)
+    assert res.records.shape == (200,) and res.fb_hamiltonians.shape == (200, 2, 2)
+    with pytest.raises(TypeError, match="store_every"):
+        run_control_trajectory(cfg, policy, rho0, target, 10.0, np.random.default_rng(3),
+                               store_every=7)
 
 
 def relative_axis(r, theta, phi, angles, as_array):
@@ -608,7 +589,6 @@ def test_closed_loop_holds_pure_target():
         target,
         1.0,
         np.random.default_rng(0),
-        store_every=50,
     )
     ovl = res.overlaps(target)
     assert np.all(ovl > 1 - 1e-5)
