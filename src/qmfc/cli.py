@@ -190,11 +190,11 @@ def build_parser():
         help="accepted and recorded but ignored: every ensemble runs as one "
              "lockstep batch on one thread",
     )
-    for options in _OPTIONS.values():
-        for dest, (typ, _default) in options.items():
-            flag = "--" + dest.replace("_", "-")
-            if not any(flag == a for a in parser._option_string_actions):
-                parser.add_argument(flag, type=typ, default=None)
+    # one flag per distinct dest: fig1 and fig2 share --theta-points
+    types = {dest: typ for options in _OPTIONS.values()
+             for dest, (typ, _default) in options.items()}
+    for dest, typ in types.items():
+        parser.add_argument("--" + dest.replace("_", "-"), type=typ, default=None)
     return parser
 
 

@@ -114,17 +114,13 @@ from .sde import (
     _relative_axis,
     _sigma_parts,
     _traceless_norm,
+    _whole_number,
 )
 from .states import check_density_matrix, ket
 
 NOISE_BLOCK = 256  # steps of noise drawn per trajectory at a time
 STAT_BLOCK = 32  # stat slots that run_ensemble reduces across trajectories in one call
 _SQRT2 = math.sqrt(2.0)
-
-
-def _whole_number(x):
-    """True for an int or a numpy integer: a bool is an int to Python, but counts nothing."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -293,6 +289,7 @@ def _feedback_stack(rho, psi, mu):
     """Optimal feedback Hamiltonians (N, N, m) for a trajectory-last stack toward one target."""
     rho_psi = np.einsum("ijm,j->im", rho, psi)
     sig_rho = psi[:, None, None] * np.conj(rho_psi)
+    # S - S^+ is anti-Hermitian as built, so i chi [sigma, rho] is Hermitian
     comm = sig_rho - np.conj(np.swapaxes(sig_rho, 0, 1))
     comm_norm = np.sqrt(np.einsum("ijm,ijm->m", comm, np.conj(comm)).real)
     # a row is first order when comm_norm > DEGEN_TOL ||rho||_F.  ||rho||_F <= 1
@@ -304,12 +301,10 @@ def _feedback_stack(rho, psi, mu):
         active = comm_norm > DEGEN_TOL * rho_norm
         first_order = active.all()
     if first_order:  # every row, as in nearly every closed-loop step
-        h = 1j * (np.sqrt(mu) / comm_norm) * comm
-        return (h + np.conj(np.swapaxes(h, 0, 1))) / 2
+        return 1j * (np.sqrt(mu) / comm_norm) * comm
     chi = np.zeros(rho.shape[2])
     chi[active] = np.sqrt(mu) / comm_norm[active]
     h = 1j * chi * comm
-    h = (h + np.conj(np.swapaxes(h, 0, 1))) / 2
     # no-op rows: the target already carries the top eigenvalue.  Half of
     # optimal_feedback's threshold leaves room for its own rounding, so these
     # rows are no-ops there too; the rest decide there

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _phase_fix, check_density_matrix, eig_hermitian, ket, pure_density
+from .states import _phase_fix, check_density_matrix, eig_hermitian, ket
 
 # the commutator ||[sigma, rho]||_F, and the gap between rho's top eigenvalue
 # and the target's, count as zero below DEGEN_TOL ||rho||_F; every kernel's
@@ -72,7 +72,8 @@ def optimal_feedback(rho, psi_target, mu) -> FeedbackDecision:
     Branches:
       first_order  -- rho and the target projector do not commute; H is the
                       scaled commutator i chi [sigma, rho] with chi fixed by
-                      exact constraint saturation Tr[H^2] = mu.
+                      exact constraint saturation Tr[H^2] = mu, Hermitian as
+                      built: the commutator is formed as S - S^+.
       second_order -- they commute but the target lacks the top eigenvalue;
                       H couples the target to the dominant eigenvector with
                       off-diagonal weight sqrt(mu/2), chosen real positive.
@@ -85,11 +86,14 @@ def optimal_feedback(rho, psi_target, mu) -> FeedbackDecision:
     n = rho.shape[0]
     tau_degen = DEGEN_TOL * np.linalg.norm(rho)
 
-    sigma = pure_density(psi)
-    comm = sigma @ rho - rho @ sigma
+    rho_psi = rho @ psi
+    # [sigma, rho] as S - S^+ with S = |psi><rho psi| = sigma rho: anti-Hermitian
+    # as built, which sigma rho - rho sigma is not (the two products round apart)
+    sig_rho = np.outer(psi, rho_psi.conj())
+    comm = sig_rho - sig_rho.conj().T
     comm_norm = float(np.linalg.norm(comm))
-    b = float(np.vdot(psi, rho @ psi).real)
-    a = float(np.vdot(psi, rho @ (rho @ psi)).real)
+    b = float(np.vdot(psi, rho_psi).real)
+    a = float(np.vdot(psi, rho @ rho_psi).real)
 
     if mu == 0:
         return FeedbackDecision("no_op", np.zeros((n, n), dtype=complex), a, b, comm_norm)
@@ -99,8 +103,7 @@ def optimal_feedback(rho, psi_target, mu) -> FeedbackDecision:
         # the commutator norm saturates the constraint without the cancellation
         # that a - b^2 suffers near the branch boundary
         chi = np.sqrt(mu) / comm_norm
-        h = 1j * chi * comm
-        return FeedbackDecision("first_order", (h + h.conj().T) / 2, a, b, comm_norm)
+        return FeedbackDecision("first_order", 1j * chi * comm, a, b, comm_norm)
 
     vals, vecs = eig_hermitian(rho)
     if vals[0] - b <= tau_degen:  # the target is an eigenvector here, of eigenvalue b

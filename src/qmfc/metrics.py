@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import _whole_number
-from .sde import _checked
+from .sde import _checked, _whole_number
 from .states import (
     _spectral_entropy,
     check_density_matrix,

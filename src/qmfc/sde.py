@@ -50,10 +50,13 @@ qmfc.ensemble; run_control_trajectory is a batch of one.
 Their outcome average obeys the linear master equation above without its dW
 term; nonselective_solve exponentiates its generator exactly, in numpy alone.
 
-Measurement dragging (inverse_zeno_run) follows one deterministic surviving
-branch, so many runs need only their uniforms: inverse_zeno_successes
-decides a whole batch of runs from blocks of draws, consuming exactly the
-uniforms that successive inverse_zeno_run calls would, in the same order.
+Measurement dragging (inverse_zeno_run) splits the angle gamma between the
+start and the target into M equal steps, and every one of its measurements
+succeeds with the same p = cos^2(gamma / M), read in closed form from the
+plane of the two states (_drag_plane).  So many runs need only their
+uniforms: inverse_zeno_successes decides a whole batch of runs from blocks
+of draws, consuming exactly the uniforms that successive inverse_zeno_run
+calls would, in the same order.
 """
 
 from dataclasses import dataclass
@@ -109,6 +112,11 @@ def _checked(name, check, a):
         return check(a)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
+
+
+def _whole_number(x):
+    """True for an int or a numpy integer: a bool is an int to Python, but counts nothing."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -405,17 +413,21 @@ def run_control_trajectory(
                             states=states, records=records, fb_hamiltonians=fb_hams)
 
 
-def _zeno_branch(psi_start, psi_target, n_measurements):
-    """The surviving branch of a dragging run, or None when the states
-    coincide, which needs no measurement.
+def _drag_plane(psi_start, psi_target, n_measurements):
+    """The plane of a dragging run, or None when the states coincide, which
+    needs no measurement.
 
-    Returns (f1, branch, p).  The frame (f0, f1) spans the plane of the two
-    states, f0 physically equal to the start and the target at angle gamma
-    from f0; branch[i] = cos(i eps) f0 + sin(i eps) f1, eps = gamma /
-    n_measurements, is the state after i successful measurements (branch[0]
-    = f0), and p[i - 1] = |<branch[i]|branch[i - 1]>|^2 is the probability
-    that measurement i succeeds.
+    Returns (f0, f1, eps).  f0 is the start with the phase that makes
+    <f0|target> real and non-negative, f1 the unit vector orthogonal to f0
+    that puts the target at cos(gamma) f0 + sin(gamma) f1, gamma =
+    arccos |<start|target>|, and eps = gamma / n_measurements.  After i
+    successes the state is cos(i eps) f0 + sin(i eps) f1, so measurement i
+    projects at angle eps from the state it finds and succeeds with
+    p = cos^2(eps), the same at every i.  A failure there leaves the state
+    orthogonal to the projector in the plane, -sin(i eps) f0 + cos(i eps) f1.
     """
+    if not _whole_number(n_measurements):
+        raise ValueError(f"n_measurements must be a whole number, got {n_measurements!r}")
     if n_measurements < 1:
         raise ValueError("need at least one measurement")
     psi_start = ket(psi_start)
@@ -429,77 +441,63 @@ def _zeno_branch(psi_start, psi_target, n_measurements):
     phase = c / abs(c) if abs(c) > 1e-15 else 1.0
     f0 = phase * psi_start
     gamma = np.arccos(np.clip(abs(c), 0.0, 1.0))
-
-    eps = gamma / n_measurements
-    # cos and sin of each angle as scalars: the array functions may round differently
-    angles = [i * eps for i in range(1, n_measurements + 1)]
-    cos = np.array([np.cos(a) for a in angles])
-    sin = np.array([np.sin(a) for a in angles])
-    branch = np.empty((n_measurements + 1, f0.size), dtype=complex)
-    branch[0] = f0
-    branch[1:] = cos[:, None] * f0 + sin[:, None] * f1
-    p = [abs(np.vdot(branch[i], branch[i - 1])) ** 2 for i in range(1, n_measurements + 1)]
-    return f1, branch, p
+    return f0, f1, gamma / n_measurements
 
 
 def inverse_zeno_run(psi_start, psi_target, n_measurements, rng):
     """Drag a state to the target with a sequence of slightly rotated projections.
 
     The geodesic between the two states is split into n_measurements equal
-    angular increments; each step applies the two-outcome projective
-    measurement onto the advanced state.  Success means every outcome landed
-    on the advanced branch, in which case the final state is the target.
-    Measurement i draws one rng.random() and succeeds when it is below p_i.
+    angular increments eps; each step applies the two-outcome projective
+    measurement onto the advanced state (_drag_plane).  Success means every
+    outcome landed on the advanced branch, in which case the final state is
+    the target.  Measurement i draws one rng.random() and succeeds when it is
+    below p = cos^2(eps); a failure there ends the run in -sin(i eps) f0 +
+    cos(i eps) f1, the state of the plane orthogonal to the one projected on.
     """
-    surviving = _zeno_branch(psi_start, psi_target, n_measurements)
-    if surviving is None:
+    plane = _drag_plane(psi_start, psi_target, n_measurements)
+    if plane is None:
         psi_target = ket(psi_target)
         return True, np.outer(psi_target, psi_target.conj())
-    f1, branch, p = surviving
-    for i, p_success in enumerate(p, 1):
-        if not rng.random() < p_success:
-            current, advanced = branch[i - 1], branch[i]
-            failed = current - np.vdot(advanced, current) * advanced
-            norm = np.linalg.norm(failed)
-            if norm < 1e-15:
-                failed = f1 if i == n_measurements else branch[0]
-                norm = 1.0
-            current = failed / norm
-            return False, np.outer(current, current.conj())
-    current = branch[-1]
-    return True, np.outer(current, current.conj())
+    f0, f1, eps = plane
+    p = np.cos(eps) ** 2
+    for i in range(1, n_measurements + 1):
+        if not rng.random() < p:
+            state = -np.sin(i * eps) * f0 + np.cos(i * eps) * f1
+            return False, np.outer(state, state.conj())
+    state = np.cos(n_measurements * eps) * f0 + np.sin(n_measurements * eps) * f1
+    return True, np.outer(state, state.conj())
 
 
 def inverse_zeno_successes(psi_start, psi_target, n_measurements, runs, rng):
     """Number of successes in `runs` successive inverse_zeno_run calls.
 
-    The surviving branch is the same in every run, so a run is decided by its
-    uniforms alone: it fails at its first draw u_i >= p_i and succeeds after
-    n_measurements draws below them.  The runs consume exactly the uniforms
-    that successive inverse_zeno_run calls draw, in the same order, and leave
-    rng in the same state.  Every unfinished run takes at least one more draw,
-    so the uniforms come in blocks of one per unfinished run.
+    Every measurement of every run succeeds with the same p = cos^2(eps)
+    (_drag_plane), so a run is decided by its uniforms alone: it fails at its
+    first draw u >= p and succeeds after n_measurements draws below it.  The
+    runs consume exactly the uniforms that successive inverse_zeno_run calls
+    draw, in the same order, and leave rng in the same state.  Every
+    unfinished run takes at least one more draw, so the uniforms come in
+    blocks of one per unfinished run.
     """
+    if not _whole_number(runs):
+        raise ValueError(f"runs must be a whole number, got {runs!r}")
     if runs < 1:
         raise ValueError("need at least one run")
-    surviving = _zeno_branch(psi_start, psi_target, n_measurements)
-    if surviving is None:
+    plane = _drag_plane(psi_start, psi_target, n_measurements)
+    if plane is None:
         return runs
-    p = surviving[2]
-    p_low = min(p)
+    p = np.cos(plane[2]) ** 2
     successes = done = 0
     start = 0  # first draw of the current run, counted from the block's start
     while done < runs:
         u = rng.random(runs - done)
-        # a draw below every p_i succeeds wherever it falls in its run
-        for t in np.flatnonzero(u >= p_low).tolist():
-            whole, i = divmod(t - start, n_measurements)
+        for t in np.flatnonzero(u >= p).tolist():
+            # u[t] fails its run; the whole runs drawn before it succeeded
+            whole = (t - start) // n_measurements
             successes += whole
-            done += whole
-            start += whole * n_measurements
-            if u[t] >= p[i]:
-                done += 1
-                start = t + 1
+            done += whole + 1
+            start = t + 1
         whole = (len(u) - start) // n_measurements
         successes += whole
         done += whole

@@ -42,7 +42,7 @@ def check_density_matrix(rho):
     rho = check_hermitian(rho)
     tr = np.trace(rho).real
     if abs(tr - 1.0) > TOL_TRACE:
-        raise ValueError(f"trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
+        raise ValueError(f"trace {float(tr)!r} deviates from 1 beyond {TOL_TRACE:.1e}")
     lam_min = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
     if lam_min < -TOL_PSD:
         raise ValueError(f"negative eigenvalue {lam_min:.3e} below -{TOL_PSD:.1e}")
@@ -64,7 +64,7 @@ def ket(vec):
         raise ValueError("state vector has non-finite entries")
     n = np.linalg.norm(v)
     if abs(n - 1.0) > TOL_TRACE:
-        raise ValueError(f"state vector norm {n!r} deviates from 1 beyond {TOL_TRACE:.1e}")
+        raise ValueError(f"state vector norm {float(n)!r} deviates from 1 beyond {TOL_TRACE:.1e}")
     return v
 
 
@@ -183,7 +183,7 @@ def majorizes(lam, mu):
         raise ValueError("vectors must have the same length")
     for v in (lam, mu):
         if abs(v.sum() - 1.0) > max(TOL_TRACE, 1e-10 * v.size):
-            raise ValueError(f"vector sums to {v.sum()!r}, not 1")
+            raise ValueError(f"vector sums to {float(v.sum())!r}, not 1")
     a = np.cumsum(np.sort(lam)[::-1])
     b = np.cumsum(np.sort(mu)[::-1])
     return bool(np.all(a >= b - 1e-12))

@@ -810,6 +810,30 @@ def test_feedback_stack_sends_only_second_order_rows_to_the_scalar_rule(monkeypa
         assert len(calls) == np.isin(kinds[pick], ["second_order", "band"]).sum()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_first_order_feedback_is_hermitian_as_built(n):
+    """The first-order H = i chi [sigma, rho] of optimal_feedback and of both
+    _feedback_stack paths (every row first order, and a stack with an I/N
+    row that takes the row-by-row rule) equals its conjugate transpose bit
+    for bit, for states that are Hermitian only to rounding: no
+    symmetrisation is needed."""
+    rng = np.random.default_rng(340 + n)
+    mu = 5.0
+    rho = []
+    for _ in range(40):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        rho.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi /= np.linalg.norm(psi)
+    for rho_j in rho:
+        decision = optimal_feedback(rho_j, psi, mu)
+        assert decision.branch == "first_order"
+        assert np.array_equal(decision.hamiltonian, decision.hamiltonian.conj().T)
+    for stack in (rho, rho + [np.eye(n, dtype=complex) / n]):
+        h = np.moveaxis(_feedback_stack(trajectory_last(np.array(stack)), psi, mu), -1, 0)
+        assert np.array_equal(h, h.conj().swapaxes(1, 2))
+
+
 def test_feedback_stack_shortcut_keeps_every_row_bit():
     """Every row of a stack is decided with the bits it gets alone, whether
     or not the stack skips ||rho||_F (when every ||[sigma, rho]||_F exceeds

@@ -1,8 +1,9 @@
 """Every name a qmfc module imports is used in it, every private top-level
 function or class is used somewhere in the package, every parameter default
 is overridden by some call in the package or perfbench (bar three named
-ones), and no module imports scipy: a parse of each module with ast, in
-place of a linter.  A fresh interpreter also runs every experiment without
+ones), only cli and __init__ import qmfc.ensemble at top level, and no
+module imports scipy: a parse of each module with ast, in place of a
+linter.  A fresh interpreter also runs every experiment without
 loading scipy.  The tests' qubit references import none of the engine's
 step code."""
 
@@ -133,6 +134,31 @@ def test_rates_sampler_shares_no_step_code():
     used = set().union(*(references(functions[name]) for name in reached))
     shared = sorted(used & (ENGINE_STEP | {"_advance_chunk", "ensemble_states", "run_ensemble"}))
     assert not shared, f"strength_rate_numeric uses the engine's step code: {shared}"
+
+
+def top_level_modules(tree):
+    """Every module a top-level import statement of a qmfc module may load,
+    dotted: a relative import resolved in qmfc, and `from m import n` read
+    both as m and as m.n, which may be a module."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["qmfc" if node.level else None, node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name not in ("cli.py", "__init__.py")),
+                         ids=lambda p: p.name)
+def test_only_the_entry_points_import_ensemble_at_top_level(path):
+    # qmfc.ensemble holds the stepping engine: a module that imports it at
+    # top level, as the rates sampler's metrics did, loads the engine with
+    # it.  sde.run_control_trajectory imports it inside the function.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "qmfc.ensemble" not in set(top_level_modules(tree)), (
+        f"{path.name} imports qmfc.ensemble at top level")
 
 
 def imported_modules(tree):

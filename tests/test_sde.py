@@ -10,6 +10,7 @@ from qmfc.sde import (
     MeasurementPolicy,
     SmeConfig,
     _diagonal,
+    _drag_plane,
     _kraus_step,
     _local_axis,
     _matmul,
@@ -658,3 +659,65 @@ def test_inverse_zeno_successes_rejects_empty_counts():
     for m, runs in ((0, 10), (-1, 10), (5, 0), (5, -3)):
         with pytest.raises(ValueError):
             inverse_zeno_successes(psi0, psi1, m, runs, rng)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, True])
+def test_dragging_refuses_counts_that_are_not_whole_numbers(value):
+    # nan runs returned 0 without a draw, True ran as 1, and 2.5 failed inside
+    # range or rng.random; each is now refused by name, before any draw
+    psi0, psi1 = ZENO_PAIRS["orthogonal"]
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for call, name in ((lambda: inverse_zeno_run(psi0, psi1, value, rng), "n_measurements"),
+                       (lambda: inverse_zeno_successes(psi0, psi1, value, 10, rng),
+                        "n_measurements"),
+                       (lambda: inverse_zeno_successes(psi0, psi1, 2, value, rng), "runs")):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            call()
+    assert rng.bit_generator.state == state
+    # a numpy integer counts
+    count = np.int64(2)
+    assert inverse_zeno_run(psi0, psi1, count, rng)[1].shape == (2, 2)
+    assert 0 <= inverse_zeno_successes(psi0, psi1, count, count, rng) <= 2
+
+
+def old_zeno_branch(psi_start, psi_target, m):
+    """The dragging branch built state by state, the construction the closed
+    form replaces: the frame (f0, f1), the M + 1 branch states b_i =
+    cos(i eps) f0 + sin(i eps) f1 and the state each failure leaves, b_{i-1}
+    with its b_i part removed."""
+    c = np.vdot(psi_start, psi_target)
+    residual = psi_target - c * psi_start
+    f1 = residual / np.linalg.norm(residual)
+    f0 = (c / abs(c) if abs(c) > 1e-15 else 1.0) * psi_start
+    eps = np.arccos(np.clip(abs(c), 0.0, 1.0)) / m
+    branch = np.array([np.cos(i * eps) * f0 + np.sin(i * eps) * f1 for i in range(m + 1)])
+    failed = [b0 - np.vdot(b1, b0) * b1 for b0, b1 in zip(branch[:-1], branch[1:])]
+    return f0, f1, eps, branch, failed
+
+
+def test_dragging_closed_form_matches_the_branch_it_replaces():
+    """Every overlap |<b_i|b_{i-1}>|^2 of the branch built state by state is
+    cos^2(gamma / M), and every failure state lies in span(f0, f1),
+    orthogonal to b_i: one p and one closed-form failure state describe the
+    whole run (inverse_zeno_run)."""
+    rng = np.random.default_rng(34)
+    pairs = dict(ZENO_PAIRS)
+    del pairs["coincident"]
+    g = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    pairs["random N = 3"] = tuple(v / np.linalg.norm(v) for v in g)
+    for psi0, psi1 in pairs.values():
+        for m in (1, 2, 10, 50):
+            f0, f1, eps, branch, failed = old_zeno_branch(psi0, psi1, m)
+            plane = _drag_plane(psi0, psi1, m)
+            assert all(np.array_equal(a, b) for a, b in zip(plane, (f0, f1, eps)))
+            p = np.cos(eps) ** 2
+            for i in range(1, m + 1):
+                assert abs(abs(np.vdot(branch[i], branch[i - 1])) ** 2 - p) <= 1e-15
+                state = failed[i - 1] / np.linalg.norm(failed[i - 1])
+                in_plane = np.vdot(f0, state) * f0 + np.vdot(f1, state) * f1
+                assert np.max(np.abs(state - in_plane)) < 1e-12
+                assert abs(np.vdot(branch[i], state)) < 1e-12
+                # the closed form's failure state, up to a global phase
+                closed = -np.sin(i * eps) * f0 + np.cos(i * eps) * f1
+                assert abs(abs(np.vdot(closed, state)) - 1.0) < 1e-12

@@ -187,6 +187,16 @@ def test_majorizes():
         majorizes([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
+def test_refusals_print_plain_floats():
+    # numpy 2 prints a float64 as np.float64(2.0); the messages read as plain numbers
+    with pytest.raises(ValueError, match=r"^state vector norm 2\.0 deviates"):
+        ket([2.0, 0.0])
+    with pytest.raises(ValueError, match=r"^trace 2\.0 deviates"):
+        check_density_matrix(np.eye(2))
+    with pytest.raises(ValueError, match=r"^vector sums to 1\.1, not 1"):
+        majorizes([0.5, 0.6], [0.5, 0.5])
+
+
 def test_project_to_physical():
     mat = np.diag([1.2, -0.1]).astype(complex)
     rho = project_to_physical(mat)
