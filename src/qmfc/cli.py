@@ -34,7 +34,7 @@ from .metrics import (
     theta_sweep,
 )
 from .sde import MeasurementPolicy, SmeConfig, StepRejected, inverse_zeno_successes
-from .states import SIGMA_Z, pure_density
+from .states import SIGMA_Z, _count, pure_density
 
 
 def format_value(x):
@@ -214,9 +214,7 @@ def resolve_args(args):
             setattr(args, dest, typ(raw) if raw is not None else default)
     counts = [dest for dest, (typ, _default) in _OPTIONS[args.experiment].items() if typ is int]
     for dest in counts + ["threads"]:
-        if getattr(args, dest) < 1:
-            flag = "--" + dest.replace("_", "-")
-            raise ValueError(f"{flag} must be at least 1, got {getattr(args, dest)}")
+        _count("--" + dest.replace("_", "-"), getattr(args, dest))
     return args
 
 

@@ -105,7 +105,6 @@ from .sde import (
     SmeConfig,
     StepRejected,
     _centred,
-    _checked,
     _diagonal,
     _kraus_step,
     _local_axis,
@@ -114,9 +113,8 @@ from .sde import (
     _relative_axis,
     _sigma_parts,
     _traceless_norm,
-    _whole_number,
 )
-from .states import check_density_matrix, ket
+from .states import _checked, _count, _finite, _same_shape, check_density_matrix, ket
 
 NOISE_BLOCK = 256  # steps of noise drawn per trajectory at a time
 STAT_BLOCK = 32  # stat slots that run_ensemble reduces across trajectories in one call
@@ -135,30 +133,23 @@ class EnsembleConfig:
     stat_stride: int = 10        # store statistics every this many steps
 
     def __post_init__(self):
-        for name in ("realizations", "stat_stride"):
-            count = getattr(self, name)
-            if not _whole_number(count):
-                raise ValueError(f"{name} must be a whole number, got {count!r}")
-        if self.realizations < 1:
-            raise ValueError("need at least one realization")
+        _count("realizations", self.realizations)
+        _count("stat_stride", self.stat_stride)
         # None is for a batch fed by its caller's generators (run_control_trajectory);
         # _trajectory_streams refuses it, since its streams would key on OS entropy
-        seed = self.master_seed
-        if seed is not None and not (_whole_number(seed) and seed >= 0):
-            raise ValueError(f"master_seed must be a non-negative whole number, got {seed!r}")
-        if self.stat_stride < 1 or self.sme.n_steps % self.stat_stride != 0:
+        if self.master_seed is not None:
+            _count("master_seed", self.master_seed, least=0)
+        if self.sme.n_steps % self.stat_stride != 0:
             raise ValueError("stat_stride must divide the number of steps")
-        if not 0 <= self.mu < np.inf or (self.mu > 0 and self.target_fn is None):
-            raise ValueError("mu must be non-negative and finite, and zero without a target_fn")
+        _finite("mu", self.mu)
+        if self.mu > 0 and self.target_fn is None:
+            raise ValueError("mu must be zero without a target_fn")
         rho0 = check_density_matrix(self.rho0)
         object.__setattr__(self, "rho0", rho0)
         shape = rho0.shape
-        if self.sme.h0.shape != shape:
-            raise ValueError(f"h0 has shape {self.sme.h0.shape}, rho0 {shape}")
-        if self.policy.mode == "fixed_observable" and self.policy.observable.shape != shape:
-            raise ValueError(
-                f"observable has shape {self.policy.observable.shape}, rho0 {shape}"
-            )
+        _same_shape("h0", self.sme.h0, "rho0", rho0)
+        if self.policy.mode == "fixed_observable":
+            _same_shape("observable", self.policy.observable, "rho0", rho0)
         if self.policy.mode == "relative_angle" and shape != (2, 2):
             raise ValueError("relative_angle policy is defined for qubits")
         if self.sme.dephasing_beta > 0 and shape != (2, 2):
@@ -611,9 +602,7 @@ def _advance_chunk(cfg: EnsembleConfig, width, streams, kernel=None):
     if cfg.target_fn is not None:
         psi = cfg.target_fn(0.0)
         _checked("target_fn(0)", ket, psi)
-        if np.shape(psi) != cfg.rho0.shape[:1]:
-            raise ValueError(f"target_fn(0) has shape {np.shape(psi)}, "
-                             f"the state's dimension is {len(cfg.rho0)}")
+        _same_shape("target_fn(0)", np.asarray(psi), "rho0", cfg.rho0, cfg.rho0.shape[:1])
         target_t = batch.target(psi)
     yield 0, batch, target_t
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _phase_fix, check_density_matrix, eig_hermitian, ket
+from .states import _finite, _phase_fix, _same_shape, check_density_matrix, eig_hermitian, ket
 
 # the commutator ||[sigma, rho]||_F, and the gap between rho's top eigenvalue
 # and the target's, count as zero below DEGEN_TOL ||rho||_F; every kernel's
@@ -37,8 +37,7 @@ def optimal_unitary(rho, sigma_target):
     """
     rho = check_density_matrix(rho)
     sigma_target = check_density_matrix(sigma_target)
-    if rho.shape != sigma_target.shape:
-        raise ValueError("dimension mismatch")
+    _same_shape("sigma_target", sigma_target, "rho", rho)
     _, v_rho = eig_hermitian(rho)
     _, v_sig = eig_hermitian(sigma_target)
     return v_sig @ v_rho.conj().T
@@ -49,6 +48,8 @@ def first_order_gain(H, rho, psi_target):
     H = np.asarray(H, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(psi_target, dtype=complex).reshape(-1)
+    _same_shape("H", H, "rho", rho)
+    _same_shape("psi_target", psi, "rho", rho, rho.shape[:1])
     comm = H @ rho - rho @ H
     return float((-1j * np.vdot(psi, comm @ psi)).real)
 
@@ -59,6 +60,8 @@ def second_order_gain(H, rho, psi_target):
     H = np.asarray(H, dtype=complex)
     rho = check_density_matrix(rho)
     psi = ket(psi_target)
+    _same_shape("H", H, "rho", rho)
+    _same_shape("psi_target", psi, "rho", rho, rho.shape[:1])
     lam_t = float(np.vdot(psi, rho @ psi).real)
     if np.linalg.norm(rho @ psi - lam_t * psi) > 1e-6:
         raise ValueError("target is not an eigenvector of rho; second-order form invalid")
@@ -81,8 +84,8 @@ def optimal_feedback(rho, psi_target, mu) -> FeedbackDecision:
     """
     rho = check_density_matrix(rho)
     psi = ket(psi_target)
-    if not 0 <= mu < np.inf:  # written so that NaN fails
-        raise ValueError(f"mu must be non-negative and finite, got {mu}")
+    _same_shape("psi_target", psi, "rho", rho, rho.shape[:1])
+    _finite("mu", mu)
     n = rho.shape[0]
     tau_degen = DEGEN_TOL * np.linalg.norm(rho)
 

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sde import _checked, _whole_number
 from .states import (
+    _checked,
+    _count,
+    _finite,
     _spectral_entropy,
     check_density_matrix,
     check_hermitian,
@@ -202,14 +204,11 @@ def strength_rate_numeric(Q, k, n_traj=4000, n_batches=20, n_steps=50, seed=0) -
     n = Q.shape[0]
     if n < 2:  # both strengths divide by ln N or N - 1
         raise ValueError(f"Q must be at least 2 x 2, got {n} x {n}")
-    for name, count in (("n_traj", n_traj), ("n_batches", n_batches), ("n_steps", n_steps)):
-        if not _whole_number(count):
-            raise ValueError(f"{name} must be a whole number, got {count!r}")
-    if not 0 <= k < np.inf:  # written so that NaN fails
-        raise ValueError(f"k must be non-negative and finite, got {k}")
-    if n_steps < RATE_SAMPLES:
-        raise ValueError(f"n_steps must be at least {RATE_SAMPLES}, got {n_steps}")
-    if not 2 <= n_batches <= n_traj:  # no empty batch, and two batches for the spread
+    _count("n_traj", n_traj)
+    _count("n_batches", n_batches, least=2)  # two batches for the spread
+    _count("n_steps", n_steps, least=RATE_SAMPLES)
+    _finite("k", k)
+    if n_batches > n_traj:  # no empty batch
         raise ValueError(f"n_batches must lie between 2 and n_traj, got n_batches={n_batches}, "
                          f"n_traj={n_traj}")
     if k == 0:

@@ -25,9 +25,12 @@ import numpy as np
 from .states import (
     TOL_HERM,
     TOL_PSD,
+    _bloch_angles,
     _dagger,
+    _finite,
     check_hermitian,
     check_density_matrix,
+    check_square,
     project_to_physical,
 )
 
@@ -130,10 +133,7 @@ def _check_kappa(kappa, theta, phi):
     """The ranges of a kappa measurement, for one theta or an array of them."""
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
-    if not np.all((theta >= 0.0) & (theta <= np.pi)):
-        raise ValueError("theta must lie in [0, pi]")
-    if not 0.0 <= phi < 2 * np.pi:
-        raise ValueError("phi must lie in [0, 2*pi)")
+    _bloch_angles(theta, phi)
 
 
 def bloch_rotation(theta, phi=0.0):
@@ -186,8 +186,8 @@ def gaussian_weak_povm(Q, k, dt, alpha_grid=None) -> MeasurementOperatorSet:
     too narrow for completeness to hold.
     """
     Q = check_hermitian(Q)
-    if not (0 < k < np.inf and 0 < dt < np.inf):  # written so that NaN fails
-        raise ValueError(f"k and dt must be positive and finite, got {k} and {dt}")
+    _finite("k", k, positive=True)
+    _finite("dt", dt, positive=True)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(Q, k, dt)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
@@ -231,8 +231,8 @@ def poisson_povm(Q, k, dt) -> MeasurementOperatorSet:
     which is O((k dt)^2), must stay below tolerance.
     """
     Q = check_hermitian(Q)
-    if not (0 < k < np.inf and 0 < dt < np.inf):  # written so that NaN fails
-        raise ValueError(f"k and dt must be positive and finite, got {k} and {dt}")
+    _finite("k", k, positive=True)
+    _finite("dt", dt, positive=True)
     dim = Q.shape[0]
     om0 = np.eye(dim, dtype=complex) - 0.5 * k * dt * (Q @ Q)
     if np.linalg.eigvalsh(om0).min() < -TOL_PSD:
@@ -305,9 +305,7 @@ def polar_split(omega):
     SVD-based; on a singular omega the unitary factor is completed from the
     singular-vector pairs, which makes the split deterministic.
     """
-    omega = np.asarray(omega, dtype=complex)
-    if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
-        raise ValueError("expected a square matrix")
+    omega = check_square(omega)
     w, s, xh = np.linalg.svd(omega)
     u = w @ xh
     p = xh.conj().T @ np.diag(s).astype(complex) @ xh

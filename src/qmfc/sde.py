@@ -63,7 +63,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SIGMA_Z, check_density_matrix, check_hermitian, ket, overlap
+from .states import (
+    SIGMA_Z,
+    _bloch_angles,
+    _checked,
+    _count,
+    _finite,
+    _same_shape,
+    check_density_matrix,
+    check_hermitian,
+    ket,
+    overlap,
+)
 
 
 # a qubit state has no direction when its Bloch vector is shorter than this;
@@ -106,19 +117,6 @@ def _traceless_norm(a):
     return float(np.linalg.norm(_centred(a), 2))
 
 
-def _checked(name, check, a):
-    """check(a), its ValueError's message prefixed by the argument's name."""
-    try:
-        return check(a)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
-def _whole_number(x):
-    """True for an int or a numpy integer: a bool is an int to Python, but counts nothing."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class SmeConfig:
     k: float                 # measurement constant [1/time]
@@ -128,14 +126,10 @@ class SmeConfig:
     t_end: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (0 <= self.k < np.inf and 0 <= self.dephasing_beta < np.inf):
-            raise ValueError("k and dephasing_beta must be non-negative and finite, "
-                             f"got {self.k} and {self.dephasing_beta}")
-        if not 0 < self.t_end < np.inf:
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        _finite("dt", self.dt, positive=True)
+        _finite("k", self.k)
+        _finite("dephasing_beta", self.dephasing_beta)
+        _finite("t_end", self.t_end, positive=True)
         if _on_step_grid(self.t_end, self.dt) is None:
             raise ValueError(f"t_end {self.t_end} is not a whole number of steps of dt {self.dt}")
         h0 = _checked("h0", check_hermitian, np.asarray(self.h0, dtype=complex))
@@ -166,14 +160,10 @@ class MeasurementPolicy:
         if self.mode == "fixed_observable":
             if self.observable is None:
                 raise ValueError("fixed_observable mode requires an observable")
-            observable = np.asarray(self.observable, dtype=complex)
             object.__setattr__(self, "observable",
-                               _checked("observable", check_hermitian, observable))
+                               _checked("observable", check_hermitian, self.observable))
         else:
-            if not 0.0 <= self.theta <= np.pi:
-                raise ValueError("theta must lie in [0, pi]")
-            if not 0.0 <= self.phi < 2 * np.pi:
-                raise ValueError("phi must lie in [0, 2*pi)")
+            _bloch_angles(self.theta, self.phi)
 
 
 def _local_axis(theta, phi):
@@ -345,16 +335,14 @@ def nonselective_solve(rho0, Q, k, H, beta, t_eval):
     - I (x) A^T.  Independent reference for trajectory-ensemble consistency checks.
     Q is ignored (and may be None) when k = 0; beta > 0 needs N = 2."""
     rho0 = _checked("rho0", check_density_matrix, rho0)
-    for name, rate in (("k", k), ("beta", beta)):
-        if not 0 <= rate < np.inf:  # written so that NaN fails
-            raise ValueError(f"{name} must be non-negative and finite, got {rate}")
+    _finite("k", k)
+    _finite("beta", beta)
     if beta > 0 and rho0.shape != (2, 2):
         raise ValueError(f"beta > 0 (z-dephasing) needs N = 2, got N = {len(rho0)}")
 
     def operator(name, a):
         a = _checked(name, check_hermitian, a)
-        if a.shape != rho0.shape:
-            raise ValueError(f"{name} has shape {a.shape}, rho0 {rho0.shape}")
+        _same_shape(name, a, "rho0", rho0)
         return a
 
     H = operator("H", H)
@@ -364,8 +352,7 @@ def nonselective_solve(rho0, Q, k, H, beta, t_eval):
     if times.size == 0:
         raise ValueError("t_eval is empty")
     for t in times:
-        if not 0 <= t < np.inf:
-            raise ValueError(f"time {t} is not finite and non-negative")
+        _finite("t_eval", t)
     eye = np.eye(len(rho0))
 
     def comm(a):
@@ -426,12 +413,10 @@ def _drag_plane(psi_start, psi_target, n_measurements):
     p = cos^2(eps), the same at every i.  A failure there leaves the state
     orthogonal to the projector in the plane, -sin(i eps) f0 + cos(i eps) f1.
     """
-    if not _whole_number(n_measurements):
-        raise ValueError(f"n_measurements must be a whole number, got {n_measurements!r}")
-    if n_measurements < 1:
-        raise ValueError("need at least one measurement")
-    psi_start = ket(psi_start)
-    psi_target = ket(psi_target)
+    _count("n_measurements", n_measurements)
+    psi_start = _checked("psi_start", ket, psi_start)
+    psi_target = _checked("psi_target", ket, psi_target)
+    _same_shape("psi_target", psi_target, "psi_start", psi_start)
     c = np.vdot(psi_start, psi_target)
     if abs(c) > 1.0 - 1e-12:
         return None
@@ -480,10 +465,7 @@ def inverse_zeno_successes(psi_start, psi_target, n_measurements, runs, rng):
     unfinished run takes at least one more draw, so the uniforms come in
     blocks of one per unfinished run.
     """
-    if not _whole_number(runs):
-        raise ValueError(f"runs must be a whole number, got {runs!r}")
-    if runs < 1:
-        raise ValueError("need at least one run")
+    _count("runs", runs)
     plane = _drag_plane(psi_start, psi_target, n_measurements)
     if plane is None:
         return runs

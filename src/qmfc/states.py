@@ -6,6 +6,14 @@ semidefinite, each within the tolerances below.
 
 purity, von_neumann_entropy and project_to_physical also take a stack
 (..., N, N) and give one result per matrix, with the bits it gets on its own.
+
+Every module refuses a bad argument through the rules here, by the
+argument's name and before any arithmetic or draw: a count (_count: "runs
+must be a whole number, got 2.5", "runs must be at least 1, got 0"), a rate,
+step or strength (_finite: "k must be non-negative and finite, got nan", or
+"positive and finite"), a pair of Bloch angles (_bloch_angles: "theta must
+lie in [0, pi]", "phi must lie in [0, 2*pi)"), and an array whose shape must
+match another argument's (_same_shape: "H has shape (3, 3), rho (2, 2)").
 """
 
 import numpy as np
@@ -18,6 +26,53 @@ TOL_UNITARY = 1e-8
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def _whole_number(x):
+    """True for an int or a numpy integer: a bool is an int to Python, but counts nothing."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _count(name, x, least=1):
+    """Refuse by name a count x that is not a whole number, or is below least.
+    The first message prints x's repr, which names the wrong type:
+    np.float64(2.5) is refused for being a float64."""
+    if not _whole_number(x):
+        raise ValueError(f"{name} must be a whole number, got {x!r}")
+    if x < least:
+        raise ValueError(f"{name} must be at least {least}, got {x}")
+
+
+def _finite(name, x, positive=False):
+    """Refuse by name an x that is not finite and non-negative, or not finite
+    and positive when positive is set.  Written so that NaN fails."""
+    if not (0 < x < np.inf if positive else 0 <= x < np.inf):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be {sign} and finite, got {x}")
+
+
+def _bloch_angles(theta, phi):
+    """Refuse a theta outside [0, pi] or a phi outside [0, 2 pi), scalars or
+    arrays of them.  Written so that NaN fails."""
+    if not np.all((theta >= 0.0) & (theta <= np.pi)):
+        raise ValueError("theta must lie in [0, pi]")
+    if not np.all((phi >= 0.0) & (phi < 2 * np.pi)):
+        raise ValueError("phi must lie in [0, 2*pi)")
+
+
+def _same_shape(name, a, of, b, shape=None):
+    """Refuse the array a, called name, unless its shape is `shape`, by
+    default that of b, which is called of: "H has shape (3, 3), rho (2, 2)"."""
+    if a.shape != (b.shape if shape is None else shape):
+        raise ValueError(f"{name} has shape {a.shape}, {of} {b.shape}")
+
+
+def _checked(name, check, a):
+    """check(a), its ValueError's message prefixed by the argument's name."""
+    try:
+        return check(a)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def check_square(A):
@@ -156,8 +211,7 @@ def overlap(rho, psi):
     """<psi|rho|psi> for a density matrix and a pure target state."""
     rho = np.asarray(rho, dtype=complex)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if rho.shape[0] != psi.shape[0]:
-        raise ValueError("dimension mismatch between state and target")
+    _same_shape("psi", psi, "rho", rho, rho.shape[:1])
     return float(np.vdot(psi, rho @ psi).real)
 
 
@@ -165,8 +219,7 @@ def trace_distance(rho, sigma):
     """(1/2) Tr|rho - sigma|."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError("dimension mismatch")
+    _same_shape("sigma", sigma, "rho", rho)
     diff = rho - sigma
     lam = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
     return float(0.5 * np.abs(lam).sum())

@@ -189,8 +189,9 @@ def test_config_refuses_counts_that_are_not_whole_numbers(field, value):
 def test_config_refuses_a_seed_that_is_not_a_non_negative_whole_number(seed):
     # refused by name when the config is built: True would run as seed 1,
     # and numpy would refuse the rest only at the first stream it derives
-    with pytest.raises(ValueError, match=re.escape(
-            f"master_seed must be a non-negative whole number, got {seed!r}")):
+    message = ("master_seed must be at least 0, got -1" if seed == -1
+               else f"master_seed must be a whole number, got {seed!r}")
+    with pytest.raises(ValueError, match=re.escape(message)):
         small_config(master_seed=seed)
 
 
@@ -216,9 +217,9 @@ def test_an_ensemble_without_a_seed_is_refused_before_any_step():
     pytest.param(lambda: small_config(target_fn=lambda t: np.array([np.nan, 0.0])),
                  "non-finite entries", id="qubit-nan"),
     pytest.param(lambda: small_config(target_fn=lambda t: np.array([1.0, 0.0, 0.0])),
-                 re.escape("shape (3,), the state's dimension is 2"), id="qubit-length-3"),
+                 re.escape("shape (3,), rho0 (2, 2)"), id="qubit-length-3"),
     pytest.param(lambda: qutrit_config(target_fn=lambda t: np.array([1.0, 0.0])),
-                 re.escape("shape (2,), the state's dimension is 3"), id="qutrit-length-2"),
+                 re.escape("shape (2,), rho0 (3, 3)"), id="qutrit-length-2"),
 ])
 def test_a_bad_target_is_refused_by_name_before_any_step(make, message):
     """A target that is not a normalised finite vector of the state's

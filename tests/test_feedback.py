@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from qmfc.feedback import (
     optimal_unitary,
     second_order_gain,
 )
-from qmfc.states import check_unitary, overlap, pure_density
+from qmfc.states import SIGMA_X, check_unitary, overlap, pure_density
 
 
 def random_density(rng, n):
@@ -125,6 +127,27 @@ def test_optimal_feedback_refuses_bad_mu_by_name(mu):
     rho = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
     with pytest.raises(ValueError, match=f"mu must be non-negative and finite, got {mu}"):
         optimal_feedback(rho, np.array([1.0, 0.0]), mu)
+
+
+RHO_2 = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
+EIGEN_RHO_2 = np.diag([0.7, 0.3]).astype(complex)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: optimal_feedback(RHO_2, [0, 1, 0], 1.0), "psi_target has shape (3,), rho (2, 2)"),
+    (lambda: first_order_gain(np.eye(3), RHO_2, [1, 0]), "H has shape (3, 3), rho (2, 2)"),
+    (lambda: first_order_gain(SIGMA_X, RHO_2, [0, 1, 0]), "psi_target has shape (3,), rho (2, 2)"),
+    (lambda: second_order_gain(np.eye(3), EIGEN_RHO_2, [0, 1]), "H has shape (3, 3), rho (2, 2)"),
+    (lambda: second_order_gain(SIGMA_X, EIGEN_RHO_2, [0, 1, 0]),
+     "psi_target has shape (3,), rho (2, 2)"),
+    (lambda: optimal_unitary(RHO_2, np.eye(3) / 3), "sigma_target has shape (3, 3), rho (2, 2)"),
+], ids=["optimal_feedback-psi", "first_order_gain-H", "first_order_gain-psi",
+        "second_order_gain-H", "second_order_gain-psi", "optimal_unitary-sigma"])
+def test_feedback_refuses_mismatched_dimensions_by_name(call, message):
+    # each gain and optimal_feedback raised numpy's unnamed matmul
+    # core-dimension error, and optimal_unitary an unnamed "dimension mismatch"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_first_order_optimal_among_random_hamiltonians():

@@ -1,11 +1,12 @@
 """Every name a qmfc module imports is used in it, every private top-level
 function or class is used somewhere in the package, every parameter default
 is overridden by some call in the package or perfbench (bar three named
-ones), only cli and __init__ import qmfc.ensemble at top level, and no
-module imports scipy: a parse of each module with ast, in place of a
-linter.  A fresh interpreter also runs every experiment without
-loading scipy.  The tests' qubit references import none of the engine's
-step code."""
+ones), only cli and __init__ import qmfc.ensemble at top level, only
+qmfc.states writes the count and finiteness rules (no other module compares
+with inf or calls _whole_number), and no module imports scipy: a parse of
+each module with ast, in place of a linter.  A fresh interpreter also runs
+every experiment without loading scipy.  The tests' qubit references import
+none of the engine's step code."""
 
 import ast
 import os
@@ -159,6 +160,29 @@ def test_only_the_entry_points_import_ensemble_at_top_level(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "qmfc.ensemble" not in set(top_level_modules(tree)), (
         f"{path.name} imports qmfc.ensemble at top level")
+
+
+def inline_input_rules(tree):
+    """(line, what) of every comparison with an inf (np.inf, math.inf) and
+    every call of _whole_number in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(o, ast.Attribute) and o.attr == "inf"
+                for o in [node.left, *node.comparators]):
+            yield node.lineno, "compares with inf"
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_whole_number"):
+            yield node.lineno, "calls _whole_number"
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "states.py"),
+                         ids=lambda p: p.name)
+def test_input_rules_are_written_only_in_states(path):
+    # a count, a rate and a Bloch angle are refused through states._count,
+    # _finite and _bloch_angles, so each rule and its message has one home
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inline = list(inline_input_rules(tree))
+    assert not inline, f"{path.name} writes an input rule of qmfc.states inline: {inline}"
 
 
 def imported_modules(tree):

@@ -241,7 +241,9 @@ def test_strength_rate_numeric_matches_expansion():
 @pytest.mark.parametrize("n_traj, n_batches", [(10, 20), (10, 11), (10, 1), (10, 0)])
 def test_strength_rate_numeric_refuses_batch_counts_without_a_spread(n_traj, n_batches):
     # an empty batch has no mean, and one batch no standard error: both read NaN
-    with pytest.raises(ValueError, match=f"n_batches={n_batches}, n_traj={n_traj}"):
+    message = (f"n_batches must be at least 2, got {n_batches}" if n_batches < 2
+               else f"n_batches={n_batches}, n_traj={n_traj}")
+    with pytest.raises(ValueError, match=message):
         strength_rate_numeric(SIGMA_Z, 1.0, n_traj=n_traj, n_batches=n_batches)
 
 

@@ -314,7 +314,8 @@ def test_poisson_povm():
                                    (1.0, np.inf), (1.0, 0.0)])
 def test_weak_builders_refuse_bad_k_and_dt_by_name(build, k, dt):
     # NaN passes k <= 0; it must not reach the operators as a non-finite entry
-    with pytest.raises(ValueError, match=f"k and dt must be positive and finite, got {k} and {dt}"):
+    name, value = ("dt", dt) if 0 < k < np.inf else ("k", k)
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
         build(SIGMA_Z, k, dt)
 
 
@@ -331,6 +332,14 @@ def test_polar_split():
     u, p = polar_split(np.diag([1.0, 0.0]).astype(complex))
     check_unitary(u)
     assert np.max(np.abs(u @ p - np.diag([1.0, 0.0]))) < 1e-12
+
+
+def test_polar_split_refuses_a_matrix_that_is_not_square_and_finite():
+    # the square rule is check_square's; an inf entry returned NaN factors
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        polar_split(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        polar_split(np.diag([np.inf, 1.0]))
 
 
 def test_some_measurement_has_nontrivial_unitary_part():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -382,9 +383,9 @@ def test_nonselective_solve_matches_an_adaptive_solver():
 
 
 @pytest.mark.parametrize("t_eval, message", [
-    ([0.5, -0.1], "time -0.1 is not finite and non-negative"),
-    ([np.nan], "time nan is not finite and non-negative"),
-    ([1.0, np.inf], "time inf is not finite and non-negative"),
+    ([0.5, -0.1], "t_eval must be non-negative and finite, got -0.1"),
+    ([np.nan], "t_eval must be non-negative and finite, got nan"),
+    ([1.0, np.inf], "t_eval must be non-negative and finite, got inf"),
     ([], "t_eval is empty"),
 ], ids=["negative", "nan", "inf", "empty"])
 def test_nonselective_solve_refuses_bad_times(t_eval, message):
@@ -679,6 +680,19 @@ def test_dragging_refuses_counts_that_are_not_whole_numbers(value):
     count = np.int64(2)
     assert inverse_zeno_run(psi0, psi1, count, rng)[1].shape == (2, 2)
     assert 0 <= inverse_zeno_successes(psi0, psi1, count, count, rng) <= 2
+
+
+def test_dragging_refuses_states_of_different_dimension():
+    # np.vdot raised an unnamed reshape error from inside _drag_plane; the
+    # shapes are refused by name, before any draw
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    message = re.escape("psi_target has shape (3,), psi_start (2,)")
+    with pytest.raises(ValueError, match=message):
+        inverse_zeno_run([1, 0], [0, 1, 0], 2, rng)
+    with pytest.raises(ValueError, match=message):
+        inverse_zeno_successes([1, 0], [0, 1, 0], 2, 3, rng)
+    assert rng.bit_generator.state == state
 
 
 def old_zeno_branch(psi_start, psi_target, m):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,14 @@ def test_trace_distance():
     assert trace_distance(rho, rho) == pytest.approx(0.0)
     assert trace_distance(pure_density([1.0, 0.0]), rho) == pytest.approx(0.5)
     with pytest.raises(ValueError):
+        trace_distance(np.eye(2) / 2, np.eye(3) / 3)
+
+
+def test_shape_refusals_name_both_arguments():
+    # both read "dimension mismatch", naming neither argument
+    with pytest.raises(ValueError, match=re.escape("psi has shape (3,), rho (2, 2)")):
+        overlap(np.eye(2) / 2, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=re.escape("sigma has shape (3, 3), rho (2, 2)")):
         trace_distance(np.eye(2) / 2, np.eye(3) / 3)
 
 
