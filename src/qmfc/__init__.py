@@ -21,6 +21,7 @@ from .povm import (
     gaussian_weak_povm,
     kappa_povm,
     nonselective_apply,
+    outcome_probabilities,
     poisson_povm,
     polar_split,
     sample_outcome,
@@ -39,7 +40,6 @@ from .sde import (
     MeasurementPolicy,
     SmeConfig,
     StepRejected,
-    inverse_zeno_run,
     inverse_zeno_successes,
     run_control_trajectory,
 )

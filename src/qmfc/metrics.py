@@ -81,13 +81,13 @@ def _ordered_sum(x):
 
 def uncertainty_v(mset: MeasurementOperatorSet, rho):
     """Probability-weighted average post-outcome von Neumann entropy."""
-    p, post = _outcome_terms(_sandwich(mset._stack, check_density_matrix(rho)))
+    p, post = _outcome_terms(_sandwich(mset._stack, _validated(mset, rho)))
     return float(_ordered_sum(p * von_neumann_entropy(post)))
 
 
 def uncertainty_p(mset: MeasurementOperatorSet, rho):
     """Probability-weighted average post-outcome impurity, 1 - sum Tr[(O rho O^dag)^2]/Tr[O rho O^dag]."""
-    return float(_uncertainty_p(_sandwich(mset._stack, check_density_matrix(rho))))
+    return float(_uncertainty_p(_sandwich(mset._stack, _validated(mset, rho))))
 
 
 def _uncertainty_p(raw):

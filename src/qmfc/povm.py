@@ -28,6 +28,7 @@ from .states import (
     _bloch_angles,
     _dagger,
     _finite,
+    _same_shape,
     check_hermitian,
     check_density_matrix,
     check_square,
@@ -244,8 +245,7 @@ def poisson_povm(Q, k, dt) -> MeasurementOperatorSet:
 def _validated(mset, rho):
     """rho checked as a density matrix of mset's dimension."""
     rho = check_density_matrix(rho)
-    if rho.shape[0] != mset.dim:
-        raise ValueError("dimension mismatch between state and measurement")
+    _same_shape("rho", rho, "measurement operators", mset.ops[0])
     return rho
 
 
@@ -310,20 +310,3 @@ def polar_split(omega):
     u = w @ xh
     p = xh.conj().T @ np.diag(s).astype(complex) @ xh
     return u, p
-
-
-def random_pure_measurement(dim, n_ops, rng) -> MeasurementOperatorSet:
-    """Random family of PSD operators completing to the identity.
-
-    Draws random PSD effects E_i, normalizes them with T^(-1/2) E_i T^(-1/2)
-    where T = sum E_i, and takes Omega_i = sqrt(E_i).
-    """
-    draws = rng.standard_normal((n_ops, 2, dim, dim))  # each operator's real, then imaginary part
-    g = draws[:, 0] + 1j * draws[:, 1]
-    effects = g @ _dagger(g)
-    vals, vecs = np.linalg.eigh(np.add.reduce(effects, axis=0, initial=0))
-    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    e = inv_sqrt @ effects @ inv_sqrt
-    lam, v = np.linalg.eigh((e + _dagger(e)) / 2)
-    lam = np.clip(lam, 0.0, None)
-    return MeasurementOperatorSet((v * np.sqrt(lam)[:, None, :]) @ _dagger(v))

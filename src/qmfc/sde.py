@@ -50,13 +50,12 @@ qmfc.ensemble; run_control_trajectory is a batch of one.
 Their outcome average obeys the linear master equation above without its dW
 term; nonselective_solve exponentiates its generator exactly, in numpy alone.
 
-Measurement dragging (inverse_zeno_run) splits the angle gamma between the
-start and the target into M equal steps, and every one of its measurements
-succeeds with the same p = cos^2(gamma / M), read in closed form from the
-plane of the two states (_drag_plane).  So many runs need only their
-uniforms: inverse_zeno_successes decides a whole batch of runs from blocks
-of draws, consuming exactly the uniforms that successive inverse_zeno_run
-calls would, in the same order.
+Measurement dragging splits the angle gamma between the start and the
+target into M equal steps, and every one of its measurements succeeds with
+the same p = cos^2(gamma / M), read in closed form from the plane of the two
+states (_drag_plane).  So a run needs only its uniforms:
+inverse_zeno_successes decides a whole batch of runs from blocks of draws,
+one uniform per measurement, in run order.
 """
 
 from dataclasses import dataclass
@@ -73,7 +72,6 @@ from .states import (
     check_density_matrix,
     check_hermitian,
     ket,
-    overlap,
 )
 
 
@@ -210,15 +208,6 @@ class TrajectoryResult:
     states: np.ndarray            # (n_times, N, N)
     records: np.ndarray           # (n_times - 1,) record increments dy
     fb_hamiltonians: np.ndarray   # (n_times - 1, N, N)
-
-    @property
-    def purities(self):
-        return np.einsum("tij,tji->t", self.states, self.states).real
-
-    def overlaps(self, psi_target_fn):
-        return np.array(
-            [overlap(s, psi_target_fn(t)) for t, s in zip(self.times, self.states)]
-        )
 
 
 def _dagger(a):
@@ -429,41 +418,21 @@ def _drag_plane(psi_start, psi_target, n_measurements):
     return f0, f1, gamma / n_measurements
 
 
-def inverse_zeno_run(psi_start, psi_target, n_measurements, rng):
-    """Drag a state to the target with a sequence of slightly rotated projections.
-
-    The geodesic between the two states is split into n_measurements equal
-    angular increments eps; each step applies the two-outcome projective
-    measurement onto the advanced state (_drag_plane).  Success means every
-    outcome landed on the advanced branch, in which case the final state is
-    the target.  Measurement i draws one rng.random() and succeeds when it is
-    below p = cos^2(eps); a failure there ends the run in -sin(i eps) f0 +
-    cos(i eps) f1, the state of the plane orthogonal to the one projected on.
-    """
-    plane = _drag_plane(psi_start, psi_target, n_measurements)
-    if plane is None:
-        psi_target = ket(psi_target)
-        return True, np.outer(psi_target, psi_target.conj())
-    f0, f1, eps = plane
-    p = np.cos(eps) ** 2
-    for i in range(1, n_measurements + 1):
-        if not rng.random() < p:
-            state = -np.sin(i * eps) * f0 + np.cos(i * eps) * f1
-            return False, np.outer(state, state.conj())
-    state = np.cos(n_measurements * eps) * f0 + np.sin(n_measurements * eps) * f1
-    return True, np.outer(state, state.conj())
-
-
 def inverse_zeno_successes(psi_start, psi_target, n_measurements, runs, rng):
-    """Number of successes in `runs` successive inverse_zeno_run calls.
+    """Number of successes in `runs` dragging runs from psi_start to psi_target.
 
-    Every measurement of every run succeeds with the same p = cos^2(eps)
-    (_drag_plane), so a run is decided by its uniforms alone: it fails at its
-    first draw u >= p and succeeds after n_measurements draws below it.  The
-    runs consume exactly the uniforms that successive inverse_zeno_run calls
-    draw, in the same order, and leave rng in the same state.  Every
+    A run splits the geodesic between the two states into n_measurements
+    equal angles eps, and measurement i is the two-outcome projective
+    measurement onto the state advanced by i eps (_drag_plane).  The run
+    succeeds when every outcome lands on the advanced branch, which ends on
+    the target.  Every measurement of every run succeeds with the same
+    p = cos^2(eps), so a run is decided by its uniforms alone, one
+    rng.random() per measurement, in run order: it fails at its first draw
+    u >= p and succeeds after n_measurements draws below it.  Every
     unfinished run takes at least one more draw, so the uniforms come in
-    blocks of one per unfinished run.
+    blocks of one per unfinished run, and rng ends where a draw-by-draw loop
+    would leave it.  Coincident states need no measurement: every run
+    succeeds, and nothing is drawn.
     """
     _count("runs", runs)
     plane = _drag_plane(psi_start, psi_target, n_measurements)

@@ -27,18 +27,15 @@ from qmfc.feedback import (
     second_order_gain,
 )
 from qmfc.metrics import strength, theta_sweep
-from qmfc.povm import (
-    MeasurementOperatorSet,
-    nonselective_apply,
-    random_pure_measurement,
-)
+from qmfc.povm import MeasurementOperatorSet, nonselective_apply
 from qmfc.sde import (
     MeasurementPolicy,
     SmeConfig,
-    inverse_zeno_run,
+    inverse_zeno_successes,
     nonselective_solve,
 )
 from qmfc.states import SIGMA_X, SIGMA_Z, pure_density
+from random_measurements import random_pure_measurement
 
 
 def report(num, name, ok, detail=""):
@@ -295,8 +292,7 @@ def test_09_repeated_projection_dragging():
     ok = True
     for i, m in enumerate((2, 10, 50)):
         rng = np.random.default_rng(900 + i)
-        hits = sum(inverse_zeno_run(psi0, psi1, m, rng)[0] for _ in range(runs))
-        rate = hits / runs
+        rate = inverse_zeno_successes(psi0, psi1, m, runs, rng) / runs
         p = float(np.cos(np.pi / (2 * m)) ** (2 * m))
         sigma = np.sqrt(p * (1 - p) / runs)
         ok = ok and abs(rate - p) < 4 * sigma

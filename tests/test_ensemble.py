@@ -34,7 +34,7 @@ from qmfc.sde import (
     nonselective_solve,
     run_control_trajectory,
 )
-from qmfc.states import SIGMA_X, SIGMA_Z, pure_density
+from qmfc.states import SIGMA_X, SIGMA_Z, overlap, pure_density, purity
 
 
 def plus_x_density():
@@ -503,9 +503,9 @@ def test_single_realization_matches_scalar_engine():
         rng = trajectory_rng(cfg.master_seed, 0, 0)
         res = run_control_trajectory(cfg.sme, cfg.policy, cfg.rho0, cfg.target_fn, cfg.mu, rng)
         stored = slice(None, None, cfg.stat_stride)
-        assert np.allclose(stats.purity_mean, res.purities[stored], rtol=0, atol=atol)
-        assert np.allclose(stats.overlap_mean, res.overlaps(cfg.target_fn)[stored],
-                           rtol=0, atol=atol)
+        overlaps = [overlap(s, cfg.target_fn(t)) for t, s in zip(res.times, res.states)]
+        assert np.allclose(stats.purity_mean, purity(res.states)[stored], rtol=0, atol=atol)
+        assert np.allclose(stats.overlap_mean, np.array(overlaps)[stored], rtol=0, atol=atol)
         assert np.isnan(stats.purity_se).all()
         assert np.isnan(stats.time_avg_purity_se)
     states = ensemble_states(open_loop, stats.times)

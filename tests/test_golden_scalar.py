@@ -14,8 +14,9 @@ import numpy as np
 
 from qmfc.cli import main
 from qmfc.metrics import disturbance, strength, uncertainty_p, uncertainty_v
-from qmfc.povm import gaussian_weak_povm, outcome_probabilities, random_pure_measurement
+from qmfc.povm import gaussian_weak_povm, outcome_probabilities
 from qmfc.states import SIGMA_X, SIGMA_Y, SIGMA_Z
+from random_measurements import random_pure_measurement
 
 ZENO_SHA256 = {
     0: "f314e112561c59fabff8fc3f410abcf24683dfb27873c4a6df6d62e8b6b514f8",

@@ -1,12 +1,13 @@
 """Every name a qmfc module imports is used in it, every private top-level
-function or class is used somewhere in the package, every parameter default
-is overridden by some call in the package or perfbench (bar three named
-ones), only cli and __init__ import qmfc.ensemble at top level, only
-qmfc.states writes the count and finiteness rules (no other module compares
-with inf or calls _whole_number), and no module imports scipy: a parse of
-each module with ast, in place of a linter.  A fresh interpreter also runs
-every experiment without loading scipy.  The tests' qubit references import
-none of the engine's step code."""
+function or class is used somewhere in the package, every public one is
+exported, used elsewhere in the package or named by perfbench, every
+parameter default is overridden by some call in the package or perfbench
+(bar three named ones), only cli and __init__ import qmfc.ensemble at top
+level, only qmfc.states writes the count and finiteness rules (no other
+module compares with inf or calls _whole_number), and no module imports
+scipy: a parse of each module with ast, in place of a linter.  A fresh
+interpreter also runs every experiment without loading scipy.  The tests'
+qubit references import none of the engine's step code."""
 
 import ast
 import os
@@ -59,6 +60,37 @@ def test_every_private_definition_is_used(path):
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
               and package[node.name] == references(node)[node.name]]
     assert not unused, f"{path.name} defines private names the package never uses: {unused}"
+
+
+# deleted because only tests reached them; the guard below keeps them out
+TEST_ONLY_NAMES = {"sde.inverse_zeno_run", "sde.TrajectoryResult.purities",
+                   "sde.TrajectoryResult.overlaps", "povm.random_pure_measurement"}
+
+
+def test_every_public_definition_is_shipped():
+    # a public function or class that qmfc does not export, that no other
+    # code in the package uses and that perfbench does not name is reached
+    # by tests alone: a twin kept beside the shipped path, or a fixture that
+    # belongs in tests/
+    package = sum((references(ast.parse(p.read_text())) for p in SRC.glob("*.py")), Counter())
+    perfbench = sum((references(ast.parse(p.read_text()))
+                     for p in (SRC.parent.parent / "perfbench").glob("*.py")), Counter())
+    exported = imported_names(ast.parse((SRC / "__init__.py").read_text()))
+    defined, test_only = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.add(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                defined.update(f"{path.stem}.{node.name}.{member.name}" for member in node.body
+                               if isinstance(member, ast.FunctionDef))
+            if (not node.name.startswith("_") and node.name not in exported
+                    and package[node.name] == references(node)[node.name]
+                    and not perfbench[node.name]):
+                test_only.append(f"{path.stem}.{node.name}")
+    assert not test_only, f"public names only tests reach: {test_only}"
+    assert not defined & TEST_ONLY_NAMES, f"deleted names are back: {defined & TEST_ONLY_NAMES}"
 
 
 def defaulted_parameters(tree):

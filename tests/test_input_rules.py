@@ -14,7 +14,6 @@ from qmfc.povm import KappaMeasurement, gaussian_weak_povm, poisson_povm
 from qmfc.sde import (
     MeasurementPolicy,
     SmeConfig,
-    inverse_zeno_run,
     inverse_zeno_successes,
     nonselective_solve,
 )
@@ -70,8 +69,6 @@ ENTRY_POINTS = [
      lambda x, rng: nonselective_solve(MIXED, SIGMA_Z, x, SIGMA_X, 0.2, [0.0, 0.5])),
     ("nonselective_solve", "beta", RATE, 0.2,
      lambda x, rng: nonselective_solve(MIXED, SIGMA_Z, 1.0, SIGMA_X, x, [0.0, 0.5])),
-    ("inverse_zeno_run", "n_measurements", COUNT, 2,
-     lambda x, rng: inverse_zeno_run(UP, DOWN, x, rng)),
     ("inverse_zeno_successes", "n_measurements", COUNT, 2,
      lambda x, rng: inverse_zeno_successes(UP, DOWN, x, 3, rng)),
     ("inverse_zeno_successes", "runs", COUNT, 3,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from qmfc.povm import (
     kappa_povm,
     nonselective_apply,
     outcome_probabilities,
-    random_pure_measurement,
 )
 from qmfc.states import (
     SIGMA_X,
@@ -40,6 +40,7 @@ from qmfc.states import (
     purity,
     von_neumann_entropy,
 )
+from random_measurements import random_pure_measurement
 
 
 def random_density(rng, n):
@@ -313,11 +314,14 @@ def test_theta_sweep_validates_once(monkeypatch):
     # the public calls still validate their inputs
     mset = kappa_povm(KappaMeasurement(0.8, 0.3))
     not_a_state = np.diag([0.7, 0.7]).astype(complex)
-    for fn in (disturbance, nonselective_apply, uncertainty_p):
+    for fn in (disturbance, nonselective_apply, uncertainty_p, uncertainty_v):
         with pytest.raises(ValueError):
             fn(mset, not_a_state)
-    with pytest.raises(ValueError):
-        disturbance(mset, np.eye(3, dtype=complex) / 3)
+    # a state of another dimension is refused by name, not by numpy's matmul
+    for fn in (disturbance, uncertainty_p, uncertainty_v):
+        with pytest.raises(ValueError, match=re.escape(
+                "rho has shape (3, 3), measurement operators (2, 2)")):
+            fn(mset, np.eye(3, dtype=complex) / 3)
 
 
 # SHA-256 of the float.hex of every row of sweep_cases(), recorded on the

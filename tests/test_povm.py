@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -18,7 +19,6 @@ from qmfc.povm import (
     outcome_probabilities,
     poisson_povm,
     polar_split,
-    random_pure_measurement,
     sample_outcome,
 )
 from qmfc.states import (
@@ -30,6 +30,7 @@ from qmfc.states import (
     pure_density,
     purity,
 )
+from random_measurements import random_pure_measurement
 
 
 def completeness_residual(mset):
@@ -200,7 +201,8 @@ def test_sample_outcome_validates_once_and_keeps_its_bits(monkeypatch):
             h.update(rho.tobytes())
     assert (h.hexdigest(), rng.random().hex()) == SAMPLE_GOLDEN
     # the dimension is still checked
-    with pytest.raises(ValueError, match="dimension mismatch"):
+    with pytest.raises(ValueError, match=re.escape(
+            "rho has shape (3, 3), measurement operators (2, 2)")):
         sample_outcome(weak, np.eye(3) / 3, rng)
 
 

@@ -16,7 +16,6 @@ from qmfc.sde import (
     _local_axis,
     _matmul,
     _relative_axis,
-    inverse_zeno_run,
     inverse_zeno_successes,
     nonselective_solve,
     run_control_trajectory,
@@ -28,6 +27,7 @@ from qmfc.states import (
     check_density_matrix,
     overlap,
     pure_density,
+    purity,
     trace_distance,
 )
 
@@ -467,6 +467,11 @@ def test_record_mean_tracks_expectation():
     assert abs(mean - expected) < 4 * sigma
 
 
+def overlaps(res, psi_target_fn):
+    """<psi_target(t)|rho(t)|psi_target(t)> at every kept time of a trajectory."""
+    return np.array([overlap(s, psi_target_fn(t)) for t, s in zip(res.times, res.states)])
+
+
 def test_trajectory_reproducibility():
     cfg = SmeConfig(k=2.0, h0=np.pi * SIGMA_Z, dephasing_beta=0.4, dt=1e-3, t_end=0.1)
     policy = MeasurementPolicy(mode="relative_angle", theta=np.pi / 4)
@@ -478,8 +483,9 @@ def test_trajectory_reproducibility():
     assert np.array_equal(a.records, b.records)
     assert np.array_equal(a.fb_hamiltonians, b.fb_hamiltonians)
     # purities and overlaps stay physical
-    assert np.all(a.purities <= 1 + 1e-9) and np.all(a.purities >= 0.5 - 1e-9)
-    ovl = a.overlaps(target)
+    purities = purity(a.states)
+    assert np.all(purities <= 1 + 1e-9) and np.all(purities >= 0.5 - 1e-9)
+    ovl = overlaps(a, target)
     assert np.all((ovl >= -1e-9) & (ovl <= 1 + 1e-9))
 
 
@@ -592,7 +598,7 @@ def test_closed_loop_holds_pure_target():
         1.0,
         np.random.default_rng(0),
     )
-    ovl = res.overlaps(target)
+    ovl = overlaps(res, target)
     assert np.all(ovl > 1 - 1e-5)
 
 
@@ -601,35 +607,37 @@ def test_inverse_zeno_closed_form_probabilities():
     psi1 = np.array([0.0, 1.0])
     # M = 1 on orthogonal states can never succeed
     successes = sum(
-        inverse_zeno_run(psi0, psi1, 1, np.random.default_rng(s))[0] for s in range(200)
+        inverse_zeno_successes(psi0, psi1, 1, 1, np.random.default_rng(s)) for s in range(200)
     )
     assert successes == 0
     # empirical success rates match cos(pi / 2M)^(2M)
     for m, runs in ((2, 4000), (10, 4000)):
-        rng = np.random.default_rng(m)
-        hits = sum(inverse_zeno_run(psi0, psi1, m, rng)[0] for _ in range(runs))
+        hits = inverse_zeno_successes(psi0, psi1, m, runs, np.random.default_rng(m))
         p = float(np.cos(np.pi / (2 * m)) ** (2 * m))
         sigma = np.sqrt(p * (1 - p) / runs)
         assert abs(hits / runs - p) < 4 * sigma
 
 
 def test_inverse_zeno_success_reaches_target():
-    psi0 = np.array([1.0, 0.0])
-    psi1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    # the plane is orthonormal, and M advances of eps carry the start onto
+    # the target, up to a phase
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        ok, rho = inverse_zeno_run(psi0, psi1, 10, rng)
-        check_density_matrix(rho)
-        if ok:
-            assert trace_distance(rho, pure_density(psi1)) < 1e-10
-        else:
-            # failure lands orthogonal to the advanced branch it fell off
-            assert overlap(rho, psi1) < 1.0 - 1e-6
-    # coincident states succeed trivially
-    ok, rho = inverse_zeno_run(psi0, psi0, 5, rng)
-    assert ok and trace_distance(rho, pure_density(psi0)) < 1e-12
-    with pytest.raises(ValueError):
-        inverse_zeno_run(psi0, psi1, 0, rng)
+    g = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    for psi0, psi1 in (([1.0, 0.0], np.array([1.0, 1.0]) / np.sqrt(2.0)),
+                       ([1.0, 0.0], [0.0, 1.0]),
+                       tuple(v / np.linalg.norm(v) for v in g)):
+        for m in (1, 10, 50):
+            f0, f1, eps = _drag_plane(psi0, psi1, m)
+            assert abs(np.vdot(f0, f1)) < 1e-12
+            assert max(abs(np.linalg.norm(f) - 1.0) for f in (f0, f1)) < 1e-12
+            state = np.cos(m * eps) * f0 + np.sin(m * eps) * f1
+            assert trace_distance(pure_density(state), pure_density(psi1)) < 1e-10
+    # coincident states need no measurement: every run succeeds, with no draw
+    psi0 = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    assert _drag_plane(psi0, psi0, 5) is None
+    state = rng.bit_generator.state
+    assert inverse_zeno_successes(psi0, psi0, 5, 7, rng) == 7
+    assert rng.bit_generator.state == state
 
 
 ZENO_PAIRS = {
@@ -637,6 +645,17 @@ ZENO_PAIRS = {
     "45 degrees": (np.array([1.0, 0.0]), np.array([1.0, 1.0j]) / np.sqrt(2.0)),
     "coincident": (np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, 1.0]) / np.sqrt(2.0)),
 }
+
+
+def single_run_successes(psi_start, psi_target, m, runs, rng):
+    """Successes in `runs` dragging runs, one measurement at a time: each
+    draws one rng.random() and succeeds below p = cos^2(eps), and a run ends
+    at its first failure."""
+    plane = _drag_plane(psi_start, psi_target, m)
+    if plane is None:
+        return runs
+    p = np.cos(plane[2]) ** 2
+    return sum(all(rng.random() < p for _ in range(m)) for _ in range(runs))
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
@@ -648,7 +667,7 @@ def test_inverse_zeno_successes_draws_what_single_runs_draw(bit_generator, pair)
             seed = 1000 * m + runs
             single = np.random.Generator(bit_generator(seed))
             batch = np.random.Generator(bit_generator(seed))
-            expected = sum(inverse_zeno_run(psi0, psi1, m, single)[0] for _ in range(runs))
+            expected = single_run_successes(psi0, psi1, m, runs, single)
             assert inverse_zeno_successes(psi0, psi1, m, runs, batch) == expected
             # the same uniforms were consumed, so the next draw agrees
             assert batch.random() == single.random()
@@ -669,8 +688,7 @@ def test_dragging_refuses_counts_that_are_not_whole_numbers(value):
     psi0, psi1 = ZENO_PAIRS["orthogonal"]
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    for call, name in ((lambda: inverse_zeno_run(psi0, psi1, value, rng), "n_measurements"),
-                       (lambda: inverse_zeno_successes(psi0, psi1, value, 10, rng),
+    for call, name in ((lambda: inverse_zeno_successes(psi0, psi1, value, 10, rng),
                         "n_measurements"),
                        (lambda: inverse_zeno_successes(psi0, psi1, 2, value, rng), "runs")):
         with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
@@ -678,7 +696,6 @@ def test_dragging_refuses_counts_that_are_not_whole_numbers(value):
     assert rng.bit_generator.state == state
     # a numpy integer counts
     count = np.int64(2)
-    assert inverse_zeno_run(psi0, psi1, count, rng)[1].shape == (2, 2)
     assert 0 <= inverse_zeno_successes(psi0, psi1, count, count, rng) <= 2
 
 
@@ -688,8 +705,6 @@ def test_dragging_refuses_states_of_different_dimension():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     message = re.escape("psi_target has shape (3,), psi_start (2,)")
-    with pytest.raises(ValueError, match=message):
-        inverse_zeno_run([1, 0], [0, 1, 0], 2, rng)
     with pytest.raises(ValueError, match=message):
         inverse_zeno_successes([1, 0], [0, 1, 0], 2, 3, rng)
     assert rng.bit_generator.state == state
@@ -714,7 +729,7 @@ def test_dragging_closed_form_matches_the_branch_it_replaces():
     """Every overlap |<b_i|b_{i-1}>|^2 of the branch built state by state is
     cos^2(gamma / M), and every failure state lies in span(f0, f1),
     orthogonal to b_i: one p and one closed-form failure state describe the
-    whole run (inverse_zeno_run)."""
+    whole run (inverse_zeno_successes)."""
     rng = np.random.default_rng(34)
     pairs = dict(ZENO_PAIRS)
     del pairs["coincident"]
