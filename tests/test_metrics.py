@@ -27,10 +27,12 @@ from qmfc.povm import (
     EPS_PROB,
     KappaMeasurement,
     MeasurementOperatorSet,
+    apply_outcome,
     gaussian_weak_povm,
     kappa_povm,
     nonselective_apply,
     outcome_probabilities,
+    sample_outcome,
 )
 from qmfc.states import (
     SIGMA_X,
@@ -317,11 +319,35 @@ def test_theta_sweep_validates_once(monkeypatch):
     for fn in (disturbance, nonselective_apply, uncertainty_p, uncertainty_v):
         with pytest.raises(ValueError):
             fn(mset, not_a_state)
-    # a state of another dimension is refused by name, not by numpy's matmul
-    for fn in (disturbance, uncertainty_p, uncertainty_v):
-        with pytest.raises(ValueError, match=re.escape(
-                "rho has shape (3, 3), measurement operators (2, 2)")):
-            fn(mset, np.eye(3, dtype=complex) / 3)
+
+
+# every public call that takes a measurement and a state, as call(mset, rho, rng)
+MEASUREMENT_CALLS = {
+    "outcome_probabilities": lambda mset, rho, rng: outcome_probabilities(mset, rho),
+    "apply_outcome": lambda mset, rho, rng: apply_outcome(mset, rho, 0),
+    "sample_outcome": sample_outcome,
+    "nonselective_apply": lambda mset, rho, rng: nonselective_apply(mset, rho),
+    "uncertainty_v": lambda mset, rho, rng: uncertainty_v(mset, rho),
+    "uncertainty_p": lambda mset, rho, rng: uncertainty_p(mset, rho),
+    "disturbance": lambda mset, rho, rng: disturbance(mset, rho),
+}
+
+
+@pytest.mark.parametrize("call", MEASUREMENT_CALLS.values(), ids=MEASUREMENT_CALLS.keys())
+def test_a_state_of_another_dimension_is_refused_by_name(call):
+    # povm._validated names both shapes before numpy's matmul can fail
+    # unnamed, and before any draw
+    qubit = kappa_povm(KappaMeasurement(0.8, 0.3))
+    qutrit = random_pure_measurement(3, 4, np.random.default_rng(3))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(
+            "rho has shape (3, 3), measurement operators (2, 2)")):
+        call(qubit, np.eye(3, dtype=complex) / 3, rng)
+    with pytest.raises(ValueError, match=re.escape(
+            "rho has shape (2, 2), measurement operators (3, 3)")):
+        call(qutrit, np.eye(2, dtype=complex) / 2, rng)
+    assert rng.bit_generator.state == state
 
 
 # SHA-256 of the float.hex of every row of sweep_cases(), recorded on the
